@@ -440,7 +440,12 @@ fn run_soak_command(args: &[String]) {
         };
         match flag.as_str() {
             "--sim-hours" => {
-                config.total_ms = parse_u64(value("--sim-hours"), "--sim-hours") * 3_600_000
+                config.total_ms = parse_u64(value("--sim-hours"), "--sim-hours")
+                    .checked_mul(3_600_000)
+                    .unwrap_or_else(|| {
+                        eprintln!("--sim-hours is too large");
+                        usage()
+                    })
             }
             "--checkpoint-every" => {
                 config.checkpoint_every =

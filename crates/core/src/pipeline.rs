@@ -25,7 +25,7 @@
 //!    already judged, or a duplicate inside the same flush window —
 //!    resolve without touching the zkSNARK verifier.
 //! 3. **Batch verification**: the surviving unique statements drain into
-//!    one [`verify_signal_batch`]-shaped parallel fan-out (inline on one
+//!    one [`verify_signal`] fan-out across worker threads (inline on one
 //!    core), and their verdicts enter the epoch-sharded LRU cache.
 //! 4. **Stateful commit**: candidates are replayed in arrival order
 //!    through the exact serial decision core
@@ -59,7 +59,7 @@
 //!
 //! [`RlnValidator`]: crate::validator::RlnValidator
 //! [`Validator::submit`]: wakurln_gossipsub::Validator::submit
-//! [`verify_signal_batch`]: wakurln_rln::verify_signal_batch
+//! [`verify_signal`]: wakurln_rln::verify_signal
 
 use crate::codec::WireSignal;
 use crate::validator::RlnValidator;
@@ -71,8 +71,7 @@ use wakurln_rln::{verify_signal, SignalValidity};
 /// Knobs of the batched validation pipeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PipelineConfig {
-    /// Flush as soon as this many messages are queued (the batch-size
-    /// sweep in `BENCH_pipeline.json` varies this).
+    /// Flush as soon as this many messages are queued.
     pub max_batch: usize,
     /// Bounded staleness: the relay flushes at least this often even if
     /// the batch is not full, so a quiet mesh still forwards promptly.
@@ -321,8 +320,8 @@ impl PipelineState {
         }
 
         // stage 3 — batch verification of the surviving unique statements
-        // (parallel fan-out with the `parallel` feature; inline on one
-        // core), verdicts entering the epoch-sharded cache
+        // (fan-out across worker threads; inline on one core), verdicts
+        // entering the epoch-sharded cache
         let vk = validator.verifying_key().clone();
         let jobs: Vec<&Candidate> = to_verify.iter().map(|i| &candidates[*i]).collect();
         let verdicts = wakurln_zksnark::parallel::par_map(&jobs, 2, |c| {

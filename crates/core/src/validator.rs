@@ -165,35 +165,13 @@ impl RlnValidator {
         self.state.nullifier_map.memory_bytes()
     }
 
-    /// Validates a decoded wire signal at local time `now_ms`. Exposed for
-    /// direct use by tests and benchmarks; gossipsub goes through the
-    /// [`Validator`] impl.
+    /// Validates a decoded wire signal at local time `now_ms`, charging
+    /// the full proof-verification cost. Exposed for direct use by tests;
+    /// gossipsub goes through the [`Validator`] impl.
     pub fn validate_wire(&mut self, now_ms: u64, wire: &WireSignal) -> ValidationResult {
         let proof_ok = self.check_stateless(wire);
-        self.finish_validation(now_ms, wire, proof_ok)
-    }
-
-    /// Validates a drained queue of wire signals in one call: the
-    /// stateless stage (zkSNARK proof + root window + share binding) fans
-    /// out across worker threads via [`SimSnark::verify_batch`]-style
-    /// parallelism, then the stateful stage (epoch window, nullifier map,
-    /// double-signal analysis) runs in queue order. Results are identical
-    /// to calling [`RlnValidator::validate_wire`] per message in order.
-    ///
-    /// [`SimSnark::verify_batch`]: wakurln_zksnark::SimSnark::verify_batch
-    pub fn validate_wire_batch(
-        &mut self,
-        now_ms: u64,
-        wires: &[WireSignal],
-    ) -> Vec<ValidationResult> {
-        let validator = &*self;
-        let proof_oks =
-            wakurln_zksnark::parallel::par_map(wires, 2, |wire| validator.check_stateless(wire));
-        wires
-            .iter()
-            .zip(proof_oks)
-            .map(|(wire, proof_ok)| self.finish_validation(now_ms, wire, proof_ok))
-            .collect()
+        let verify_cost = self.state.cost.verify_proof_micros;
+        self.decide(now_ms, wire, proof_ok, verify_cost)
     }
 
     /// Stage 1 — stateless checks: the proof root is in the accepted
@@ -219,18 +197,6 @@ impl RlnValidator {
     /// The device cost model in effect.
     pub(crate) fn cost_model(&self) -> CostModel {
         self.state.cost
-    }
-
-    /// Stage 2 — stateful checks (epoch window, nullifier map) plus cost
-    /// and statistics accounting for the whole pipeline.
-    fn finish_validation(
-        &mut self,
-        now_ms: u64,
-        wire: &WireSignal,
-        proof_ok: bool,
-    ) -> ValidationResult {
-        let verify_cost = self.state.cost.verify_proof_micros;
-        self.decide(now_ms, wire, proof_ok, verify_cost)
     }
 
     /// The order-sensitive stateful core shared by the serial path and the
@@ -462,38 +428,6 @@ mod tests {
         assert_eq!(detections[0].evidence.commitment, f.id.commitment());
         // queue drained
         assert!(f.validator.detections().is_empty());
-    }
-
-    #[test]
-    fn batch_validation_matches_sequential() {
-        // two identically-configured validators; one drains the queue in
-        // a batch, the other message by message — outcomes and stats must
-        // agree, including the double-signal pair inside the batch
-        let mut f = fixture();
-        let wires = vec![
-            wire_at(&mut f, 1_000, b"first"),
-            wire_at(&mut f, 11_000, b"next-epoch"),
-            {
-                let mut tampered = wire_at(&mut f, 1_200, b"bad");
-                tampered.signal.proof.binding[0] ^= 1;
-                tampered
-            },
-            wire_at(&mut f, 1_500, b"double-signal"), // same epoch as "first"
-            wire_at(&mut f, 51_000, b"stale"),        // far-future epoch
-        ];
-        let mut sequential = f.validator.clone();
-        let seq_results: Vec<ValidationResult> = wires
-            .iter()
-            .map(|w| sequential.validate_wire(11_000, w))
-            .collect();
-        let batch_results = f.validator.validate_wire_batch(11_000, &wires);
-        assert_eq!(batch_results, seq_results);
-        assert_eq!(f.validator.stats(), sequential.stats());
-        assert_eq!(f.validator.detections(), sequential.detections());
-        // the whole model state agrees, not just its observable slices
-        assert_eq!(f.validator.model_state(), sequential.model_state());
-        assert_eq!(f.validator.stats().spam_detected, 1);
-        assert_eq!(f.validator.stats().invalid_proof, 1);
     }
 
     #[test]

@@ -48,9 +48,9 @@ impl FileClass {
 }
 
 /// The crates bound by the determinism contract (library sources only).
-/// `bench` and `compat` are deliberately absent: bench *is* the host-side
-/// measurement layer, and the compat shims mirror third-party APIs
-/// (including `Instant` in the criterion shim) verbatim.
+/// `bench` and `compat` are deliberately absent: bench is the host-side
+/// command line (`simctl`), and the compat shims mirror third-party APIs
+/// verbatim.
 pub const DETERMINISTIC_CRATES: &[&str] = &[
     "crypto",
     "zksnark",
@@ -70,7 +70,7 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
 /// The map, in order of precedence:
 /// - non-`.rs` files, anything under `target/` or a `fixtures/` dir: skipped;
 /// - `crates/compat/**`: skipped (vendored third-party API surface — its
-///   panics and `Instant` uses replicate the upstream crates by design);
+///   panics replicate the upstream crates by design);
 /// - `crates/bench/**`, any `src/bin/**`, `benches/**`, `examples/**`,
 ///   top-level `tests/**` and per-crate `tests/**`: host-side
 ///   (`unsafe-audit` only — test and measurement code may use wall
@@ -178,10 +178,7 @@ mod tests {
             FileClass::DETERMINISTIC_LIBRARY
         );
         assert_eq!(classify("src/lib.rs"), FileClass::DETERMINISTIC_LIBRARY);
-        assert_eq!(
-            classify("crates/bench/src/sim_report.rs"),
-            FileClass::HOST_SIDE
-        );
+        assert_eq!(classify("crates/bench/src/cli.rs"), FileClass::HOST_SIDE);
         assert_eq!(
             classify("crates/bench/src/bin/simctl.rs"),
             FileClass::HOST_SIDE

@@ -6,7 +6,7 @@ pub struct PhaseTimings {
 }
 
 pub fn measure<F: FnOnce()>(f: F) -> u128 {
-    // lint:allow(host-time, reason = "wall-clock accumulator feeding BENCH_sim.json only; never read by simulation state")
+    // lint:allow(host-time, reason = "wall-clock accumulator feeding host-side diagnostics only; never read by simulation state")
     let start = std::time::Instant::now();
     f();
     start.elapsed().as_millis()

@@ -42,20 +42,17 @@ fn committed_report_is_clean_and_current_schema() {
 
 #[test]
 fn suppression_inventory_matches_committed_report() {
-    // The committed snapshot must reflect the live tree: same number of
-    // reasoned suppressions, so stale reports are caught when markers
-    // are added or removed without regenerating.
+    // The committed snapshot must be the report of the live tree, byte for
+    // byte — the same comparison as CI's "Committed lint report is
+    // current" diff, so files, markers and line numbers cannot drift
+    // without regenerating.
     let root = workspace_root();
     let report = lint_workspace(&root).expect("walk workspace");
-    let json = std::fs::read_to_string(root.join("lint-report.json")).expect("committed report");
-    let needle = "\"allowed_count\":";
-    let at = json.find(needle).expect("report carries allowed_count");
-    let rest = json[at + needle.len()..].trim_start();
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    let committed: usize = digits.parse().expect("allowed_count is an integer");
+    let committed =
+        std::fs::read_to_string(root.join("lint-report.json")).expect("committed report");
     assert_eq!(
+        report.to_json(),
         committed,
-        report.allowed.len(),
         "committed lint-report.json is stale: regenerate it with \
          `cargo run -p wakurln-lint -- --json lint-report.json`"
     );

@@ -12,8 +12,8 @@
 //!    a private RNG stream (split from the network seed by node index via
 //!    [`stream_seed`]), so a node's execution depends only on its own
 //!    state and events — never on which shard or thread it lands on.
-//!    Shards execute on scoped worker threads (feature `parallel`), or
-//!    inline when the batch is too small to amortize a fan-out.
+//!    Shards execute on scoped worker threads, or inline when the batch
+//!    is too small to amortize a fan-out.
 //! 3. **Merge** — each executed event hands back its collected effects
 //!    and buffered metric updates; the main thread replays them in
 //!    canonical event-sequence order, sampling link latency/loss from a

@@ -446,25 +446,15 @@ impl<N: Node> Network<N> {
     /// Sets the worker-thread count for batch execution. `0` means
     /// auto-detect (available parallelism). The simulation outcome is
     /// byte-identical for every thread count — see the determinism
-    /// contract in `docs/ARCHITECTURE.md`. Without the `parallel`
-    /// feature the count is clamped to 1.
+    /// contract in `docs/ARCHITECTURE.md`.
     pub fn set_threads(&mut self, threads: usize) {
-        let resolved = if threads == 0 {
+        self.threads = if threads == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
         } else {
             threads
         };
-        #[cfg(feature = "parallel")]
-        {
-            self.threads = resolved.max(1);
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            let _ = resolved;
-            self.threads = 1;
-        }
     }
 
     /// The configured worker-thread count.

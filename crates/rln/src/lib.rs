@@ -53,5 +53,5 @@ pub mod slashing;
 pub use group::{GroupError, MembershipEvent, RlnGroup};
 pub use identity::Identity;
 pub use shared::SharedGroup;
-pub use signal::{create_signal, verify_signal, verify_signal_batch, Signal, SignalValidity};
+pub use signal::{create_signal, verify_signal, Signal, SignalValidity};
 pub use slashing::{analyze_double_signal, build_evidence, DoubleSignalOutcome, SlashingEvidence};

@@ -127,20 +127,6 @@ pub fn verify_signal(
     SignalValidity::Valid
 }
 
-/// Statelessly verifies a batch of signals against one accepted root,
-/// fanning zkSNARK verification out across worker threads (with the
-/// `parallel` feature; inline otherwise). Returns per-signal validity in
-/// input order — equivalent to mapping [`verify_signal`].
-pub fn verify_signal_batch(
-    verifying_key: &VerifyingKey,
-    expected_root: Fr,
-    signals: &[&Signal],
-) -> Vec<SignalValidity> {
-    wakurln_zksnark::parallel::par_map(signals, 4, |signal| {
-        verify_signal(verifying_key, expected_root, signal)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,27 +260,6 @@ mod tests {
         assert_eq!(s1.internal_nullifier, s2.internal_nullifier);
         let sk = wakurln_crypto::shamir::recover_line_secret(&s1.share, &s2.share).unwrap();
         assert_eq!(sk, f.id.secret());
-    }
-
-    #[test]
-    fn batch_verification_matches_individual() {
-        let mut f = fixture();
-        let mut signals = Vec::new();
-        for epoch in 1..=5 {
-            signals.push(make_signal(&mut f, epoch, b"batched"));
-        }
-        signals[1].share.y += Fr::ONE; // tamper
-        signals[3].message = b"swapped".to_vec(); // message mismatch
-        let refs: Vec<&Signal> = signals.iter().collect();
-        let batch = verify_signal_batch(&f.vk, f.group.root(), &refs);
-        let individual: Vec<SignalValidity> = signals
-            .iter()
-            .map(|s| verify_signal(&f.vk, f.group.root(), s))
-            .collect();
-        assert_eq!(batch, individual);
-        assert_eq!(batch[0], SignalValidity::Valid);
-        assert_eq!(batch[1], SignalValidity::InvalidProof);
-        assert_eq!(batch[3], SignalValidity::MessageMismatch);
     }
 
     #[test]

@@ -192,7 +192,7 @@ pub fn epoch_boundary_race(nodes: usize, seed: u64) -> ScenarioSpec {
 /// validation outcome — delivery, containment and slashing match the
 /// serial validator — while decision latency stays bounded by
 /// `flush_interval_ms`. The wall-clock amortization itself is measured
-/// off-simulation by `bench_pipeline` (`BENCH_pipeline.json`).
+/// off-simulation by the benchmark's `relay_pipeline` workload.
 pub fn high_throughput(nodes: usize, seed: u64) -> ScenarioSpec {
     let mut spec = ScenarioSpec::baseline(nodes, seed);
     spec.name = "high_throughput".to_string();

@@ -1,24 +1,17 @@
-//! Fork–join helpers backing the `parallel` feature.
+//! Fork–join helpers.
 //!
 //! The build environment carries no external crates, so instead of rayon
 //! this is a minimal scoped-thread fan-out with the same data-parallel
 //! shape: split a slice into per-worker chunks, run a closure on each,
-//! collect results in order. With the `parallel` feature disabled (or for
-//! small inputs) everything runs inline on the caller's thread, so callers
-//! never need to special-case.
+//! collect results in order. On one core (or for small inputs) everything
+//! runs inline on the caller's thread, so callers never need to
+//! special-case.
 
 /// Number of workers a fan-out may use.
 pub fn max_threads() -> usize {
-    #[cfg(feature = "parallel")]
-    {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
-    }
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 /// Maps `f` over disjoint chunks of `items` on scoped worker threads,

@@ -216,33 +216,6 @@ impl SimSnark {
         Ok(Self::proof_from_seed(pk, public, seed))
     }
 
-    /// Generates proofs for many statements, fanning the witness synthesis
-    /// and constraint checking out across worker threads (with the
-    /// `parallel` feature; inline otherwise). Per-statement randomness is
-    /// drawn from `rng` up front (one 32-byte seed per job, including jobs
-    /// that end up failing), so all-success batches produce proofs
-    /// identical to sequential [`SimSnark::prove`] calls on the same RNG.
-    pub fn prove_batch<R: RngCore + ?Sized>(
-        pk: &ProvingKey,
-        jobs: &[(RlnPublicInputs, RlnWitness)],
-        rng: &mut R,
-    ) -> Vec<Result<Proof, ProveError>> {
-        let seeds: Vec<[u8; 32]> = jobs
-            .iter()
-            .map(|_| {
-                let mut seed = [0u8; 32];
-                rng.fill_bytes(&mut seed);
-                seed
-            })
-            .collect();
-        let seeded: Vec<(&(RlnPublicInputs, RlnWitness), [u8; 32])> =
-            jobs.iter().zip(seeds).collect();
-        crate::parallel::par_map(&seeded, 1, |((public, witness), seed)| {
-            Self::synthesize_and_check(pk, public, witness)?;
-            Ok(Self::proof_from_seed(pk, public, *seed))
-        })
-    }
-
     /// The honest-prover work: full witness synthesis plus (parallel)
     /// constraint checking.
     fn synthesize_and_check(
@@ -289,16 +262,6 @@ impl SimSnark {
             .zip(proof.binding.iter())
             .fold(0u8, |acc, (a, b)| acc | (a ^ b))
             == 0
-    }
-
-    /// Verifies many statements, fanning out across worker threads (with
-    /// the `parallel` feature; inline otherwise). Returns per-statement
-    /// validity in input order — the entry point a validator uses when
-    /// draining its message queue.
-    pub fn verify_batch(vk: &VerifyingKey, statements: &[(&RlnPublicInputs, &Proof)]) -> Vec<bool> {
-        crate::parallel::par_map(statements, 4, |(public, proof)| {
-            Self::verify(vk, public, proof)
-        })
     }
 
     fn binding(
@@ -460,38 +423,24 @@ mod tests {
     }
 
     #[test]
+    fn same_rng_stream_gives_identical_proofs() {
+        // the other half of `proofs_are_randomized`: a proof is a function
+        // of the statement and the RNG stream only, so seed-pinned
+        // simulations reproduce proof bytes
+        let mut a = fixture(10);
+        let mut b = fixture(10);
+        let (_, proof_a) = honest_proof(&mut a, 1, b"hello");
+        let (_, proof_b) = honest_proof(&mut b, 1, b"hello");
+        assert_eq!(proof_a, proof_b);
+    }
+
+    #[test]
     fn wrong_verifying_key_rejects() {
         let mut f = fixture(10);
         let (public, proof) = honest_proof(&mut f, 1, b"hello");
         let mut rng = StdRng::seed_from_u64(999);
         let (_, other_vk) = SimSnark::setup(RlnCircuit::new(10), &mut rng);
         assert!(!SimSnark::verify(&other_vk, &public, &proof));
-    }
-
-    #[test]
-    fn prove_batch_matches_sequential_proves() {
-        let f = fixture(10);
-        let jobs: Vec<_> = (0..6u64)
-            .map(|i| {
-                let (public, _) = RlnCircuit::derive_public(
-                    f.sk,
-                    f.tree.root(),
-                    Fr::from_u64(i + 1),
-                    Fr::from_u64(1000 + i),
-                );
-                let witness = RlnWitness::new(f.sk, &f.tree.proof(f.index).unwrap());
-                (public, witness)
-            })
-            .collect();
-        // same seed stream → identical proofs to sequential prove calls
-        let mut batch_rng = StdRng::seed_from_u64(77);
-        let batch = SimSnark::prove_batch(&f.pk, &jobs, &mut batch_rng);
-        let mut seq_rng = StdRng::seed_from_u64(77);
-        for ((public, witness), batched) in jobs.iter().zip(&batch) {
-            let sequential = SimSnark::prove(&f.pk, public, witness, &mut seq_rng).unwrap();
-            assert_eq!(batched.as_ref().unwrap(), &sequential);
-            assert!(SimSnark::verify(&f.vk, public, batched.as_ref().unwrap()));
-        }
     }
 
     #[test]
@@ -507,41 +456,6 @@ mod tests {
         let mut pristine = StdRng::seed_from_u64(123);
         assert!(SimSnark::prove(&f.pk, &bad_public, &bad_witness, &mut rng).is_err());
         assert_eq!(rng.next_u64(), pristine.next_u64());
-    }
-
-    #[test]
-    fn prove_batch_reports_per_job_errors() {
-        let mut f = fixture(10);
-        let (good_public, _) =
-            RlnCircuit::derive_public(f.sk, f.tree.root(), Fr::from_u64(1), Fr::from_u64(2));
-        let good_witness = RlnWitness::new(f.sk, &f.tree.proof(f.index).unwrap());
-        let outsider = Fr::from_u64(666);
-        let (bad_public, _) =
-            RlnCircuit::derive_public(outsider, f.tree.root(), Fr::from_u64(1), Fr::from_u64(2));
-        let bad_witness = RlnWitness::new(outsider, &f.tree.proof(f.index).unwrap());
-        let results = SimSnark::prove_batch(
-            &f.pk,
-            &[(good_public, good_witness), (bad_public, bad_witness)],
-            &mut f.rng,
-        );
-        assert!(results[0].is_ok());
-        assert_eq!(results[1], Err(ProveError::Unsatisfied("rln/root")));
-    }
-
-    #[test]
-    fn verify_batch_matches_individual_verifies() {
-        let mut f = fixture(10);
-        let mut statements = Vec::new();
-        for i in 0..5 {
-            let (public, proof) = honest_proof(&mut f, i + 1, b"batch");
-            statements.push((public, proof));
-        }
-        // tamper with one of them
-        statements[2].1.binding[0] ^= 1;
-        let refs: Vec<(&RlnPublicInputs, &Proof)> =
-            statements.iter().map(|(p, pr)| (p, pr)).collect();
-        let verdicts = SimSnark::verify_batch(&f.vk, &refs);
-        assert_eq!(verdicts, vec![true, true, false, true, true]);
     }
 
     #[test]

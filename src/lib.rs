@@ -63,11 +63,6 @@ pub use wakurln_zksnark as zksnark;
 #[doc = include_str!("../README.md")]
 pub struct ReadmeDoctests;
 
-/// Compiled copy of `PERF.md` (doctest-only).
-#[cfg(doctest)]
-#[doc = include_str!("../PERF.md")]
-pub struct PerfDoctests;
-
 /// Compiled copy of `docs/ARCHITECTURE.md` (doctest-only).
 #[cfg(doctest)]
 #[doc = include_str!("../docs/ARCHITECTURE.md")]

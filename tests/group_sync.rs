@@ -130,3 +130,33 @@ fn slashed_member_cannot_rejoin_with_same_commitment_history() {
     assert_eq!(new_index, 1);
     assert_eq!(group.member_count(), 1);
 }
+
+#[test]
+fn light_tree_own_proof_proves_at_the_papers_depth_32() {
+    // the paper's 2^32 group size: the O(depth) light tree makes the own
+    // path cheap to hold, and the signal built from it verifies
+    let depth = 32;
+    let mut rng = StdRng::seed_from_u64(2);
+    let (pk, vk) = SimSnark::setup(RlnCircuit::new(depth), &mut rng);
+    let mut light = SyncedPathTree::new(depth).unwrap();
+    for i in 0..100u64 {
+        light.apply_append(Fr::from_u64(10_000 + i)).unwrap();
+    }
+    let id = Identity::random(&mut rng);
+    light.register_own(id.commitment()).unwrap();
+
+    let signal = create_signal(
+        &id,
+        &light.own_proof().unwrap(),
+        light.root(),
+        &pk,
+        Fr::from_u64(1),
+        b"deep",
+        &mut rng,
+    )
+    .unwrap();
+    assert_eq!(
+        verify_signal(&vk, light.root(), &signal),
+        SignalValidity::Valid
+    );
+}
