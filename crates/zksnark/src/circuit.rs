@@ -17,10 +17,11 @@
 //! leak a usable secret share.
 
 use crate::gadgets::{merkle_root, poseidon_hash1, poseidon_hash2, Boolean, Num};
-use crate::r1cs::ConstraintSystem;
+use crate::r1cs::{ConstraintMatrix, ConstraintSystem, UnsatisfiedConstraint};
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, OnceLock};
 use wakurln_crypto::field::Fr;
-use wakurln_crypto::merkle::MerkleProof;
+use wakurln_crypto::merkle::{MerkleProof, MAX_DEPTH};
 use wakurln_crypto::poseidon;
 
 /// The public inputs of an RLN proof, in canonical order.
@@ -39,9 +40,9 @@ pub struct RlnPublicInputs {
 }
 
 impl RlnPublicInputs {
-    /// Flattens to the canonical field-element vector (binding order).
-    pub fn to_vec(&self) -> Vec<Fr> {
-        vec![
+    /// Flattens to the canonical field-element order (binding order).
+    pub fn to_array(&self) -> [Fr; 5] {
+        [
             self.root,
             self.external_nullifier,
             self.x,
@@ -70,6 +71,15 @@ impl RlnWitness {
             leaf_index: proof.index,
             path_siblings: proof.siblings.clone(),
         }
+    }
+
+    /// `leaf_index` without its low `level` bits — 0 once `level` passes
+    /// the 64 bits of the index, where a plain `>>` would overflow.
+    pub(crate) fn index_above(&self, level: usize) -> u64 {
+        u32::try_from(level)
+            .ok()
+            .and_then(|l| self.leaf_index.checked_shr(l))
+            .unwrap_or(0)
     }
 }
 
@@ -116,33 +126,55 @@ impl RlnCircuit {
         )
     }
 
-    /// Synthesizes the circuit into `cs` under the given assignment.
+    /// Allocates the circuit's inputs, in the order that fixes their
+    /// columns in `z`: the public inputs (canonical order), then `sk`, the
+    /// index bits (leaf level first) and the siblings. Emits no constraint,
+    /// so the prover places its inputs with this very code.
+    fn alloc_inputs(
+        &self,
+        cs: &mut ConstraintSystem,
+        public: &RlnPublicInputs,
+        witness: &RlnWitness,
+    ) -> Inputs {
+        let public = public.to_array().map(|v| Num::alloc_instance(cs, v));
+        let sk = Num::alloc_witness(cs, witness.sk);
+        let bits = (0..self.depth)
+            .map(|l| Num::alloc_witness(cs, Fr::from(witness.index_above(l) & 1 == 1)))
+            .collect();
+        let siblings = witness
+            .path_siblings
+            .iter()
+            .map(|s| Num::alloc_witness(cs, *s))
+            .collect();
+        Inputs {
+            public,
+            sk,
+            bits,
+            siblings,
+        }
+    }
+
+    /// Synthesizes the circuit into `cs` under the given assignment: the
+    /// compiler front-end (run once per depth by [`RlnCircuit::compile`])
+    /// and, on real values, the reference the prover is tested against.
     ///
     /// The constraints are emitted unconditionally; whether the assignment
-    /// satisfies them is checked by the caller (the prover refuses to
-    /// produce proofs for unsatisfied systems).
+    /// satisfies them is for [`ConstraintSystem::is_satisfied`] to say.
     pub fn synthesize(
         &self,
         cs: &mut ConstraintSystem,
         public: &RlnPublicInputs,
         witness: &RlnWitness,
     ) {
-        // public inputs, canonical order
-        let root = Num::alloc_instance(cs, public.root);
-        let external_nullifier = Num::alloc_instance(cs, public.external_nullifier);
-        let x = Num::alloc_instance(cs, public.x);
-        let y = Num::alloc_instance(cs, public.y);
-        let internal_nullifier = Num::alloc_instance(cs, public.internal_nullifier);
-
-        // witness
-        let sk = Num::alloc_witness(cs, witness.sk);
-        let bits: Vec<Boolean> = (0..self.depth)
-            .map(|l| Boolean::alloc_witness(cs, (witness.leaf_index >> l) & 1 == 1))
-            .collect();
-        let siblings: Vec<Num> = witness
-            .path_siblings
-            .iter()
-            .map(|s| Num::alloc_witness(cs, *s))
+        let Inputs {
+            public: [root, external_nullifier, x, y, internal_nullifier],
+            sk,
+            bits,
+            siblings,
+        } = self.alloc_inputs(cs, public, witness);
+        let bits: Vec<Boolean> = bits
+            .into_iter()
+            .map(|bit| Boolean::from_num(cs, bit))
             .collect();
 
         // membership: pk = H(sk) is in the tree under `root`
@@ -161,24 +193,107 @@ impl RlnCircuit {
         phi.enforce_equal(cs, &internal_nullifier, "rln/nullifier");
     }
 
+    /// Compiles the circuit to its constraint matrices: one gadget
+    /// synthesis on an all-zero assignment (the constraints do not depend
+    /// on the values), kept for the life of the process. Like
+    /// `poseidon::params(t)` this is a pure function of its argument, so
+    /// every call at one depth — every `setup`, every peer — shares one
+    /// matrix; depths above [`MAX_DEPTH`] (no membership tree is that
+    /// deep) compile afresh instead of growing the table.
+    pub fn compile(&self) -> Arc<CompiledCircuit> {
+        static COMPILED: [OnceLock<Arc<CompiledCircuit>>; MAX_DEPTH + 1] =
+            [const { OnceLock::new() }; MAX_DEPTH + 1];
+        let fresh = || {
+            let zero = RlnPublicInputs {
+                root: Fr::ZERO,
+                external_nullifier: Fr::ZERO,
+                x: Fr::ZERO,
+                y: Fr::ZERO,
+                internal_nullifier: Fr::ZERO,
+            };
+            let witness = RlnWitness {
+                sk: Fr::ZERO,
+                leaf_index: 0,
+                path_siblings: vec![Fr::ZERO; self.depth],
+            };
+            let mut cs = ConstraintSystem::new();
+            self.synthesize(&mut cs, &zero, &witness);
+            Arc::new(CompiledCircuit {
+                circuit: *self,
+                matrix: cs.into_matrix(),
+            })
+        };
+        match COMPILED.get(self.depth) {
+            Some(slot) => Arc::clone(slot.get_or_init(fresh)),
+            None => fresh(),
+        }
+    }
+
     /// Number of constraints this circuit emits (independent of the
     /// assignment).
     pub fn constraint_count(&self) -> usize {
+        self.compile().matrix.num_constraints()
+    }
+}
+
+/// The input variables of the circuit, as [`RlnCircuit::alloc_inputs`]
+/// allocated them.
+struct Inputs {
+    /// In [`RlnPublicInputs::to_array`] order.
+    public: [Num; 5],
+    sk: Num,
+    bits: Vec<Num>,
+    siblings: Vec<Num>,
+}
+
+/// An [`RlnCircuit`] compiled to its constraint matrices — what a proving
+/// key shares between all its clones (see [`RlnCircuit::compile`]).
+#[derive(Debug)]
+pub struct CompiledCircuit {
+    circuit: RlnCircuit,
+    matrix: ConstraintMatrix,
+}
+
+impl CompiledCircuit {
+    /// The circuit these matrices were compiled from.
+    pub fn circuit(&self) -> RlnCircuit {
+        self.circuit
+    }
+
+    /// The constraint matrices.
+    pub fn matrix(&self) -> &ConstraintMatrix {
+        &self.matrix
+    }
+
+    /// The prover's work: places the inputs exactly as
+    /// [`RlnCircuit::synthesize`] allocates them, then derives every other
+    /// witness and checks every constraint in one pass over the matrices
+    /// ([`ConstraintMatrix::solve`]). No gadget runs. Returns the full
+    /// assignment `z = (1, instance…, witness…)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the lowest-index constraint the inputs violate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the witness path length is not the circuit depth.
+    pub fn solve(
+        &self,
+        public: &RlnPublicInputs,
+        witness: &RlnWitness,
+    ) -> Result<Vec<Fr>, UnsatisfiedConstraint> {
+        assert_eq!(
+            witness.path_siblings.len(),
+            self.circuit.depth,
+            "path length mismatch"
+        );
         let mut cs = ConstraintSystem::new();
-        let public = RlnPublicInputs {
-            root: Fr::ZERO,
-            external_nullifier: Fr::ZERO,
-            x: Fr::ZERO,
-            y: Fr::ZERO,
-            internal_nullifier: Fr::ZERO,
-        };
-        let witness = RlnWitness {
-            sk: Fr::ZERO,
-            leaf_index: 0,
-            path_siblings: vec![Fr::ZERO; self.depth],
-        };
-        self.synthesize(&mut cs, &public, &witness);
-        cs.num_constraints()
+        self.circuit.alloc_inputs(&mut cs, public, witness);
+        let mut z = cs.into_assignment();
+        z.resize(self.matrix.num_vars(), Fr::ZERO);
+        self.matrix.solve(&mut z)?;
+        Ok(z)
     }
 }
 
@@ -263,6 +378,19 @@ mod tests {
     }
 
     #[test]
+    fn index_bits_stop_at_64() {
+        let witness = RlnWitness {
+            sk: Fr::ZERO,
+            leaf_index: u64::MAX,
+            path_siblings: Vec::new(),
+        };
+        assert_eq!(witness.index_above(0), u64::MAX);
+        assert_eq!(witness.index_above(63), 1);
+        assert_eq!(witness.index_above(64), 0);
+        assert_eq!(witness.index_above(usize::MAX), 0);
+    }
+
+    #[test]
     fn constraint_count_grows_linearly_with_depth() {
         let c10 = RlnCircuit::new(10).constraint_count();
         let c20 = RlnCircuit::new(20).constraint_count();
@@ -273,7 +401,7 @@ mod tests {
     }
 
     #[test]
-    fn public_inputs_to_vec_order() {
+    fn public_inputs_to_array_order() {
         let p = RlnPublicInputs {
             root: Fr::from_u64(1),
             external_nullifier: Fr::from_u64(2),
@@ -281,10 +409,7 @@ mod tests {
             y: Fr::from_u64(4),
             internal_nullifier: Fr::from_u64(5),
         };
-        let v = p.to_vec();
-        assert_eq!(v.len(), 5);
-        assert_eq!(v[0], Fr::from_u64(1));
-        assert_eq!(v[4], Fr::from_u64(5));
+        assert_eq!(p.to_array(), [1, 2, 3, 4, 5].map(Fr::from_u64));
     }
 
     #[test]

@@ -1,10 +1,19 @@
 //! Circuit gadgets: reusable constraint-generating building blocks.
 //!
-//! Each gadget simultaneously computes values (witness synthesis) and emits
-//! the constraints that pin those values down. The Poseidon gadget shares
-//! its parameters with the native implementation in
-//! [`wakurln_crypto::poseidon`], so in-circuit and out-of-circuit hashes
-//! agree by construction — a property the tests assert.
+//! Each gadget computes values and emits the constraints that pin those
+//! values down. The gadgets are the circuit *compiler's* front-end: they
+//! run once per tree depth (on a dummy assignment) to produce the
+//! [`crate::r1cs::ConstraintMatrix`] a proving key holds, and the prover
+//! then derives every witness from that matrix alone — it never runs a
+//! gadget. Run on real values they remain the reference the tests compare
+//! the prover against. The Poseidon gadget shares its parameters with the
+//! native implementation in [`wakurln_crypto::poseidon`], so in-circuit and
+//! out-of-circuit hashes agree by construction — a property the tests
+//! assert.
+//!
+//! Every multiplication goes through [`Num::mul`], which marks its row as
+//! the one that *defines* the product witness; that mark is what lets the
+//! prover read the matrix as a witness program.
 
 use crate::r1cs::{ConstraintSystem, LinearCombination, Variable};
 use wakurln_crypto::field::Fr;
@@ -74,16 +83,11 @@ impl Num {
         }
     }
 
-    /// Multiplication: allocates the product and one constraint.
+    /// Multiplication: allocates the product and the one constraint that
+    /// defines it (see [`ConstraintSystem`]'s product rows).
     pub fn mul(&self, cs: &mut ConstraintSystem, other: &Num, label: &'static str) -> Num {
         let value = self.value * other.value;
-        let var = cs.alloc_witness(value);
-        cs.enforce(
-            label,
-            self.lc.clone(),
-            other.lc.clone(),
-            LinearCombination::from_var(var),
-        );
+        let var = cs.alloc_product(label, &self.lc, &other.lc, value);
         Num {
             lc: LinearCombination::from_var(var),
             value,
@@ -92,7 +96,7 @@ impl Num {
 
     /// Enforces equality with another `Num` (one constraint).
     pub fn enforce_equal(&self, cs: &mut ConstraintSystem, other: &Num, label: &'static str) {
-        cs.enforce_equal(label, self.lc.clone(), other.lc.clone());
+        cs.enforce_equal(label, &self.lc, &other.lc);
     }
 }
 
@@ -106,14 +110,15 @@ pub struct Boolean {
 impl Boolean {
     /// Allocates a witness bit and enforces `b · (1 − b) = 0`.
     pub fn alloc_witness(cs: &mut ConstraintSystem, bit: bool) -> Boolean {
-        let value = Fr::from(bit);
-        let var = cs.alloc_witness(value);
-        let lc = LinearCombination::from_var(var);
-        let one_minus = LinearCombination::constant(Fr::ONE).add_term(var, -Fr::ONE);
-        cs.enforce("boolean", lc.clone(), one_minus, LinearCombination::zero());
-        Boolean {
-            num: Num { lc, value },
-        }
+        let num = Num::alloc_witness(cs, Fr::from(bit));
+        Boolean::from_num(cs, num)
+    }
+
+    /// Constrains an existing value to a bit: `b · (1 − b) = 0`.
+    pub fn from_num(cs: &mut ConstraintSystem, num: Num) -> Boolean {
+        let one_minus = LinearCombination::constant(Fr::ONE).add_scaled(&num.lc, -Fr::ONE);
+        cs.enforce("boolean", &num.lc, &one_minus, &LinearCombination::zero());
+        Boolean { num }
     }
 
     /// The assigned bit.
@@ -267,7 +272,7 @@ mod tests {
         let var = cs2.alloc_witness(Fr::from_u64(2));
         let lc = LinearCombination::from_var(var);
         let one_minus = LinearCombination::constant(Fr::ONE).add_term(var, -Fr::ONE);
-        cs2.enforce("boolean", lc, one_minus, LinearCombination::zero());
+        cs2.enforce("boolean", &lc, &one_minus, &LinearCombination::zero());
         assert!(cs2.is_satisfied().is_err());
     }
 

@@ -5,13 +5,19 @@
 //! Merkle membership, Shamir-share correctness), proved and verified by a
 //! simulated Groth16-shaped backend ([`snark::SimSnark`]).
 //!
-//! * [`r1cs`] — constraint system and linear combinations,
-//! * [`gadgets`] — Poseidon / Merkle / boolean circuit gadgets,
-//! * [`circuit`] — the RLN statement from the paper's §II,
-//! * [`snark`] — setup / prove / verify with constant-size proofs.
+//! * [`r1cs`] — linear combinations, the constraint system gadgets write
+//!   to, and the compact constraint matrices it compiles to,
+//! * [`gadgets`] — Poseidon / Merkle / boolean circuit gadgets (the
+//!   compiler's front-end),
+//! * [`circuit`] — the RLN statement from the paper's §II, compiled once
+//!   per tree depth,
+//! * [`snark`] — setup / prove / verify with constant-size proofs,
+//! * [`parallel`] — the fork–join helpers behind `core::pipeline`'s batch
+//!   verification.
 //!
-//! See DESIGN.md §2 for exactly which SNARK properties are real versus
-//! simulated.
+//! See the [`snark`] module docs for exactly which SNARK properties are
+//! real versus simulated, and `docs/ARCHITECTURE.md` for where the crate
+//! sits in the stack.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -8,10 +8,24 @@
 //!
 //! This is the same intermediate representation Groth16 consumes; the
 //! simulated backend in [`crate::snark`] proves satisfaction of exactly
-//! these constraints.
+//! these constraints. The module has two halves:
+//!
+//! * **compile** — gadgets describe values as [`LinearCombination`]s and
+//!   hand them to a [`ConstraintSystem`], which interns each one straight
+//!   into a [`ConstraintMatrix`]: flat column / coefficient-pool indices,
+//!   every distinct coefficient stored once, a combination repeated by
+//!   neighbouring rows stored once. Rows written by the one
+//!   allocate-and-multiply entry point also record *which witness they
+//!   define*.
+//! * **prove** — [`ConstraintMatrix::solve`] takes the circuit's inputs and
+//!   makes one in-order pass over the rows, assigning each defined witness
+//!   and comparing every row. The matrices are the witness program; there
+//!   is no second description of the circuit to keep in step with them.
 
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use wakurln_crypto::field::Fr;
 
 /// A variable in the constraint system.
@@ -107,19 +121,6 @@ impl From<Variable> for LinearCombination {
     }
 }
 
-/// One R1CS constraint `a · b = c` with a diagnostic label.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Constraint {
-    /// Left factor.
-    pub a: LinearCombination,
-    /// Right factor.
-    pub b: LinearCombination,
-    /// Product.
-    pub c: LinearCombination,
-    /// Human-readable origin (e.g. `"poseidon/sbox"`).
-    pub label: &'static str,
-}
-
 /// Error returned when an assignment does not satisfy the system.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UnsatisfiedConstraint {
@@ -141,11 +142,187 @@ impl fmt::Display for UnsatisfiedConstraint {
 
 impl std::error::Error for UnsatisfiedConstraint {}
 
-/// An R1CS instance together with a (possibly partial) assignment.
+/// How many of the most recent distinct combinations a new one is compared
+/// against before it is stored. The x⁵ S-box emits its input combination
+/// three times within three rows (`x·x`, then `x⁴·x`) with only the
+/// single-variable combinations of `x²` and `x⁴` in between, so a handful
+/// of slots finds the repeats without a table of everything stored so far.
+const LOOK_BACK: usize = 4;
+
+/// One term of a stored combination: a column of `z` and an index into
+/// the coefficient pool.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Entry {
+    col: u32,
+    coeff: u32,
+}
+
+/// One constraint `a · b = c`, its sides given as combination numbers.
+#[derive(Clone, Copy, Debug)]
+struct Row {
+    a: u32,
+    b: u32,
+    c: u32,
+    /// Column of the witness this row defines as `⟨a,z⟩·⟨b,z⟩`; 0 (the
+    /// constant wire, which nothing defines) on a row that only checks.
+    defines: u32,
+    label: &'static str,
+}
+
+/// Narrows a matrix dimension to its stored width.
+fn narrow(n: usize) -> u32 {
+    assert!(
+        n <= u32::MAX as usize,
+        "constraint matrix dimension overflow"
+    );
+    n as u32
+}
+
+/// The compiled constraint matrices `A`, `B`, `C` of a circuit, without an
+/// assignment: what a proving key carries, built once and then only read.
 ///
-/// The same type serves circuit *synthesis* (building constraints while
-/// computing the assignment, prover side) and *shape extraction* (the list
-/// of constraints, setup side).
+/// Storage is compact rather than one 32-byte coefficient per term: terms
+/// are flat `(column, coefficient-pool index)` pairs, every distinct
+/// coefficient is pooled once, and a combination that neighbouring rows
+/// share is stored once and referred to by number. Combinations are
+/// numbered in the order rows first use them, so one in-order pass over
+/// the rows ([`ConstraintMatrix::solve`]) evaluates each exactly once.
+#[derive(Clone, Debug, Default)]
+pub struct ConstraintMatrix {
+    coeffs: Vec<Fr>,
+    entries: Vec<Entry>,
+    /// Combination `i` is `entries[ends[i - 1]..ends[i]]` (from 0 for `i = 0`).
+    ends: Vec<u32>,
+    rows: Vec<Row>,
+    num_instance: usize,
+    num_witness: usize,
+    /// Terms emitted before de-duplication (what a dense key would store).
+    terms: usize,
+}
+
+impl ConstraintMatrix {
+    /// Number of constraints (rows).
+    pub fn num_constraints(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Length of the variable vector `z = (1, instance…, witness…)`.
+    pub fn num_vars(&self) -> usize {
+        1 + self.num_instance + self.num_witness
+    }
+
+    /// Stored terms after de-duplication: the multiply-adds of one
+    /// [`ConstraintMatrix::solve`] pass, i.e. the prover's work per proof
+    /// as an exact count.
+    pub fn num_entries(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Serialized size (bytes) of the matrices in the dense form a Groth16
+    /// proving key stores them in (the key is linear in the number of
+    /// matrix entries): one (variable tag + index + 32-byte coefficient)
+    /// ≈ 40 bytes per emitted term, a shared combination counted every
+    /// time a row uses it.
+    pub fn matrix_bytes(&self) -> usize {
+        self.terms * 40
+    }
+
+    /// Column of `v` in `z`.
+    fn column(&self, v: Variable) -> usize {
+        match v {
+            Variable::One => 0,
+            Variable::Instance(i) => 1 + i,
+            Variable::Witness(i) => 1 + self.num_instance + i,
+        }
+    }
+
+    /// The entries of combination `id`.
+    fn span(&self, id: usize) -> Range<usize> {
+        let start = id.checked_sub(1).map_or(0, |prev| self.ends[prev] as usize);
+        start..self.ends[id] as usize
+    }
+
+    /// Evaluates combination `id` under `z`.
+    fn eval(&self, id: usize, z: &[Fr]) -> Fr {
+        let mut acc = Fr::ZERO;
+        for e in &self.entries[self.span(id)] {
+            acc += z[e.col as usize] * self.coeffs[e.coeff as usize];
+        }
+        acc
+    }
+
+    /// Completes and checks an assignment in **one in-order pass** over the
+    /// rows: each distinct combination is evaluated once, a row that
+    /// defines a witness assigns `z[v] = ⟨A,z⟩·⟨B,z⟩`, and **every** row is
+    /// then compared, `⟨A,z⟩·⟨B,z⟩ = ⟨C,z⟩`.
+    ///
+    /// On entry `z` must hold the constant 1, the public inputs and every
+    /// witness no row defines (the circuit's inputs); the other entries are
+    /// overwritten. The matrices are the witness program: a defined witness
+    /// is only read by its own row's `C` and by later rows, because the
+    /// gadget that allocated it could not name it any earlier.
+    ///
+    /// # Errors
+    ///
+    /// Returns the lowest-index [`UnsatisfiedConstraint`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `z.len() != self.num_vars()`.
+    pub fn solve(&self, z: &mut [Fr]) -> Result<(), UnsatisfiedConstraint> {
+        assert_eq!(z.len(), self.num_vars(), "assignment length mismatch");
+        let mut vals: Vec<Fr> = Vec::with_capacity(self.ends.len());
+        for (index, row) in self.rows.iter().enumerate() {
+            let (a, b, c) = (row.a as usize, row.b as usize, row.c as usize);
+            while vals.len() <= a.max(b) {
+                vals.push(self.eval(vals.len(), z));
+            }
+            let product = vals[a] * vals[b];
+            if row.defines != 0 {
+                z[row.defines as usize] = product;
+            }
+            while vals.len() <= c {
+                vals.push(self.eval(vals.len(), z));
+            }
+            if product != vals[c] {
+                return Err(UnsatisfiedConstraint {
+                    index,
+                    label: row.label,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks a complete assignment row by row, evaluating all three sides
+    /// of every row afresh (deliberately not the caching pass of
+    /// [`ConstraintMatrix::solve`], which is tested against this).
+    fn check(&self, z: &[Fr]) -> Result<(), UnsatisfiedConstraint> {
+        for (index, row) in self.rows.iter().enumerate() {
+            let [a, b, c] = [row.a, row.b, row.c].map(|id| self.eval(id as usize, z));
+            if a * b != c {
+                return Err(UnsatisfiedConstraint {
+                    index,
+                    label: row.label,
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// An R1CS instance under construction, together with its assignment.
+///
+/// Gadgets allocate variables with their values and emit constraints;
+/// [`ConstraintSystem::enforce`] interns every combination straight into a
+/// [`ConstraintMatrix`], so the dense per-term form is never materialized.
+/// The same type serves *compilation* (run the gadgets once on a dummy
+/// assignment and keep [`ConstraintSystem::into_matrix`]) and the
+/// *reference path* (run them on real values and ask
+/// [`ConstraintSystem::is_satisfied`]).
+///
+/// Public inputs come first in `z`, so they are all allocated before the
+/// first witness.
 ///
 /// # Examples
 ///
@@ -159,80 +336,151 @@ impl std::error::Error for UnsatisfiedConstraint {}
 /// let x = cs.alloc_witness(Fr::from_u64(3));
 /// cs.enforce(
 ///     "square",
-///     LinearCombination::from_var(x),
-///     LinearCombination::from_var(x),
-///     LinearCombination::from_var(nine),
+///     &LinearCombination::from_var(x),
+///     &LinearCombination::from_var(x),
+///     &LinearCombination::from_var(nine),
 /// );
 /// assert!(cs.is_satisfied().is_ok());
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct ConstraintSystem {
-    instance: Vec<Fr>,
-    witness: Vec<Fr>,
-    constraints: Vec<Constraint>,
+    /// The assignment `(1, instance…, witness…)`.
+    z: Vec<Fr>,
+    matrix: ConstraintMatrix,
+    /// Pool index of every coefficient stored so far.
+    coeff_index: HashMap<Fr, u32>,
+}
+
+impl Default for ConstraintSystem {
+    fn default() -> ConstraintSystem {
+        ConstraintSystem::new()
+    }
 }
 
 impl ConstraintSystem {
     /// Creates an empty system.
     pub fn new() -> ConstraintSystem {
-        ConstraintSystem::default()
+        ConstraintSystem {
+            z: vec![Fr::ONE],
+            matrix: ConstraintMatrix::default(),
+            coeff_index: HashMap::new(),
+        }
     }
 
     /// Allocates a public-input variable carrying `value`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a witness has been allocated already.
     pub fn alloc_instance(&mut self, value: Fr) -> Variable {
-        self.instance.push(value);
-        Variable::Instance(self.instance.len() - 1)
+        assert_eq!(
+            self.matrix.num_witness, 0,
+            "public inputs are allocated before any witness"
+        );
+        self.z.push(value);
+        self.matrix.num_instance += 1;
+        Variable::Instance(self.matrix.num_instance - 1)
     }
 
     /// Allocates a private witness variable carrying `value`.
     pub fn alloc_witness(&mut self, value: Fr) -> Variable {
-        self.witness.push(value);
-        Variable::Witness(self.witness.len() - 1)
+        self.z.push(value);
+        self.matrix.num_witness += 1;
+        Variable::Witness(self.matrix.num_witness - 1)
     }
 
     /// Adds the constraint `a · b = c`.
     pub fn enforce(
         &mut self,
         label: &'static str,
-        a: LinearCombination,
-        b: LinearCombination,
-        c: LinearCombination,
+        a: &LinearCombination,
+        b: &LinearCombination,
+        c: &LinearCombination,
     ) {
-        self.constraints.push(Constraint { a, b, c, label });
+        self.push_row(label, a, b, c, 0);
     }
 
-    /// Convenience: enforce that two combinations are equal
-    /// (`(a - c) · 1 = 0`).
+    /// Allocates the witness `v` carrying `value = ⟨a,z⟩·⟨b,z⟩` and adds
+    /// `a · b = v`, marked as the row that defines `v` — reached only
+    /// through [`crate::gadgets::Num::mul`], the one allocate-and-multiply
+    /// entry point.
+    pub(crate) fn alloc_product(
+        &mut self,
+        label: &'static str,
+        a: &LinearCombination,
+        b: &LinearCombination,
+        value: Fr,
+    ) -> Variable {
+        let var = self.alloc_witness(value);
+        let defines = narrow(self.matrix.column(var));
+        self.push_row(label, a, b, &LinearCombination::from_var(var), defines);
+        var
+    }
+
+    /// Convenience: enforce that two combinations are equal (`a · 1 = c`).
     pub fn enforce_equal(
         &mut self,
         label: &'static str,
-        a: LinearCombination,
-        c: LinearCombination,
+        a: &LinearCombination,
+        c: &LinearCombination,
     ) {
-        self.enforce(label, a, LinearCombination::constant(Fr::ONE), c);
+        self.enforce(label, a, &LinearCombination::constant(Fr::ONE), c);
+    }
+
+    fn push_row(
+        &mut self,
+        label: &'static str,
+        a: &LinearCombination,
+        b: &LinearCombination,
+        c: &LinearCombination,
+        defines: u32,
+    ) {
+        let row = Row {
+            a: self.intern(a),
+            b: self.intern(b),
+            c: self.intern(c),
+            defines,
+            label,
+        };
+        self.matrix.rows.push(row);
+    }
+
+    /// Stores `lc` in the matrix and returns its combination number: that
+    /// of one of the last [`LOOK_BACK`] combinations if `lc` repeats it.
+    fn intern(&mut self, lc: &LinearCombination) -> u32 {
+        let m = &mut self.matrix;
+        m.terms += lc.len();
+        let start = m.entries.len();
+        for (var, coeff) in lc.iter() {
+            let pooled = narrow(m.coeffs.len());
+            let coeff_ix = *self.coeff_index.entry(*coeff).or_insert(pooled);
+            if coeff_ix == pooled {
+                m.coeffs.push(*coeff);
+            }
+            let col = narrow(m.column(*var));
+            m.entries.push(Entry {
+                col,
+                coeff: coeff_ix,
+            });
+        }
+        let count = m.ends.len();
+        for id in (count.saturating_sub(LOOK_BACK)..count).rev() {
+            if m.entries[m.span(id)] == m.entries[start..] {
+                m.entries.truncate(start);
+                return narrow(id);
+            }
+        }
+        m.ends.push(narrow(m.entries.len()));
+        narrow(count)
     }
 
     /// Evaluates a linear combination under the current assignment.
     pub fn eval(&self, lc: &LinearCombination) -> Fr {
         let mut acc = Fr::ZERO;
         for (v, c) in lc.iter() {
-            let val = match v {
-                Variable::One => Fr::ONE,
-                Variable::Instance(i) => self.instance[*i],
-                Variable::Witness(i) => self.witness[*i],
-            };
-            acc += val * *c;
+            acc += self.z[self.matrix.column(*v)] * *c;
         }
         acc
-    }
-
-    /// Returns the value currently assigned to `v`.
-    pub fn value_of(&self, v: Variable) -> Fr {
-        match v {
-            Variable::One => Fr::ONE,
-            Variable::Instance(i) => self.instance[i],
-            Variable::Witness(i) => self.witness[i],
-        }
     }
 
     /// Checks every constraint against the assignment.
@@ -241,86 +489,48 @@ impl ConstraintSystem {
     ///
     /// Returns the first [`UnsatisfiedConstraint`] encountered.
     pub fn is_satisfied(&self) -> Result<(), UnsatisfiedConstraint> {
-        for (index, con) in self.constraints.iter().enumerate() {
-            let a = self.eval(&con.a);
-            let b = self.eval(&con.b);
-            let c = self.eval(&con.c);
-            if a * b != c {
-                return Err(UnsatisfiedConstraint {
-                    index,
-                    label: con.label,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Checks every constraint, fanning evaluation out across worker
-    /// threads (the prover's hot path; behaves exactly like
-    /// [`ConstraintSystem::is_satisfied`], including reporting the *first*
-    /// violated constraint).
-    ///
-    /// # Errors
-    ///
-    /// Returns the lowest-index [`UnsatisfiedConstraint`].
-    pub fn is_satisfied_par(&self) -> Result<(), UnsatisfiedConstraint> {
-        let violations =
-            crate::parallel::par_chunk_map(&self.constraints, 2048, |offset, chunk| {
-                chunk.iter().enumerate().find_map(|(i, con)| {
-                    let a = self.eval(&con.a);
-                    let b = self.eval(&con.b);
-                    let c = self.eval(&con.c);
-                    (a * b != c).then_some(UnsatisfiedConstraint {
-                        index: offset + i,
-                        label: con.label,
-                    })
-                })
-            });
-        match violations.into_iter().flatten().min_by_key(|u| u.index) {
-            Some(unsatisfied) => Err(unsatisfied),
-            None => Ok(()),
-        }
+        self.matrix.check(&self.z)
     }
 
     /// Number of constraints.
     pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
+        self.matrix.num_constraints()
     }
 
     /// Number of public-input variables (excluding the constant one).
     pub fn num_instance(&self) -> usize {
-        self.instance.len()
+        self.matrix.num_instance
     }
 
     /// Number of witness variables.
     pub fn num_witness(&self) -> usize {
-        self.witness.len()
+        self.matrix.num_witness
     }
 
     /// The public-input assignment.
     pub fn instance_values(&self) -> &[Fr] {
-        &self.instance
+        &self.z[1..=self.matrix.num_instance]
     }
 
     /// The witness assignment.
     pub fn witness_values(&self) -> &[Fr] {
-        &self.witness
+        &self.z[1 + self.matrix.num_instance..]
     }
 
-    /// The constraints.
-    pub fn constraints(&self) -> &[Constraint] {
-        &self.constraints
+    /// Drops the constraints and keeps the assignment
+    /// `z = (1, instance…, witness…)`.
+    pub fn into_assignment(self) -> Vec<Fr> {
+        self.z
     }
 
-    /// Serialized size (bytes) of the constraint matrices, used to model
-    /// the prover-key size for the E3 storage experiment (a Groth16 proving
-    /// key is linear in the number of constraint-matrix entries).
-    pub fn matrix_bytes(&self) -> usize {
-        // one (variable tag + index + 32-byte coefficient) entry ≈ 40 bytes
-        self.constraints
-            .iter()
-            .map(|c| (c.a.len() + c.b.len() + c.c.len()) * 40)
-            .sum()
+    /// Drops the assignment and keeps the compiled matrices.
+    pub fn into_matrix(self) -> ConstraintMatrix {
+        let mut m = self.matrix;
+        m.coeffs.shrink_to_fit();
+        m.entries.shrink_to_fit();
+        m.ends.shrink_to_fit();
+        m.rows.shrink_to_fit();
+        m
     }
 }
 
@@ -335,9 +545,9 @@ mod tests {
         let x = cs.alloc_witness(Fr::from_u64(3));
         cs.enforce(
             "sq",
-            LinearCombination::from_var(x),
-            LinearCombination::from_var(x),
-            LinearCombination::from_var(nine),
+            &LinearCombination::from_var(x),
+            &LinearCombination::from_var(x),
+            &LinearCombination::from_var(nine),
         );
         assert!(cs.is_satisfied().is_ok());
         assert_eq!(cs.num_constraints(), 1);
@@ -351,9 +561,9 @@ mod tests {
         let x = cs.alloc_witness(Fr::from_u64(4));
         cs.enforce(
             "bad-square",
-            LinearCombination::from_var(x),
-            LinearCombination::from_var(x),
-            LinearCombination::constant(Fr::from_u64(9)),
+            &LinearCombination::from_var(x),
+            &LinearCombination::from_var(x),
+            &LinearCombination::constant(Fr::from_u64(9)),
         );
         let err = cs.is_satisfied().unwrap_err();
         assert_eq!(err.index, 0);
@@ -395,8 +605,8 @@ mod tests {
         let b = cs.alloc_witness(Fr::from_u64(5));
         cs.enforce_equal(
             "eq",
-            LinearCombination::from_var(a),
-            LinearCombination::from_var(b),
+            &LinearCombination::from_var(a),
+            &LinearCombination::from_var(b),
         );
         assert!(cs.is_satisfied().is_ok());
 
@@ -405,10 +615,53 @@ mod tests {
         let b = cs2.alloc_witness(Fr::from_u64(6));
         cs2.enforce_equal(
             "eq",
-            LinearCombination::from_var(a),
-            LinearCombination::from_var(b),
+            &LinearCombination::from_var(a),
+            &LinearCombination::from_var(b),
         );
         assert!(cs2.is_satisfied().is_err());
+    }
+
+    #[test]
+    fn solve_derives_products_and_checks_every_row() {
+        // x·x = x2, x2·x = x3 (both define their product), x3 + x + 5 = out
+        let mut cs = ConstraintSystem::new();
+        let out = cs.alloc_instance(Fr::from_u64(35));
+        let x = cs.alloc_witness(Fr::from_u64(3));
+        let lx = LinearCombination::from_var(x);
+        let x2 = cs.alloc_product("x2", &lx, &lx, Fr::from_u64(9));
+        let x3 = cs.alloc_product("x3", &x2.into(), &lx, Fr::from_u64(27));
+        let sum = LinearCombination::from_var(x3)
+            .add_term(x, Fr::ONE)
+            .add_term(Variable::One, Fr::from_u64(5));
+        cs.enforce_equal("out", &sum, &out.into());
+        assert!(cs.is_satisfied().is_ok());
+        let reference = cs.clone().into_assignment();
+        let matrix = cs.into_matrix();
+        // `x` and `x2` are stored once however many sides repeat them; the
+        // modeled key size still counts every emitted term
+        assert_eq!(matrix.num_entries(), 8);
+        assert_eq!(matrix.matrix_bytes(), 11 * 40);
+
+        let inputs = |out: u64| {
+            let mut z = vec![Fr::ZERO; matrix.num_vars()];
+            for (slot, v) in z
+                .iter_mut()
+                .zip([Fr::ONE, Fr::from_u64(out), Fr::from_u64(3)])
+            {
+                *slot = v;
+            }
+            z
+        };
+        let mut z = inputs(35);
+        assert_eq!(matrix.solve(&mut z), Ok(()));
+        assert_eq!(z, reference);
+        assert_eq!(
+            matrix.solve(&mut inputs(36)),
+            Err(UnsatisfiedConstraint {
+                index: 2,
+                label: "out"
+            })
+        );
     }
 
     #[test]
@@ -417,10 +670,10 @@ mod tests {
         let x = cs.alloc_witness(Fr::ONE);
         cs.enforce(
             "t",
-            LinearCombination::from_var(x),
-            LinearCombination::from_var(x),
-            LinearCombination::from_var(x),
+            &LinearCombination::from_var(x),
+            &LinearCombination::from_var(x),
+            &LinearCombination::from_var(x),
         );
-        assert_eq!(cs.matrix_bytes(), 3 * 40);
+        assert_eq!(cs.into_matrix().matrix_bytes(), 3 * 40);
     }
 }

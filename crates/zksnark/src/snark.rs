@@ -1,18 +1,32 @@
 //! `SimSnark` — a simulated zkSNARK backend with Groth16-shaped costs.
 //!
-//! **What is real:** proving synthesizes the full RLN witness and checks
-//! every R1CS constraint (work linear in circuit size, exactly like the
-//! MSMs of a real Groth16 prover); proofs are constant-size; verification
-//! is constant-time and rejects any tampering of proof bytes or public
-//! inputs; proofs reveal nothing about the witness (they are a PRF output
-//! over fresh prover randomness plus a MAC over public inputs).
+//! **What is real:** the RLN circuit is compiled to its R1CS matrices once
+//! per tree depth ([`RlnCircuit::compile`]) and a proving key holds them,
+//! as a Groth16 key does. Every proof then derives the *full* witness —
+//! each Poseidon round of the membership path, the share and the nullifier
+//! — from those matrices and checks *every* constraint of the circuit,
+//! refusing with the violated constraint's label: work linear in circuit
+//! size per proof, like the MSMs of a real Groth16 prover, with nothing
+//! cached between proofs but the circuit itself. Proofs are constant-size;
+//! verification is constant-time and rejects any tampering of proof bytes
+//! or public inputs; proofs reveal nothing about the witness (they are a
+//! PRF output over fresh prover randomness plus a MAC over public inputs).
 //!
 //! **What is simulated:** soundness rests on a designated-verifier MAC
 //! keyed by a secret shared between the proving and verifying keys (the
 //! analogue of a structured reference string), not on pairings. A party
 //! holding the proving key could forge. This preserves every property the
-//! protocol and the paper's evaluation exercise — see DESIGN.md §2 for the
-//! substitution rationale.
+//! protocol and the paper's evaluation exercise — see `docs/ARCHITECTURE.md`
+//! for the substitution rationale. Host time per proof is not the paper's
+//! figure either: device cost is the `CostModel`'s, which this crate does
+//! not feed.
+//!
+//! **Compile / prove split:** [`SimSnark::setup`] compiles (or, after the
+//! first call at a depth, looks up) the matrices; [`SimSnark::prove`] runs
+//! no gadget — it places the public inputs, `sk`, index bits and siblings
+//! and makes one in-order solve-and-check pass over the rows
+//! ([`crate::r1cs::ConstraintMatrix::solve`]). The gadgets are the
+//! compiler's front-end and the reference the tests hold the prover to.
 //!
 //! # Examples
 //!
@@ -39,11 +53,11 @@
 //! # Ok::<(), wakurln_crypto::merkle::MerkleError>(())
 //! ```
 
-use crate::circuit::{RlnCircuit, RlnPublicInputs, RlnWitness};
-use crate::r1cs::ConstraintSystem;
+use crate::circuit::{CompiledCircuit, RlnCircuit, RlnPublicInputs, RlnWitness};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 use wakurln_crypto::sha256::Sha256;
 
 /// Size in bytes of a serialized proof: three simulated group elements
@@ -66,6 +80,14 @@ pub enum ProveError {
         /// Path length supplied in the witness.
         got: usize,
     },
+    /// The witness leaf index has bits above the circuit depth, which the
+    /// circuit (one index bit per tree level) cannot represent.
+    IndexOutOfRange {
+        /// Leaf index supplied in the witness.
+        index: u64,
+        /// Depth the proving key was set up for.
+        depth: usize,
+    },
 }
 
 impl fmt::Display for ProveError {
@@ -80,34 +102,48 @@ impl fmt::Display for ProveError {
                     "witness path depth {got} does not match circuit depth {expected}"
                 )
             }
+            ProveError::IndexOutOfRange { index, depth } => {
+                write!(f, "leaf index {index} is outside a tree of depth {depth}")
+            }
         }
     }
 }
 
 impl std::error::Error for ProveError {}
 
-/// The proving key: the circuit plus the SRS secret.
+/// The proving key: the compiled circuit plus the SRS secret.
 ///
-/// Its reported size models a Groth16 proving key (linear in the number of
-/// constraint-matrix entries) — the paper's §IV quotes ≈3.89 MB for the
-/// `kilic/rln` prover key, reproduced by experiment E3.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// A thin handle — every key for one depth shares the process-wide
+/// compiled matrices, so cloning it (one per simulated peer) copies a
+/// pointer and the secret. Its reported size models a Groth16 proving key
+/// (linear in the number of constraint-matrix entries) — the paper's §IV
+/// quotes ≈3.89 MB for the `kilic/rln` prover key; `examples/storage_report.rs`
+/// prints ours (`PERF.md` legacy map: E3).
+#[derive(Clone)]
 pub struct ProvingKey {
-    circuit: RlnCircuit,
+    compiled: Arc<CompiledCircuit>,
     srs_secret: [u8; 32],
-    matrix_bytes: usize,
 }
 
 impl ProvingKey {
     /// The circuit this key proves.
     pub fn circuit(&self) -> RlnCircuit {
-        self.circuit
+        self.compiled.circuit()
     }
 
     /// Modeled serialized size in bytes (constraint matrices plus the
     /// per-variable group elements a Groth16 key carries).
     pub fn size_bytes(&self) -> usize {
-        self.matrix_bytes
+        self.compiled.matrix().matrix_bytes()
+    }
+}
+
+impl fmt::Debug for ProvingKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ProvingKey")
+            .field("depth", &self.circuit().depth())
+            .field("constraints", &self.compiled.matrix().num_constraints())
+            .finish_non_exhaustive()
     }
 }
 
@@ -162,27 +198,10 @@ impl SimSnark {
     ) -> (ProvingKey, VerifyingKey) {
         let mut srs_secret = [0u8; 32];
         rng.fill_bytes(&mut srs_secret);
-        // Materialize the constraint matrices once to size the proving key.
-        let mut cs = ConstraintSystem::new();
-        let public = RlnPublicInputs {
-            root: Default::default(),
-            external_nullifier: Default::default(),
-            x: Default::default(),
-            y: Default::default(),
-            internal_nullifier: Default::default(),
-        };
-        let witness = RlnWitness {
-            sk: Default::default(),
-            leaf_index: 0,
-            path_siblings: vec![Default::default(); circuit.depth()],
-        };
-        circuit.synthesize(&mut cs, &public, &witness);
-        let matrix_bytes = cs.matrix_bytes();
         (
             ProvingKey {
-                circuit,
+                compiled: circuit.compile(),
                 srs_secret,
-                matrix_bytes,
             },
             VerifyingKey {
                 circuit,
@@ -193,12 +212,16 @@ impl SimSnark {
 
     /// Produces a proof for `public` under `witness`.
     ///
-    /// Performs full witness synthesis and constraint checking — the
-    /// honest-prover work that experiment E1 measures.
+    /// Derives the full witness and checks every constraint
+    /// ([`CompiledCircuit::solve`]) — the honest-prover work, linear in the
+    /// circuit size, that the benchmark reports as `zksnark.prove_ms_p50`
+    /// (`PERF.md` legacy map: E1).
     ///
     /// # Errors
     ///
     /// * [`ProveError::DepthMismatch`] — witness path length is wrong.
+    /// * [`ProveError::IndexOutOfRange`] — the leaf index does not fit the
+    ///   tree (the circuit would silently prove for its low bits).
     /// * [`ProveError::Unsatisfied`] — the witness violates the circuit
     ///   (e.g. the key is not in the tree, or the share was tampered with).
     pub fn prove<R: RngCore + ?Sized>(
@@ -207,32 +230,28 @@ impl SimSnark {
         witness: &RlnWitness,
         rng: &mut R,
     ) -> Result<Proof, ProveError> {
-        // check first, draw randomness after: a failing prove consumes no
-        // RNG state, so seed-pinned simulations that mix failed proves
-        // with later RNG use keep reproducing
-        Self::synthesize_and_check(pk, public, witness)?;
-        let mut seed = [0u8; 32];
-        rng.fill_bytes(&mut seed);
-        Ok(Self::proof_from_seed(pk, public, seed))
-    }
-
-    /// The honest-prover work: full witness synthesis plus (parallel)
-    /// constraint checking.
-    fn synthesize_and_check(
-        pk: &ProvingKey,
-        public: &RlnPublicInputs,
-        witness: &RlnWitness,
-    ) -> Result<(), ProveError> {
-        if witness.path_siblings.len() != pk.circuit.depth() {
+        let depth = pk.circuit().depth();
+        if witness.path_siblings.len() != depth {
             return Err(ProveError::DepthMismatch {
-                expected: pk.circuit.depth(),
+                expected: depth,
                 got: witness.path_siblings.len(),
             });
         }
-        let mut cs = ConstraintSystem::new();
-        pk.circuit.synthesize(&mut cs, public, witness);
-        cs.is_satisfied_par()
-            .map_err(|e| ProveError::Unsatisfied(e.label))
+        if witness.index_above(depth) != 0 {
+            return Err(ProveError::IndexOutOfRange {
+                index: witness.leaf_index,
+                depth,
+            });
+        }
+        // check first, draw randomness after: a failing prove consumes no
+        // RNG state, so seed-pinned simulations that mix failed proves
+        // with later RNG use keep reproducing
+        pk.compiled
+            .solve(public, witness)
+            .map_err(|e| ProveError::Unsatisfied(e.label))?;
+        let mut seed = [0u8; 32];
+        rng.fill_bytes(&mut seed);
+        Ok(Self::proof_from_seed(pk, public, seed))
     }
 
     /// Builds the constant-size proof from explicit prover randomness.
@@ -247,12 +266,12 @@ impl SimSnark {
             h.update(&[i as u8]);
             *chunk = h.finalize();
         }
-        let binding = Self::binding(&pk.srs_secret, pk.circuit.depth(), public, &elements);
+        let binding = Self::binding(&pk.srs_secret, pk.circuit().depth(), public, &elements);
         Proof { elements, binding }
     }
 
     /// Verifies a proof in constant time (independent of circuit depth) —
-    /// the behaviour experiment E2 measures.
+    /// the benchmark's `zksnark.verify_us` (`PERF.md` legacy map: E2).
     pub fn verify(vk: &VerifyingKey, public: &RlnPublicInputs, proof: &Proof) -> bool {
         let expected = Self::binding(&vk.srs_secret, vk.circuit.depth(), public, &proof.elements);
         // constant-time-ish comparison (not a side-channel concern in a
@@ -274,7 +293,7 @@ impl SimSnark {
         h.update(b"simsnark-binding-v1");
         h.update(secret);
         h.update(&(depth as u64).to_le_bytes());
-        for input in public.to_vec() {
+        for input in public.to_array() {
             h.update(&input.to_bytes_le());
         }
         for word in elements {
@@ -292,6 +311,7 @@ mod tests {
     use wakurln_crypto::field::Fr;
     use wakurln_crypto::merkle::FullMerkleTree;
     use wakurln_crypto::poseidon;
+    use wakurln_crypto::sha256::to_hex;
 
     struct Fixture {
         pk: ProvingKey,
@@ -411,6 +431,28 @@ mod tests {
     }
 
     #[test]
+    fn index_beyond_depth_detected() {
+        // the circuit reads one index bit per level: without the check,
+        // index + 2^depth would prove as if it were index
+        let mut f = fixture(10);
+        let (public, _) =
+            RlnCircuit::derive_public(f.sk, f.tree.root(), Fr::from_u64(1), Fr::from_u64(2));
+        let mut witness = RlnWitness::new(f.sk, &f.tree.proof(f.index).unwrap());
+        witness.leaf_index += 1 << 10;
+        let err = SimSnark::prove(&f.pk, &public, &witness, &mut f.rng).unwrap_err();
+        assert_eq!(
+            err,
+            ProveError::IndexOutOfRange {
+                index: f.index + 1024,
+                depth: 10
+            }
+        );
+        assert!(!err.to_string().is_empty());
+        witness.leaf_index = f.index;
+        assert!(SimSnark::prove(&f.pk, &public, &witness, &mut f.rng).is_ok());
+    }
+
+    #[test]
     fn proofs_are_randomized() {
         // two proofs of the same statement differ (zero-knowledge style
         // rerandomization), yet both verify
@@ -455,7 +497,83 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(123);
         let mut pristine = StdRng::seed_from_u64(123);
         assert!(SimSnark::prove(&f.pk, &bad_public, &bad_witness, &mut rng).is_err());
+        // nor one refused before the constraint pass: a member's own
+        // statement with the index shifted out of the tree
+        let (public, _) =
+            RlnCircuit::derive_public(f.sk, f.tree.root(), Fr::from_u64(1), Fr::from_u64(2));
+        let mut shifted = RlnWitness::new(f.sk, &f.tree.proof(f.index).unwrap());
+        shifted.leaf_index += 1 << 10;
+        assert!(matches!(
+            SimSnark::prove(&f.pk, &public, &shifted, &mut rng),
+            Err(ProveError::IndexOutOfRange { .. })
+        ));
         assert_eq!(rng.next_u64(), pristine.next_u64());
+    }
+
+    /// Proof bytes (`elements ‖ binding`) of `fixture(depth)` +
+    /// `honest_proof(1, b"hello")`, printed by the commit *before* the
+    /// compile/prove split. A speed-only change to the prover must not move
+    /// them; a declared change to the proof format updates them in the
+    /// same PR.
+    const PINNED_PROOFS: [(usize, &str); 2] = [
+        (
+            10,
+            "4c317ef38c90fb8ee5b18db3db1d07013b20aeafa112a25e56a5783fd5020c40\
+             3cd8dc34bb36c5fd1fe3568258c456a9aa7126362a25faa60ab1dcab75a08ae4\
+             a48a1199ee0491e760bbf24749ccde773d92cb830e387bf08333d522246f81ab\
+             67e31f9a21de3b430cf6519844f512069a9561984a42a715a43e1a9fef5d2e93\
+             0cf92114f21a8774644272f3d3e0db1a5b70eb7fc31083ae60576388411b8fa7",
+        ),
+        (
+            20,
+            "4c317ef38c90fb8ee5b18db3db1d07013b20aeafa112a25e56a5783fd5020c40\
+             3cd8dc34bb36c5fd1fe3568258c456a9aa7126362a25faa60ab1dcab75a08ae4\
+             a48a1199ee0491e760bbf24749ccde773d92cb830e387bf08333d522246f81ab\
+             67e31f9a21de3b430cf6519844f512069a9561984a42a715a43e1a9fef5d2e93\
+             15372eb77d3bd7a0a07a731b707e263dbead9bcd9ba6f8a1d0ecd4fa722d5948",
+        ),
+    ];
+
+    #[test]
+    fn proof_bytes_are_pinned() {
+        for (depth, expected) in PINNED_PROOFS {
+            let mut f = fixture(depth);
+            let (_, proof) = honest_proof(&mut f, 1, b"hello");
+            let mut bytes = proof.elements.concat();
+            bytes.extend_from_slice(&proof.binding);
+            assert_eq!(to_hex(&bytes), expected, "depth {depth}");
+        }
+    }
+
+    #[test]
+    fn work_per_proof_and_key_size_are_pinned() {
+        // the prover's work as an exact count, not a timing: one
+        // multiply-add per stored matrix entry
+        let pk10 = fixture(10).pk;
+        let pk20 = fixture(20).pk;
+        assert_eq!(pk10.compiled.matrix().num_entries(), 30_670);
+        assert!(pk20.compiled.matrix().num_entries() <= 60_000);
+        // the modeled key size counts the dense form and predates the
+        // compact matrices
+        assert_eq!(pk10.size_bytes(), 3_547_640);
+        assert_eq!(pk20.size_bytes(), 6_322_040);
+    }
+
+    #[test]
+    fn setups_at_one_depth_share_the_compiled_circuit() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let (pk_a, vk_a) = SimSnark::setup(RlnCircuit::new(10), &mut rng);
+        let (pk_b, vk_b) = SimSnark::setup(RlnCircuit::new(10), &mut rng);
+        assert!(Arc::ptr_eq(&pk_a.compiled, &pk_b.compiled));
+        assert!(Arc::ptr_eq(&pk_a.compiled, &pk_a.clone().compiled));
+        // …but not the SRS secret (see `wrong_verifying_key_rejects`)
+        assert_ne!(vk_a.srs_secret, vk_b.srs_secret);
+        assert_ne!(pk_a.srs_secret, pk_b.srs_secret);
+        fn cheap_to_share<T: Clone + Send + Sync>(_: &T) {}
+        cheap_to_share(&pk_a);
+        // one line, and no key material
+        let debug = format!("{pk_a:?}");
+        assert!(!debug.contains('\n') && debug.contains("depth: 10"));
     }
 
     #[test]

@@ -8,12 +8,22 @@
 //! Runs are sized down (and traffic thinned) so each scenario finishes
 //! quickly in debug builds; the engine scales the same code path to
 //! 1000+ nodes under `simctl`.
+//!
+//! Two of the reports are additionally pinned **across commits**: their
+//! SHA-256 must equal a constant computed at the commit before the
+//! prover's compile/prove split. Proof bytes, every RNG draw and every
+//! simulated statistic feed those bytes, so a change that is meant to be
+//! speed-only and shifts any of them fails here, by itself, instead of
+//! waiting for a benchmark diff. A *declared* protocol or report-format
+//! change updates the constant in the same PR.
 
+use waku_rln::crypto::sha256::{to_hex, Sha256};
 use waku_rln::scenarios::{builtin, run_scenario, ScenarioSpec};
 
-/// Two full runs of the spec must serialize to the same bytes.
-fn assert_deterministic(mut spec: ScenarioSpec) {
-    // thin the traffic to keep debug-mode proof generation cheap
+/// Two full runs of the spec must serialize to the same bytes. Returns
+/// the SHA-256 (hex) of those bytes.
+fn assert_deterministic(mut spec: ScenarioSpec) -> String {
+    // thin the traffic: the point is byte-identity, not load
     spec.traffic.publishers = spec.traffic.publishers.min(3);
     spec.traffic.rounds = spec.traffic.rounds.min(3);
     let first = run_scenario(&spec).to_json();
@@ -29,16 +39,25 @@ fn assert_deterministic(mut spec: ScenarioSpec) {
     reseeded.seed += 1;
     let third = run_scenario(&reseeded).to_json();
     assert_ne!(first, third, "seed {} had no effect", spec.seed);
+    to_hex(&Sha256::digest(first.as_bytes()))
 }
 
 #[test]
 fn baseline_is_deterministic() {
-    assert_deterministic(builtin("baseline", 16, 91).unwrap());
+    assert_eq!(
+        assert_deterministic(builtin("baseline", 16, 91).unwrap()),
+        "d29d36fa20aeebe24d90acdc98fd96b058eaeb7928a763074b51fdf9da22a903",
+        "the baseline@16 seed 91 report moved against the pinned commit"
+    );
 }
 
 #[test]
 fn spam_burst_is_deterministic() {
-    assert_deterministic(builtin("spam_burst", 16, 92).unwrap());
+    assert_eq!(
+        assert_deterministic(builtin("spam_burst", 16, 92).unwrap()),
+        "0b348eb5468fdd9a46d5dc2859fa9177f87f261d900f22c22e0d6ed39fd5be2b",
+        "the spam_burst@16 seed 92 report moved against the pinned commit"
+    );
 }
 
 #[test]
