@@ -20,6 +20,35 @@
 //! }
 //! ```
 
+use std::cell::Cell;
+
+thread_local! {
+    /// Number of 64-byte blocks compressed on this thread — the exact,
+    /// host-independent unit of SHA-256 work ("how often was a frame
+    /// hashed"), next to [`crate::poseidon::permutation_count`].
+    static COMPRESSION_COUNT: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Blocks compressed on this thread since process start (monotonic).
+///
+/// Diff two readings around a workload to count its hashing. Padding
+/// adds 9 bytes, so a 55-byte input fits one block and a 56-byte input
+/// needs two:
+///
+/// ```
+/// use wakurln_crypto::sha256::{compression_count, Sha256};
+///
+/// let start = compression_count();
+/// Sha256::digest(&[0u8; 55]);
+/// let short = compression_count() - start;
+/// Sha256::digest(&[0u8; 56]);
+/// let long = compression_count() - start - short;
+/// assert_eq!((short, long), (1, 2));
+/// ```
+pub fn compression_count() -> u64 {
+    COMPRESSION_COUNT.with(|c| c.get())
+}
+
 /// Round constants: the first 32 bits of the fractional parts of the cube
 /// roots of the first 64 primes.
 const K: [u32; 64] = [
@@ -137,6 +166,7 @@ impl Sha256 {
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
+        COMPRESSION_COUNT.with(|c| c.set(c.get() + 1));
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             // lint:allow(panic-path, reason = "chunks_exact(4) yields exactly four bytes per chunk")

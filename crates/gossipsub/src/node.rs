@@ -200,9 +200,8 @@ pub struct GossipsubNode<V: Validator> {
     graft_backoff: HashMap<Topic, HashMap<NodeId, u64>>,
     /// Messages whose validation verdict is deferred inside a batching
     /// validator, keyed by the validator's ticket. Delivery and
-    /// forwarding complete when a flush releases the verdict. The id is
-    /// the one computed at receive time (content hashing is paid once).
-    pending_validation: HashMap<u64, (NodeId, RawMessage, MessageId)>,
+    /// forwarding complete when a flush releases the verdict.
+    pending_validation: HashMap<u64, (NodeId, RawMessage)>,
 }
 
 impl<V: Validator> GossipsubNode<V> {
@@ -246,7 +245,7 @@ impl<V: Validator> GossipsubNode<V> {
     /// Subscribes at runtime, announcing to all known peers.
     pub fn subscribe_live(&mut self, ctx: &mut Context<Rpc>, topic: Topic) {
         self.subscribe(topic.clone());
-        for peer in self.known_peers.clone() {
+        for &peer in &self.known_peers {
             ctx.send(peer, Rpc::Subscribe(topic.clone()));
         }
     }
@@ -261,15 +260,13 @@ impl<V: Validator> GossipsubNode<V> {
         topic: Topic,
         data: impl Into<Bytes>,
     ) -> MessageId {
-        let msg = RawMessage {
-            topic: topic.clone(),
-            data: data.into(),
-        };
+        // the one place a payload is hashed: every copy made from here on
+        // shares this allocation and reads the id
+        let msg = RawMessage::new(topic, data.into());
         let id = msg.id();
         self.seen.insert(id, ctx.now());
         self.mcache.put(msg.clone());
         ctx.count("published", 1);
-        let targets = self.eager_targets(&topic, None);
         let jitter = self.config.publish_jitter_ms;
         if jitter > 0 {
             // remember own ids so IWANT serving jitters them too — the
@@ -279,7 +276,7 @@ impl<V: Validator> GossipsubNode<V> {
             // eager-push holds below are hiding
             self.own_published.insert(id);
         }
-        for peer in targets {
+        for peer in self.eager_targets(msg.topic(), None) {
             if jitter > 0 {
                 // source-anonymity countermeasure: each first-hop copy is
                 // held back independently, so the neighbour that hears us
@@ -374,26 +371,30 @@ impl<V: Validator> GossipsubNode<V> {
         self.seen.contains_key(id)
     }
 
-    fn eager_targets(&self, topic: &Topic, exclude: Option<NodeId>) -> Vec<NodeId> {
-        let mesh = self.mesh.get(topic);
-        let candidates: Vec<NodeId> = match mesh {
-            Some(m) if !m.is_empty() => m.iter().copied().collect(),
-            _ => {
-                // mesh not yet formed: fall back to known subscribers
-                self.peer_topics
-                    .get(topic)
-                    .map(|s| s.iter().copied().take(self.config.mesh_n).collect())
-                    .unwrap_or_default()
-            }
+    /// Peers a message on `topic` is eagerly pushed to, in ascending id
+    /// order (borrowed from the tables — nothing is collected per forward).
+    fn eager_targets<'a>(
+        &'a self,
+        topic: &Topic,
+        exclude: Option<NodeId>,
+    ) -> impl Iterator<Item = NodeId> + 'a {
+        let (candidates, limit) = match self.mesh.get(topic) {
+            Some(mesh) if !mesh.is_empty() => (Some(mesh), usize::MAX),
+            // mesh not yet formed: fall back to known subscribers
+            _ => (self.peer_topics.get(topic), self.config.mesh_n),
         };
         candidates
             .into_iter()
-            .filter(|p| Some(*p) != exclude)
+            .flatten()
+            .copied()
+            .take(limit)
+            .filter(move |p| Some(*p) != exclude)
             .filter(|p| !self.config.scoring_enabled || self.score.accepts_publish(*p))
-            .collect()
     }
 
     fn handle_forward(&mut self, ctx: &mut Context<Rpc>, from: NodeId, msg: RawMessage) {
+        // read, not hashed: the id was derived once where the message was
+        // built and every copy on the wire shares it
         let id = msg.id();
         if self.seen.contains_key(&id) {
             ctx.count("duplicates", 1);
@@ -401,14 +402,14 @@ impl<V: Validator> GossipsubNode<V> {
         }
         self.seen.insert(id, ctx.now());
 
-        match self.validator.submit(ctx.now(), &msg.topic, &msg.data) {
+        match self.validator.submit(ctx.now(), msg.topic(), msg.data()) {
             SubmitOutcome::Decided(verdict) => {
                 ctx.charge_cpu(self.validator.last_cost_micros());
-                self.apply_verdict(ctx, from, msg, id, verdict);
+                self.apply_verdict(ctx, from, msg, verdict);
             }
             SubmitOutcome::Deferred(ticket) => {
                 ctx.count("validation_deferred", 1);
-                self.pending_validation.insert(ticket, (from, msg, id));
+                self.pending_validation.insert(ticket, (from, msg));
                 if self.validator.flush_due() {
                     self.complete_flush(ctx);
                 }
@@ -424,7 +425,6 @@ impl<V: Validator> GossipsubNode<V> {
         ctx: &mut Context<Rpc>,
         from: NodeId,
         msg: RawMessage,
-        id: MessageId,
         verdict: ValidationResult,
     ) {
         match verdict {
@@ -445,17 +445,17 @@ impl<V: Validator> GossipsubNode<V> {
         if self.config.scoring_enabled {
             self.score.record_first_delivery(from);
         }
-        if self.subscriptions.contains(&msg.topic) {
+        if self.subscriptions.contains(msg.topic()) {
             self.delivered.push(Delivery {
-                id,
-                topic: msg.topic.clone(),
-                data: msg.data.clone(),
+                id: msg.id(),
+                topic: msg.topic().clone(),
+                data: msg.data().clone(),
                 at_ms: ctx.now(),
             });
             ctx.count("delivered_app", 1);
         }
         self.mcache.put(msg.clone());
-        for peer in self.eager_targets(&msg.topic, Some(from)) {
+        for peer in self.eager_targets(msg.topic(), Some(from)) {
             ctx.send(peer, Rpc::Forward(msg.clone()));
         }
     }
@@ -463,11 +463,11 @@ impl<V: Validator> GossipsubNode<V> {
     /// Drains the validator's batch and completes every released verdict.
     fn complete_flush(&mut self, ctx: &mut Context<Rpc>) {
         for decision in self.validator.flush(ctx.now()) {
-            let Some((from, msg, id)) = self.pending_validation.remove(&decision.ticket) else {
+            let Some((from, msg)) = self.pending_validation.remove(&decision.ticket) else {
                 continue; // unknown ticket: validator-internal bookkeeping
             };
             ctx.charge_cpu(decision.cost_micros);
-            self.apply_verdict(ctx, from, msg, id, decision.result);
+            self.apply_verdict(ctx, from, msg, decision.result);
         }
     }
 
@@ -634,7 +634,7 @@ impl<V: Validator> GossipsubNode<V> {
             !peers.is_empty()
         });
 
-        for topic in self.subscriptions.clone() {
+        for topic in &self.subscriptions {
             let topic_mesh = self.mesh.entry(topic.clone()).or_default();
 
             // evict misbehaving peers
@@ -655,11 +655,11 @@ impl<V: Validator> GossipsubNode<V> {
             // graft up to D when below D_lo
             if topic_mesh.len() < self.config.mesh_n_low {
                 let need = self.config.mesh_n - topic_mesh.len();
-                let backoff = self.graft_backoff.get(&topic);
+                let backoff = self.graft_backoff.get(topic);
                 let mut suppressed = 0u64;
                 let mut candidates: Vec<NodeId> = self
                     .peer_topics
-                    .get(&topic)
+                    .get(topic)
                     .map(|s| {
                         s.iter()
                             .copied()
@@ -705,16 +705,15 @@ impl<V: Validator> GossipsubNode<V> {
             }
 
             // lazy gossip: IHAVE to non-mesh peers
-            let ids = self.mcache.gossip_ids(&topic, self.config.history_gossip);
+            let ids = self.mcache.gossip_ids(topic, self.config.history_gossip);
             if !ids.is_empty() {
-                let mesh_snapshot = self.mesh.get(&topic).cloned().unwrap_or_default();
                 let mut candidates: Vec<NodeId> = self
                     .peer_topics
-                    .get(&topic)
+                    .get(topic)
                     .map(|s| {
                         s.iter()
                             .copied()
-                            .filter(|p| !mesh_snapshot.contains(p))
+                            .filter(|p| !topic_mesh.contains(p))
                             .filter(|p| {
                                 !self.config.scoring_enabled || self.score.accepts_gossip(*p)
                             })
@@ -750,8 +749,8 @@ impl<V: Validator> Node for GossipsubNode<V> {
     type Message = Rpc;
 
     fn on_start(&mut self, ctx: &mut Context<Rpc>) {
-        for topic in self.subscriptions.clone() {
-            for peer in self.known_peers.clone() {
+        for topic in &self.subscriptions {
+            for &peer in &self.known_peers {
                 ctx.send(peer, Rpc::Subscribe(topic.clone()));
             }
         }

@@ -2,16 +2,27 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 use wakurln_netsim::{Bytes, Payload};
 
 /// A pub/sub topic (peers congregate around topics, §I).
+///
+/// The name is interned in an `Arc<str>`: a topic rides in every
+/// `Rpc::Forward`, [`Delivery`](crate::Delivery), mesh key and IHAVE, so
+/// `clone()` is a reference-count bump rather than a heap copy of the
+/// string. Equality, ordering and hashing are those of the name.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct Topic(pub String);
+pub struct Topic(Arc<str>);
 
 impl Topic {
     /// Creates a topic from any string-like value.
     pub fn new(name: impl Into<String>) -> Topic {
-        Topic(name.into())
+        Topic(name.into().into())
+    }
+
+    /// The topic's name.
+    pub fn as_str(&self) -> &str {
+        &self.0
     }
 }
 
@@ -31,10 +42,12 @@ impl std::fmt::Display for Topic {
 pub struct MessageId(pub [u8; 32]);
 
 impl MessageId {
-    /// Computes the id for a `(topic, data)` pair.
+    /// Computes the id for a `(topic, data)` pair: SHA-256 over
+    /// `topic ‖ 0 ‖ data`. Routing code never calls this — it reads the
+    /// id [`RawMessage::new`] memoized.
     pub fn compute(topic: &Topic, data: &[u8]) -> MessageId {
         let mut h = wakurln_crypto::sha256::Sha256::new();
-        h.update(topic.0.as_bytes());
+        h.update(topic.as_str().as_bytes());
         h.update(&[0]);
         h.update(data);
         MessageId(h.finalize())
@@ -56,20 +69,54 @@ impl std::fmt::Debug for MessageId {
 /// WAKU-RELAY applies to GossipSub messages (§I: "removing personally
 /// identifiable information that binds a message to its owner").
 ///
-/// The payload is [`Bytes`]: forwarding the message along the mesh clones
-/// a reference count, not the payload itself.
+/// One reference-counted allocation holds `{ id, topic, data }`, built
+/// once by [`RawMessage::new`] where the message enters the network and
+/// shared by every copy after that: forwarding, caching and deferring a
+/// message clone a reference count, and the content id is hashed **once
+/// per message network-wide**, not once per received copy. The fields are
+/// private and there is no mutator, so the memoized id cannot go stale or
+/// be set to anything but [`MessageId::compute`] of the contents:
+///
+/// ```compile_fail,E0616
+/// use wakurln_gossipsub::{RawMessage, Topic};
+///
+/// let msg = RawMessage::new(Topic::new("t"), b"payload".into());
+/// let _ = &msg.0; // private: nothing outside this module reaches the parts
+/// ```
+///
+/// This is host-side bookkeeping only. What a *device* would spend on a
+/// frame is modelled separately (`Validator::last_cost_micros`).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct RawMessage {
-    /// Destination topic.
-    pub topic: Topic,
-    /// Opaque payload (for WAKU-RLN-RELAY: a serialized RLN signal).
-    pub data: Bytes,
+pub struct RawMessage(Arc<Shared>);
+
+#[derive(Debug, PartialEq)]
+struct Shared {
+    id: MessageId,
+    topic: Topic,
+    data: Bytes,
 }
 
 impl RawMessage {
-    /// The content-derived id.
+    /// Builds a message, deriving its content id (the only place routing
+    /// code hashes a payload).
+    pub fn new(topic: Topic, data: Bytes) -> RawMessage {
+        let id = MessageId::compute(&topic, &data);
+        RawMessage(Arc::new(Shared { id, topic, data }))
+    }
+
+    /// The content-derived id, memoized at construction.
     pub fn id(&self) -> MessageId {
-        MessageId::compute(&self.topic, &self.data)
+        self.0.id
+    }
+
+    /// Destination topic.
+    pub fn topic(&self) -> &Topic {
+        &self.0.topic
+    }
+
+    /// Opaque payload (for WAKU-RLN-RELAY: a serialized RLN signal).
+    pub fn data(&self) -> &Bytes {
+        &self.0.data
     }
 }
 
@@ -110,11 +157,11 @@ pub enum Rpc {
 impl Payload for Rpc {
     fn size_bytes(&self) -> usize {
         match self {
-            Rpc::Subscribe(t) | Rpc::Unsubscribe(t) => 2 + t.0.len(),
-            Rpc::Forward(m) => 2 + m.topic.0.len() + m.data.len(),
-            Rpc::IHave { topic, ids } => 2 + topic.0.len() + 32 * ids.len(),
+            Rpc::Subscribe(t) | Rpc::Unsubscribe(t) => 2 + t.as_str().len(),
+            Rpc::Forward(m) => 2 + m.topic().as_str().len() + m.data().len(),
+            Rpc::IHave { topic, ids } => 2 + topic.as_str().len() + 32 * ids.len(),
             Rpc::IWant { ids } => 2 + 32 * ids.len(),
-            Rpc::Graft(t) | Rpc::Prune(t) => 2 + t.0.len(),
+            Rpc::Graft(t) | Rpc::Prune(t) => 2 + t.as_str().len(),
             Rpc::Ping | Rpc::Pong => 2,
         }
     }
@@ -141,7 +188,8 @@ impl MessageCache {
         }
     }
 
-    /// Inserts a message into the current window (idempotent).
+    /// Inserts a message into the current window (idempotent), keyed by
+    /// its memoized id.
     pub fn put(&mut self, msg: RawMessage) {
         let id = msg.id();
         if self.messages.insert(id, msg).is_none() {
@@ -167,7 +215,7 @@ impl MessageCache {
             .filter(|id| {
                 self.messages
                     .get(id)
-                    .map(|m| &m.topic == topic)
+                    .map(|m| m.topic() == topic)
                     .unwrap_or(false)
             })
             .copied()
@@ -201,10 +249,7 @@ mod tests {
     use super::*;
 
     fn msg(topic: &str, data: &[u8]) -> RawMessage {
-        RawMessage {
-            topic: Topic::new(topic),
-            data: data.into(),
-        }
+        RawMessage::new(Topic::new(topic), data.into())
     }
 
     #[test]

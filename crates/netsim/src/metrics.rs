@@ -9,15 +9,32 @@ use std::collections::BTreeMap;
 /// totals after [`Network::run_until`](crate::sim::Network::run_until).
 /// Per-node keys are explicit `u64` (not `usize`): report fields derived
 /// from them are wire-stable across 32- and 64-bit platforms.
+///
+/// Writing allocates nothing once a key has been seen: keys are
+/// `&'static str` (every caller passes a literal) and are stored as such,
+/// so the several updates replayed per simulated event are a map lookup
+/// and an add. Per-node counters are one dense row per key, indexed by
+/// node id, which grows to the highest id written; nodes never written
+/// read 0. Names are compared only by content, so the read API takes any
+/// `&str`.
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
-    counters: BTreeMap<String, u64>,
-    values: BTreeMap<String, Vec<f64>>,
-    per_node: BTreeMap<(u64, String), u64>,
+    counters: BTreeMap<&'static str, u64>,
+    values: BTreeMap<&'static str, Vec<f64>>,
+    /// One dense row per key: `per_node[key][node]`.
+    per_node: BTreeMap<&'static str, Vec<u64>>,
     /// Bytes put on the wire by each node. Kept out of `per_node` because
-    /// it is bumped on every send — a dense `Vec` avoids a string-keyed
-    /// hash insert on the hot path.
+    /// it is bumped on every send — a bare `Vec` skips the key lookup.
     bytes_sent_per_node: Vec<u64>,
+}
+
+/// `row[node] += n`, growing the row with zeros up to `node`.
+fn add_at(row: &mut Vec<u64>, node: u64, n: u64) {
+    let node = node as usize;
+    if row.len() <= node {
+        row.resize(node + 1, 0);
+    }
+    row[node] += n;
 }
 
 impl Metrics {
@@ -27,28 +44,24 @@ impl Metrics {
     }
 
     /// Adds `n` to the global counter `key`.
-    pub fn count(&mut self, key: &str, n: u64) {
-        *self.counters.entry(key.to_string()).or_default() += n;
+    pub fn count(&mut self, key: &'static str, n: u64) {
+        *self.counters.entry(key).or_default() += n;
     }
 
     /// Adds `n` to a per-node counter.
-    pub fn count_node(&mut self, node: u64, key: &str, n: u64) {
-        *self.per_node.entry((node, key.to_string())).or_default() += n;
+    pub fn count_node(&mut self, node: u64, key: &'static str, n: u64) {
+        add_at(self.per_node.entry(key).or_default(), node, n);
     }
 
     /// Records a sample into the value series `key`.
-    pub fn record(&mut self, key: &str, value: f64) {
-        self.values.entry(key.to_string()).or_default().push(value);
+    pub fn record(&mut self, key: &'static str, value: f64) {
+        self.values.entry(key).or_default().push(value);
     }
 
     /// Adds `n` bytes to `node`'s wire-output tally (hot path: called on
     /// every simulated send).
     pub fn add_node_bytes_sent(&mut self, node: u64, n: u64) {
-        let node = node as usize;
-        if self.bytes_sent_per_node.len() <= node {
-            self.bytes_sent_per_node.resize(node + 1, 0);
-        }
-        self.bytes_sent_per_node[node] += n;
+        add_at(&mut self.bytes_sent_per_node, node, n);
     }
 
     /// Bytes `node` put on the wire so far (0 when it never sent).
@@ -67,18 +80,15 @@ impl Metrics {
     /// Reads a per-node counter (0 when absent).
     pub fn node_counter(&self, node: u64, key: &str) -> u64 {
         self.per_node
-            .get(&(node, key.to_string()))
+            .get(key)
+            .and_then(|row| row.get(node as usize))
             .copied()
             .unwrap_or(0)
     }
 
     /// Sums a per-node counter over all nodes.
     pub fn node_counter_total(&self, key: &str) -> u64 {
-        self.per_node
-            .iter()
-            .filter(|((_, k), _)| k == key)
-            .map(|(_, v)| *v)
-            .sum()
+        self.per_node.get(key).map_or(0, |row| row.iter().sum())
     }
 
     /// The raw samples of a series (empty slice when absent).
@@ -117,7 +127,7 @@ impl Metrics {
 
     /// Names of all counters, in sorted (deterministic) order.
     pub fn counter_keys(&self) -> impl Iterator<Item = &str> {
-        self.counters.keys().map(String::as_str)
+        self.counters.keys().copied()
     }
 }
 
@@ -142,6 +152,51 @@ mod tests {
         assert_eq!(m.node_counter(0, "cpu"), 10);
         assert_eq!(m.node_counter(1, "cpu"), 20);
         assert_eq!(m.node_counter_total("cpu"), 30);
+    }
+
+    #[test]
+    fn sparse_node_id_grows_the_row_and_unseen_nodes_read_zero() {
+        let mut m = Metrics::new();
+        m.count_node(7, "cpu", 5);
+        assert_eq!(m.node_counter(7, "cpu"), 5);
+        for unseen in [0, 6, 8, 1_000_000] {
+            assert_eq!(m.node_counter(unseen, "cpu"), 0);
+        }
+        // a lower id later lands in the same row; a higher one extends it
+        m.count_node(2, "cpu", 1);
+        m.count_node(40, "cpu", 3);
+        m.count_node(7, "cpu", 5);
+        assert_eq!(m.node_counter(7, "cpu"), 10);
+        assert_eq!(m.node_counter_total("cpu"), 14);
+        // rows are per key: another key's row is untouched
+        assert_eq!(m.node_counter(7, "other"), 0);
+        assert_eq!(m.node_counter_total("other"), 0);
+    }
+
+    #[test]
+    fn key_first_seen_late_joins_in_sorted_order() {
+        let mut m = Metrics::new();
+        m.count("zeta", 1);
+        m.count("mid", 1);
+        m.count_node(3, "mid", 2);
+        for _ in 0..100 {
+            m.count("zeta", 1);
+        }
+        // first written long after the others, and built at run time: the
+        // read API matches names by content, not by address
+        m.count("alpha", 9);
+        m.record("alpha", 1.5);
+        m.count_node(0, "alpha", 4);
+        let late = String::from("al") + "pha";
+        assert_eq!(m.counter(&late), 9);
+        assert_eq!(m.samples(&late), &[1.5]);
+        assert_eq!(m.node_counter(0, &late), 4);
+        assert_eq!(m.counter("zeta"), 101);
+        assert_eq!(m.node_counter(3, "mid"), 2);
+        assert_eq!(
+            m.counter_keys().collect::<Vec<_>>(),
+            vec!["alpha", "mid", "zeta"]
+        );
     }
 
     #[test]

@@ -12,8 +12,11 @@
 //!    a private RNG stream (split from the network seed by node index via
 //!    [`stream_seed`]), so a node's execution depends only on its own
 //!    state and events — never on which shard or thread it lands on.
-//!    Shards execute on scoped worker threads, or inline when the batch
-//!    is too small to amortize a fan-out.
+//!    Shards execute on scoped worker threads. A round too small to
+//!    amortize a fan-out (and every round with `threads = 1`) skips the
+//!    sharding: the batch is already in sequence order, so each event
+//!    runs and has its output applied in turn — the same outcome with
+//!    no grouping, no sort and no allocation per event.
 //! 3. **Merge** — each executed event hands back its collected effects
 //!    and buffered metric updates; the main thread replays them in
 //!    canonical event-sequence order, sampling link latency/loss from a
@@ -36,7 +39,6 @@ use crate::sim::{
     apply_metric_op, Effect, EventKind, MetricOp, Network, Node, NodeId, QueuedEvent,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::HashMap;
 use std::sync::mpsc;
 
@@ -186,38 +188,68 @@ struct ShardResult<N: Node> {
     executed: Vec<Executed<N::Message>>,
 }
 
-/// Runs the events of one shard against its node, in order, collecting
-/// each event's output. Identical code runs inline (threads = 1 / small
-/// rounds) and on workers — the execution path cannot diverge.
+/// Runs one event against its node, collecting the step's output into
+/// `effects` and `ops` (both empty on entry; their capacity is reused).
+/// Identical code runs inline and on workers — the execution path cannot
+/// diverge.
+fn execute_event<N: Node>(
+    now: u64,
+    id: NodeId,
+    slot: &mut Slot<N>,
+    kind: EventKind<N::Message>,
+    effects: &mut Vec<Effect<N::Message>>,
+    ops: &mut Vec<MetricOp>,
+) {
+    let mut ctx = crate::sim::Context::new(
+        now,
+        id,
+        slot.rng.clone(),
+        std::mem::take(effects),
+        std::mem::take(ops),
+    );
+    match kind {
+        EventKind::Start => slot.node.on_start(&mut ctx),
+        EventKind::Deliver { from, msg } => {
+            ctx.count("messages_delivered", 1);
+            slot.node.on_message(&mut ctx, from, msg);
+        }
+        EventKind::Timer { token } => slot.node.on_timer(&mut ctx, token),
+    }
+    (slot.rng, *effects, *ops) = ctx.finish();
+}
+
+/// Runs the events of one shard against its node, in order, keeping each
+/// event's output for the merge.
 fn execute_shard<N: Node>(
     now: u64,
     id: NodeId,
     slot: &mut Slot<N>,
     events: NodeEvents<N::Message>,
 ) -> Vec<Executed<N::Message>> {
-    let mut out = Vec::with_capacity(events.len());
-    let mut rng = std::mem::replace(&mut slot.rng, StdRng::seed_from_u64(0));
-    for (seq, kind) in events {
-        let mut ctx = crate::sim::Context::new(now, id, rng);
-        match kind {
-            EventKind::Start => slot.node.on_start(&mut ctx),
-            EventKind::Deliver { from, msg } => {
-                ctx.count("messages_delivered", 1);
-                slot.node.on_message(&mut ctx, from, msg);
+    events
+        .into_iter()
+        .map(|(seq, kind)| {
+            let (mut effects, mut ops) = (Vec::new(), Vec::new());
+            execute_event(now, id, slot, kind, &mut effects, &mut ops);
+            Executed {
+                seq,
+                origin: id,
+                effects,
+                ops,
             }
-            EventKind::Timer { token } => slot.node.on_timer(&mut ctx, token),
-        }
-        let (r, effects, ops) = ctx.finish();
-        rng = r;
-        out.push(Executed {
-            seq,
-            origin: id,
-            effects,
-            ops,
-        });
+        })
+        .collect()
+}
+
+/// The counter an event addressed to a dead node is accounted under: the
+/// node died while the event was in flight, and its state is never
+/// touched.
+fn dropped_at_dead_node<M>(kind: &EventKind<M>) -> Option<&'static str> {
+    match kind {
+        EventKind::Deliver { .. } => Some("messages_to_removed_peer"),
+        EventKind::Timer { .. } => Some("timers_dropped_dead_node"),
+        EventKind::Start => None,
     }
-    slot.rng = rng;
-    out
 }
 
 /// What a worker hands back for one round: the executed shards, or the
@@ -310,6 +342,8 @@ impl<N: Node> Network<N> {
     /// serial loop produced.
     fn drive(&mut self, limit: u64, pool: Option<&WorkerPool<N>>) {
         let mut batch: Vec<QueuedEvent<N::Message>> = Vec::new();
+        // the step-output buffers every inline event collects into
+        let (mut effects, mut ops) = (Vec::new(), Vec::new());
         loop {
             // batch: every event at the earliest timestamp ≤ limit, in
             // seq order — one timing-wheel operation
@@ -319,41 +353,55 @@ impl<N: Node> Network<N> {
             };
             self.now = at;
             self.dispatched += batch.len() as u64;
-            self.run_round(&mut batch, pool);
+            match pool {
+                // a fan-out needs MIN_EVENTS_PER_WORKER live events for
+                // each of at least two workers
+                Some(pool) if batch.len() >= 2 * MIN_EVENTS_PER_WORKER => {
+                    self.run_round_sharded(&mut batch, pool)
+                }
+                _ => self.run_round_inline(&mut batch, &mut effects, &mut ops),
+            }
         }
     }
 
-    /// Executes one round (all events of one timestamp) and merges the
-    /// outputs back in canonical order.
-    fn run_round(
+    /// Executes one round on the calling thread: the batch is already in
+    /// canonical sequence order, so each event runs and has its output
+    /// applied in turn. A node sees its own events in sequence order and
+    /// nothing else a step can observe changes within a round (emitted
+    /// events queue for a later one), so this is the outcome the sharded
+    /// round's group → execute → sort-by-sequence merge produces, without
+    /// the grouping and with no allocation per event.
+    fn run_round_inline(
         &mut self,
         batch: &mut Vec<QueuedEvent<N::Message>>,
-        pool: Option<&WorkerPool<N>>,
+        effects: &mut Vec<Effect<N::Message>>,
+        ops: &mut Vec<MetricOp>,
     ) {
-        if batch.len() == 1 {
-            // the common sparse case (one heartbeat, one delivery):
-            // skip grouping and sorting entirely
-            // lint:allow(panic-path, reason = "guarded: the enclosing branch runs only for single-event batches")
-            let event = batch.pop().expect("len checked");
+        for event in batch.drain(..) {
             let id = event.node;
             if !self.nodes.is_active(id.index()) {
-                match event.kind {
-                    EventKind::Deliver { .. } => self.metrics.count("messages_to_removed_peer", 1),
-                    EventKind::Timer { .. } => self.metrics.count("timers_dropped_dead_node", 1),
-                    EventKind::Start => {}
+                if let Some(key) = dropped_at_dead_node(&event.kind) {
+                    self.metrics.count(key, 1);
                 }
-                return;
+                continue;
             }
             let slot = self.nodes.slot_mut(id.index());
-            let executed = execute_shard(self.now, id, slot, vec![(event.seq, event.kind)]);
-            for ex in executed {
-                for op in ex.ops {
-                    apply_metric_op(&mut self.metrics, op);
-                }
-                self.apply_effects(ex.origin, ex.effects);
+            execute_event(self.now, id, slot, event.kind, effects, ops);
+            for op in ops.drain(..) {
+                apply_metric_op(&mut self.metrics, op);
             }
-            return;
+            self.apply_effects(id, effects);
         }
+    }
+
+    /// Executes one round (all events of one timestamp) sharded by
+    /// destination node — on the worker pool when the round is wide
+    /// enough — and merges the outputs back in canonical order.
+    fn run_round_sharded(
+        &mut self,
+        batch: &mut Vec<QueuedEvent<N::Message>>,
+        pool: &WorkerPool<N>,
+    ) {
         let mut executed: Vec<Executed<N::Message>> = Vec::with_capacity(batch.len());
         // shard the live events by destination node (dead nodes produce
         // their drop-accounting inline; their state is never touched)
@@ -363,14 +411,7 @@ impl<N: Node> Network<N> {
         for event in batch.drain(..) {
             let id = event.node;
             if !self.nodes.is_active(id.index()) {
-                // the node died while this event was in flight
-                let op = match event.kind {
-                    EventKind::Deliver { .. } => {
-                        Some(MetricOp::Count("messages_to_removed_peer", 1))
-                    }
-                    EventKind::Timer { .. } => Some(MetricOp::Count("timers_dropped_dead_node", 1)),
-                    EventKind::Start => None,
-                };
+                let op = dropped_at_dead_node(&event.kind).map(|key| MetricOp::Count(key, 1));
                 executed.push(Executed {
                     seq: event.seq,
                     origin: id,
@@ -387,27 +428,22 @@ impl<N: Node> Network<N> {
             shards[slot].1.push((event.seq, event.kind));
         }
 
-        let fan_out = match pool {
-            Some(pool) if shards.len() >= 2 => {
-                let workers = pool
-                    .shard_txs
-                    .len()
-                    .min(shards.len())
-                    .min(live_events / MIN_EVENTS_PER_WORKER);
-                (workers >= 2).then_some((pool, workers))
-            }
-            _ => None,
-        };
+        let workers = pool
+            .shard_txs
+            .len()
+            .min(shards.len())
+            .min(live_events / MIN_EVENTS_PER_WORKER);
 
-        match fan_out {
-            None => {
-                // inline: same execute_shard as the workers run
+        match workers {
+            0 | 1 => {
+                // too narrow after all (one busy node, or dead ones):
+                // same execute_shard as the workers run
                 for (id, events) in shards {
                     let slot = self.nodes.slot_mut(id.index());
                     executed.extend(execute_shard(self.now, id, slot, events));
                 }
             }
-            Some((pool, workers)) => {
+            workers => {
                 self.parallel_rounds += 1;
                 // balance shards over workers by event count (largest
                 // first, greedily onto the lightest worker)
@@ -461,11 +497,11 @@ impl<N: Node> Network<N> {
 
         // merge: canonical event order, regardless of completion order
         executed.sort_unstable_by_key(|e| e.seq);
-        for ex in executed {
+        for mut ex in executed {
             for op in ex.ops {
                 apply_metric_op(&mut self.metrics, op);
             }
-            self.apply_effects(ex.origin, ex.effects);
+            self.apply_effects(ex.origin, &mut ex.effects);
         }
     }
 }

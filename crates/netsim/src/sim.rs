@@ -160,13 +160,23 @@ pub struct Context<M> {
 }
 
 impl<M: Payload> Context<M> {
-    pub(crate) fn new(now: u64, node: NodeId, rng: StdRng) -> Context<M> {
+    /// `effects` and `ops` are the (empty) buffers the step collects
+    /// into: the scheduler hands the same two back in for every event it
+    /// runs inline, so a step allocates only when it outgrows them.
+    pub(crate) fn new(
+        now: u64,
+        node: NodeId,
+        rng: StdRng,
+        effects: Vec<Effect<M>>,
+        ops: Vec<MetricOp>,
+    ) -> Context<M> {
+        debug_assert!(effects.is_empty() && ops.is_empty());
         Context {
             now,
             node,
             rng,
-            effects: Vec::new(),
-            ops: Vec::new(),
+            effects,
+            ops,
         }
     }
 
@@ -616,15 +626,14 @@ impl<N: Node> Network<N> {
         assert!(self.is_active(id), "invoke on removed node {id}");
         self.ensure_started();
         let slot = self.nodes.slot_mut(id.index());
-        let rng = std::mem::replace(&mut slot.rng, StdRng::seed_from_u64(0));
-        let mut ctx = Context::new(self.now, id, rng);
+        let mut ctx = Context::new(self.now, id, slot.rng.clone(), Vec::new(), Vec::new());
         let out = f(&mut slot.node, &mut ctx);
-        let (rng, effects, ops) = ctx.finish();
-        self.nodes.slot_mut(id.index()).rng = rng;
+        let (rng, mut effects, ops) = ctx.finish();
+        slot.rng = rng;
         for op in ops {
             apply_metric_op(&mut self.metrics, op);
         }
-        self.apply_effects(id, effects);
+        self.apply_effects(id, &mut effects);
         out
     }
 
@@ -675,13 +684,14 @@ impl<N: Node> Network<N> {
         self.queue.push(ev);
     }
 
-    /// Applies one step's collected effects: sends sample the link
-    /// stream (loss, latency) and enqueue deliveries; timers re-enqueue
-    /// on the origin. Always called in canonical event order, which is
-    /// what keeps the link stream — and therefore the whole simulation —
+    /// Applies one step's collected effects (draining `effects`, whose
+    /// capacity the caller may reuse): sends sample the link stream
+    /// (loss, latency) and enqueue deliveries; timers re-enqueue on the
+    /// origin. Always called in canonical event order, which is what
+    /// keeps the link stream — and therefore the whole simulation —
     /// independent of the worker-thread count.
-    pub(crate) fn apply_effects(&mut self, origin: NodeId, effects: Vec<Effect<N::Message>>) {
-        for effect in effects {
+    pub(crate) fn apply_effects(&mut self, origin: NodeId, effects: &mut Vec<Effect<N::Message>>) {
+        for effect in effects.drain(..) {
             match effect {
                 Effect::Send { to, msg, hold_ms } => {
                     if to.index() >= self.nodes.len() {
