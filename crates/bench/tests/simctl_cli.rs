@@ -51,3 +51,12 @@ fn run_is_byte_identical_per_seed_and_parses_as_a_report() {
     assert_eq!(report.scenario, "baseline");
     assert_eq!(report.seed, 1);
 }
+
+#[test]
+fn populations_below_the_bootstrap_degree_run() {
+    let out = simctl(&["run", "baseline", "--nodes", "5", "--seed", "1"]);
+    assert_eq!(out.status.code(), Some(0), "simctl run baseline --nodes 5");
+    let json = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    let report = ScenarioReport::from_json(&json).expect("stdout is one ScenarioReport");
+    assert_eq!(report.peers_initial, 5);
+}

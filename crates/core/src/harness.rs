@@ -176,7 +176,9 @@ impl Testbed {
     /// still run a few simulated seconds for gossip meshes to form before
     /// measuring propagation.
     pub fn build(config: TestbedConfig) -> Testbed {
-        let adjacency = topology::random_regular(config.n_peers, config.degree, config.seed);
+        // below degree + 1 peers, "`degree` random peers" is everyone else
+        let degree = config.degree.min(config.n_peers.saturating_sub(1));
+        let adjacency = topology::random_regular(config.n_peers, degree, config.seed);
         Testbed::build_custom(config, adjacency, |_| config.cost)
     }
 

@@ -25,8 +25,8 @@
 //!    already judged, or a duplicate inside the same flush window —
 //!    resolve without touching the zkSNARK verifier.
 //! 3. **Batch verification**: the surviving unique statements drain into
-//!    one [`verify_signal`] fan-out across worker threads (inline on one
-//!    core), and their verdicts enter the epoch-sharded LRU cache.
+//!    one run of [`verify_signal`] calls, and their verdicts enter the
+//!    epoch-sharded LRU cache.
 //! 4. **Stateful commit**: candidates are replayed in arrival order
 //!    through the exact serial decision core
 //!    ([`RlnValidator::decide`](crate::validator::RlnValidator)) — epoch
@@ -319,22 +319,18 @@ impl PipelineState {
             }
         }
 
-        // stage 3 — batch verification of the surviving unique statements
-        // (fan-out across worker threads; inline on one core), verdicts
-        // entering the epoch-sharded cache
-        let vk = validator.verifying_key().clone();
-        let jobs: Vec<&Candidate> = to_verify.iter().map(|i| &candidates[*i]).collect();
-        let verdicts = wakurln_zksnark::parallel::par_map(&jobs, 2, |c| {
-            verify_signal(&vk, c.wire.signal.root, &c.wire.signal) == SignalValidity::Valid
-        });
-        self.stats.proofs_verified += jobs.len() as u64;
+        // stage 3 — batch verification of the surviving unique statements,
+        // verdicts entering the epoch-sharded cache
+        let vk = validator.verifying_key();
         let mut verified_now = vec![false; candidates.len()];
-        for (c, verdict) in jobs.iter().zip(verdicts) {
+        for &i in &to_verify {
+            let c = &candidates[i];
+            let verdict =
+                verify_signal(vk, c.wire.signal.root, &c.wire.signal) == SignalValidity::Valid;
             self.cache.insert(c.wire.epoch, c.digest, verdict);
-        }
-        for i in to_verify {
             verified_now[i] = true;
         }
+        self.stats.proofs_verified += to_verify.len() as u64;
 
         // stage 4 — stateful commit, replayed in arrival order through
         // the exact serial decision core

@@ -720,7 +720,10 @@ fn honest_candidates(
 /// cut out of the honest graph and ringed by censors) when requested.
 fn build_adjacency(spec: &ScenarioSpec, n_hs: usize, attackers: usize) -> Vec<Vec<NodeId>> {
     let mut adjacency: Vec<Vec<NodeId>> = match spec.topology {
-        TopologySpec::RandomRegular { degree } => topology::random_regular(n_hs, degree, spec.seed),
+        // below degree + 1 peers, "`degree` random peers" is everyone else
+        TopologySpec::RandomRegular { degree } => {
+            topology::random_regular(n_hs, degree.min(n_hs.saturating_sub(1)), spec.seed)
+        }
         TopologySpec::Ring => topology::ring(n_hs),
         TopologySpec::FullMesh => topology::full_mesh(n_hs),
     };
@@ -810,6 +813,18 @@ mod tests {
         assert_eq!(report.spam_attempted, 0);
         assert_eq!(report.members_start, 8);
         assert_eq!(report.members_end, 8);
+    }
+
+    #[test]
+    fn populations_below_the_bootstrap_degree_run_as_a_full_mesh() {
+        for n in [2, 5] {
+            let spec = ScenarioSpec::baseline(n, 1);
+            let adjacency = build_adjacency(&spec, n, 0);
+            assert_eq!(adjacency, topology::full_mesh(n));
+            let report = run_scenario(&spec);
+            assert_eq!(report.peers_initial, n as u64);
+            assert!(report.delivery_rate > 0.9, "rate {}", report.delivery_rate);
+        }
     }
 
     #[test]

@@ -11,9 +11,7 @@
 //!   compiler's front-end),
 //! * [`circuit`] — the RLN statement from the paper's §II, compiled once
 //!   per tree depth,
-//! * [`snark`] — setup / prove / verify with constant-size proofs,
-//! * [`parallel`] — the fork–join helpers behind `core::pipeline`'s batch
-//!   verification.
+//! * [`snark`] — setup / prove / verify with constant-size proofs.
 //!
 //! See the [`snark`] module docs for exactly which SNARK properties are
 //! real versus simulated, and `docs/ARCHITECTURE.md` for where the crate
@@ -24,7 +22,6 @@
 
 pub mod circuit;
 pub mod gadgets;
-pub mod parallel;
 pub mod r1cs;
 pub mod snark;
 
