@@ -9,13 +9,15 @@
 //! quickly in debug builds; the engine scales the same code path to
 //! 1000+ nodes under `simctl`.
 //!
-//! Two of the reports are additionally pinned **across commits**: their
-//! SHA-256 must equal a constant computed at the commit before the
-//! prover's compile/prove split. Proof bytes, every RNG draw and every
-//! simulated statistic feed those bytes, so a change that is meant to be
-//! speed-only and shifts any of them fails here, by itself, instead of
-//! waiting for a benchmark diff. A *declared* protocol or report-format
-//! change updates the constant in the same PR.
+//! Three of the reports are additionally pinned **across commits**: their
+//! SHA-256 must equal a constant computed at an earlier commit. Proof
+//! bytes, every RNG draw and every simulated statistic feed those bytes,
+//! so a change that is meant to be speed-only and shifts any of them fails
+//! here, by itself, instead of waiting for a benchmark diff. A *declared*
+//! protocol or report-format change updates the constant in the same PR:
+//! the `baseline` and `spam_burst` constants date from the O(n · degree)
+//! bootstrap generator (same graph family, another sample per seed), the
+//! ring one from the commit before it and held across that swap.
 
 use waku_rln::crypto::sha256::{to_hex, Sha256};
 use waku_rln::scenarios::{builtin, run_scenario, ScenarioSpec, TopologySpec};
@@ -46,7 +48,7 @@ fn assert_deterministic(mut spec: ScenarioSpec) -> String {
 fn baseline_is_deterministic() {
     assert_eq!(
         assert_deterministic(builtin("baseline", 16, 91).unwrap()),
-        "d29d36fa20aeebe24d90acdc98fd96b058eaeb7928a763074b51fdf9da22a903",
+        "c2f079d5fb9f800d4e269f77d8ce755dc22f78de04b6def18b1315c81d8e9254",
         "the baseline@16 seed 91 report moved against the pinned commit"
     );
 }
@@ -55,7 +57,7 @@ fn baseline_is_deterministic() {
 fn spam_burst_is_deterministic() {
     assert_eq!(
         assert_deterministic(builtin("spam_burst", 16, 92).unwrap()),
-        "0b348eb5468fdd9a46d5dc2859fa9177f87f261d900f22c22e0d6ed39fd5be2b",
+        "df00749dd3e17ba01cee645fd16964c433ee497ef4fc000d5cab38ea2a7b70db",
         "the spam_burst@16 seed 92 report moved against the pinned commit"
     );
 }
