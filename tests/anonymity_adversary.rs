@@ -64,22 +64,28 @@ fn scenarios_without_surveillance_emit_a_null_anonymity_section() {
 fn forward_delay_jitter_degrades_attribution_but_not_delivery() {
     // jitter points chosen off the measured precision curve: 0 (no
     // countermeasure), a moderate hold, and one past the point of
-    // diminishing returns — precision must fall strictly at each step
-    let mut precisions = Vec::new();
+    // diminishing returns — precision must fall strictly at each step.
+    // One 60-node run observes 28 messages, so its precision moves in
+    // steps of 1/28 and two points can tie on an unlucky graph; the
+    // first-spy hits of four seeds are pooled per point instead.
+    let mut points = Vec::new();
     for jitter in [0, 200, 1500] {
-        let report = run_scenario(&sweep_spec(60, 2, jitter));
-        assert!(
-            report.delivery_rate >= 0.99,
-            "jitter {jitter} ms cost delivery: {}",
-            report.delivery_rate
-        );
-        precisions.push((
-            jitter,
-            report.anonymity_first_spy_precision_at1.unwrap(),
-            report.propagation_p50_ms.unwrap(),
-        ));
+        let (mut hits, mut observed, mut p50_ms) = (0.0, 0.0, 0.0);
+        for seed in 1..=4 {
+            let report = run_scenario(&sweep_spec(60, seed, jitter));
+            assert!(
+                report.delivery_rate >= 0.99,
+                "jitter {jitter} ms cost delivery on seed {seed}: {}",
+                report.delivery_rate
+            );
+            let messages = report.anonymity_messages_observed.unwrap() as f64;
+            hits += report.anonymity_first_spy_precision_at1.unwrap() * messages;
+            observed += messages;
+            p50_ms += report.propagation_p50_ms.unwrap();
+        }
+        points.push((jitter, hits / observed, p50_ms));
     }
-    for pair in precisions.windows(2) {
+    for pair in points.windows(2) {
         let (j0, p0, _) = pair[0];
         let (j1, p1, _) = pair[1];
         assert!(
@@ -89,7 +95,7 @@ fn forward_delay_jitter_degrades_attribution_but_not_delivery() {
     }
     // the privacy is paid for in propagation latency, as predicted
     assert!(
-        precisions.last().unwrap().2 > precisions.first().unwrap().2,
+        points.last().unwrap().2 > points.first().unwrap().2,
         "jitter should show up in p50 propagation"
     );
 }
