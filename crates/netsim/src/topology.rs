@@ -32,8 +32,9 @@ pub fn ring(n: usize) -> Vec<Vec<NodeId>> {
 /// to `n − 1` entries, about `2 · degree` on average. Rows are strictly
 /// ascending and hold no self-loop; `degree = n − 1` is the full mesh.
 ///
-/// Costs `O(n · degree)`: at most `n · (degree + 1)` RNG draws (see
-/// [`draw_picks`]) and one sort per row.
+/// Costs `O(n · degree)`: at most `n · (degree + 1)` RNG draws (a partial
+/// Fisher–Yates of `degree` picks per peer over one shared pool, never a
+/// shuffle of all `n − 1` candidates) and one sort per row.
 ///
 /// # Panics
 ///
