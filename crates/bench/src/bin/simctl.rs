@@ -2,16 +2,16 @@
 //!
 //! ```text
 //! simctl list
-//! simctl run <scenario> [--nodes N] [--seed S] [--threads T] [--progress]
+//! simctl run <scenario> [--nodes N] [--seed S] [--progress]
 //!                       [--spam-rate PCT] [--churn-rate PCT]
 //!                       [--adversary-fraction PCT] [--publish-jitter MS]
 //!                       [--out PATH]
-//! simctl sweep <scenario> --nodes N1,N2,.. [--seeds S1,S2,..] [--threads T]
+//! simctl sweep <scenario> --nodes N1,N2,.. [--seeds S1,S2,..]
 //!                         [--spam-rate PCT] [--churn-rate PCT]
 //!                         [--adversary-fraction PCT1,PCT2,..]
 //!                         [--publish-jitter MS] [--out PATH]
 //! simctl soak [--sim-hours H] [--checkpoint-every N] [--nodes N]
-//!             [--seed S] [--threads T] [--out PATH]
+//!             [--seed S] [--out PATH]
 //! ```
 //!
 //! `run` executes one built-in scenario (default 1000 nodes, seed 2022)
@@ -22,8 +22,6 @@
 //! 0 disables surveillance) and `--publish-jitter` the publisher-side
 //! first-hop forward-delay countermeasure — together they trace the
 //! privacy/latency trade-off curve of the `anonymity_*` report section.
-//! `--threads` sets the sharded scheduler's worker count (0 =
-//! auto-detect; any value yields byte-identical reports), and
 //! `--progress` prints per-simulated-second throughput to stderr so long
 //! 10k-node runs are not silent. See `docs/SCENARIOS.md`.
 //!
@@ -50,16 +48,16 @@ use wakurln_scenarios::{
 
 fn usage() -> ! {
     eprintln!("usage: simctl list");
-    eprintln!("       simctl run <scenario> [--nodes N] [--seed S] [--threads T] [--progress]");
+    eprintln!("       simctl run <scenario> [--nodes N] [--seed S] [--progress]");
     eprintln!("                             [--spam-rate PCT] [--churn-rate PCT]");
     eprintln!("                             [--adversary-fraction PCT] [--publish-jitter MS]");
     eprintln!("                             [--out PATH]");
-    eprintln!("       simctl sweep <scenario> --nodes N1,N2,.. [--seeds S1,S2,..] [--threads T]");
+    eprintln!("       simctl sweep <scenario> --nodes N1,N2,.. [--seeds S1,S2,..]");
     eprintln!("                               [--spam-rate PCT] [--churn-rate PCT]");
     eprintln!("                               [--adversary-fraction PCT1,PCT2,..]");
     eprintln!("                               [--publish-jitter MS] [--out PATH]");
     eprintln!("       simctl soak [--sim-hours H] [--checkpoint-every N] [--nodes N]");
-    eprintln!("                   [--seed S] [--threads T] [--out PATH]");
+    eprintln!("                   [--seed S] [--out PATH]");
     eprintln!("scenarios: {}", BUILTIN_NAMES.join(", "));
     std::process::exit(2)
 }
@@ -73,18 +71,12 @@ struct Overrides {
     /// Percentage of honest peers that crash mid-run (replaces the
     /// scenario's own churn schedule when set).
     churn_rate_pct: Option<f64>,
-    /// Scheduler worker threads (0 = auto). Purely a wall-clock knob:
-    /// reports are byte-identical for every value.
-    threads: Option<usize>,
     /// Publisher-side first-hop forward-delay countermeasure,
     /// milliseconds (0 disables).
     publish_jitter_ms: Option<u64>,
 }
 
 fn apply_overrides(spec: &mut ScenarioSpec, overrides: &Overrides) {
-    if let Some(threads) = overrides.threads {
-        spec.threads = threads;
-    }
     if let Some(jitter) = overrides.publish_jitter_ms {
         spec.publish_jitter_ms = jitter;
     }
@@ -309,12 +301,6 @@ fn main() {
                         std::process::exit(2);
                     }))
             }
-            "--threads" => {
-                overrides.threads = Some(value("--threads").parse().unwrap_or_else(|_| {
-                    eprintln!("--threads needs an integer (0 = auto)");
-                    std::process::exit(2);
-                }))
-            }
             "--adversary-fraction" => {
                 adversary_fractions = parse_f64_list(
                     &value("--adversary-fraction"),
@@ -453,7 +439,6 @@ fn run_soak_command(args: &[String]) {
             }
             "--nodes" => config.nodes = parse_u64(value("--nodes"), "--nodes") as usize,
             "--seed" => config.seed = parse_u64(value("--seed"), "--seed"),
-            "--threads" => config.threads = parse_u64(value("--threads"), "--threads") as usize,
             "--out" => out_path = Some(value("--out")),
             other => {
                 eprintln!("unknown argument: {other}");

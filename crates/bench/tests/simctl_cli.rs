@@ -25,6 +25,10 @@ fn usage_errors_exit_2_and_print_no_report() {
         &[],
         &["run", "no_such_scenario"],
         &["run", "baseline", "--no-such-flag"],
+        // removed with the scheduler's worker pool: scripts that still
+        // pass it must fail loudly, not silently run single-threaded
+        &["run", "baseline", "--nodes", "30", "--threads", "2"],
+        &["soak", "--threads", "2"],
         &["run", "baseline", "--nodes", "1"],
         &["run", "baseline", "--nodes", "30,60"],
         &["soak", "--sim-hours", "0"],

@@ -105,10 +105,9 @@ pub struct TestbedConfig {
     /// Batched validation pipeline knobs; `None` keeps the serial
     /// per-message validator (byte-identical to pre-pipeline behaviour).
     pub pipeline: Option<PipelineConfig>,
-    /// Worker threads for the network's sharded batch scheduler (`0` =
-    /// auto-detect). Any value produces byte-identical simulations — the
-    /// scheduler's determinism contract — so this is purely a wall-clock
-    /// knob.
+    /// Unused: the network runs every event on the calling thread. Kept
+    /// only because the out-of-workspace `benchmark/` package still sets
+    /// it; goes once that package stops doing so.
     pub threads: usize,
     /// Stake per member, wei.
     pub stake: Wei,
@@ -220,7 +219,6 @@ impl Testbed {
             },
             config.seed,
         );
-        net.set_threads(config.threads);
 
         let empty_root = zero_hashes()[config.tree_depth];
         let mut addresses = Vec::with_capacity(config.n_peers);

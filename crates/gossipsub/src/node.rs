@@ -62,10 +62,7 @@ pub struct BatchDecision {
 /// a message, and the node completes delivery/forwarding when a later
 /// `flush` — triggered by a full batch or the flush timer — releases the
 /// verdict.
-///
-/// `Send` because a node (validator included) may execute its share of a
-/// same-timestamp event batch on a scheduler worker thread.
-pub trait Validator: Send {
+pub trait Validator {
     /// Judges a message before delivery/forwarding. `now_ms` is simulated
     /// time; implementations may mutate internal state (nullifier maps…).
     fn validate(&mut self, now_ms: u64, topic: &Topic, data: &[u8]) -> ValidationResult;

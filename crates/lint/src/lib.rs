@@ -3,7 +3,7 @@
 //! determinism, unsafe-audit, and panic-path contracts *executable*.
 //!
 //! Every headline property of this reproduction — byte-identical
-//! `ScenarioReport`s at any thread count, checkpoint/restore
+//! `ScenarioReport`s per seed, checkpoint/restore
 //! fingerprints, the wheel/heap pop-order pin, the anonymity and
 //! resilience measurements — rests on the determinism contract in
 //! docs/ARCHITECTURE.md. This crate enforces the mechanizable part of

@@ -9,7 +9,7 @@ use crate::sim::NodeId;
 ///
 /// Implementations must be deterministic given the RNG state, so that
 /// whole simulations replay exactly from a seed.
-pub trait LatencyModel: Send {
+pub trait LatencyModel {
     /// Latency for a message from `from` to `to`.
     fn sample(&self, rng: &mut StdRng, from: NodeId, to: NodeId) -> u64;
 

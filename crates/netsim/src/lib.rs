@@ -11,10 +11,9 @@
 //!   [`sim::Network::restore_node`]) and fault injection (partitions via
 //!   [`sim::Network::set_partition`], link-degradation bursts via
 //!   [`sim::Network::set_degradation`]),
-//! * [`scheduler`] — the deterministic sharded batch scheduler: events
-//!   sharing a timestamp execute as a shard-partitioned batch (on worker
-//!   threads when `threads > 1`) and merge back in canonical order, so
-//!   `threads = 1` and `threads = N` are byte-identical,
+//! * [`scheduler`] — the deterministic round loop: events sharing a
+//!   timestamp are popped as one batch and run in sequence order, each
+//!   node drawing from its own seed-derived RNG stream,
 //! * [`bytes`] — `Arc`-backed shared payload bytes (clone-free gossip
 //!   forwarding with `O(1)` wire-size accounting),
 //! * [`latency`] — link latency and loss models (and the network-delay

@@ -3,11 +3,10 @@
 //! A [`Network`] owns a set of protocol state machines (one per simulated
 //! peer), a global event queue ordered by simulated time, a latency/loss
 //! model and the run's [`Metrics`]. Execution is fully deterministic for a
-//! given seed **and independent of the worker-thread count**: events
-//! sharing a timestamp are executed as a batch (possibly on several
-//! threads, see [`crate::scheduler`]), each node draws randomness from its
-//! own seed-derived stream, and every emitted effect is merged back into
-//! the queue in canonical `(timestamp, sequence)` order.
+//! given seed: events sharing a timestamp are executed as a batch in
+//! sequence order (see [`crate::scheduler`]), each node draws randomness
+//! from its own seed-derived stream, and every emitted effect is applied
+//! before the next event runs.
 
 use crate::latency::LatencyModel;
 use crate::metrics::Metrics;
@@ -41,9 +40,8 @@ impl std::fmt::Display for NodeId {
 }
 
 /// Wire-size accounting for protocol messages (drives the bandwidth
-/// counters). `Send` because batches of same-timestamp events may be
-/// executed on worker threads.
-pub trait Payload: Clone + Send {
+/// counters).
+pub trait Payload: Clone {
     /// Approximate serialized size in bytes.
     fn size_bytes(&self) -> usize;
 }
@@ -58,13 +56,11 @@ impl Payload for Vec<u8> {
 ///
 /// Callbacks receive an exclusive `&mut self` plus a [`Context`] that
 /// **collects** effects (sends, timers, metric updates) instead of
-/// applying them — the scheduler merges every step's collected output
-/// back into the global queue in canonical order. A step may therefore
-/// run on any worker thread (hence the `Send` supertrait) without
-/// changing the simulation outcome.
-pub trait Node: Send {
+/// applying them — the scheduler applies every step's collected output
+/// to the global queue as soon as the step returns.
+pub trait Node {
     /// The message type exchanged between peers.
-    type Message: Payload + Send;
+    type Message: Payload;
 
     /// Called once when the simulation starts (schedule initial timers
     /// here).
@@ -127,7 +123,7 @@ pub(crate) enum Effect<M> {
 }
 
 /// One buffered metrics update, replayed into [`Metrics`] when a step's
-/// output is merged. Keys are `&'static str` so buffering allocates
+/// output is applied. Keys are `&'static str` so buffering allocates
 /// nothing beyond the op list itself.
 pub(crate) enum MetricOp {
     Count(&'static str, u64),
@@ -148,9 +144,8 @@ pub(crate) fn apply_metric_op(metrics: &mut Metrics, op: MetricOp) {
 /// A context is a pure **step-output collector**: it owns the node's RNG
 /// stream for the duration of the step and buffers every side effect
 /// (sends, timers, metric updates) the callback emits. It borrows nothing
-/// from the [`Network`], so same-timestamp steps on different nodes can
-/// execute on different worker threads; the scheduler applies the
-/// collected output afterwards in canonical event order.
+/// from the [`Network`]; the scheduler applies the collected output once
+/// the callback returns.
 pub struct Context<M> {
     now: u64,
     node: NodeId,
@@ -162,7 +157,7 @@ pub struct Context<M> {
 impl<M: Payload> Context<M> {
     /// `effects` and `ops` are the (empty) buffers the step collects
     /// into: the scheduler hands the same two back in for every event it
-    /// runs inline, so a step allocates only when it outgrows them.
+    /// runs, so a step allocates only when it outgrows them.
     pub(crate) fn new(
         now: u64,
         node: NodeId,
@@ -210,8 +205,8 @@ impl<M: Payload> Context<M> {
     /// it enters the link (arrival at `now + hold_ms + latency`). This is
     /// the timing-decorrelation primitive behind publisher-side forward
     /// delays: the hold is part of the *sender's* behaviour, so loss and
-    /// latency are still sampled from the link stream in canonical merge
-    /// order and determinism is unaffected.
+    /// latency are still sampled from the link stream in event order and
+    /// determinism is unaffected.
     pub fn send_delayed(&mut self, to: NodeId, msg: M, hold_ms: u64) {
         self.effects.push(Effect::Send { to, msg, hold_ms });
     }
@@ -224,7 +219,7 @@ impl<M: Payload> Context<M> {
     /// Deterministic RNG for protocol decisions — this node's private
     /// stream, split from the network seed (see
     /// [`crate::scheduler::stream_seed`]), so draws are independent of
-    /// other nodes' activity and of the worker-thread count.
+    /// other nodes' activity.
     pub fn rng(&mut self) -> &mut StdRng {
         &mut self.rng
     }
@@ -325,7 +320,7 @@ impl QuiescenceOutcome {
 /// ```
 pub struct Network<N: Node> {
     /// Per-node state (protocol machine + private RNG stream + liveness
-    /// flag), shard-partitionable for batch execution.
+    /// flag).
     pub(crate) nodes: NodeStore<N>,
     /// The global event queue: a hierarchical timing wheel with
     /// slab-allocated events (see [`crate::wheel`]), pop-order-identical
@@ -342,21 +337,19 @@ pub struct Network<N: Node> {
     pub(crate) partition: Vec<u32>,
     /// Extra i.i.d. loss applied on top of the base loss model while a
     /// link-degradation burst is active (0.0 = off). Drawn from the link
-    /// stream *after* the base loss draw, in canonical merge order.
+    /// stream *after* the base loss draw, in event order.
     pub(crate) degraded_extra_loss: f64,
     /// Extra per-hop latency (ms) while a degradation burst is active.
     pub(crate) degraded_extra_latency_ms: u64,
     /// The link stream: latency and loss draws. Consumed only while
-    /// merging step outputs (canonical order), never by node callbacks.
+    /// applying step outputs (event order), never by node callbacks.
     pub(crate) link_rng: StdRng,
     pub(crate) seed: u64,
     pub(crate) now: u64,
     pub(crate) seq: u64,
     pub(crate) started: bool,
     pub(crate) metrics: Metrics,
-    pub(crate) threads: usize,
     pub(crate) dispatched: u64,
-    pub(crate) parallel_rounds: u64,
 }
 
 impl<N: Node + Clone> Clone for Network<N> {
@@ -379,9 +372,7 @@ impl<N: Node + Clone> Clone for Network<N> {
             seq: self.seq,
             started: self.started,
             metrics: self.metrics.clone(),
-            threads: self.threads,
             dispatched: self.dispatched,
-            parallel_rounds: self.parallel_rounds,
         }
     }
 }
@@ -403,9 +394,7 @@ impl<N: Node> Network<N> {
             seq: 0,
             started: false,
             metrics: Metrics::new(),
-            threads: 1,
             dispatched: 0,
-            parallel_rounds: 0,
         }
     }
 
@@ -451,25 +440,6 @@ impl<N: Node> Network<N> {
     pub fn clear_degradation(&mut self) {
         self.degraded_extra_loss = 0.0;
         self.degraded_extra_latency_ms = 0;
-    }
-
-    /// Sets the worker-thread count for batch execution. `0` means
-    /// auto-detect (available parallelism). The simulation outcome is
-    /// byte-identical for every thread count — see the determinism
-    /// contract in `docs/ARCHITECTURE.md`.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        };
-    }
-
-    /// The configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Upper bound on link delay, exposed for protocol parameterization
@@ -608,14 +578,6 @@ impl<N: Node> Network<N> {
         self.queue.len() as u64
     }
 
-    /// Rounds that actually fanned out to worker threads (0 with
-    /// `threads = 1`, or when every round stayed under the inline
-    /// threshold). Diagnostic: lets benches and tests assert the
-    /// parallel path really executed rather than passing vacuously.
-    pub fn parallel_rounds(&self) -> u64 {
-        self.parallel_rounds
-    }
-
     /// Runs an external action against one node *now*, with a full effect
     /// context (e.g. "publish a message at t=5000").
     pub fn invoke<R>(
@@ -687,9 +649,9 @@ impl<N: Node> Network<N> {
     /// Applies one step's collected effects (draining `effects`, whose
     /// capacity the caller may reuse): sends sample the link stream
     /// (loss, latency) and enqueue deliveries; timers re-enqueue on the
-    /// origin. Always called in canonical event order, which is what
-    /// keeps the link stream — and therefore the whole simulation —
-    /// independent of the worker-thread count.
+    /// origin. Always called in event order, right after the step that
+    /// emitted them, which is what keeps the link stream — and therefore
+    /// the whole simulation — a function of the seed alone.
     pub(crate) fn apply_effects(&mut self, origin: NodeId, effects: &mut Vec<Effect<N::Message>>) {
         for effect in effects.drain(..) {
             match effect {

@@ -26,8 +26,7 @@
 //! # Determinism contract
 //!
 //! The wheel preserves the exact `(at, seq)` pop order of the heap it
-//! replaces (the PR 4 contract the batch → shard → merge scheduler
-//! depends on). The argument:
+//! replaces (the contract the in-order round scheduler depends on). The argument:
 //!
 //! 1. Sequence numbers are globally monotonic and events are pushed in
 //!    sequence order, so every slot `Vec` is seq-ordered as pushed.

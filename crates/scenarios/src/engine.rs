@@ -68,9 +68,9 @@ enum EventKind {
 /// individual peers under the heartbeat's target degree for up to a
 /// minute even in steady state, and the metric measures reconnection,
 /// not full degree repair.) Sampling reads per-node state at lock-step
-/// slice boundaries only, so it never influences the simulation and
-/// stays thread-count independent. Re-arming resets the measurement; the
-/// report carries the last completed one.
+/// slice boundaries only, so it never influences the simulation.
+/// Re-arming resets the measurement; the report carries the last
+/// completed one.
 struct RemeshProbe {
     since: Option<u64>,
     recorded: Option<u64>,
@@ -166,7 +166,6 @@ fn run_scenario_impl(
         seed: spec.seed,
         latency_ms: (latency_min, latency_max),
         pipeline: spec.pipeline,
-        threads: spec.threads,
         ..TestbedConfig::default()
     };
     // the source-anonymity countermeasure: publishers hold first-hop
@@ -530,7 +529,7 @@ fn run_scenario_impl(
     // the adversary's post-run analysis: pool every observer tape by
     // message id and run the attribution estimators over each honest
     // publish. Pure post-processing over per-node state in fixed order —
-    // thread-count independent like everything else in the report.
+    // a function of the seed like everything else in the report.
     let mut anonymity_observers = None;
     let mut anonymity_observations = None;
     let mut anonymity_messages_observed = None;
@@ -898,16 +897,6 @@ mod tests {
         assert!(report.resilience_resync_retries.unwrap() > 0);
         let post = report.resilience_delivery_post_heal.unwrap();
         assert!(post >= 0.99, "post-recovery delivery {post}");
-    }
-
-    #[test]
-    fn fault_reports_are_thread_count_invariant() {
-        let mut spec = crate::library::fault_storm(16, 11);
-        spec.threads = 1;
-        let t1 = run_scenario(&spec).to_json();
-        spec.threads = 4;
-        let t4 = run_scenario(&spec).to_json();
-        assert_eq!(t1, t4, "fault injection must not break the merge order");
     }
 
     #[test]

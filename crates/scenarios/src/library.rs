@@ -218,9 +218,7 @@ pub fn high_throughput(nodes: usize, seed: u64) -> ScenarioSpec {
 /// guarantees as asymptotics in network size, so empirical
 /// delivery/containment numbers only start meaning something here.
 /// Traffic is sized per capita (publisher pool grows with the
-/// population, per-node load stays flat) and the scheduler runs with
-/// auto-detected worker threads — reports stay byte-identical for any
-/// thread count, so scale costs cores, not reproducibility.
+/// population, per-node load stays flat).
 pub fn massive_population(nodes: usize, seed: u64) -> ScenarioSpec {
     let mut spec = ScenarioSpec::baseline(nodes, seed);
     spec.name = "massive_population".to_string();
@@ -230,7 +228,6 @@ pub fn massive_population(nodes: usize, seed: u64) -> ScenarioSpec {
         start_ms: 10_000,
         interval_ms: 12_000,
     };
-    spec.threads = 0; // auto-detect: the 10k runs want every core
     spec.drain_ms = 30_000;
     spec
 }
@@ -255,7 +252,6 @@ pub fn metropolis(nodes: usize, seed: u64) -> ScenarioSpec {
         start_ms: 10_000,
         interval_ms: 12_000,
     };
-    spec.threads = 1; // single-core by design: the target the docs quote
     spec.drain_ms = 8_000;
     spec
 }
@@ -332,8 +328,8 @@ pub fn partition_heal(nodes: usize, seed: u64) -> ScenarioSpec {
 /// the Merkle resync path has to retry until the contract returns. The
 /// claim under test: every recovery path (re-subscribe/re-graft, warm
 /// delta replay, cold genesis rebuild, bounded resync retry) composes
-/// under overlapping faults, and the run stays byte-identical at any
-/// thread count.
+/// under overlapping faults, and the run replays byte-identically from
+/// its seed.
 pub fn fault_storm(nodes: usize, seed: u64) -> ScenarioSpec {
     let mut spec = ScenarioSpec::baseline(nodes, seed);
     spec.name = "fault_storm".to_string();
@@ -391,13 +387,11 @@ mod tests {
     fn massive_population_scales_publishers_per_capita() {
         assert_eq!(massive_population(10_000, 1).traffic.publishers, 50);
         assert_eq!(massive_population(100, 1).traffic.publishers, 2);
-        assert_eq!(massive_population(10_000, 1).threads, 0);
     }
 
     #[test]
     fn metropolis_is_single_core_with_a_bounded_publisher_pool() {
         let spec = metropolis(100_000, 1);
-        assert_eq!(spec.threads, 1, "metropolis quotes a single-core target");
         assert_eq!(spec.traffic.publishers, 10);
         // publisher pool is absolute, not per capita: load per node must
         // not grow with the census

@@ -28,7 +28,7 @@
 //!
 //! The `simctl soak` subcommand drives this from the command line
 //! (`--sim-hours`, `--checkpoint-every`); the module tests, the
-//! hard-stop replay test in `tests/scheduler_determinism.rs` and the CI
+//! hard-stop replay test in `tests/scenario_determinism.rs` and the CI
 //! soak smoke pin the invariants.
 
 use rand::rngs::StdRng;
@@ -45,9 +45,6 @@ pub struct SoakConfig {
     pub nodes: usize,
     /// Determinism seed (topology, identities, traffic draws).
     pub seed: u64,
-    /// Scheduler worker threads (`0` = auto; any value is
-    /// byte-identical).
-    pub threads: usize,
     /// Total simulated time, milliseconds.
     pub total_ms: u64,
     /// Streaming-report segment length, milliseconds. Deltas, bounds
@@ -67,7 +64,6 @@ impl Default for SoakConfig {
         SoakConfig {
             nodes: 8,
             seed: 2022,
-            threads: 1,
             total_ms: 24 * 3_600_000,
             segment_ms: 3_600_000,
             checkpoint_every: 4,
@@ -288,7 +284,6 @@ impl SoakWorld {
         let tb_config = TestbedConfig {
             n_peers: config.nodes,
             seed: config.seed,
-            threads: config.threads,
             pipeline: Some(PipelineConfig::default()),
             degree: defaults.degree.min(config.nodes - 1),
             ..defaults

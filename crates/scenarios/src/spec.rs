@@ -383,10 +383,9 @@ pub struct ScenarioSpec {
     /// per-message validator — the pre-pipeline behaviour, byte-identical
     /// reports included.
     pub pipeline: Option<PipelineConfig>,
-    /// Worker threads for the sharded event scheduler (`0` = auto-detect
-    /// from available parallelism). **Not part of the simulated world**:
-    /// the scheduler guarantees byte-identical reports for every thread
-    /// count, so this only trades wall-clock time for cores.
+    /// Unused: the scheduler runs every event on the calling thread.
+    /// Kept only because the out-of-workspace `benchmark/` package still
+    /// sets and asserts it; goes once that package stops doing so.
     pub threads: usize,
     /// Cool-down after the last scheduled event, milliseconds — time for
     /// gossip recovery, detection, slashing and sync to play out.

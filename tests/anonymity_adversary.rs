@@ -6,14 +6,16 @@
 //! recording `(message_id, arrival_ms, previous_hop)` and running
 //! first-spy / centrality source attribution after the run, per the
 //! adversary models of "Who started this rumor?" (Bellet et al.) and
-//! "On the Inherent Anonymity of Gossiping" (Guerraoui et al.). Three
+//! "On the Inherent Anonymity of Gossiping" (Guerraoui et al.). Two
 //! contracts:
 //!
-//! 1. the `anonymity_*` report section obeys the PR-4 determinism
-//!    contract (byte-identical across scheduler thread counts),
-//! 2. the first-hop forward-delay countermeasure degrades attribution
+//! 1. the first-hop forward-delay countermeasure degrades attribution
 //!    precision without costing delivery,
-//! 3. a larger colluding fraction buys the adversary more precision.
+//! 2. a larger colluding fraction buys the adversary more precision.
+//!
+//! The section's byte-identity on re-run (jitter on, so the
+//! `send_delayed` hold path included) is pinned with every other
+//! report in `tests/scenario_determinism.rs`.
 
 use waku_rln::scenarios::{builtin, run_scenario, ScenarioSpec};
 
@@ -21,31 +23,6 @@ fn sweep_spec(nodes: usize, seed: u64, jitter_ms: u64) -> ScenarioSpec {
     let mut spec = builtin("deanonymization_sweep", nodes, seed).expect("builtin");
     spec.publish_jitter_ms = jitter_ms;
     spec
-}
-
-#[test]
-fn anonymity_section_is_byte_identical_across_thread_counts() {
-    let run = |threads: usize| {
-        let mut spec = sweep_spec(40, 11, 150);
-        spec.threads = threads;
-        run_scenario(&spec)
-    };
-    let serial = run(1);
-    let parallel = run(8);
-    assert_eq!(
-        serial.to_json(),
-        parallel.to_json(),
-        "anonymity report diverged across thread counts"
-    );
-    // and the section is actually populated, not vacuously null
-    assert!(serial.anonymity_observers.unwrap() >= 1);
-    assert!(serial.anonymity_observations.unwrap() > 0);
-    let observed = serial.anonymity_messages_observed.unwrap();
-    assert!(observed > 0, "adversary saw no honest message");
-    let precision = serial.anonymity_first_spy_precision_at1.unwrap();
-    assert!((0.0..=1.0).contains(&precision));
-    assert!(serial.anonymity_set_mean_size.unwrap() >= 1.0);
-    assert!(serial.anonymity_arrival_entropy_bits.unwrap() >= 0.0);
 }
 
 #[test]
