@@ -25,9 +25,10 @@
 //! Deletion (slashing) broadcasts an [`UpdateDelta`] — the rewritten
 //! root-ward branch of one index — applied the same way.
 //!
-//! The equivalence suite in `tests/` holds a delta-fed [`MemberView`]
-//! bit-identical to the eagerly-hashing [`SyncedPathTree`] across
-//! random register/slash interleavings.
+//! This module's equivalence property holds every delta-fed
+//! [`MemberView`] (root, own proof, slashing revocation) bit-identical
+//! to the canonical [`FullMerkleTree`] across random register/slash
+//! interleavings with late joins.
 
 use super::{validate_depth, zero_hashes, FullMerkleTree, MerkleError, MerkleProof};
 use crate::field::Fr;
@@ -173,10 +174,10 @@ struct OwnPath {
 /// its own authentication path — `O(depth)` storage, `O(depth)` lookup
 /// work per delta, **zero** local hashing.
 ///
-/// Contrast with [`SyncedPathTree`](super::SyncedPathTree), which
-/// re-hashes every other member's registration locally; the equivalence
-/// property suite holds the two bit-identical under the same event
-/// stream.
+/// Each own-path sibling a delta changes is read straight out of the
+/// delta instead of being re-hashed from the other members' leaves; the
+/// equivalence property holds the path equal to
+/// [`FullMerkleTree::proof`] under the same event stream.
 ///
 /// # Examples
 ///
@@ -491,79 +492,49 @@ mod tests {
         );
     }
 
-    // ── equivalence: delta-fed MemberView ≡ eagerly-hashing SyncedPathTree ──
+    // ── equivalence: delta-fed MemberView ≡ the canonical FullMerkleTree ──
 
-    use super::super::SyncedPathTree;
     use proptest::prelude::*;
 
     const DEPTH: usize = 8;
 
     /// One group event in broadcast form: what a late joiner replays.
     enum Hist {
-        Burst {
-            leaves: Vec<Fr>,
-            delta: AppendDelta,
-        },
-        Slash {
-            index: u64,
-            old: Fr,
-            witness: MerkleProof,
-            delta: UpdateDelta,
-        },
+        Burst(AppendDelta),
+        Slash(UpdateDelta),
     }
 
-    /// Builds both light representations for a member registering at
-    /// `own_offset` of the final (burst) event, replaying prior history.
-    fn spawn_member(history: &[Hist], own_offset: u64) -> (MemberView, SyncedPathTree) {
+    /// Builds the view of a member registering at `own_offset` of the
+    /// final (burst) event, replaying prior history.
+    fn spawn_member(history: &[Hist], own_offset: u64) -> MemberView {
         let mut view = MemberView::new(DEPTH).unwrap();
-        let mut synced = SyncedPathTree::new(DEPTH).unwrap();
         let last = history.len() - 1;
         for (i, ev) in history.iter().enumerate() {
             match ev {
-                Hist::Burst { leaves, delta } => {
-                    if i == last {
-                        view.apply_append(delta, Some(own_offset)).unwrap();
-                        let o = own_offset as usize;
-                        synced.apply_append_batch(&leaves[..o]).unwrap();
-                        synced.register_own(leaves[o]).unwrap();
-                        synced.apply_append_batch(&leaves[o + 1..]).unwrap();
-                    } else {
-                        view.apply_append(delta, None).unwrap();
-                        synced.apply_append_batch(leaves).unwrap();
-                    }
-                }
-                Hist::Slash {
-                    index,
-                    old,
-                    witness,
-                    delta,
-                } => {
-                    view.apply_update(delta).unwrap();
-                    synced
-                        .apply_update_with_witness(*index, *old, EMPTY_LEAF, witness)
-                        .unwrap();
-                }
+                Hist::Burst(delta) => view
+                    .apply_append(delta, (i == last).then_some(own_offset))
+                    .unwrap(),
+                Hist::Slash(delta) => view.apply_update(delta).unwrap(),
             }
         }
-        (view, synced)
+        view
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// Every member's delta-fed [`MemberView`] stays bit-identical
-        /// (root, own proof, slashing revocation) to the eagerly-hashing
-        /// [`SyncedPathTree`] — and to the canonical tree — across random
-        /// register/slash interleavings with late joins.
+        /// (root, own proof, slashing revocation) to the canonical tree
+        /// across random register/slash interleavings with late joins.
         #[test]
-        fn prop_member_view_matches_synced_path_tree(
+        fn prop_member_view_matches_full_tree(
             ops in proptest::collection::vec(
                 (any::<bool>(), any::<u64>(), 1u64..5), 1..16),
         ) {
             let mut canonical = FullMerkleTree::new(DEPTH).unwrap();
             let mut history: Vec<Hist> = Vec::new();
-            // (view, synced, index): every registered member, incl. slashed
-            let mut members: Vec<(MemberView, SyncedPathTree, u64)> = Vec::new();
+            // (view, index): every registered member, incl. slashed
+            let mut members: Vec<(MemberView, u64)> = Vec::new();
             let mut leaves_by_index: Vec<Fr> = Vec::new();
             let mut next_val = 1u64;
             for (slash, pick, burst_len) in ops {
@@ -572,17 +543,12 @@ mod tests {
                     .collect();
                 if slash && !live.is_empty() {
                     let index = live[(pick % live.len() as u64) as usize];
-                    let old = leaves_by_index[index as usize];
-                    let witness = canonical.proof(index).unwrap();
                     let delta = canonical.set_with_delta(index, EMPTY_LEAF).unwrap();
                     leaves_by_index[index as usize] = EMPTY_LEAF;
-                    for (view, synced, _) in members.iter_mut() {
+                    for (view, _) in members.iter_mut() {
                         view.apply_update(&delta).unwrap();
-                        synced
-                            .apply_update_with_witness(index, old, EMPTY_LEAF, &witness)
-                            .unwrap();
                     }
-                    history.push(Hist::Slash { index, old, witness, delta });
+                    history.push(Hist::Slash(delta));
                 } else {
                     let burst_len = burst_len.min(canonical.capacity() - canonical.next_index());
                     if burst_len == 0 {
@@ -597,23 +563,19 @@ mod tests {
                         })
                         .collect();
                     let delta = canonical.append_batch_with_delta(&burst).unwrap();
-                    for (view, synced, _) in members.iter_mut() {
+                    for (view, _) in members.iter_mut() {
                         view.apply_append(&delta, None).unwrap();
-                        synced.apply_append_batch(&burst).unwrap();
                     }
                     leaves_by_index.extend_from_slice(&burst);
-                    history.push(Hist::Burst { leaves: burst.clone(), delta });
-                    for o in 0..burst.len() {
-                        let (view, synced) = spawn_member(&history, o as u64);
-                        members.push((view, synced, start + o as u64));
+                    history.push(Hist::Burst(delta));
+                    for o in 0..burst.len() as u64 {
+                        members.push((spawn_member(&history, o), start + o));
                     }
                 }
-                for (view, synced, index) in &members {
+                for (view, index) in &members {
                     prop_assert_eq!(view.root(), canonical.root());
-                    prop_assert_eq!(synced.root(), canonical.root());
                     let slashed = leaves_by_index[*index as usize] == EMPTY_LEAF;
                     prop_assert_eq!(view.own_proof().is_none(), slashed);
-                    prop_assert_eq!(view.own_proof(), synced.own_proof());
                     if let Some(p) = view.own_proof() {
                         prop_assert_eq!(p, canonical.proof(*index).unwrap());
                     }

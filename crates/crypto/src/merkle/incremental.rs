@@ -107,30 +107,6 @@ impl IncrementalMerkleTree {
         Ok(index)
     }
 
-    /// Appends a batch of leaves, recomputing each level **once per
-    /// batch**: the batch's nodes are rolled up level by level (`O(n)`
-    /// interior hashes) and only the boundary touches the frontier —
-    /// `O(n + depth)` hashes versus `O(n · depth)` for repeated
-    /// [`IncrementalMerkleTree::append`]. Returns the first appended
-    /// index.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MerkleError::TreeFull`] (without modifying the tree) when
-    /// the batch does not fit.
-    pub fn append_batch(&mut self, leaves: &[Fr]) -> Result<u64, MerkleError> {
-        let start = self.next_index;
-        if leaves.is_empty() {
-            return Ok(start);
-        }
-        if leaves.len() as u64 > self.capacity() - start {
-            return Err(MerkleError::TreeFull);
-        }
-        self.root = super::roll_up_batch(self.depth, start, leaves, &mut self.frontier, |_| {});
-        self.next_index = start + leaves.len() as u64;
-        Ok(start)
-    }
-
     /// Number of persistent hashes (frontier + root), for the E3/E4
     /// storage and gas experiments.
     pub fn stored_nodes(&self) -> usize {

@@ -7,32 +7,31 @@
 //! storage optimization that shrinks a depth-20 tree from ~67 MB to a few
 //! hundred bytes for peers that only need *their own* membership proof.
 //!
-//! Three implementations, one semantics:
+//! Two trees and one light view, one semantics:
 //!
 //! * [`FullMerkleTree`] — every node materialized; O(2^depth) memory,
 //!   supports arbitrary updates and proofs for any leaf. This is what a
-//!   full relay node or a slasher runs.
+//!   full relay node or a slasher runs, and the canonical tree whose
+//!   changes are broadcast as deltas.
 //! * [`IncrementalMerkleTree`] — append-only frontier; O(depth) memory,
 //!   computes the running root only. This is what the *contract-side* root
 //!   tracking of the original RLN design would cost.
-//! * [`SyncedPathTree`] — the reference \[9\] optimization: a light member
-//!   stores only its own authentication path plus the append frontier
-//!   (O(depth) memory) and keeps the path current while *other* members
-//!   join (O(depth) work per event) or are slashed (given the event's
-//!   witness path).
+//! * [`MemberView`] — the reference \[9\] optimization: a light member
+//!   stores only the root and its own authentication path (O(depth)
+//!   memory) and keeps the path current by applying the canonical tree's
+//!   [`AppendDelta`] / [`UpdateDelta`] broadcasts, without hashing.
 //!
-//! Property tests assert all three agree on the root under arbitrary event
+//! Property tests hold the incremental root, and every view's root, own
+//! proof and revocation, equal to the full tree's under arbitrary event
 //! streams.
 
 mod delta;
 mod full;
 mod incremental;
-mod synced;
 
 pub use delta::{AppendDelta, MemberView, UpdateDelta};
 pub use full::FullMerkleTree;
 pub use incremental::IncrementalMerkleTree;
-pub use synced::SyncedPathTree;
 
 use crate::field::Fr;
 use crate::poseidon;
@@ -161,95 +160,6 @@ pub(crate) fn validate_depth(depth: usize) -> Result<u64, MerkleError> {
     Ok(1u64 << depth)
 }
 
-/// One level of a batched roll-up, handed to the observer **after** the
-/// frontier maintenance for that level.
-pub(crate) struct BatchLevel<'a> {
-    /// Tree level (0 = leaves).
-    pub level: usize,
-    /// Level-local index of `nodes[0]`.
-    pub start: u64,
-    /// The batch's node values at this level.
-    pub nodes: &'a [Fr],
-    /// Level-local index whose value was just written into the frontier
-    /// at this level, if any.
-    pub frontier_set: Option<u64>,
-}
-
-/// Rolls a contiguous batch of appended leaves up to the root in one pass
-/// per level (`O(n + depth)` hashes), maintaining the append **frontier**
-/// invariant: after the batch, `frontier[l]` holds the pending left node
-/// at level `l` whenever bit `l` of the new leaf count is set.
-///
-/// `start` is the leaf index of `leaves[0]`; the frontier must be valid
-/// for a tree currently holding exactly `start` leaves, and the batch
-/// must fit (`start + leaves.len() <= 2^depth` — callers check).
-/// `observe` sees every level's computed span (the hook the light tree
-/// uses to refresh its own authentication path and frontier bookkeeping).
-/// Returns the new root. Shared by [`IncrementalMerkleTree::append_batch`]
-/// and [`SyncedPathTree::apply_append_batch`].
-pub(crate) fn roll_up_batch(
-    depth: usize,
-    start: u64,
-    leaves: &[Fr],
-    frontier: &mut [Fr],
-    mut observe: impl FnMut(&BatchLevel<'_>),
-) -> Fr {
-    debug_assert!(!leaves.is_empty());
-    debug_assert!(leaves.len() as u64 <= (1u64 << depth) - start);
-    let zeros = zero_hashes();
-    let end = start + leaves.len() as u64;
-    // `nodes` holds the batch's values at the current level; `a` is the
-    // level-local index of `nodes[0]`.
-    let mut nodes = leaves.to_vec();
-    let mut a = start;
-    for l in 0..depth {
-        let old_frontier = frontier[l];
-        // when bit `l` of the new leaf count is set, frontier[l] must
-        // hold the pending left node at this level
-        let mut frontier_set = None;
-        let nl = end >> l;
-        if nl & 1 == 1 {
-            let pending = nl - 1;
-            if pending >= a {
-                frontier[l] = nodes[(pending - a) as usize];
-                frontier_set = Some(pending);
-            }
-        }
-        observe(&BatchLevel {
-            level: l,
-            start: a,
-            nodes: &nodes,
-            frontier_set,
-        });
-        // roll the batch up one level: the left boundary pairs with the
-        // pre-batch frontier, the right boundary with the empty subtree
-        let b = a + nodes.len() as u64;
-        let first_parent = a >> 1;
-        let last_parent = (b - 1) >> 1;
-        let mut parents = Vec::with_capacity((last_parent - first_parent + 1) as usize);
-        for p in first_parent..=last_parent {
-            let li = p << 1;
-            let ri = li | 1;
-            let left = if li < a {
-                old_frontier
-            } else {
-                nodes[(li - a) as usize]
-            };
-            let right = if ri < b {
-                nodes[(ri - a) as usize]
-            } else {
-                zeros[l]
-            };
-            parents.push(node_hash(left, right));
-        }
-        nodes = parents;
-        a = first_parent;
-    }
-    debug_assert_eq!((a, nodes.len()), (0, 1));
-    // lint:allow(panic-path, reason = "loop invariant: halving terminates with exactly one node, checked by the debug_assert above")
-    nodes[0]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,14 +240,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// The tentpole equivalence property: one `append_batch` produces
-        /// the same root, next index and proofs as leaf-at-a-time appends,
-        /// across all three tree implementations, from any prefix state.
+        /// The batch equivalence property: one
+        /// [`FullMerkleTree::append_batch`] produces the same root, next
+        /// index and proofs as leaf-at-a-time appends to the full and the
+        /// incremental tree, from any prefix state.
         #[test]
         fn prop_append_batch_equals_sequential_appends(
             prefix in proptest::collection::vec(any::<u64>(), 0..12),
-            batch in proptest::collection::vec(any::<u64>(), 0..48),
-            own_at in proptest::option::of(0u64..12)
+            batch in proptest::collection::vec(any::<u64>(), 0..48)
         ) {
             let depth = 6;
             let prefix: Vec<Fr> = prefix.into_iter().map(Fr::from_u64).collect();
@@ -345,42 +255,24 @@ mod tests {
 
             let mut seq_full = FullMerkleTree::new(depth).unwrap();
             let mut seq_inc = IncrementalMerkleTree::new(depth).unwrap();
-            let mut seq_light = SyncedPathTree::new(depth).unwrap();
             let mut bat_full = FullMerkleTree::new(depth).unwrap();
-            let mut bat_inc = IncrementalMerkleTree::new(depth).unwrap();
-            let mut bat_light = SyncedPathTree::new(depth).unwrap();
-
-            let own_at = own_at.map(|i| i % (prefix.len().max(1) as u64));
-            for (i, leaf) in prefix.iter().enumerate() {
+            for leaf in &prefix {
                 seq_full.append(*leaf).unwrap();
-                bat_full.append(*leaf).unwrap();
                 seq_inc.append(*leaf).unwrap();
-                bat_inc.append(*leaf).unwrap();
-                if own_at == Some(i as u64) {
-                    seq_light.register_own(*leaf).unwrap();
-                    bat_light.register_own(*leaf).unwrap();
-                } else {
-                    seq_light.apply_append(*leaf).unwrap();
-                    bat_light.apply_append(*leaf).unwrap();
-                }
+                bat_full.append(*leaf).unwrap();
             }
 
             for leaf in &batch {
                 seq_full.append(*leaf).unwrap();
                 seq_inc.append(*leaf).unwrap();
-                seq_light.apply_append(*leaf).unwrap();
             }
             let start = bat_full.append_batch(&batch).unwrap();
             prop_assert_eq!(start, prefix.len() as u64);
-            prop_assert_eq!(bat_inc.append_batch(&batch).unwrap(), start);
-            prop_assert_eq!(bat_light.apply_append_batch(&batch).unwrap(), start);
 
             prop_assert_eq!(bat_full.root(), seq_full.root());
-            prop_assert_eq!(bat_inc.root(), seq_inc.root());
-            prop_assert_eq!(bat_light.root(), seq_light.root());
+            prop_assert_eq!(bat_full.root(), seq_inc.root());
             prop_assert_eq!(bat_full.next_index(), seq_full.next_index());
-            prop_assert_eq!(bat_inc.len(), seq_inc.len());
-            prop_assert_eq!(bat_light.len(), seq_light.len());
+            prop_assert_eq!(bat_full.next_index(), seq_inc.len());
 
             // proofs agree for every populated leaf
             for index in 0..seq_full.next_index() {
@@ -389,18 +281,10 @@ mod tests {
                     seq_full.proof(index).unwrap()
                 );
             }
-            // the light member's own path stays correct through the batch
-            prop_assert_eq!(bat_light.own_index(), seq_light.own_index());
-            if let Some(own_index) = bat_light.own_index() {
-                let proof = bat_light.own_proof().unwrap();
-                prop_assert_eq!(&proof, &seq_full.proof(own_index).unwrap());
-                prop_assert!(proof.verify(seq_full.root(), seq_full.leaf(own_index).unwrap()));
-            }
         }
 
         /// Batches that straddle frontier boundaries keep future appends
-        /// and deletions correct (the frontier-invariant regression
-        /// shape).
+        /// correct (the frontier-invariant regression shape).
         #[test]
         fn prop_appends_after_batch_stay_consistent(
             batch_len in 1usize..20,
@@ -411,7 +295,10 @@ mod tests {
             let mut full = FullMerkleTree::new(depth).unwrap();
             let mut inc = IncrementalMerkleTree::new(depth).unwrap();
             full.append_batch(&batch).unwrap();
-            inc.append_batch(&batch).unwrap();
+            for leaf in &batch {
+                inc.append(*leaf).unwrap();
+            }
+            prop_assert_eq!(full.root(), inc.root());
             for v in tail {
                 if full.next_index() == full.capacity() { break; }
                 full.append(Fr::from_u64(v)).unwrap();

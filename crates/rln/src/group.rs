@@ -1,7 +1,6 @@
 //! Local (off-chain) view of the RLN membership group.
 
 use crate::identity::Identity;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use wakurln_crypto::field::Fr;
 use wakurln_crypto::merkle::{
@@ -49,8 +48,9 @@ impl From<MerkleError> for GroupError {
 ///
 /// Per §III the on-chain contract stores only the *ordered list* of
 /// commitments; each peer replays registration/deletion events into a
-/// structure like this one. (Light peers use
-/// [`wakurln_crypto::merkle::SyncedPathTree`] instead.)
+/// structure like this one. (Light peers keep a
+/// [`wakurln_crypto::merkle::MemberView`] instead, fed by this group's
+/// deltas.)
 ///
 /// # Examples
 ///
@@ -276,57 +276,6 @@ impl RlnGroup {
     }
 }
 
-/// A membership event as emitted by the registry contract and consumed by
-/// synchronizing peers (§III "Group Synchronization").
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub enum MembershipEvent {
-    /// A new member registered with this commitment (appended at `index`).
-    Registered {
-        /// Assigned leaf index.
-        index: u64,
-        /// The registered commitment.
-        commitment: Fr,
-    },
-    /// The member at `index` was slashed and removed. Carries the witness
-    /// path so light peers can apply the deletion (see
-    /// [`wakurln_crypto::merkle::SyncedPathTree`]).
-    Slashed {
-        /// Leaf index of the removed member.
-        index: u64,
-        /// The removed commitment.
-        commitment: Fr,
-        /// Authentication path of the removed leaf at removal time.
-        witness: MerkleProof,
-    },
-}
-
-impl RlnGroup {
-    /// Applies a contract event to this local view.
-    ///
-    /// # Errors
-    ///
-    /// Propagates registration/removal errors; also fails if a
-    /// `Registered` event's index disagrees with the local append order
-    /// (events must be applied in order).
-    pub fn apply_event(&mut self, event: &MembershipEvent) -> Result<(), GroupError> {
-        match event {
-            MembershipEvent::Registered { index, commitment } => {
-                let assigned = self.register(*commitment)?;
-                if assigned != *index {
-                    // roll back to keep the view consistent
-                    self.remove(assigned)?;
-                    return Err(GroupError::Merkle(MerkleError::StaleWitness));
-                }
-                Ok(())
-            }
-            MembershipEvent::Slashed { index, .. } => {
-                self.remove(*index)?;
-                Ok(())
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,50 +375,5 @@ mod tests {
         let idx = g.register(id.commitment()).unwrap();
         g.remove(idx).unwrap();
         assert_eq!(g.remove(idx), Err(GroupError::NoSuchMember(idx)));
-    }
-
-    #[test]
-    fn event_replay_matches_direct_mutation() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let ids: Vec<Identity> = (0..4).map(|_| Identity::random(&mut rng)).collect();
-
-        let mut source = RlnGroup::new(8).unwrap();
-        let mut replica = RlnGroup::new(8).unwrap();
-        let mut events = Vec::new();
-        for id in &ids {
-            let index = source.register(id.commitment()).unwrap();
-            events.push(MembershipEvent::Registered {
-                index,
-                commitment: id.commitment(),
-            });
-        }
-        let witness = source.membership_proof(1).unwrap();
-        source.remove(1).unwrap();
-        events.push(MembershipEvent::Slashed {
-            index: 1,
-            commitment: ids[1].commitment(),
-            witness,
-        });
-
-        for e in &events {
-            replica.apply_event(e).unwrap();
-        }
-        assert_eq!(replica.root(), source.root());
-        assert_eq!(replica.member_count(), source.member_count());
-    }
-
-    #[test]
-    fn out_of_order_event_rejected() {
-        let mut g = RlnGroup::new(8).unwrap();
-        let id = Identity::from_secret(Fr::from_u64(1));
-        let err = g
-            .apply_event(&MembershipEvent::Registered {
-                index: 5,
-                commitment: id.commitment(),
-            })
-            .unwrap_err();
-        assert!(matches!(err, GroupError::Merkle(MerkleError::StaleWitness)));
-        // and the failed apply did not leak state
-        assert_eq!(g.member_count(), 0);
     }
 }

@@ -4,7 +4,8 @@
 //! assembled from the crypto and zkSNARK substrates:
 //!
 //! * [`identity`] — member secrets and identity commitments,
-//! * [`group`] — the off-chain membership view and contract events,
+//! * [`group`] — the off-chain membership view and the deltas it
+//!   broadcasts to light members,
 //! * [`signal`] — signal creation (`(m, ∅, φ, [sk], π)`) and verification,
 //! * [`slashing`] — double-signal analysis and secret reconstruction.
 //!
@@ -50,7 +51,7 @@ pub mod shared;
 pub mod signal;
 pub mod slashing;
 
-pub use group::{GroupError, MembershipEvent, RlnGroup};
+pub use group::{GroupError, RlnGroup};
 pub use identity::Identity;
 pub use shared::SharedGroup;
 pub use signal::{create_signal, verify_signal, Signal, SignalValidity};

@@ -8,6 +8,8 @@
 //!
 //! [`ScenarioSpec`]: crate::spec::ScenarioSpec
 
+use std::fmt::Write as _;
+
 /// Aggregated measurements of one scenario run. See `docs/SCENARIOS.md`
 /// for the field-by-field description of the emitted JSON.
 #[derive(Clone, Debug, PartialEq)]
@@ -106,7 +108,8 @@ pub struct ScenarioReport {
     pub nullifier_map_max_bytes: u64,
     /// Mean nullifier map across live peers at the end, bytes.
     pub nullifier_map_mean_bytes: f64,
-    /// Largest light membership tree across live peers, bytes (E3).
+    /// Largest light membership view (root + own path) across live
+    /// peers, bytes (E3).
     pub membership_tree_max_bytes: u64,
 
     /// Whether the event queue actually drained by the end of the run
@@ -292,332 +295,183 @@ fn parse_flat_object(json: &str) -> Result<Vec<(String, JsonValue)>, String> {
     Ok(fields)
 }
 
-/// Escapes a string for embedding in a JSON string literal (scenario
-/// names are caller-chosen, so quotes/backslashes/control characters
-/// must not corrupt the output).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// One value kind of the flat report schema: how a field of that Rust
+/// type is written to the wire and read back from it.
+trait WireValue: Sized {
+    /// Appends the JSON encoding of `self` to `out`.
+    fn write(&self, out: &mut String);
+    /// Decodes one parsed value, describing a kind mismatch on failure.
+    fn read(value: &JsonValue) -> Result<Self, String>;
+}
+
+impl WireValue for u64 {
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+
+    fn read(value: &JsonValue) -> Result<u64, String> {
+        match value {
+            JsonValue::Number(raw) => raw.parse().map_err(|_| format!("expected u64, got {raw}")),
+            other => Err(format!("expected u64, got {other:?}")),
         }
     }
-    out.push('"');
-    out
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
+/// Fixed-point with six decimals; a non-finite value is written as `null`.
+impl WireValue for f64 {
+    fn write(&self, out: &mut String) {
+        if self.is_finite() {
+            let _ = write!(out, "{self:.6}");
+        } else {
+            out.push_str("null");
+        }
+    }
+
+    fn read(value: &JsonValue) -> Result<f64, String> {
+        match value {
+            JsonValue::Number(raw) => raw.parse().map_err(|_| format!("expected f64, got {raw}")),
+            other => Err(format!("expected f64, got {other:?}")),
+        }
     }
 }
 
-fn json_opt(v: Option<f64>) -> String {
-    v.map(json_f64).unwrap_or_else(|| "null".to_string())
+impl WireValue for bool {
+    fn write(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+
+    fn read(value: &JsonValue) -> Result<bool, String> {
+        match value {
+            JsonValue::Bool(b) => Ok(*b),
+            other => Err(format!("expected bool, got {other:?}")),
+        }
+    }
 }
 
-fn json_opt_u64(v: Option<u64>) -> String {
-    v.map(|n| n.to_string())
-        .unwrap_or_else(|| "null".to_string())
+/// Escaped: scenario names are caller-chosen, so quotes, backslashes and
+/// control characters must not corrupt the output.
+impl WireValue for String {
+    fn write(&self, out: &mut String) {
+        out.push('"');
+        for c in self.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    fn read(value: &JsonValue) -> Result<String, String> {
+        match value {
+            JsonValue::String(s) => Ok(s.clone()),
+            other => Err(format!("expected string, got {other:?}")),
+        }
+    }
+}
+
+/// An absent measurement is `null`.
+impl<T: WireValue> WireValue for Option<T> {
+    fn write(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write(out),
+            None => out.push_str("null"),
+        }
+    }
+
+    fn read(value: &JsonValue) -> Result<Option<T>, String> {
+        match value {
+            JsonValue::Null => Ok(None),
+            other => T::read(other).map(Some),
+        }
+    }
+}
+
+/// The wire schema, stated once: every key in emission order. A key is
+/// its field's name, and the field's type picks the value kind
+/// ([`WireValue`]), so a new report field is added to the struct and to
+/// this list and nowhere else.
+macro_rules! wire_schema {
+    ($first:ident $(, $rest:ident)* $(,)?) => {
+        impl ScenarioReport {
+            /// Serializes as a flat JSON object (hand-rolled; the workspace
+            /// has no serde data formats). Field order and float formatting
+            /// are fixed, so identical runs produce identical bytes.
+            pub fn to_json(&self) -> String {
+                let mut out = String::from(concat!("{\n  \"", stringify!($first), "\": "));
+                self.$first.write(&mut out);
+                $(
+                    out.push_str(concat!(",\n  \"", stringify!($rest), "\": "));
+                    self.$rest.write(&mut out);
+                )*
+                out.push_str("\n}\n");
+                out
+            }
+
+            /// Parses a report back from the JSON emitted by
+            /// [`ScenarioReport::to_json`] — the inverse direction CI
+            /// diffing and sweep tooling use. Only the flat schema this
+            /// crate emits is supported (string / integer / float / bool /
+            /// `null` values).
+            ///
+            /// # Errors
+            ///
+            /// Returns a description of the first malformed construct or
+            /// missing field.
+            pub fn from_json(json: &str) -> Result<ScenarioReport, String> {
+                let fields = parse_flat_object(json)?;
+                let read = |key: &str| -> Result<&JsonValue, String> {
+                    fields
+                        .iter()
+                        .find(|(k, _)| k == key)
+                        .map(|(_, v)| v)
+                        .ok_or_else(|| format!("missing field: {key}"))
+                };
+                Ok(ScenarioReport {
+                    $first: WireValue::read(read(stringify!($first))?)
+                        .map_err(|e| format!("field {}: {e}", stringify!($first)))?,
+                    $($rest: WireValue::read(read(stringify!($rest))?)
+                        .map_err(|e| format!("field {}: {e}", stringify!($rest)))?,)*
+                })
+            }
+        }
+    };
+}
+
+wire_schema! {
+    scenario, seed, peers_initial, peers_final_live, honest, spammers,
+    eclipse_attackers, duration_ms, tree_depth,
+    honest_published, honest_publish_failures, delivery_rate,
+    propagation_p50_ms, propagation_p99_ms, propagation_max_ms,
+    spam_attempted, spam_send_failures, spam_delivered_majority,
+    spam_detections, spammers_slashed,
+    members_start, members_end, peers_crashed, peers_joined,
+    messages_sent, messages_delivered, messages_to_removed_peer, bytes_sent,
+    bytes_sent_mean_per_node, bytes_sent_max_node, cpu_micros_mean_per_node,
+    cpu_micros_max_node,
+    valid_total, invalid_proof_total, epoch_out_of_window_total,
+    duplicates_total, malformed_total,
+    nullifier_map_max_bytes, nullifier_map_mean_bytes, membership_tree_max_bytes,
+    drain_quiescent, drain_pending_events,
+    eclipse_victim_delivery_rate,
+    anonymity_observers, anonymity_observations, anonymity_messages_observed,
+    anonymity_first_spy_precision_at1, anonymity_centrality_precision_at1,
+    anonymity_set_mean_size, anonymity_arrival_entropy_bits,
+    resilience_faults_injected, resilience_peers_restarted,
+    resilience_resync_retries, resilience_messages_lost_partition,
+    resilience_time_to_remesh_ms, resilience_delivery_during_fault,
+    resilience_delivery_post_heal, resilience_delivery_dip_depth,
+    resilience_delivery_dip_duration_ms,
 }
 
 impl ScenarioReport {
-    /// Serializes as a flat JSON object (hand-rolled; the workspace has
-    /// no serde data formats). Field order and float formatting are
-    /// fixed, so identical runs produce identical bytes.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let mut first = true;
-        let mut field = |key: &str, value: String| {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(&format!("  \"{key}\": {value}"));
-        };
-        field("scenario", json_string(&self.scenario));
-        field("seed", self.seed.to_string());
-        field("peers_initial", self.peers_initial.to_string());
-        field("peers_final_live", self.peers_final_live.to_string());
-        field("honest", self.honest.to_string());
-        field("spammers", self.spammers.to_string());
-        field("eclipse_attackers", self.eclipse_attackers.to_string());
-        field("duration_ms", self.duration_ms.to_string());
-        field("tree_depth", self.tree_depth.to_string());
-        field("honest_published", self.honest_published.to_string());
-        field(
-            "honest_publish_failures",
-            self.honest_publish_failures.to_string(),
-        );
-        field("delivery_rate", json_f64(self.delivery_rate));
-        field("propagation_p50_ms", json_opt(self.propagation_p50_ms));
-        field("propagation_p99_ms", json_opt(self.propagation_p99_ms));
-        field("propagation_max_ms", json_opt(self.propagation_max_ms));
-        field("spam_attempted", self.spam_attempted.to_string());
-        field("spam_send_failures", self.spam_send_failures.to_string());
-        field(
-            "spam_delivered_majority",
-            self.spam_delivered_majority.to_string(),
-        );
-        field("spam_detections", self.spam_detections.to_string());
-        field("spammers_slashed", self.spammers_slashed.to_string());
-        field("members_start", self.members_start.to_string());
-        field("members_end", self.members_end.to_string());
-        field("peers_crashed", self.peers_crashed.to_string());
-        field("peers_joined", self.peers_joined.to_string());
-        field("messages_sent", self.messages_sent.to_string());
-        field("messages_delivered", self.messages_delivered.to_string());
-        field(
-            "messages_to_removed_peer",
-            self.messages_to_removed_peer.to_string(),
-        );
-        field("bytes_sent", self.bytes_sent.to_string());
-        field(
-            "bytes_sent_mean_per_node",
-            json_f64(self.bytes_sent_mean_per_node),
-        );
-        field("bytes_sent_max_node", self.bytes_sent_max_node.to_string());
-        field(
-            "cpu_micros_mean_per_node",
-            json_f64(self.cpu_micros_mean_per_node),
-        );
-        field("cpu_micros_max_node", self.cpu_micros_max_node.to_string());
-        field("valid_total", self.valid_total.to_string());
-        field("invalid_proof_total", self.invalid_proof_total.to_string());
-        field(
-            "epoch_out_of_window_total",
-            self.epoch_out_of_window_total.to_string(),
-        );
-        field("duplicates_total", self.duplicates_total.to_string());
-        field("malformed_total", self.malformed_total.to_string());
-        field(
-            "nullifier_map_max_bytes",
-            self.nullifier_map_max_bytes.to_string(),
-        );
-        field(
-            "nullifier_map_mean_bytes",
-            json_f64(self.nullifier_map_mean_bytes),
-        );
-        field(
-            "membership_tree_max_bytes",
-            self.membership_tree_max_bytes.to_string(),
-        );
-        field("drain_quiescent", self.drain_quiescent.to_string());
-        field(
-            "drain_pending_events",
-            self.drain_pending_events.to_string(),
-        );
-        field(
-            "eclipse_victim_delivery_rate",
-            json_opt(self.eclipse_victim_delivery_rate),
-        );
-        field(
-            "anonymity_observers",
-            json_opt_u64(self.anonymity_observers),
-        );
-        field(
-            "anonymity_observations",
-            json_opt_u64(self.anonymity_observations),
-        );
-        field(
-            "anonymity_messages_observed",
-            json_opt_u64(self.anonymity_messages_observed),
-        );
-        field(
-            "anonymity_first_spy_precision_at1",
-            json_opt(self.anonymity_first_spy_precision_at1),
-        );
-        field(
-            "anonymity_centrality_precision_at1",
-            json_opt(self.anonymity_centrality_precision_at1),
-        );
-        field(
-            "anonymity_set_mean_size",
-            json_opt(self.anonymity_set_mean_size),
-        );
-        field(
-            "anonymity_arrival_entropy_bits",
-            json_opt(self.anonymity_arrival_entropy_bits),
-        );
-        field(
-            "resilience_faults_injected",
-            json_opt_u64(self.resilience_faults_injected),
-        );
-        field(
-            "resilience_peers_restarted",
-            json_opt_u64(self.resilience_peers_restarted),
-        );
-        field(
-            "resilience_resync_retries",
-            json_opt_u64(self.resilience_resync_retries),
-        );
-        field(
-            "resilience_messages_lost_partition",
-            json_opt_u64(self.resilience_messages_lost_partition),
-        );
-        field(
-            "resilience_time_to_remesh_ms",
-            json_opt_u64(self.resilience_time_to_remesh_ms),
-        );
-        field(
-            "resilience_delivery_during_fault",
-            json_opt(self.resilience_delivery_during_fault),
-        );
-        field(
-            "resilience_delivery_post_heal",
-            json_opt(self.resilience_delivery_post_heal),
-        );
-        field(
-            "resilience_delivery_dip_depth",
-            json_opt(self.resilience_delivery_dip_depth),
-        );
-        field(
-            "resilience_delivery_dip_duration_ms",
-            json_opt_u64(self.resilience_delivery_dip_duration_ms),
-        );
-        let _ = &mut field;
-        out.push_str("\n}\n");
-        out
-    }
-
-    /// Parses a report back from the JSON emitted by
-    /// [`ScenarioReport::to_json`] — the inverse direction CI diffing and
-    /// sweep tooling use. Only the flat schema this crate emits is
-    /// supported (string / integer / float / bool / `null` values).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed construct or missing
-    /// field.
-    pub fn from_json(json: &str) -> Result<ScenarioReport, String> {
-        let fields = parse_flat_object(json)?;
-        let get = |key: &str| -> Result<&JsonValue, String> {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field: {key}"))
-        };
-        let get_u64 = |key: &str| -> Result<u64, String> {
-            match get(key)? {
-                JsonValue::Number(raw) => raw
-                    .parse::<u64>()
-                    .map_err(|_| format!("field {key}: expected u64, got {raw}")),
-                other => Err(format!("field {key}: expected u64, got {other:?}")),
-            }
-        };
-        let get_f64 = |key: &str| -> Result<f64, String> {
-            match get(key)? {
-                JsonValue::Number(raw) => raw
-                    .parse::<f64>()
-                    .map_err(|_| format!("field {key}: expected f64, got {raw}")),
-                other => Err(format!("field {key}: expected f64, got {other:?}")),
-            }
-        };
-        let get_opt_f64 = |key: &str| -> Result<Option<f64>, String> {
-            match get(key)? {
-                JsonValue::Null => Ok(None),
-                JsonValue::Number(raw) => raw
-                    .parse::<f64>()
-                    .map(Some)
-                    .map_err(|_| format!("field {key}: expected f64, got {raw}")),
-                other => Err(format!("field {key}: expected f64 or null, got {other:?}")),
-            }
-        };
-        let get_opt_u64 = |key: &str| -> Result<Option<u64>, String> {
-            match get(key)? {
-                JsonValue::Null => Ok(None),
-                JsonValue::Number(raw) => raw
-                    .parse::<u64>()
-                    .map(Some)
-                    .map_err(|_| format!("field {key}: expected u64, got {raw}")),
-                other => Err(format!("field {key}: expected u64 or null, got {other:?}")),
-            }
-        };
-        let get_bool = |key: &str| -> Result<bool, String> {
-            match get(key)? {
-                JsonValue::Bool(b) => Ok(*b),
-                other => Err(format!("field {key}: expected bool, got {other:?}")),
-            }
-        };
-        let scenario = match get("scenario")? {
-            JsonValue::String(s) => s.clone(),
-            other => return Err(format!("field scenario: expected string, got {other:?}")),
-        };
-        Ok(ScenarioReport {
-            scenario,
-            seed: get_u64("seed")?,
-            peers_initial: get_u64("peers_initial")?,
-            peers_final_live: get_u64("peers_final_live")?,
-            honest: get_u64("honest")?,
-            spammers: get_u64("spammers")?,
-            eclipse_attackers: get_u64("eclipse_attackers")?,
-            duration_ms: get_u64("duration_ms")?,
-            tree_depth: get_u64("tree_depth")?,
-            honest_published: get_u64("honest_published")?,
-            honest_publish_failures: get_u64("honest_publish_failures")?,
-            delivery_rate: get_f64("delivery_rate")?,
-            propagation_p50_ms: get_opt_f64("propagation_p50_ms")?,
-            propagation_p99_ms: get_opt_f64("propagation_p99_ms")?,
-            propagation_max_ms: get_opt_f64("propagation_max_ms")?,
-            spam_attempted: get_u64("spam_attempted")?,
-            spam_send_failures: get_u64("spam_send_failures")?,
-            spam_delivered_majority: get_u64("spam_delivered_majority")?,
-            spam_detections: get_u64("spam_detections")?,
-            spammers_slashed: get_u64("spammers_slashed")?,
-            members_start: get_u64("members_start")?,
-            members_end: get_u64("members_end")?,
-            peers_crashed: get_u64("peers_crashed")?,
-            peers_joined: get_u64("peers_joined")?,
-            messages_sent: get_u64("messages_sent")?,
-            messages_delivered: get_u64("messages_delivered")?,
-            messages_to_removed_peer: get_u64("messages_to_removed_peer")?,
-            bytes_sent: get_u64("bytes_sent")?,
-            bytes_sent_mean_per_node: get_f64("bytes_sent_mean_per_node")?,
-            bytes_sent_max_node: get_u64("bytes_sent_max_node")?,
-            cpu_micros_mean_per_node: get_f64("cpu_micros_mean_per_node")?,
-            cpu_micros_max_node: get_u64("cpu_micros_max_node")?,
-            valid_total: get_u64("valid_total")?,
-            invalid_proof_total: get_u64("invalid_proof_total")?,
-            epoch_out_of_window_total: get_u64("epoch_out_of_window_total")?,
-            duplicates_total: get_u64("duplicates_total")?,
-            malformed_total: get_u64("malformed_total")?,
-            nullifier_map_max_bytes: get_u64("nullifier_map_max_bytes")?,
-            nullifier_map_mean_bytes: get_f64("nullifier_map_mean_bytes")?,
-            membership_tree_max_bytes: get_u64("membership_tree_max_bytes")?,
-            drain_quiescent: get_bool("drain_quiescent")?,
-            drain_pending_events: get_u64("drain_pending_events")?,
-            eclipse_victim_delivery_rate: get_opt_f64("eclipse_victim_delivery_rate")?,
-            anonymity_observers: get_opt_u64("anonymity_observers")?,
-            anonymity_observations: get_opt_u64("anonymity_observations")?,
-            anonymity_messages_observed: get_opt_u64("anonymity_messages_observed")?,
-            anonymity_first_spy_precision_at1: get_opt_f64("anonymity_first_spy_precision_at1")?,
-            anonymity_centrality_precision_at1: get_opt_f64("anonymity_centrality_precision_at1")?,
-            anonymity_set_mean_size: get_opt_f64("anonymity_set_mean_size")?,
-            anonymity_arrival_entropy_bits: get_opt_f64("anonymity_arrival_entropy_bits")?,
-            resilience_faults_injected: get_opt_u64("resilience_faults_injected")?,
-            resilience_peers_restarted: get_opt_u64("resilience_peers_restarted")?,
-            resilience_resync_retries: get_opt_u64("resilience_resync_retries")?,
-            resilience_messages_lost_partition: get_opt_u64("resilience_messages_lost_partition")?,
-            resilience_time_to_remesh_ms: get_opt_u64("resilience_time_to_remesh_ms")?,
-            resilience_delivery_during_fault: get_opt_f64("resilience_delivery_during_fault")?,
-            resilience_delivery_post_heal: get_opt_f64("resilience_delivery_post_heal")?,
-            resilience_delivery_dip_depth: get_opt_f64("resilience_delivery_dip_depth")?,
-            resilience_delivery_dip_duration_ms: get_opt_u64(
-                "resilience_delivery_dip_duration_ms",
-            )?,
-        })
-    }
-
     /// One human line for progress output (stderr; the JSON goes to
     /// stdout/files).
     pub fn summary_line(&self) -> String {

@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wakurln_crypto::field::Fr;
-use wakurln_crypto::merkle::{FullMerkleTree, IncrementalMerkleTree, SyncedPathTree};
+use wakurln_crypto::merkle::{FullMerkleTree, IncrementalMerkleTree, MemberView};
 use wakurln_rln::Identity;
 use wakurln_zksnark::{RlnCircuit, SimSnark};
 
@@ -53,7 +53,7 @@ fn main() {
 
     println!();
     println!("membership tree representations (depth 20, capacity 2^20):");
-    let full = FullMerkleTree::new(20).expect("depth ok");
+    let mut full = FullMerkleTree::new(20).expect("depth ok");
     println!(
         "{:<28} {:>12}   (paper: 67 MB)",
         "full tree (relayer/slasher)",
@@ -65,20 +65,25 @@ fn main() {
         "append frontier only",
         human(frontier.storage_bytes())
     );
-    let mut light = SyncedPathTree::new(20).expect("depth ok");
-    light.register_own(Fr::from_u64(1)).expect("capacity");
+    // a registered light member: it joins in the first burst and follows
+    // the full tree through the broadcast delta
+    let delta = full
+        .append_batch_with_delta(&[Fr::from_u64(1)])
+        .expect("capacity");
+    let mut view = MemberView::new(20).expect("depth ok");
+    view.apply_append(&delta, Some(0)).expect("fresh delta");
     println!(
         "{:<28} {:>12}   (paper claim for [9]: 0.128 KB)",
-        "own-path light tree [9]",
-        human(light.storage_bytes())
+        "own-path member view [9]",
+        human(view.storage_bytes())
     );
 
     println!();
     println!(
-        "light-tree reduction vs full tree: {:.0}x",
-        full.storage_bytes() as f64 / light.storage_bytes() as f64
+        "member-view reduction vs full tree: {:.0}x",
+        full.storage_bytes() as f64 / view.storage_bytes() as f64
     );
-    println!("(our own-path tree keeps frontier + path = 2·depth+1 hashes; the");
+    println!("(the member view keeps root + leaf + path = depth+2 hashes; the");
     println!("paper's 0.128 KB counts only the ~4-hash diff state of [9] — same");
     println!("O(depth)-vs-O(2^depth) conclusion, constant-factor difference.)");
 }

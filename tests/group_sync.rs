@@ -1,13 +1,12 @@
-//! Integration: group synchronization (§III) — light trees vs the full
-//! mirror under churn, stale witnesses, event ordering, and the anonymity
-//! footgun the paper warns about (proving against an old root).
+//! Integration: group synchronization (§III) — the light member view vs
+//! the full mirror under churn, proving from an O(depth) path at the
+//! paper's depth, and the anonymity footgun the paper warns about
+//! (proving against an old root).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use waku_rln::crypto::field::Fr;
-use waku_rln::crypto::merkle::{
-    zero_hashes, FullMerkleTree, MerkleError, SyncedPathTree, EMPTY_LEAF,
-};
+use waku_rln::crypto::merkle::{zero_hashes, FullMerkleTree, MemberView, EMPTY_LEAF};
 use waku_rln::rln::{create_signal, verify_signal, Identity, RlnGroup, SignalValidity};
 use waku_rln::zksnark::{RlnCircuit, SimSnark};
 
@@ -16,48 +15,41 @@ fn light_and_full_views_agree_under_heavy_churn() {
     let depth = 8;
     let mut rng = StdRng::seed_from_u64(77);
     let mut full = FullMerkleTree::new(depth).unwrap();
-    let mut light = SyncedPathTree::new(depth).unwrap();
+    let mut view = MemberView::new(depth).unwrap();
 
-    let mut alive: Vec<(u64, Fr)> = Vec::new();
+    // every other member still in the group (the view's own leaf is
+    // never slashed, so its path must stay current to the end)
+    let mut alive: Vec<u64> = Vec::new();
     for round in 0..60u64 {
         if round % 3 == 2 && !alive.is_empty() {
             // slash a pseudo-random member
             let victim = (round as usize * 7) % alive.len();
-            let (idx, leaf) = alive.remove(victim);
-            let witness = full.proof(idx).unwrap();
-            full.remove(idx).unwrap();
-            light
-                .apply_update_with_witness(idx, leaf, EMPTY_LEAF, &witness)
-                .unwrap();
+            let idx = alive.remove(victim);
+            let delta = full.set_with_delta(idx, EMPTY_LEAF).unwrap();
+            view.apply_update(&delta).unwrap();
         } else if full.next_index() < full.capacity() {
-            let leaf = Fr::random(&mut rng);
-            let idx = full.append(leaf).unwrap();
-            light.apply_append(leaf).unwrap();
-            alive.push((idx, leaf));
+            // a registration burst of 1–4 members; the view registers
+            // as the third member of round 7's burst
+            let burst: Vec<Fr> = (0..=round % 4).map(|_| Fr::random(&mut rng)).collect();
+            let delta = full.append_batch_with_delta(&burst).unwrap();
+            let own_offset = (round == 7).then_some(2);
+            view.apply_append(&delta, own_offset).unwrap();
+            alive.extend(
+                (0..delta.count)
+                    .filter(|o| Some(*o) != own_offset)
+                    .map(|o| delta.start + o),
+            );
         }
-        assert_eq!(light.root(), full.root(), "divergence at round {round}");
+        assert_eq!(view.root(), full.root(), "divergence at round {round}");
+        if let Some(own_index) = view.own_index() {
+            assert_eq!(
+                view.own_proof().unwrap(),
+                full.proof(own_index).unwrap(),
+                "own path diverged at round {round}"
+            );
+        }
     }
-}
-
-#[test]
-fn out_of_order_slash_event_is_refused() {
-    let depth = 6;
-    let mut full = FullMerkleTree::new(depth).unwrap();
-    let mut light = SyncedPathTree::new(depth).unwrap();
-    for v in 1..=4u64 {
-        full.append(Fr::from_u64(v)).unwrap();
-        light.apply_append(Fr::from_u64(v)).unwrap();
-    }
-    // craft a witness, then let the tree move on before applying it
-    let stale_witness = full.proof(1).unwrap();
-    full.append(Fr::from_u64(99)).unwrap();
-    light.apply_append(Fr::from_u64(99)).unwrap();
-    full.remove(1).unwrap();
-    // note: stale_witness proves leaf 1 under the *old* root
-    assert_eq!(
-        light.apply_update_with_witness(1, Fr::from_u64(2), EMPTY_LEAF, &stale_witness),
-        Err(MerkleError::StaleWitness)
-    );
+    assert!(view.own_index().is_some(), "the view registered");
 }
 
 #[test]
@@ -107,10 +99,10 @@ fn proof_against_stale_root_rejected_after_sync() {
 fn empty_group_roots_match_across_representations() {
     for depth in [4usize, 10, 20] {
         let full = FullMerkleTree::new(depth).unwrap();
-        let light = SyncedPathTree::new(depth).unwrap();
+        let view = MemberView::new(depth).unwrap();
         let group = RlnGroup::new(depth).unwrap();
         assert_eq!(full.root(), zero_hashes()[depth]);
-        assert_eq!(light.root(), full.root());
+        assert_eq!(view.root(), full.root());
         assert_eq!(group.root(), full.root());
     }
 }
@@ -133,30 +125,33 @@ fn slashed_member_cannot_rejoin_with_same_commitment_history() {
 
 #[test]
 fn light_tree_own_proof_proves_at_the_papers_depth_32() {
-    // the paper's 2^32 group size: the O(depth) light tree makes the own
-    // path cheap to hold, and the signal built from it verifies
+    // the paper's 2^32 group size: the own path is O(depth) to hold, and
+    // the signal built from it verifies. The 101 members fill the first
+    // 2^7 leaves, so above level 7 every sibling is an empty subtree.
     let depth = 32;
     let mut rng = StdRng::seed_from_u64(2);
     let (pk, vk) = SimSnark::setup(RlnCircuit::new(depth), &mut rng);
-    let mut light = SyncedPathTree::new(depth).unwrap();
+    let mut occupied = FullMerkleTree::new(7).unwrap();
     for i in 0..100u64 {
-        light.apply_append(Fr::from_u64(10_000 + i)).unwrap();
+        occupied.append(Fr::from_u64(10_000 + i)).unwrap();
     }
     let id = Identity::random(&mut rng);
-    light.register_own(id.commitment()).unwrap();
+    let own_index = occupied.append(id.commitment()).unwrap();
+    let mut own_path = occupied.proof(own_index).unwrap();
+    own_path
+        .siblings
+        .extend_from_slice(&zero_hashes()[7..depth]);
+    let root = own_path.compute_root(id.commitment());
 
     let signal = create_signal(
         &id,
-        &light.own_proof().unwrap(),
-        light.root(),
+        &own_path,
+        root,
         &pk,
         Fr::from_u64(1),
         b"deep",
         &mut rng,
     )
     .unwrap();
-    assert_eq!(
-        verify_signal(&vk, light.root(), &signal),
-        SignalValidity::Valid
-    );
+    assert_eq!(verify_signal(&vk, root, &signal), SignalValidity::Valid);
 }
