@@ -11,6 +11,9 @@ use wakurln_relay::{WakuMessage, WakuRelayNode};
 use wakurln_rln::{create_signal, Identity};
 use wakurln_zksnark::{ProveError, ProvingKey};
 
+/// The content topic every RLN signal is published under.
+const CONTENT_TOPIC: &str = "/waku/rln/1/chat/proto";
+
 /// Errors from publishing through the RLN pipeline.
 #[derive(Debug)]
 pub enum PublishError {
@@ -65,7 +68,6 @@ pub struct RlnRelayNode {
     proving_key: ProvingKey,
     epoch_scheme: EpochScheme,
     last_published_epoch: Option<u64>,
-    content_topic: String,
     /// Count of publishes refused by the local rate limiter.
     pub rate_limited_count: u64,
     /// Censorship-eclipse behaviour: when set, incoming `Forward` frames
@@ -101,7 +103,6 @@ impl RlnRelayNode {
             proving_key,
             epoch_scheme,
             last_published_epoch: None,
-            content_topic: "/waku/rln/1/chat/proto".to_string(),
             rate_limited_count: 0,
             censor: false,
         }
@@ -252,7 +253,7 @@ impl RlnRelayNode {
             payload,
             ctx.rng(),
         )?;
-        let waku = WakuMessage::new(self.content_topic.clone(), encode_signal(epoch, &signal));
+        let waku = WakuMessage::new(CONTENT_TOPIC, encode_signal(epoch, &signal));
         ctx.count("rln_published", 1);
         Ok(self.relay.publish(ctx, &waku))
     }

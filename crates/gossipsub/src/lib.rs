@@ -12,7 +12,8 @@
 //!   liveness timeout behind churn repair),
 //! * [`types`] — topics, message ids, RPC frames (incl. ping/pong
 //!   keepalives), the message cache,
-//! * [`score`] — the peer-score table,
+//! * [`score`] — the peer-score counters and [`PeerScore`], a read view
+//!   of them in the node's neighbour table (one sorted row per peer),
 //! * [`node`] — the protocol state machine with the [`Validator`] hook
 //!   that WAKU-RLN-RELAY attaches its proof/epoch/nullifier checks to,
 //!   plus mesh repair under churn (quiet peers are pinged, dead ones
@@ -22,8 +23,10 @@
 #![deny(missing_docs)]
 
 pub mod config;
+mod neighbours;
 pub mod node;
 pub mod score;
+mod topics;
 pub mod types;
 
 pub use config::{GossipsubConfig, ScoringConfig};

@@ -1,7 +1,9 @@
 //! The GossipSub protocol state machine.
 
 use crate::config::{GossipsubConfig, ScoringConfig};
+use crate::neighbours::Neighbours;
 use crate::score::PeerScore;
+use crate::topics::{self, Topics};
 use crate::types::{MessageCache, MessageId, RawMessage, Rpc, Topic};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -153,28 +155,22 @@ pub struct Delivery {
 #[derive(Clone)]
 pub struct GossipsubNode<V: Validator> {
     config: GossipsubConfig,
-    /// Peers we can open connections to (bootstrap set).
+    /// Peers we can open connections to (bootstrap set), in the order
+    /// `on_start` announces to them.
     known_peers: Vec<NodeId>,
-    /// Topics we subscribe to.
-    subscriptions: BTreeSet<Topic>,
-    /// Which known peer subscribes to what (learned from Subscribe RPCs).
-    peer_topics: HashMap<Topic, BTreeSet<NodeId>>,
-    /// Our mesh per topic.
-    mesh: HashMap<Topic, BTreeSet<NodeId>>,
+    /// Per topic: our subscription, our mesh, the peers known to
+    /// subscribe (learned from Subscribe RPCs) and the graft backoffs.
+    topics: Topics,
     mcache: MessageCache,
     /// Message id → first-seen time (ms).
     seen: HashMap<MessageId, u64>,
-    score: PeerScore,
+    /// Per remote peer: liveness clock, this heartbeat's IWANT budgets
+    /// (per *heartbeat*, not per RPC, so splitting ids across many IWANT
+    /// frames — or re-requesting the same id — cannot drain unbounded
+    /// payload bytes out of the cache) and the score counters.
+    neighbours: Neighbours,
     validator: V,
     delivered: Vec<Delivery>,
-    /// IWANTs already spent per peer this heartbeat.
-    iwant_spent: HashMap<NodeId, usize>,
-    /// Full payloads already served from the mcache per requesting peer
-    /// this heartbeat (the serving-side mirror of `iwant_spent`): the
-    /// budget is per *heartbeat*, not per RPC, so splitting ids across
-    /// many IWANT frames — or re-requesting the same id — cannot drain
-    /// unbounded payload bytes out of the cache.
-    iwant_served: HashMap<NodeId, usize>,
     /// Ids this node itself published while `publish_jitter_ms` was
     /// active: every wire copy of these — eager push *and* IWANT
     /// serving — gets a fresh hold, so no path leaks the unjittered
@@ -186,15 +182,6 @@ pub struct GossipsubNode<V: Validator> {
     observer: bool,
     /// Records taken while `observer` is set, in arrival order.
     observations: Vec<Observation>,
-    /// Last time (ms) any RPC arrived from a peer — the liveness signal
-    /// behind churn repair (crashed peers go quiet and are pruned after
-    /// `peer_timeout_ms`).
-    last_heard: HashMap<NodeId, u64>,
-    /// Per-topic graft backoff: peers that pruned us, with the time (ms)
-    /// until which the heartbeat graft step must not retry them
-    /// (`config.prune_backoff_ms` — the v1.1 `PruneBackoff`). Expired
-    /// entries are swept every heartbeat.
-    graft_backoff: HashMap<Topic, HashMap<NodeId, u64>>,
     /// Messages whose validation verdict is deferred inside a batching
     /// validator, keyed by the validator's ticket. Delivery and
     /// forwarding complete when a flush releases the verdict.
@@ -213,21 +200,15 @@ impl<V: Validator> GossipsubNode<V> {
         GossipsubNode {
             mcache: MessageCache::new(config.history_length),
             config,
+            neighbours: Neighbours::new(scoring, known_peers.len()),
             known_peers,
-            subscriptions: BTreeSet::new(),
-            peer_topics: HashMap::new(),
-            mesh: HashMap::new(),
+            topics: Topics::default(),
             seen: HashMap::new(),
-            score: PeerScore::new(scoring),
             validator,
             delivered: Vec::new(),
-            iwant_spent: HashMap::new(),
-            iwant_served: HashMap::new(),
             own_published: BTreeSet::new(),
             observer: false,
             observations: Vec::new(),
-            last_heard: HashMap::new(),
-            graft_backoff: HashMap::new(),
             pending_validation: HashMap::new(),
         }
     }
@@ -235,8 +216,11 @@ impl<V: Validator> GossipsubNode<V> {
     /// Subscribes to a topic (call before the simulation starts, or use
     /// [`GossipsubNode::subscribe_live`] from an invoke context).
     pub fn subscribe(&mut self, topic: Topic) {
-        self.subscriptions.insert(topic.clone());
-        self.mesh.entry(topic).or_default();
+        let t = self.topics.entry(&topic);
+        t.subscribed = true;
+        // the bootstrap set answers our announcement: size for it once
+        let missing = self.known_peers.len().saturating_sub(t.subscribers.len());
+        t.subscribers.reserve_exact(missing);
     }
 
     /// Subscribes at runtime, announcing to all known peers.
@@ -318,15 +302,15 @@ impl<V: Validator> GossipsubNode<V> {
 
     /// Current mesh for a topic (test/diagnostic access).
     pub fn mesh_peers(&self, topic: &Topic) -> Vec<NodeId> {
-        self.mesh
+        self.topics
             .get(topic)
-            .map(|s| s.iter().copied().collect())
+            .map(|t| t.mesh.clone())
             .unwrap_or_default()
     }
 
     /// The peer-score table (diagnostics; baselines read attacker scores).
-    pub fn peer_score(&self) -> &PeerScore {
-        &self.score
+    pub fn peer_score(&self) -> PeerScore<'_> {
+        self.neighbours.score()
     }
 
     /// Entries currently in the seen-cache (bounded by `seen_ttl_ms` GC;
@@ -375,18 +359,18 @@ impl<V: Validator> GossipsubNode<V> {
         topic: &Topic,
         exclude: Option<NodeId>,
     ) -> impl Iterator<Item = NodeId> + 'a {
-        let (candidates, limit) = match self.mesh.get(topic) {
-            Some(mesh) if !mesh.is_empty() => (Some(mesh), usize::MAX),
+        let (candidates, limit): (&[NodeId], usize) = match self.topics.get(topic) {
+            Some(t) if !t.mesh.is_empty() => (&t.mesh, usize::MAX),
             // mesh not yet formed: fall back to known subscribers
-            _ => (self.peer_topics.get(topic), self.config.mesh_n),
+            Some(t) => (&t.subscribers, self.config.mesh_n),
+            None => (&[], 0),
         };
         candidates
-            .into_iter()
-            .flatten()
+            .iter()
             .copied()
             .take(limit)
             .filter(move |p| Some(*p) != exclude)
-            .filter(|p| !self.config.scoring_enabled || self.score.accepts_publish(*p))
+            .filter(|p| !self.config.scoring_enabled || self.peer_score().accepts_publish(*p))
     }
 
     fn handle_forward(&mut self, ctx: &mut Context<Rpc>, from: NodeId, msg: RawMessage) {
@@ -427,7 +411,7 @@ impl<V: Validator> GossipsubNode<V> {
         match verdict {
             ValidationResult::Reject => {
                 if self.config.scoring_enabled {
-                    self.score.record_invalid(from);
+                    self.neighbours.record_invalid(from);
                 }
                 ctx.count("rejected", 1);
                 return;
@@ -440,9 +424,9 @@ impl<V: Validator> GossipsubNode<V> {
         }
 
         if self.config.scoring_enabled {
-            self.score.record_first_delivery(from);
+            self.neighbours.record_first_delivery(from);
         }
-        if self.subscriptions.contains(msg.topic()) {
+        if self.topics.subscribed(msg.topic()) {
             self.delivered.push(Delivery {
                 id: msg.id(),
                 topic: msg.topic().clone(),
@@ -478,16 +462,16 @@ impl<V: Validator> GossipsubNode<V> {
         // IHAVE for a topic we never subscribed to buys the advertiser
         // nothing but would still spend our IWANT budget and pull
         // payloads that validation drops on arrival — ignore it outright
-        if !self.subscriptions.contains(&topic) {
+        if !self.topics.subscribed(&topic) {
             ctx.count("ihave_ignored_unsubscribed", 1);
             return;
         }
-        if self.config.scoring_enabled && !self.score.accepts_gossip(from) {
+        if self.config.scoring_enabled && !self.peer_score().accepts_gossip(from) {
             ctx.count("ihave_ignored_low_score", 1);
             return;
         }
-        let spent = self.iwant_spent.entry(from).or_insert(0);
-        let budget = self.config.max_iwant_per_heartbeat.saturating_sub(*spent);
+        let spent = self.neighbours.iwant_spent(from);
+        let budget = self.config.max_iwant_per_heartbeat.saturating_sub(spent);
         let wanted: Vec<MessageId> = ids
             .into_iter()
             .filter(|id| !self.seen.contains_key(id))
@@ -496,7 +480,7 @@ impl<V: Validator> GossipsubNode<V> {
         if wanted.is_empty() {
             return;
         }
-        *self.iwant_spent.entry(from).or_default() += wanted.len();
+        self.neighbours.spend_iwant(from, wanted.len());
         ctx.count("iwant_sent", wanted.len() as u64);
         ctx.send(from, Rpc::IWant { ids: wanted });
     }
@@ -508,8 +492,8 @@ impl<V: Validator> GossipsubNode<V> {
         // of the mcache between two heartbeats — a classic
         // request-amplification vector, since an IWANT id costs the
         // requester 32 bytes and the responder a whole message
-        let served = self.iwant_served.entry(from).or_insert(0);
-        let budget = self.config.max_iwant_per_heartbeat.saturating_sub(*served);
+        let served = self.neighbours.iwant_served(from);
+        let budget = self.config.max_iwant_per_heartbeat.saturating_sub(served);
         let mut sent = 0usize;
         let mut capped = 0u64;
         for id in ids {
@@ -531,31 +515,29 @@ impl<V: Validator> GossipsubNode<V> {
                 sent += 1;
             }
         }
-        *self.iwant_served.entry(from).or_default() += sent;
+        self.neighbours.serve_iwant(from, sent);
         if capped > 0 {
             ctx.count("iwant_served_capped", capped);
         }
     }
 
     fn handle_graft(&mut self, ctx: &mut Context<Rpc>, from: NodeId, topic: Topic) {
-        let subscribed = self.subscriptions.contains(&topic);
+        let acceptable = !self.config.scoring_enabled || !self.peer_score().should_evict(from);
         // only peers that announced the subscription may graft: a mesh
         // slot hands out eager-push fan-out, and granting it to a peer
         // that never subscribed lets an adversary collect full-message
         // streams for topics it has no stake in
-        let peer_subscribes = self
-            .peer_topics
-            .get(&topic)
-            .is_some_and(|subscribers| subscribers.contains(&from));
-        let acceptable = !self.config.scoring_enabled || !self.score.should_evict(from);
-        if subscribed && peer_subscribes && acceptable {
-            let mesh = self.mesh.entry(topic.clone()).or_default();
+        let admissible = self
+            .topics
+            .get_mut(&topic)
+            .filter(|t| t.subscribed && topics::contains(&t.subscribers, from) && acceptable);
+        if let Some(t) = admissible {
             // cap admissions at D_hi: an unbounded GRAFT flood would
             // otherwise inflate the mesh (and with it every eager-push
             // fan-out) arbitrarily until the next heartbeat prunes it
-            if mesh.contains(&from) || mesh.len() < self.config.mesh_n_high {
-                mesh.insert(from);
-                self.score.set_in_mesh(from, true);
+            if topics::contains(&t.mesh, from) || t.mesh.len() < self.config.mesh_n_high {
+                topics::insert(&mut t.mesh, from);
+                self.neighbours.set_in_mesh(from, true);
                 return;
             }
             ctx.count("graft_rejected_mesh_full", 1);
@@ -563,13 +545,12 @@ impl<V: Validator> GossipsubNode<V> {
         ctx.send(from, Rpc::Prune(topic));
     }
 
-    fn handle_prune(&mut self, from: NodeId, topic: Topic) {
-        if let Some(mesh) = self.mesh.get_mut(&topic) {
-            mesh.remove(&from);
+    fn handle_prune(&mut self, from: NodeId, topic: &Topic) {
+        if let Some(t) = self.topics.get_mut(topic) {
+            topics::remove(&mut t.mesh, from);
         }
-        // lint:allow(map-iteration, reason = "existential fold: any() over mesh membership is order-independent")
-        let still_meshed = self.mesh.values().any(|m| m.contains(&from));
-        self.score.set_in_mesh(from, still_meshed);
+        let still_meshed = self.topics.iter().any(|t| topics::contains(&t.mesh, from));
+        self.neighbours.set_in_mesh(from, still_meshed);
     }
 
     /// Churn repair: ping quiet peers, presume peers silent beyond the
@@ -581,16 +562,19 @@ impl<V: Validator> GossipsubNode<V> {
             return;
         }
         let now = ctx.now();
-        // everyone we currently track: mesh members plus known topic peers
-        let mut tracked: BTreeSet<NodeId> = BTreeSet::new();
-        // lint:allow(map-iteration, reason = "order-independent: values drain into a BTreeSet, which sorts them")
-        tracked.extend(self.mesh.values().flatten().copied());
-        // lint:allow(map-iteration, reason = "order-independent: values drain into a BTreeSet, which sorts them")
-        tracked.extend(self.peer_topics.values().flatten().copied());
+        // everyone we currently track, ascending: mesh members plus known
+        // topic peers
+        let mut tracked: Vec<NodeId> = self
+            .topics
+            .iter()
+            .flat_map(|t| t.mesh.iter().chain(&t.subscribers))
+            .copied()
+            .collect();
+        tracked.sort_unstable();
+        tracked.dedup();
         let mut dead: Vec<NodeId> = Vec::new();
         for peer in tracked {
-            // a peer we never heard from starts its clock at first sight
-            let last = *self.last_heard.entry(peer).or_insert(now);
+            let last = self.neighbours.clock(peer, now);
             let quiet_ms = now.saturating_sub(last);
             if quiet_ms >= timeout {
                 dead.push(peer);
@@ -600,129 +584,103 @@ impl<V: Validator> GossipsubNode<V> {
             }
         }
         for peer in dead {
-            // lint:allow(map-iteration, reason = "order-independent: removes one peer from every mesh set; no cross-entry data flow")
-            for mesh in self.mesh.values_mut() {
-                mesh.remove(&peer);
+            for t in self.topics.iter_mut() {
+                topics::remove(&mut t.mesh, peer);
+                topics::remove(&mut t.subscribers, peer);
             }
-            // lint:allow(map-iteration, reason = "order-independent: removes one peer from every subscriber set; no cross-entry data flow")
-            for subscribers in self.peer_topics.values_mut() {
-                subscribers.remove(&peer);
-            }
-            self.score.set_in_mesh(peer, false);
-            self.last_heard.remove(&peer);
+            self.neighbours.presume_dead(peer);
             ctx.count("peers_presumed_dead", 1);
         }
     }
 
     fn heartbeat(&mut self, ctx: &mut Context<Rpc>) {
-        if self.config.scoring_enabled {
-            self.score.heartbeat();
-        }
-        self.iwant_spent.clear();
-        self.iwant_served.clear();
+        let scoring = self.config.scoring_enabled;
+        self.neighbours.heartbeat(scoring);
         self.liveness_sweep(ctx);
 
-        // sweep expired graft backoffs so the tables stay bounded by the
+        // sweep expired graft backoffs so the table stays bounded by the
         // set of peers that pruned us within the last backoff window
         let now = ctx.now();
-        // lint:allow(map-iteration, reason = "order-independent: per-entry backoff expiry; entries are judged in isolation")
-        self.graft_backoff.retain(|_, peers| {
-            peers.retain(|_, until| *until > now);
-            !peers.is_empty()
-        });
+        self.topics.sweep_backoffs(now);
 
-        for topic in &self.subscriptions {
-            let topic_mesh = self.mesh.entry(topic.clone()).or_default();
-
+        for t in self.topics.iter_mut().filter(|t| t.subscribed) {
             // evict misbehaving peers
-            if self.config.scoring_enabled {
-                let evict: Vec<NodeId> = topic_mesh
+            if scoring {
+                let evict: Vec<NodeId> = t
+                    .mesh
                     .iter()
                     .copied()
-                    .filter(|p| self.score.should_evict(*p))
+                    .filter(|p| self.neighbours.score().should_evict(*p))
                     .collect();
                 for peer in evict {
-                    topic_mesh.remove(&peer);
-                    ctx.send(peer, Rpc::Prune(topic.clone()));
-                    self.score.set_in_mesh(peer, false);
+                    topics::remove(&mut t.mesh, peer);
+                    ctx.send(peer, Rpc::Prune(t.topic.clone()));
+                    self.neighbours.set_in_mesh(peer, false);
                     ctx.count("mesh_evictions", 1);
                 }
             }
 
             // graft up to D when below D_lo
-            if topic_mesh.len() < self.config.mesh_n_low {
-                let need = self.config.mesh_n - topic_mesh.len();
-                let backoff = self.graft_backoff.get(topic);
+            if t.mesh.len() < self.config.mesh_n_low {
+                let need = self.config.mesh_n - t.mesh.len();
                 let mut suppressed = 0u64;
-                let mut candidates: Vec<NodeId> = self
-                    .peer_topics
-                    .get(topic)
-                    .map(|s| {
-                        s.iter()
-                            .copied()
-                            .filter(|p| !topic_mesh.contains(p))
-                            .filter(|p| {
-                                !self.config.scoring_enabled || !self.score.should_evict(*p)
-                            })
-                            .filter(|p| {
-                                // a peer that pruned us stays off-limits
-                                // until its backoff window expires
-                                let held = backoff
-                                    .and_then(|peers| peers.get(p))
-                                    .is_some_and(|until| *until > now);
-                                if held {
-                                    suppressed += 1;
-                                }
-                                !held
-                            })
-                            .collect()
+                let mut candidates: Vec<NodeId> = t
+                    .subscribers
+                    .iter()
+                    .copied()
+                    .filter(|p| !topics::contains(&t.mesh, *p))
+                    .filter(|p| !scoring || !self.neighbours.score().should_evict(*p))
+                    .filter(|p| {
+                        // a peer that pruned us stays off-limits until
+                        // its backoff window expires
+                        let held = t.backoff_until(*p).is_some_and(|until| until > now);
+                        if held {
+                            suppressed += 1;
+                        }
+                        !held
                     })
-                    .unwrap_or_default();
+                    .collect();
                 if suppressed > 0 {
                     ctx.count("graft_suppressed_backoff", suppressed);
                 }
                 candidates.shuffle(ctx.rng());
                 for peer in candidates.into_iter().take(need) {
-                    topic_mesh.insert(peer);
-                    self.score.set_in_mesh(peer, true);
-                    ctx.send(peer, Rpc::Graft(topic.clone()));
+                    topics::insert(&mut t.mesh, peer);
+                    self.neighbours.set_in_mesh(peer, true);
+                    ctx.send(peer, Rpc::Graft(t.topic.clone()));
                 }
             }
 
             // prune down to D when above D_hi
-            if topic_mesh.len() > self.config.mesh_n_high {
-                let mut members: Vec<NodeId> = topic_mesh.iter().copied().collect();
+            if t.mesh.len() > self.config.mesh_n_high {
+                let mut members = t.mesh.clone();
                 // keep the best-scoring peers
-                members.sort_by(|a, b| self.score.score(*b).total_cmp(&self.score.score(*a)));
+                let score = self.neighbours.score();
+                members.sort_by(|a, b| score.score(*b).total_cmp(&score.score(*a)));
                 for peer in members.into_iter().skip(self.config.mesh_n) {
-                    topic_mesh.remove(&peer);
-                    ctx.send(peer, Rpc::Prune(topic.clone()));
-                    self.score.set_in_mesh(peer, false);
+                    topics::remove(&mut t.mesh, peer);
+                    ctx.send(peer, Rpc::Prune(t.topic.clone()));
+                    self.neighbours.set_in_mesh(peer, false);
                 }
             }
 
             // lazy gossip: IHAVE to non-mesh peers
-            let ids = self.mcache.gossip_ids(topic, self.config.history_gossip);
+            let ids = self.mcache.gossip_ids(&t.topic, self.config.history_gossip);
             if !ids.is_empty() {
-                let mut candidates: Vec<NodeId> = self
-                    .peer_topics
-                    .get(topic)
-                    .map(|s| {
-                        s.iter()
-                            .copied()
-                            .filter(|p| !topic_mesh.contains(p))
-                            .filter(|p| {
-                                !self.config.scoring_enabled || self.score.accepts_gossip(*p)
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default();
+                let score = self.neighbours.score();
+                let mut candidates: Vec<NodeId> = t
+                    .subscribers
+                    .iter()
+                    .copied()
+                    .filter(|p| !topics::contains(&t.mesh, *p))
+                    .filter(|p| !scoring || score.accepts_gossip(*p))
+                    .collect();
                 candidates.shuffle(ctx.rng());
                 for peer in candidates.into_iter().take(self.config.gossip_lazy) {
                     ctx.send(
                         peer,
                         Rpc::IHave {
-                            topic: topic.clone(),
+                            topic: t.topic.clone(),
                             ids: ids.clone(),
                         },
                     );
@@ -732,7 +690,6 @@ impl<V: Validator> GossipsubNode<V> {
 
         self.mcache.shift();
         let ttl = self.config.seen_ttl_ms;
-        let now = ctx.now();
         // lint:allow(map-iteration, reason = "order-independent: per-entry TTL prune; entries are judged in isolation")
         self.seen.retain(|_, t| now.saturating_sub(*t) < ttl);
         if !self.own_published.is_empty() {
@@ -746,9 +703,9 @@ impl<V: Validator> Node for GossipsubNode<V> {
     type Message = Rpc;
 
     fn on_start(&mut self, ctx: &mut Context<Rpc>) {
-        for topic in &self.subscriptions {
+        for t in self.topics.iter().filter(|t| t.subscribed) {
             for &peer in &self.known_peers {
-                ctx.send(peer, Rpc::Subscribe(topic.clone()));
+                ctx.send(peer, Rpc::Subscribe(t.topic.clone()));
             }
         }
         // desynchronize heartbeats across the network
@@ -761,31 +718,28 @@ impl<V: Validator> Node for GossipsubNode<V> {
 
     fn on_message(&mut self, ctx: &mut Context<Rpc>, from: NodeId, msg: Rpc) {
         // any frame proves liveness, even one we will refuse to process
-        self.last_heard.insert(from, ctx.now());
-        if self.config.scoring_enabled && self.score.graylisted(from) {
+        self.neighbours.heard(from, ctx.now());
+        if self.config.scoring_enabled && self.peer_score().graylisted(from) {
             ctx.count("rpc_graylisted", 1);
             return;
         }
         match msg {
             Rpc::Subscribe(topic) => {
-                let newly_learned = self
-                    .peer_topics
-                    .entry(topic.clone())
-                    .or_default()
-                    .insert(from);
+                let t = self.topics.entry(&topic);
+                let newly_learned = topics::insert(&mut t.subscribers, from);
                 // Subscription exchange (as on libp2p connection setup):
                 // announce our own interest back to a newly seen peer so
                 // late joiners discover established subscribers. The
                 // `newly_learned` guard terminates the exchange.
-                if newly_learned && self.subscriptions.contains(&topic) {
+                if newly_learned && t.subscribed {
                     ctx.send(from, Rpc::Subscribe(topic));
                 }
             }
             Rpc::Unsubscribe(topic) => {
-                if let Some(s) = self.peer_topics.get_mut(&topic) {
-                    s.remove(&from);
+                if let Some(t) = self.topics.get_mut(&topic) {
+                    topics::remove(&mut t.subscribers, from);
                 }
-                self.handle_prune(from, topic);
+                self.handle_prune(from, &topic);
             }
             Rpc::Forward(raw) => {
                 if self.observer {
@@ -805,16 +759,15 @@ impl<V: Validator> Node for GossipsubNode<V> {
             Rpc::IWant { ids } => self.handle_iwant(ctx, from, ids),
             Rpc::Graft(topic) => self.handle_graft(ctx, from, topic),
             Rpc::Prune(topic) => {
-                self.handle_prune(from, topic.clone());
+                self.handle_prune(from, &topic);
                 // honour the pruner's capacity decision for a while: the
                 // heartbeat graft step skips this peer until the backoff
                 // expires, instead of re-grafting every heartbeat into a
                 // mesh that just told us it is full
                 if self.config.prune_backoff_ms > 0 {
-                    self.graft_backoff
-                        .entry(topic.clone())
-                        .or_default()
-                        .insert(from, ctx.now() + self.config.prune_backoff_ms);
+                    self.topics
+                        .entry(&topic)
+                        .set_backoff(from, ctx.now() + self.config.prune_backoff_ms);
                 }
                 // graft admission requires the pruner to have heard our
                 // Subscribe, but that announcement is one-shot and can
@@ -823,7 +776,7 @@ impl<V: Validator> Node for GossipsubNode<V> {
                 // Re-announcing here resynchronizes subscription state
                 // at one small frame per prune; the `newly_learned`
                 // guard on the receiving side keeps it loop-free.
-                if self.subscriptions.contains(&topic) {
+                if self.topics.subscribed(&topic) {
                     ctx.send(from, Rpc::Subscribe(topic));
                 }
             }
@@ -1444,6 +1397,77 @@ mod tests {
         let distinct: BTreeSet<u64> = arrivals.iter().copied().collect();
         assert!(distinct.len() > 1, "all arrivals identical despite jitter");
         assert!(arrivals.iter().all(|at| *at >= 8_010));
+    }
+
+    /// Phantom peers that subscribe, graft and advertise once and then go
+    /// silent must not keep liveness state: after the timeout they are
+    /// presumed dead, their rows keep only the score entry (which the
+    /// score table has always kept for dead peers) and the live rows are
+    /// exactly the real neighbours.
+    #[test]
+    fn neighbour_table_drops_silent_phantoms_liveness_and_keeps_their_scores() {
+        let mut net = build_network(10, 41);
+        net.run_until(5_000);
+        let known: Vec<NodeId> = {
+            let node = net.node(NodeId(0));
+            node.known_peers.clone()
+        };
+        let phantoms: Vec<NodeId> = (1_000..1_300).map(NodeId).collect();
+        for &p in &phantoms {
+            net.invoke(NodeId(0), |node, ctx| {
+                let topic = Topic::new("test");
+                let advertised = MessageId::compute(&topic, &p.index().to_le_bytes());
+                node.on_message(ctx, p, Rpc::Subscribe(topic.clone()));
+                node.on_message(ctx, p, Rpc::Graft(topic.clone()));
+                node.on_message(
+                    ctx,
+                    p,
+                    Rpc::IHave {
+                        topic,
+                        ids: vec![advertised],
+                    },
+                );
+            });
+        }
+        let timeout = GossipsubConfig::default().peer_timeout_ms;
+        net.run_until(5_000 + 2 * timeout);
+
+        let node = net.node(NodeId(0));
+        let rows = node.neighbours.rows();
+        assert!(
+            rows.iter().all(|r| r.is_heard() || r.counters.is_some()),
+            "a row with neither a liveness clock nor a score entry survived"
+        );
+        for p in &phantoms {
+            let row = rows
+                .iter()
+                .find(|r| r.peer == *p)
+                .expect("a presumed-dead peer keeps its score entry");
+            assert!(!row.is_heard(), "silent phantom {p} still has a clock");
+            assert!(row.counters.is_some());
+        }
+        let live: Vec<NodeId> = rows
+            .iter()
+            .filter(|r| r.is_heard())
+            .map(|r| r.peer)
+            .collect();
+        assert!(
+            known.iter().all(|k| live.contains(k)),
+            "a live neighbour lost its clock"
+        );
+        assert!(
+            live.iter().all(|p| p.index() < 10),
+            "only real peers may hold a liveness clock"
+        );
+        assert_eq!(rows.len(), phantoms.len() + live.len(), "one row per peer");
+        assert!(node
+            .mesh_peers(&Topic::new("test"))
+            .iter()
+            .all(|p| p.index() < 10));
+        // the separate liveness and score maps this table replaced held 8
+        // clocks and 304 score entries after the same run
+        assert_eq!(live.len(), 8);
+        assert_eq!(node.peer_score().tracked_len(), 304);
     }
 
     #[test]

@@ -9,102 +9,99 @@
 //! baseline that E6 compares WAKU-RLN-RELAY against.
 
 use crate::config::ScoringConfig;
-use std::collections::HashMap;
+use crate::neighbours::Neighbour;
 use wakurln_netsim::NodeId;
 
-/// Per-peer scoring counters.
+/// Per-peer scoring counters (one column group of the node's neighbour
+/// table).
 #[derive(Clone, Debug, Default)]
-struct PeerCounters {
+pub(crate) struct PeerCounters {
     /// Heartbeats spent in any of our meshes (P1 input).
     heartbeats_in_mesh: f64,
     /// First deliveries of valid messages (P2 input).
-    first_deliveries: f64,
+    pub(crate) first_deliveries: f64,
     /// Invalid (validation-rejected) messages (P4 input).
-    invalid_messages: f64,
+    pub(crate) invalid_messages: f64,
     /// Whether the peer currently sits in at least one mesh.
-    in_mesh: bool,
+    pub(crate) in_mesh: bool,
 }
 
-/// The local peer-score table.
-#[derive(Clone, Debug)]
-pub struct PeerScore {
-    config: ScoringConfig,
-    peers: HashMap<NodeId, PeerCounters>,
-}
+impl PeerCounters {
+    fn score(&self, config: &ScoringConfig) -> f64 {
+        let p1 = self
+            .heartbeats_in_mesh
+            .min(config.time_in_mesh_cap / config.time_in_mesh_weight.max(f64::MIN_POSITIVE))
+            * config.time_in_mesh_weight;
+        let p1 = p1.min(config.time_in_mesh_cap);
+        let p2 =
+            self.first_deliveries.min(config.first_delivery_cap) * config.first_delivery_weight;
+        let p4 = self.invalid_messages * self.invalid_messages * config.invalid_weight;
+        p1 + p2 + p4
+    }
 
-impl PeerScore {
-    /// Creates a score table with the given parameters.
-    pub fn new(config: ScoringConfig) -> PeerScore {
-        PeerScore {
-            config,
-            peers: HashMap::new(),
+    /// Heartbeat maintenance: time-in-mesh accrual and counter decay.
+    pub(crate) fn heartbeat(&mut self, config: &ScoringConfig) {
+        if self.in_mesh {
+            self.heartbeats_in_mesh += 1.0;
         }
+        self.first_deliveries *= config.decay;
+        self.invalid_messages *= config.decay;
+        if self.first_deliveries < 0.01 {
+            self.first_deliveries = 0.0;
+        }
+        if self.invalid_messages < 0.01 {
+            self.invalid_messages = 0.0;
+        }
+    }
+}
+
+/// The local peer-score table: a read-only view of the score entries in
+/// a node's neighbour table.
+#[derive(Clone, Copy, Debug)]
+pub struct PeerScore<'a> {
+    config: &'a ScoringConfig,
+    /// Neighbour rows sorted by peer id; a row with `counters: None` has
+    /// no score entry.
+    rows: &'a [Neighbour],
+}
+
+impl<'a> PeerScore<'a> {
+    pub(crate) fn new(config: &'a ScoringConfig, rows: &'a [Neighbour]) -> PeerScore<'a> {
+        PeerScore { config, rows }
     }
 
     /// The scoring parameters in use.
-    pub fn config(&self) -> &ScoringConfig {
-        &self.config
+    pub fn config(&self) -> &'a ScoringConfig {
+        self.config
+    }
+
+    fn entries(&self) -> impl Iterator<Item = (NodeId, &'a PeerCounters)> + 'a {
+        self.rows
+            .iter()
+            .filter_map(|r| r.counters.as_ref().map(|c| (r.peer, c)))
     }
 
     /// Number of peers with score-tracking state. The table must track
     /// the peer set, not message volume — the soak harness holds it to
     /// that bound over simulated days.
     pub fn tracked_len(&self) -> usize {
-        self.peers.len()
+        self.entries().count()
     }
 
-    /// The tracked peers, in unspecified order (diagnostics: score
+    /// The tracked peers in ascending id order (diagnostics: score
     /// extremes, table-boundedness checks).
-    pub fn tracked_peers(&self) -> impl Iterator<Item = NodeId> + '_ {
-        // lint:allow(map-iteration, reason = "callers fold with order-independent min/max aggregates; keys carry no positional meaning")
-        self.peers.keys().copied()
+    pub fn tracked_peers(&self) -> impl Iterator<Item = NodeId> + 'a {
+        self.entries().map(|(peer, _)| peer)
     }
 
     /// Computes a peer's current score.
     pub fn score(&self, peer: NodeId) -> f64 {
-        let Some(c) = self.peers.get(&peer) else {
-            return 0.0;
-        };
-        let p1 = c.heartbeats_in_mesh.min(
-            self.config.time_in_mesh_cap / self.config.time_in_mesh_weight.max(f64::MIN_POSITIVE),
-        ) * self.config.time_in_mesh_weight;
-        let p1 = p1.min(self.config.time_in_mesh_cap);
-        let p2 = c.first_deliveries.min(self.config.first_delivery_cap)
-            * self.config.first_delivery_weight;
-        let p4 = c.invalid_messages * c.invalid_messages * self.config.invalid_weight;
-        p1 + p2 + p4
-    }
-
-    /// Marks a peer as (not) being in one of our meshes.
-    pub fn set_in_mesh(&mut self, peer: NodeId, in_mesh: bool) {
-        self.peers.entry(peer).or_default().in_mesh = in_mesh;
-    }
-
-    /// Records a first delivery of a valid message.
-    pub fn record_first_delivery(&mut self, peer: NodeId) {
-        self.peers.entry(peer).or_default().first_deliveries += 1.0;
-    }
-
-    /// Records an invalid message (validation rejected it).
-    pub fn record_invalid(&mut self, peer: NodeId) {
-        self.peers.entry(peer).or_default().invalid_messages += 1.0;
-    }
-
-    /// Heartbeat maintenance: time-in-mesh accrual and counter decay.
-    pub fn heartbeat(&mut self) {
-        // lint:allow(map-iteration, reason = "order-independent: per-peer counter decay; each entry is updated in isolation")
-        for c in self.peers.values_mut() {
-            if c.in_mesh {
-                c.heartbeats_in_mesh += 1.0;
-            }
-            c.first_deliveries *= self.config.decay;
-            c.invalid_messages *= self.config.decay;
-            if c.first_deliveries < 0.01 {
-                c.first_deliveries = 0.0;
-            }
-            if c.invalid_messages < 0.01 {
-                c.invalid_messages = 0.0;
-            }
+        match self.rows.binary_search_by_key(&peer, |r| r.peer) {
+            Ok(at) => self.rows[at]
+                .counters
+                .as_ref()
+                .map_or(0.0, |c| c.score(self.config)),
+            Err(_) => 0.0,
         }
     }
 
@@ -132,17 +129,18 @@ impl PeerScore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::neighbours::Neighbours;
 
-    fn table() -> PeerScore {
-        PeerScore::new(ScoringConfig::default())
+    fn table() -> Neighbours {
+        Neighbours::new(ScoringConfig::default(), 0)
     }
 
     #[test]
     fn fresh_peer_scores_zero() {
         let s = table();
-        assert_eq!(s.score(NodeId(1)), 0.0);
-        assert!(!s.graylisted(NodeId(1)));
-        assert!(s.accepts_publish(NodeId(1)));
+        assert_eq!(s.score().score(NodeId(1)), 0.0);
+        assert!(!s.score().graylisted(NodeId(1)));
+        assert!(s.score().accepts_publish(NodeId(1)));
     }
 
     #[test]
@@ -151,16 +149,16 @@ mod tests {
         for _ in 0..5 {
             s.record_first_delivery(NodeId(1));
         }
-        assert!(s.score(NodeId(1)) > 0.0);
+        assert!(s.score().score(NodeId(1)) > 0.0);
     }
 
     #[test]
     fn invalid_messages_sink_score_quadratically() {
         let mut s = table();
         s.record_invalid(NodeId(1));
-        let one = s.score(NodeId(1));
+        let one = s.score().score(NodeId(1));
         s.record_invalid(NodeId(1));
-        let two = s.score(NodeId(1));
+        let two = s.score().score(NodeId(1));
         assert!(one < 0.0);
         assert!(two < 4.0 * one + 1e-9, "quadratic: {two} vs {one}");
     }
@@ -171,9 +169,9 @@ mod tests {
         for _ in 0..10 {
             s.record_invalid(NodeId(1));
         }
-        assert!(s.graylisted(NodeId(1)));
-        assert!(s.should_evict(NodeId(1)));
-        assert!(!s.accepts_gossip(NodeId(1)));
+        assert!(s.score().graylisted(NodeId(1)));
+        assert!(s.score().should_evict(NodeId(1)));
+        assert!(!s.score().accepts_gossip(NodeId(1)));
     }
 
     #[test]
@@ -182,12 +180,12 @@ mod tests {
         for _ in 0..10 {
             s.record_invalid(NodeId(1));
         }
-        assert!(s.graylisted(NodeId(1)));
+        assert!(s.score().graylisted(NodeId(1)));
         for _ in 0..200 {
-            s.heartbeat();
+            s.heartbeat(true);
         }
         // the Sybil weakness: time launders the bad score
-        assert!(!s.graylisted(NodeId(1)));
+        assert!(!s.score().graylisted(NodeId(1)));
     }
 
     #[test]
@@ -195,9 +193,9 @@ mod tests {
         let mut s = table();
         s.set_in_mesh(NodeId(1), true);
         for _ in 0..10_000 {
-            s.heartbeat();
+            s.heartbeat(true);
         }
-        assert!(s.score(NodeId(1)) <= s.config().time_in_mesh_cap + 1e-9);
+        assert!(s.score().score(NodeId(1)) <= s.score().config().time_in_mesh_cap + 1e-9);
     }
 
     #[test]
@@ -208,8 +206,8 @@ mod tests {
         for _ in 0..10 {
             s.record_invalid(NodeId(1));
         }
-        assert!(s.graylisted(NodeId(1)));
-        assert_eq!(s.score(NodeId(2)), 0.0);
-        assert!(!s.graylisted(NodeId(2)));
+        assert!(s.score().graylisted(NodeId(1)));
+        assert_eq!(s.score().score(NodeId(2)), 0.0);
+        assert!(!s.score().graylisted(NodeId(2)));
     }
 }

@@ -8,7 +8,6 @@
 //! the nullifier map suffices to hold messages that belong to the last
 //! `Thr` epochs because older messages are considered invalid by default."
 
-use std::collections::{BTreeMap, HashMap};
 use wakurln_crypto::field::Fr;
 use wakurln_crypto::shamir::Share;
 
@@ -29,11 +28,22 @@ pub enum NullifierOutcome {
     },
 }
 
+/// One tracked epoch: its number and the `(φ bytes, first-seen share)`
+/// entries recorded for it, sorted by φ.
+type Epoch = (u64, Vec<([u8; 32], Share)>);
+
 /// The windowed `(epoch, φ) → [sk]` record.
+///
+/// Stored densely: the tracked epochs in ascending order, each holding
+/// its entries sorted by φ. A window holds `Thr + 1` epochs of a few
+/// entries each, so binary search over two short vectors beats hashing,
+/// and the whole map is the epoch list plus one allocation per epoch.
+/// No tracked epoch is ever empty (an epoch is created by the insert
+/// that fills it), so equal contents mean equal vectors and `PartialEq`
+/// is derived.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct NullifierMap {
-    /// epoch → (nullifier bytes → first-seen share)
-    epochs: BTreeMap<u64, HashMap<[u8; 32], Share>>,
+    epochs: Vec<Epoch>,
 }
 
 impl NullifierMap {
@@ -42,18 +52,32 @@ impl NullifierMap {
         NullifierMap::default()
     }
 
+    fn epoch(&self, epoch: u64) -> Option<&Epoch> {
+        self.epochs
+            .binary_search_by_key(&epoch, |(e, _)| *e)
+            .ok()
+            .map(|at| &self.epochs[at])
+    }
+
     /// Records a signal's `(epoch, φ, [sk])`, reporting whether it is
     /// fresh, a duplicate, or a double-signal.
     pub fn insert(&mut self, epoch: u64, nullifier: Fr, share: Share) -> NullifierOutcome {
-        let slot = self.epochs.entry(epoch).or_default();
-        match slot.get(&nullifier.to_bytes_le()) {
-            None => {
-                slot.insert(nullifier.to_bytes_le(), share);
+        let key = nullifier.to_bytes_le();
+        let slot = match self.epochs.binary_search_by_key(&epoch, |(e, _)| *e) {
+            Ok(at) => &mut self.epochs[at].1,
+            Err(at) => {
+                self.epochs.insert(at, (epoch, Vec::new()));
+                &mut self.epochs[at].1
+            }
+        };
+        match slot.binary_search_by(|(phi, _)| phi.cmp(&key)) {
+            Err(at) => {
+                slot.insert(at, (key, share));
                 NullifierOutcome::Fresh
             }
-            Some(prior) if *prior == share => NullifierOutcome::DuplicateMessage,
-            Some(prior) => NullifierOutcome::DoubleSignal {
-                prior_share: *prior,
+            Ok(at) if slot[at].1 == share => NullifierOutcome::DuplicateMessage,
+            Ok(at) => NullifierOutcome::DoubleSignal {
+                prior_share: slot[at].1,
             },
         }
     }
@@ -61,16 +85,13 @@ impl NullifierMap {
     /// Drops every epoch older than `current_epoch − thr` (the paper's
     /// bounded-state property: older messages are epoch-invalid anyway).
     ///
-    /// Runs on every validated message, so the common nothing-to-drop
-    /// case returns before touching the tree (`split_off` would otherwise
-    /// reallocate the map once per message on the relay hot path).
+    /// Runs on every validated message; the common nothing-to-drop case
+    /// is one binary search and touches no allocation.
     pub fn gc(&mut self, current_epoch: u64, thr: u64) {
         let cutoff = current_epoch.saturating_sub(thr);
-        match self.epochs.keys().next() {
-            Some(oldest) if *oldest < cutoff => {
-                self.epochs = self.epochs.split_off(&cutoff);
-            }
-            _ => {}
+        let stale = self.epochs.partition_point(|(e, _)| *e < cutoff);
+        if stale > 0 {
+            self.epochs.drain(..stale);
         }
     }
 
@@ -82,23 +103,23 @@ impl NullifierMap {
     /// The tracked epoch numbers in ascending order (the trace harness's
     /// boundedness and GC invariants quantify over these).
     pub fn epoch_numbers(&self) -> impl Iterator<Item = u64> + '_ {
-        self.epochs.keys().copied()
+        self.epochs.iter().map(|(e, _)| *e)
     }
 
     /// Number of `(epoch, φ)` entries recorded for one epoch (0 when the
     /// epoch is not tracked).
     pub fn entries_at(&self, epoch: u64) -> usize {
-        self.epochs.get(&epoch).map_or(0, HashMap::len)
+        self.epoch(epoch).map_or(0, |(_, entries)| entries.len())
     }
 
     /// Number of `(epoch, φ)` entries currently stored.
     pub fn len(&self) -> usize {
-        self.epochs.values().map(HashMap::len).sum()
+        self.epochs.iter().map(|(_, entries)| entries.len()).sum()
     }
 
     /// `true` when nothing is tracked.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.epochs.is_empty()
     }
 
     /// Approximate resident bytes (epoch key + nullifier + share per
@@ -112,11 +133,79 @@ impl NullifierMap {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::{BTreeMap, HashMap};
 
     fn share(x: u64, y: u64) -> Share {
         Share {
             x: Fr::from_u64(x),
             y: Fr::from_u64(y),
+        }
+    }
+
+    /// The previous nested-map layout, kept as the differential oracle:
+    /// epoch → (nullifier bytes → first-seen share).
+    #[derive(Default)]
+    struct Reference {
+        epochs: BTreeMap<u64, HashMap<[u8; 32], Share>>,
+    }
+
+    impl Reference {
+        fn insert(&mut self, epoch: u64, nullifier: Fr, share: Share) -> NullifierOutcome {
+            let slot = self.epochs.entry(epoch).or_default();
+            match slot.get(&nullifier.to_bytes_le()) {
+                None => {
+                    slot.insert(nullifier.to_bytes_le(), share);
+                    NullifierOutcome::Fresh
+                }
+                Some(prior) if *prior == share => NullifierOutcome::DuplicateMessage,
+                Some(prior) => NullifierOutcome::DoubleSignal {
+                    prior_share: *prior,
+                },
+            }
+        }
+
+        fn gc(&mut self, current_epoch: u64, thr: u64) {
+            self.epochs = self.epochs.split_off(&current_epoch.saturating_sub(thr));
+        }
+
+        fn len(&self) -> usize {
+            self.epochs.values().map(HashMap::len).sum()
+        }
+
+        fn memory_bytes(&self) -> usize {
+            self.epochs.len() * 8 + self.len() * (32 + 64)
+        }
+    }
+
+    /// Spreads a raw draw over the epoch shapes the validator can meet:
+    /// a dense window of small epochs, far-future epochs and the top of
+    /// the `u64` range.
+    fn epoch_of(raw: u64) -> u64 {
+        match raw % 16 {
+            0 => u64::MAX - (raw >> 8) % 3,
+            1 => (1 << 40) + (raw >> 8) % 3,
+            _ => (raw >> 8) % 12,
+        }
+    }
+
+    /// Asserts every read-side observation of `map` equals the oracle's.
+    fn assert_matches(map: &NullifierMap, oracle: &Reference) {
+        assert_eq!(map.len(), oracle.len());
+        assert_eq!(map.is_empty(), oracle.len() == 0);
+        assert_eq!(map.memory_bytes(), oracle.memory_bytes());
+        assert_eq!(map.tracked_epochs(), oracle.epochs.len());
+        assert_eq!(
+            map.epoch_numbers().collect::<Vec<_>>(),
+            oracle.epochs.keys().copied().collect::<Vec<_>>()
+        );
+        for (epoch, entries) in &oracle.epochs {
+            assert_eq!(map.entries_at(*epoch), entries.len());
+        }
+        for probe in [0, 5, 11, 1 << 40, u64::MAX] {
+            assert_eq!(
+                map.entries_at(probe),
+                oracle.epochs.get(&probe).map_or(0, HashMap::len)
+            );
         }
     }
 
@@ -242,9 +331,52 @@ mod tests {
                 map.insert(epoch, Fr::from_u64(nul), share(nul, 1));
             }
             map.gc(current, thr);
-            for epoch in map.epochs.keys() {
-                prop_assert!(*epoch >= current.saturating_sub(thr));
+            for epoch in map.epoch_numbers() {
+                prop_assert!(epoch >= current.saturating_sub(thr));
             }
+        }
+
+        /// The dense layout is observably the nested-map oracle: random
+        /// insert / gc sequences — the same φ in several epochs, gossip
+        /// duplicates, double-signals, far-future epochs, `thr` = 0 —
+        /// give equal outcomes and equal reads after every step, and
+        /// `PartialEq` ignores insertion order.
+        #[test]
+        fn prop_matches_nested_map_oracle(
+            ops in proptest::collection::vec(
+                (any::<u8>(), any::<u64>(), 0u64..4, 0u64..3),
+                1..120,
+            )
+        ) {
+            let mut map = NullifierMap::new();
+            let mut oracle = Reference::default();
+            let mut fresh = Vec::new();
+            for (kind, raw, phi, pick) in ops {
+                if kind % 4 == 0 {
+                    let current = if raw % 8 == 0 { u64::MAX } else { raw % 20 };
+                    let thr = pick + phi % 2;
+                    map.gc(current, thr);
+                    oracle.gc(current, thr);
+                    fresh.retain(|(epoch, _, _)| *epoch >= current.saturating_sub(thr));
+                } else {
+                    let epoch = epoch_of(raw);
+                    // two shares per φ: repeats are duplicates or
+                    // double-signals depending on the draw
+                    let s = share(phi, pick % 2);
+                    let outcome = map.insert(epoch, Fr::from_u64(phi), s);
+                    prop_assert_eq!(outcome, oracle.insert(epoch, Fr::from_u64(phi), s));
+                    if outcome == NullifierOutcome::Fresh {
+                        fresh.push((epoch, phi, s));
+                    }
+                }
+                assert_matches(&map, &oracle);
+            }
+            // the surviving entries, inserted newest first
+            let mut rebuilt = NullifierMap::new();
+            for (epoch, phi, s) in fresh.into_iter().rev() {
+                rebuilt.insert(epoch, Fr::from_u64(phi), s);
+            }
+            prop_assert_eq!(rebuilt, map);
         }
 
         /// Detection is order-independent for a pair of conflicting shares.
