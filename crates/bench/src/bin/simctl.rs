@@ -26,22 +26,23 @@
 //! 10k-node runs are not silent. See `docs/SCENARIOS.md`.
 //!
 //! `soak` runs the simulated-days leak harness
-//! (`wakurln_scenarios::soak`): `--sim-hours` simulated hours of
-//! continuous traffic in one-hour segments, streaming one JSONL
+//! (`wakurln_scenarios::soak`) over the steady-traffic soak spec
+//! ([`SoakConfig::steady`](wakurln_scenarios::SoakConfig::steady)): the
+//! scenario engine drives `--sim-hours` simulated hours of traffic in
+//! one-hour segments, streaming one JSONL
 //! [`SoakDelta`](wakurln_scenarios::SoakDelta) line per segment and
-//! checkpointing the whole world by deep clone every
-//! `--checkpoint-every` segments (each restored checkpoint must replay
-//! byte-identical to the live run). Exits nonzero when a boundedness
-//! invariant or a checkpoint replay fails.
+//! checkpointing the whole run by deep clone every `--checkpoint-every`
+//! segments (each restored checkpoint must replay byte-identical to the
+//! live run). Exits nonzero when a boundedness invariant or a checkpoint
+//! replay fails.
 //!
 //! When a run's drain hard-stops with more events queued than the
 //! steady-state timer load of a live mesh, `simctl` prints a warning and
 //! exits nonzero (after emitting the report): the network did not
 //! settle, so downstream consumers should not trust the tail metrics.
 
-use wakurln_scenarios::soak::run_soak_bounded;
 use wakurln_scenarios::{
-    builtin, run_scenario, run_scenario_with_progress, ChurnAction, ChurnEvent, Progress,
+    builtin, run_scenario, run_scenario_with_progress, run_soak, ChurnAction, ChurnEvent, Progress,
     ScenarioReport, ScenarioSpec, SoakBounds, SoakConfig, SpamSpec, SurveillanceSpec,
     BUILTIN_NAMES,
 };
@@ -408,7 +409,8 @@ fn main() {
 /// The `soak` subcommand: simulated-days leak harness with streaming
 /// JSONL deltas and checkpoint/restore byte-identity verification.
 fn run_soak_command(args: &[String]) {
-    let mut config = SoakConfig::default();
+    let (mut hours, mut nodes, mut seed) = (24u64, 8usize, 2022u64);
+    let mut checkpoint_every = 4u64;
     let mut out_path: Option<String> = None;
     let mut rest = args.iter();
     while let Some(flag) = rest.next() {
@@ -425,20 +427,12 @@ fn run_soak_command(args: &[String]) {
             })
         };
         match flag.as_str() {
-            "--sim-hours" => {
-                config.total_ms = parse_u64(value("--sim-hours"), "--sim-hours")
-                    .checked_mul(3_600_000)
-                    .unwrap_or_else(|| {
-                        eprintln!("--sim-hours is too large");
-                        usage()
-                    })
-            }
+            "--sim-hours" => hours = parse_u64(value("--sim-hours"), "--sim-hours"),
             "--checkpoint-every" => {
-                config.checkpoint_every =
-                    parse_u64(value("--checkpoint-every"), "--checkpoint-every")
+                checkpoint_every = parse_u64(value("--checkpoint-every"), "--checkpoint-every")
             }
-            "--nodes" => config.nodes = parse_u64(value("--nodes"), "--nodes") as usize,
-            "--seed" => config.seed = parse_u64(value("--seed"), "--seed"),
+            "--nodes" => nodes = parse_u64(value("--nodes"), "--nodes") as usize,
+            "--seed" => seed = parse_u64(value("--seed"), "--seed"),
             "--out" => out_path = Some(value("--out")),
             other => {
                 eprintln!("unknown argument: {other}");
@@ -446,29 +440,33 @@ fn run_soak_command(args: &[String]) {
             }
         }
     }
-    if config.nodes < 2 || config.segments() == 0 {
+    let Some(total_ms) = hours.checked_mul(3_600_000) else {
+        eprintln!("--sim-hours is too large");
+        usage()
+    };
+    if nodes < 2 || hours == 0 {
         eprintln!("soak needs at least 2 nodes and 1 simulated hour");
         std::process::exit(2);
     }
+    let config = SoakConfig {
+        checkpoint_every,
+        ..SoakConfig::steady(nodes, seed, total_ms)
+    };
     eprintln!(
-        "soaking {} peers for {} simulated hours (checkpoint every {} segments), seed {}...",
-        config.nodes,
-        config.total_ms / 3_600_000,
-        config.checkpoint_every,
-        config.seed,
+        "soaking {nodes} peers for {hours} simulated hours (checkpoint every {checkpoint_every} \
+         segments), seed {seed}...",
     );
     let started = std::time::Instant::now();
     let mut lines = String::new();
-    let outcome = run_soak_bounded(&config, &SoakBounds::default(), &mut |delta| {
+    let outcome = run_soak(&config, &SoakBounds::default(), &mut |delta| {
         let line = delta.to_json_line();
         println!("{line}");
         lines.push_str(&line);
         lines.push('\n');
         eprintln!(
-            "  segment {}/{}: sim {}h, {} published, {} delivered, nullifier max {} B{}",
+            "  segment {}/{}: {} published, {} delivered, nullifier max {} B{}",
             delta.segment + 1,
             config.segments(),
-            delta.sim_ms / 3_600_000,
             delta.published,
             delta.deliveries,
             delta.nullifier_map_max_bytes,
@@ -487,9 +485,8 @@ fn run_soak_command(args: &[String]) {
         eprintln!("wrote {path}");
     }
     eprintln!(
-        "soak done: {} simulated hours, {} segments, {} checkpoints verified, \
+        "soak done: {} one-hour segments, {} checkpoints verified, \
          {} published, {} delivered, wall {:.1}s",
-        outcome.sim_ms / 3_600_000,
         outcome.segments,
         outcome.checkpoints_verified,
         outcome.published,

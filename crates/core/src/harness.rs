@@ -954,6 +954,39 @@ mod recovery_tests {
     }
 
     #[test]
+    fn cold_restart_drops_the_deferred_verdicts_of_the_lost_batch() {
+        let mut tb = Testbed::build(TestbedConfig {
+            n_peers: 8,
+            tree_depth: 10,
+            degree: 4,
+            seed: 56,
+            pipeline: Some(crate::pipeline::PipelineConfig::default()),
+            ..Default::default()
+        });
+        tb.run(8_000, 1_000);
+        tb.publish(0, b"in the batch").unwrap();
+        let pending = |tb: &Testbed, peer: usize| {
+            tb.net
+                .node(NodeId(peer))
+                .relay()
+                .gossipsub()
+                .pending_validation_len()
+        };
+        // step until a relay holds the frame in its unflushed batch
+        let holder = loop {
+            tb.run(5, 5);
+            if let Some(peer) = (1..8).find(|&p| pending(&tb, p) > 0) {
+                break peer;
+            }
+            assert!(tb.net.now() < 9_000, "no relay ever deferred the frame");
+        };
+        assert!(tb.crash_peer(holder));
+        assert!(tb.restart_peer(holder, false));
+        // the batch went with the disk, so its tickets never resolve
+        assert_eq!(pending(&tb, holder), 0);
+    }
+
+    #[test]
     fn resync_retries_under_contract_outage_then_completes() {
         let mut tb = testbed(54);
         tb.run(8_000, 1_000);

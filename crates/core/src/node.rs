@@ -333,20 +333,22 @@ impl RlnRelayNode {
     }
 
     /// **Cold-restart** reset: the simulated process came back with its
-    /// disk wiped — the membership view collapses to the empty group and
-    /// the validator forgets its root window, nullifier map and pipeline
-    /// backlog (see [`RlnValidator::reset_state`]). The identity keypair
-    /// and the rate-limiter memory (`last_published_epoch`) survive: both
-    /// model durable secrets an honest operator never risks — losing the
-    /// limiter state could make an honest restart double-signal and burn
-    /// its own stake. The harness follows this with a full group resync
-    /// (delta replay from genesis), which restores membership through the
-    /// normal own-offset path.
+    /// disk wiped — the membership view collapses to the empty group, the
+    /// validator forgets its root window, nullifier map and pipeline
+    /// backlog (see [`RlnValidator::reset_state`]), and the relay forgets
+    /// the deferred verdicts it awaited from that backlog. The identity
+    /// keypair and the rate-limiter memory (`last_published_epoch`)
+    /// survive: both model durable secrets an honest operator never
+    /// risks — losing the limiter state could make an honest restart
+    /// double-signal and burn its own stake. The harness follows this
+    /// with a full group resync (delta replay from genesis), which
+    /// restores membership through the normal own-offset path.
     pub fn reset_for_cold_restart(&mut self) {
         let depth = self.view.depth();
         // lint:allow(panic-path, reason = "reset reuses the depth the existing view was built with, which was valid at construction")
         self.view = MemberView::new(depth).expect("valid depth");
         self.relay.validator_mut().reset_state(zero_hashes()[depth]);
+        self.relay.gossipsub_mut().clear_pending_validation();
     }
 }
 

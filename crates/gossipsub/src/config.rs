@@ -41,8 +41,6 @@ pub struct GossipsubConfig {
     /// Relaying *others'* messages is never jittered. `0` disables the
     /// countermeasure.
     pub publish_jitter_ms: u64,
-    /// Whether v1.1 peer scoring is active.
-    pub scoring_enabled: bool,
     /// Backoff window after a PRUNE, milliseconds: a peer that pruned us
     /// (typically because its mesh sits at `D_hi`) is not re-grafted
     /// until the window expires, instead of on every heartbeat — the
@@ -73,7 +71,6 @@ impl Default for GossipsubConfig {
             max_iwant_per_heartbeat: 64,
             publish_jitter_ms: 0,
             prune_backoff_ms: 60_000,
-            scoring_enabled: true,
             peer_timeout_ms: 30_000,
         }
     }

@@ -140,16 +140,14 @@ impl Neighbours {
         self.counters(peer).invalid_messages += 1.0;
     }
 
-    /// Heartbeat maintenance: score accrual and decay when `scoring` is
-    /// on, and a fresh IWANT budget for every peer.
-    pub(crate) fn heartbeat(&mut self, scoring: bool) {
+    /// Heartbeat maintenance: score accrual and decay, and a fresh IWANT
+    /// budget for every peer.
+    pub(crate) fn heartbeat(&mut self) {
         for row in &mut self.rows {
             row.iwant_spent = 0;
             row.iwant_served = 0;
-            if scoring {
-                if let Some(c) = &mut row.counters {
-                    c.heartbeat(&self.scoring);
-                }
+            if let Some(c) = &mut row.counters {
+                c.heartbeat(&self.scoring);
             }
         }
     }

@@ -337,6 +337,14 @@ impl<V: Validator> GossipsubNode<V> {
         self.pending_validation.len()
     }
 
+    /// Forgets every deferred verdict. Call it when the validator's batch
+    /// is discarded (a cold restart): the tickets it handed out will never
+    /// be released, and the validator's next tickets would collide with
+    /// them.
+    pub fn clear_pending_validation(&mut self) {
+        self.pending_validation.clear();
+    }
+
     /// The validator (e.g. to read RLN spam-detection state).
     pub fn validator(&self) -> &V {
         &self.validator
@@ -370,7 +378,7 @@ impl<V: Validator> GossipsubNode<V> {
             .copied()
             .take(limit)
             .filter(move |p| Some(*p) != exclude)
-            .filter(|p| !self.config.scoring_enabled || self.peer_score().accepts_publish(*p))
+            .filter(|p| self.peer_score().accepts_publish(*p))
     }
 
     fn handle_forward(&mut self, ctx: &mut Context<Rpc>, from: NodeId, msg: RawMessage) {
@@ -410,9 +418,7 @@ impl<V: Validator> GossipsubNode<V> {
     ) {
         match verdict {
             ValidationResult::Reject => {
-                if self.config.scoring_enabled {
-                    self.neighbours.record_invalid(from);
-                }
+                self.neighbours.record_invalid(from);
                 ctx.count("rejected", 1);
                 return;
             }
@@ -423,9 +429,7 @@ impl<V: Validator> GossipsubNode<V> {
             ValidationResult::Accept => {}
         }
 
-        if self.config.scoring_enabled {
-            self.neighbours.record_first_delivery(from);
-        }
+        self.neighbours.record_first_delivery(from);
         if self.topics.subscribed(msg.topic()) {
             self.delivered.push(Delivery {
                 id: msg.id(),
@@ -466,7 +470,7 @@ impl<V: Validator> GossipsubNode<V> {
             ctx.count("ihave_ignored_unsubscribed", 1);
             return;
         }
-        if self.config.scoring_enabled && !self.peer_score().accepts_gossip(from) {
+        if !self.peer_score().accepts_gossip(from) {
             ctx.count("ihave_ignored_low_score", 1);
             return;
         }
@@ -522,7 +526,7 @@ impl<V: Validator> GossipsubNode<V> {
     }
 
     fn handle_graft(&mut self, ctx: &mut Context<Rpc>, from: NodeId, topic: Topic) {
-        let acceptable = !self.config.scoring_enabled || !self.peer_score().should_evict(from);
+        let acceptable = !self.peer_score().should_evict(from);
         // only peers that announced the subscription may graft: a mesh
         // slot hands out eager-push fan-out, and granting it to a peer
         // that never subscribed lets an adversary collect full-message
@@ -594,8 +598,7 @@ impl<V: Validator> GossipsubNode<V> {
     }
 
     fn heartbeat(&mut self, ctx: &mut Context<Rpc>) {
-        let scoring = self.config.scoring_enabled;
-        self.neighbours.heartbeat(scoring);
+        self.neighbours.heartbeat();
         self.liveness_sweep(ctx);
 
         // sweep expired graft backoffs so the table stays bounded by the
@@ -605,19 +608,17 @@ impl<V: Validator> GossipsubNode<V> {
 
         for t in self.topics.iter_mut().filter(|t| t.subscribed) {
             // evict misbehaving peers
-            if scoring {
-                let evict: Vec<NodeId> = t
-                    .mesh
-                    .iter()
-                    .copied()
-                    .filter(|p| self.neighbours.score().should_evict(*p))
-                    .collect();
-                for peer in evict {
-                    topics::remove(&mut t.mesh, peer);
-                    ctx.send(peer, Rpc::Prune(t.topic.clone()));
-                    self.neighbours.set_in_mesh(peer, false);
-                    ctx.count("mesh_evictions", 1);
-                }
+            let evict: Vec<NodeId> = t
+                .mesh
+                .iter()
+                .copied()
+                .filter(|p| self.neighbours.score().should_evict(*p))
+                .collect();
+            for peer in evict {
+                topics::remove(&mut t.mesh, peer);
+                ctx.send(peer, Rpc::Prune(t.topic.clone()));
+                self.neighbours.set_in_mesh(peer, false);
+                ctx.count("mesh_evictions", 1);
             }
 
             // graft up to D when below D_lo
@@ -629,7 +630,7 @@ impl<V: Validator> GossipsubNode<V> {
                     .iter()
                     .copied()
                     .filter(|p| !topics::contains(&t.mesh, *p))
-                    .filter(|p| !scoring || !self.neighbours.score().should_evict(*p))
+                    .filter(|p| !self.neighbours.score().should_evict(*p))
                     .filter(|p| {
                         // a peer that pruned us stays off-limits until
                         // its backoff window expires
@@ -673,7 +674,7 @@ impl<V: Validator> GossipsubNode<V> {
                     .iter()
                     .copied()
                     .filter(|p| !topics::contains(&t.mesh, *p))
-                    .filter(|p| !scoring || score.accepts_gossip(*p))
+                    .filter(|p| score.accepts_gossip(*p))
                     .collect();
                 candidates.shuffle(ctx.rng());
                 for peer in candidates.into_iter().take(self.config.gossip_lazy) {
@@ -719,7 +720,7 @@ impl<V: Validator> Node for GossipsubNode<V> {
     fn on_message(&mut self, ctx: &mut Context<Rpc>, from: NodeId, msg: Rpc) {
         // any frame proves liveness, even one we will refuse to process
         self.neighbours.heard(from, ctx.now());
-        if self.config.scoring_enabled && self.peer_score().graylisted(from) {
+        if self.peer_score().graylisted(from) {
             ctx.count("rpc_graylisted", 1);
             return;
         }

@@ -182,7 +182,7 @@ mod tests {
         }
         assert!(s.score().graylisted(NodeId(1)));
         for _ in 0..200 {
-            s.heartbeat(true);
+            s.heartbeat();
         }
         // the Sybil weakness: time launders the bad score
         assert!(!s.score().graylisted(NodeId(1)));
@@ -193,7 +193,7 @@ mod tests {
         let mut s = table();
         s.set_in_mesh(NodeId(1), true);
         for _ in 0..10_000 {
-            s.heartbeat(true);
+            s.heartbeat();
         }
         assert!(s.score().score(NodeId(1)) <= s.score().config().time_in_mesh_cap + 1e-9);
     }

@@ -6,6 +6,11 @@
 //! derives from `spec.seed`, and simulated time is the only clock. Same
 //! spec, same seed ⇒ byte-identical report (the
 //! `tests/scenario_determinism.rs` suite holds the engine to this).
+//!
+//! A run is a value: `ScenarioRun` holds the world and everything the
+//! engine remembers about it, advances in as many steps as the caller
+//! likes, and finishes on the same report however it was cut. The soak
+//! harness drives one for simulated days and checkpoints it by `Clone`.
 
 use crate::attribution::{attribute, PooledObservation};
 use crate::report::ScenarioReport;
@@ -15,7 +20,7 @@ use crate::spec::{
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 // lint:allow(host-time, reason = "wall-clock progress/elapsed reporting only; the simulation reads ctx.now() exclusively")
 use std::time::Instant;
 use waku_rln_relay::{CostModel, Testbed, TestbedConfig};
@@ -32,6 +37,7 @@ const JOIN_SYNC_GRACE_MS: u64 = 20_000;
 const DIP_THRESHOLD: f64 = 0.99;
 
 /// What the engine remembers about one honest publish.
+#[derive(Clone)]
 struct PublishRecord {
     payload: Vec<u8>,
     /// Content-derived wire id — the key observer tapes are pooled by.
@@ -71,6 +77,7 @@ enum EventKind {
 /// slice boundaries only, so it never influences the simulation.
 /// Re-arming resets the measurement; the report carries the last
 /// completed one.
+#[derive(Clone)]
 struct RemeshProbe {
     since: Option<u64>,
     recorded: Option<u64>,
@@ -129,589 +136,683 @@ pub fn run_scenario_with_progress(
     spec: &ScenarioSpec,
     mut observe: impl FnMut(&Progress),
 ) -> ScenarioReport {
-    run_scenario_impl(spec, Some(&mut observe)).0
+    let mut run = ScenarioRun::new(spec);
+    let total_ms = run.end_ms;
+    // lint:allow(host-time, reason = "wall-clock elapsed printed as console progress; never enters simulation state or reports")
+    let started_wall = Instant::now();
+    run.advance_to(total_ms, &mut |tb| {
+        observe(&Progress {
+            sim_ms: tb.net.now(),
+            total_ms,
+            events_dispatched: tb.net.events_dispatched(),
+            wall_ms: started_wall.elapsed().as_millis() as u64,
+        })
+    });
+    run.finish().0
 }
 
 /// [`run_scenario`], additionally handing back the finished [`Testbed`]
 /// for assertions the report does not cover (ports of hand-wired tests
 /// use this to keep their original fine-grained checks).
 pub fn run_scenario_detailed(spec: &ScenarioSpec) -> (ScenarioReport, Testbed) {
-    run_scenario_impl(spec, None)
+    ScenarioRun::new(spec).finish()
 }
 
-fn run_scenario_impl(
-    spec: &ScenarioSpec,
-    mut observe: Option<&mut dyn FnMut(&Progress)>,
-) -> (ScenarioReport, Testbed) {
-    spec.validate();
-    let depth = spec.effective_tree_depth();
-    let honest = spec.honest;
-    let spammers = spec.spam.map(|s| s.spammers).unwrap_or(0);
-    let attackers = spec.eclipse.map(|e| e.attackers).unwrap_or(0);
-    let n_initial = spec.initial_peers();
-    let victim: Option<usize> = spec.eclipse.map(|_| 0);
+/// One scenario in progress: the world plus everything the engine
+/// remembers about it. `Clone` is the checkpoint — the testbed (network
+/// queue, chain, RNG streams), the engine's draw stream, the timeline
+/// cursor, the fault bookkeeping and the publish records are all
+/// deep-copied, so a clone advanced to the same time holds the same
+/// state and finishes on the same report. Host wall-clock time is not
+/// part of it: the progress observer reads the clock outside.
+#[derive(Clone)]
+pub(crate) struct ScenarioRun {
+    spec: ScenarioSpec,
+    tb: Testbed,
+    /// Engine-side randomness, independent of the testbed's RNG stream.
+    rng: StdRng,
+    /// Every scheduled event in firing order; `timeline[next_event..]`
+    /// has not fired yet.
+    timeline: Vec<(u64, EventKind)>,
+    next_event: usize,
+    /// The last lock-step boundary the world was synced at (the network
+    /// may have dispatched past it, see [`ScenarioRun::advance_to`]).
+    synced_ms: u64,
+    end_ms: u64,
+    /// The surveillance adversary's colluding observers, ascending.
+    observers: Vec<usize>,
+    members_start: u64,
+    publishes: Vec<PublishRecord>,
+    spam_payloads: Vec<(usize, Vec<u8>, u64)>,
+    honest_publish_failures: u64,
+    spam_send_failures: u64,
+    peers_crashed: u64,
+    /// Join time per peer id; initial peers joined at 0.
+    joined_at: Vec<u64>,
+    /// Which peers each restart event took down (the matching restore
+    /// brings back exactly that set).
+    restart_sets: Vec<Vec<usize>>,
+    remesh: RemeshProbe,
+}
 
-    let (latency_min, latency_max) = match spec.latency {
-        LatencySpec::Constant { ms } => (ms, ms),
-        LatencySpec::Uniform { min_ms, max_ms } => (min_ms, max_ms),
-    };
-    let mut config = TestbedConfig {
-        n_peers: n_initial,
-        tree_depth: depth,
-        epoch: spec.epoch,
-        degree: match spec.topology {
-            TopologySpec::RandomRegular { degree } => degree,
-            _ => 6,
-        },
-        seed: spec.seed,
-        latency_ms: (latency_min, latency_max),
-        pipeline: spec.pipeline,
-        ..TestbedConfig::default()
-    };
-    // the source-anonymity countermeasure: publishers hold first-hop
-    // copies back for per-target jitter drawn from their own RNG stream
-    config.gossip.publish_jitter_ms = spec.publish_jitter_ms;
+impl ScenarioRun {
+    /// Builds the world and the timeline; simulated time is still 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the spec is internally inconsistent (see
+    /// [`ScenarioSpec::validate`]).
+    pub(crate) fn new(spec: &ScenarioSpec) -> ScenarioRun {
+        spec.validate();
+        let honest = spec.honest;
+        let spammers = spec.spam.map(|s| s.spammers).unwrap_or(0);
+        let attackers = spec.eclipse.map(|e| e.attackers).unwrap_or(0);
+        let n_initial = spec.initial_peers();
+        let victim: Option<usize> = spec.eclipse.map(|_| 0);
 
-    // time-to-remesh after restarts/heals (see RemeshProbe for why the
-    // floor is connectivity, not mesh_n_low)
-    let mut remesh = RemeshProbe {
-        since: None,
-        recorded: None,
-        mesh_floor: config.gossip.mesh_n_low.min(2),
-    };
+        let (latency_min, latency_max) = match spec.latency {
+            LatencySpec::Constant { ms } => (ms, ms),
+            LatencySpec::Uniform { min_ms, max_ms } => (min_ms, max_ms),
+        };
+        let mut config = TestbedConfig {
+            n_peers: n_initial,
+            tree_depth: spec.effective_tree_depth(),
+            epoch: spec.epoch,
+            degree: match spec.topology {
+                TopologySpec::RandomRegular { degree } => degree,
+                _ => 6,
+            },
+            seed: spec.seed,
+            latency_ms: (latency_min, latency_max),
+            pipeline: spec.pipeline,
+            ..TestbedConfig::default()
+        };
+        // the source-anonymity countermeasure: publishers hold first-hop
+        // copies back for per-target jitter drawn from their own RNG stream
+        config.gossip.publish_jitter_ms = spec.publish_jitter_ms;
 
-    let adjacency = build_adjacency(spec, honest + spammers, attackers);
-    let costs = assign_costs(&spec.devices, honest, n_initial, config.cost);
-    let mut tb = Testbed::build_custom(config, adjacency, |i| costs[i]);
-    if spec.loss > 0.0 {
-        tb.net.set_loss_probability(spec.loss);
-    }
-    for a in 0..attackers {
-        tb.set_censor(honest + spammers + a, true);
-    }
-    let members_start = tb.active_members() as u64;
+        // time-to-remesh after restarts/heals (see RemeshProbe for why the
+        // floor is connectivity, not mesh_n_low)
+        let remesh = RemeshProbe {
+            since: None,
+            recorded: None,
+            mesh_floor: config.gossip.mesh_n_low.min(2),
+        };
 
-    // engine-side randomness, independent of the testbed's RNG stream
-    let mut rng = StdRng::seed_from_u64(spec.seed ^ 0x05ca_1ab1_e0dd_ba11);
+        let adjacency = build_adjacency(spec, honest + spammers, attackers);
+        let costs = assign_costs(&spec.devices, honest, n_initial, config.cost);
+        let mut tb = Testbed::build_custom(config, adjacency, |i| costs[i]);
+        if spec.loss > 0.0 {
+            tb.net.set_loss_probability(spec.loss);
+        }
+        for a in 0..attackers {
+            tb.set_censor(honest + spammers + a, true);
+        }
+        let members_start = tb.active_members() as u64;
 
-    // surveillance: the adversary's colluding observers, drawn
-    // deterministically from the initial honest population (minus the
-    // eclipse victim — an eclipsed tap sees nothing anyway). Observers
-    // stay protocol-honest but are kept out of the publisher pool: the
-    // adversary does not publish the traffic it wants to attribute.
-    let observers: Vec<usize> = match spec.surveillance {
-        None => Vec::new(),
-        Some(_) => {
-            let mut pool: Vec<usize> = (0..honest).filter(|i| Some(*i) != victim).collect();
-            pool.shuffle(&mut rng);
-            pool.truncate(spec.observer_count());
-            pool.sort_unstable();
-            for &peer in &pool {
-                tb.set_observer(peer, true);
+        let mut rng = StdRng::seed_from_u64(spec.seed ^ 0x05ca_1ab1_e0dd_ba11);
+
+        // surveillance: the adversary's colluding observers, drawn
+        // deterministically from the initial honest population (minus the
+        // eclipse victim — an eclipsed tap sees nothing anyway). Observers
+        // stay protocol-honest but are kept out of the publisher pool: the
+        // adversary does not publish the traffic it wants to attribute.
+        let observers: Vec<usize> = match spec.surveillance {
+            None => Vec::new(),
+            Some(_) => {
+                let mut pool: Vec<usize> = (0..honest).filter(|i| Some(*i) != victim).collect();
+                pool.shuffle(&mut rng);
+                pool.truncate(spec.observer_count());
+                pool.sort_unstable();
+                for &peer in &pool {
+                    tb.set_observer(peer, true);
+                }
+                pool
             }
-            pool
+        };
+
+        let mut timeline: Vec<(u64, EventKind)> = Vec::new();
+        for (i, e) in spec.churn.iter().enumerate() {
+            timeline.push((e.at_ms, EventKind::Churn(i)));
         }
-    };
-    let observer_set: HashSet<usize> = observers.iter().copied().collect();
+        if let Some(s) = spec.spam {
+            timeline.push((s.at_ms, EventKind::Spam));
+        }
+        for r in 0..spec.traffic.rounds {
+            timeline.push((
+                spec.traffic.start_ms + spec.traffic.interval_ms * r as u64,
+                EventKind::Traffic(r),
+            ));
+        }
+        for (i, r) in spec.faults.restarts.iter().enumerate() {
+            timeline.push((r.at_ms, EventKind::FaultCrash(i)));
+            timeline.push((r.at_ms + r.downtime_ms, EventKind::FaultRestore(i)));
+        }
+        for (i, p) in spec.faults.partitions.iter().enumerate() {
+            timeline.push((p.at_ms, EventKind::PartitionStart(i)));
+            timeline.push((p.at_ms + p.heal_after_ms, EventKind::PartitionHeal(i)));
+        }
+        for (i, d) in spec.faults.degradations.iter().enumerate() {
+            timeline.push((d.at_ms, EventKind::DegradeStart(i)));
+            timeline.push((d.at_ms + d.duration_ms, EventKind::DegradeEnd(i)));
+        }
+        for (i, o) in spec.faults.contract_outages.iter().enumerate() {
+            timeline.push((o.at_ms, EventKind::OutageStart(i)));
+        }
+        timeline.sort();
 
-    // assemble the timeline
-    let mut events: Vec<(u64, EventKind)> = Vec::new();
-    for (i, e) in spec.churn.iter().enumerate() {
-        events.push((e.at_ms, EventKind::Churn(i)));
+        ScenarioRun {
+            synced_ms: tb.net.now(),
+            end_ms: spec.duration_ms(),
+            spec: spec.clone(),
+            tb,
+            rng,
+            timeline,
+            next_event: 0,
+            observers,
+            members_start,
+            publishes: Vec::new(),
+            spam_payloads: Vec::new(),
+            honest_publish_failures: 0,
+            spam_send_failures: 0,
+            peers_crashed: 0,
+            joined_at: vec![0; n_initial],
+            restart_sets: vec![Vec::new(); spec.faults.restarts.len()],
+            remesh,
+        }
     }
-    if let Some(s) = spec.spam {
-        events.push((s.at_ms, EventKind::Spam));
-    }
-    for r in 0..spec.traffic.rounds {
-        events.push((
-            spec.traffic.start_ms + spec.traffic.interval_ms * r as u64,
-            EventKind::Traffic(r),
-        ));
-    }
-    for (i, r) in spec.faults.restarts.iter().enumerate() {
-        events.push((r.at_ms, EventKind::FaultCrash(i)));
-        events.push((r.at_ms + r.downtime_ms, EventKind::FaultRestore(i)));
-    }
-    for (i, p) in spec.faults.partitions.iter().enumerate() {
-        events.push((p.at_ms, EventKind::PartitionStart(i)));
-        events.push((p.at_ms + p.heal_after_ms, EventKind::PartitionHeal(i)));
-    }
-    for (i, d) in spec.faults.degradations.iter().enumerate() {
-        events.push((d.at_ms, EventKind::DegradeStart(i)));
-        events.push((d.at_ms + d.duration_ms, EventKind::DegradeEnd(i)));
-    }
-    for (i, o) in spec.faults.contract_outages.iter().enumerate() {
-        events.push((o.at_ms, EventKind::OutageStart(i)));
-    }
-    events.sort();
 
-    // run it
-    // lint:allow(host-time, reason = "wall-clock elapsed printed as console progress; never enters simulation state or reports")
-    let started_wall = Instant::now();
-    let end_ms = spec.duration_ms();
-    let advance = |tb: &mut Testbed,
-                   to_ms: u64,
-                   observe: &mut Option<&mut dyn FnMut(&Progress)>,
-                   remesh: &mut RemeshProbe| {
-        // slice at the engine level so a progress observer sees every
-        // lock-step boundary; tb.run slices identically internally, so
-        // the world evolves the same with or without an observer
-        while tb.net.now() < to_ms {
-            let next = (tb.net.now() + spec.slice_ms).min(to_ms);
-            tb.run(next - tb.net.now(), spec.slice_ms);
-            remesh.sample(tb);
-            if let Some(observe) = observe.as_deref_mut() {
-                observe(&Progress {
-                    sim_ms: tb.net.now(),
-                    total_ms: end_ms,
-                    events_dispatched: tb.net.events_dispatched(),
-                    wall_ms: started_wall.elapsed().as_millis() as u64,
-                });
+    /// The world as it stands.
+    pub(crate) fn testbed(&self) -> &Testbed {
+        &self.tb
+    }
+
+    /// Mutable access to the world (the soak harness drains delivery
+    /// tapes through it).
+    pub(crate) fn testbed_mut(&mut self) -> &mut Testbed {
+        &mut self.tb
+    }
+
+    /// Honest publishes so far: `(attempted, refused)`.
+    pub(crate) fn publish_attempts(&self) -> (u64, u64) {
+        let failed = self.honest_publish_failures;
+        (self.publishes.len() as u64 + failed, failed)
+    }
+
+    /// Replays every timeline event at or before `to_ms` (clamped to the
+    /// run's end) in timeline order, then slices the world up to `to_ms`.
+    /// `observe` sees the world at every lock-step boundary reached.
+    ///
+    /// Slice boundaries are the ones an uninterrupted run takes:
+    /// `slice_ms` steps from the last event, cut short by the next event
+    /// or the end. A `to_ms` between two boundaries dispatches the
+    /// network up to it and leaves that slice's chain sync to the call
+    /// that reaches the boundary, so cutting a run into any number of
+    /// `advance_to` calls never moves a report byte.
+    pub(crate) fn advance_to(&mut self, to_ms: u64, observe: &mut dyn FnMut(&Testbed)) {
+        let to_ms = to_ms.min(self.end_ms);
+        loop {
+            while let Some(&(at_ms, kind)) = self.timeline.get(self.next_event) {
+                if at_ms > self.synced_ms {
+                    break;
+                }
+                self.next_event += 1;
+                self.fire(at_ms, kind);
             }
+            if self.synced_ms >= to_ms {
+                return;
+            }
+            let stop = self
+                .timeline
+                .get(self.next_event)
+                .map_or(self.end_ms, |&(at_ms, _)| at_ms);
+            let boundary = (self.synced_ms + self.spec.slice_ms).min(stop);
+            if boundary > to_ms {
+                self.tb.net.run_until(to_ms);
+                return;
+            }
+            self.tb
+                .run(boundary - self.tb.net.now(), self.spec.slice_ms);
+            self.synced_ms = boundary;
+            self.remesh.sample(&self.tb);
+            observe(&self.tb);
         }
-    };
-    let mut publishes: Vec<PublishRecord> = Vec::new();
-    let mut spam_payloads: Vec<(usize, Vec<u8>, u64)> = Vec::new();
-    let mut honest_publish_failures = 0u64;
-    let mut spam_attempted = 0u64;
-    let mut spam_send_failures = 0u64;
-    let mut peers_crashed = 0u64;
-    let mut peers_joined = 0u64;
-    // join time per peer id; initial peers joined at 0
-    let mut joined_at: Vec<u64> = vec![0; n_initial];
-    // fault bookkeeping: which peers each restart event took down (the
-    // matching restore brings back exactly that set), and how many fault
-    // transitions actually fired
-    let mut restart_sets: Vec<Vec<usize>> = vec![Vec::new(); spec.faults.restarts.len()];
-    let mut faults_injected = 0u64;
+    }
 
-    for (at_ms, kind) in events {
-        if at_ms > tb.net.now() {
-            advance(&mut tb, at_ms, &mut observe, &mut remesh);
-        }
+    /// Live honest peers (initial honest plus joiners), excluding the
+    /// eclipse victim — the pool traffic, crash and bootstrap draws come
+    /// from. Joiners are exactly the peers with a nonzero `joined_at`.
+    /// Sorted ascending, so shuffles are reproducible.
+    fn honest_candidates(&self) -> Vec<usize> {
+        let victim = self.spec.eclipse.map(|_| 0);
+        (0..self.tb.peer_count())
+            .filter(|i| *i < self.spec.honest || self.joined_at[*i] > 0)
+            .filter(|i| self.tb.is_live(*i) && Some(*i) != victim)
+            .collect()
+    }
+
+    /// Applies one timeline event at its time `at_ms` (the world stands
+    /// at that lock-step boundary).
+    fn fire(&mut self, at_ms: u64, kind: EventKind) {
+        let spec = &self.spec;
         match kind {
             EventKind::Churn(i) => match spec.churn[i].action {
                 ChurnAction::Crash { peers } => {
-                    let mut candidates = honest_candidates(&tb, honest, &joined_at, victim);
-                    candidates.shuffle(&mut rng);
+                    let mut candidates = self.honest_candidates();
+                    candidates.shuffle(&mut self.rng);
                     for p in candidates.into_iter().take(peers) {
-                        if tb.crash_peer(p) {
-                            peers_crashed += 1;
+                        if self.tb.crash_peer(p) {
+                            self.peers_crashed += 1;
                         }
                     }
                 }
                 ChurnAction::Join { peers } => {
                     for _ in 0..peers {
-                        let mut candidates = honest_candidates(&tb, honest, &joined_at, victim);
-                        candidates.shuffle(&mut rng);
+                        let mut candidates = self.honest_candidates();
+                        candidates.shuffle(&mut self.rng);
                         candidates.truncate(3);
                         if candidates.is_empty() {
                             continue;
                         }
-                        let id = tb.add_peer(&candidates);
-                        debug_assert_eq!(id, joined_at.len());
-                        joined_at.push(at_ms);
-                        peers_joined += 1;
+                        let id = self.tb.add_peer(&candidates);
+                        debug_assert_eq!(id, self.joined_at.len());
+                        self.joined_at.push(at_ms);
                     }
                 }
             },
             EventKind::Spam => {
-                // lint:allow(panic-path, reason = "the Spam event is only scheduled when spec.spam is Some")
-                let s = spec.spam.expect("spam event implies spam spec");
-                for spammer in honest..honest + s.spammers {
+                let Some(s) = spec.spam else { return };
+                for spammer in spec.honest..spec.honest + s.spammers {
                     for k in 0..s.burst {
-                        spam_attempted += 1;
                         let payload = format!("spam-{spammer}-{k}").into_bytes();
-                        match tb.publish_spam(spammer, &payload) {
-                            Ok(_) => spam_payloads.push((spammer, payload, tb.net.now())),
-                            Err(_) => spam_send_failures += 1,
+                        match self.tb.publish_spam(spammer, &payload) {
+                            Ok(_) => self.spam_payloads.push((spammer, payload, at_ms)),
+                            Err(_) => self.spam_send_failures += 1,
                         }
                     }
                 }
             }
             EventKind::FaultCrash(i) => {
-                let mut candidates = honest_candidates(&tb, honest, &joined_at, victim);
-                candidates.shuffle(&mut rng);
+                let mut candidates = self.honest_candidates();
+                candidates.shuffle(&mut self.rng);
                 candidates.truncate(spec.faults.restarts[i].peers);
                 candidates.sort_unstable();
                 for &p in &candidates {
-                    tb.crash_peer(p);
+                    self.tb.crash_peer(p);
                 }
-                restart_sets[i] = candidates;
-                faults_injected += 1;
+                self.restart_sets[i] = candidates;
             }
             EventKind::FaultRestore(i) => {
                 let warm = spec.faults.restarts[i].warm;
-                for &p in &restart_sets[i] {
-                    tb.restart_peer(p, warm);
+                for &p in &self.restart_sets[i] {
+                    self.tb.restart_peer(p, warm);
                 }
-                remesh.arm(tb.net.now());
+                self.remesh.arm(at_ms);
             }
             EventKind::PartitionStart(i) => {
                 // the minority group is drawn from the live population so
                 // the split is meaningful even after churn/crashes
                 let p = spec.faults.partitions[i];
-                let mut live: Vec<usize> =
-                    (0..tb.peer_count()).filter(|j| tb.is_live(*j)).collect();
-                live.shuffle(&mut rng);
+                let mut live: Vec<usize> = (0..self.tb.peer_count())
+                    .filter(|j| self.tb.is_live(*j))
+                    .collect();
+                live.shuffle(&mut self.rng);
                 let minority = ((live.len() as f64) * p.minority_fraction).round() as usize;
-                let mut groups = vec![0u32; tb.peer_count()];
+                let mut groups = vec![0u32; self.tb.peer_count()];
                 for &j in live.iter().take(minority) {
                     groups[j] = 1;
                 }
-                tb.net.set_partition(groups);
-                faults_injected += 1;
+                self.tb.net.set_partition(groups);
             }
             EventKind::PartitionHeal(_) => {
-                tb.net.clear_partition();
-                remesh.arm(tb.net.now());
+                self.tb.net.clear_partition();
+                self.remesh.arm(at_ms);
             }
             EventKind::DegradeStart(i) => {
                 let d = spec.faults.degradations[i];
-                tb.net.set_degradation(d.extra_loss, d.extra_latency_ms);
-                faults_injected += 1;
+                self.tb
+                    .net
+                    .set_degradation(d.extra_loss, d.extra_latency_ms);
             }
             EventKind::DegradeEnd(_) => {
-                tb.net.clear_degradation();
+                self.tb.net.clear_degradation();
             }
             EventKind::OutageStart(i) => {
                 // the chain clock ticks in seconds; round the end up so a
                 // sub-second tail still covers its full window
                 let o = spec.faults.contract_outages[i];
-                tb.chain
+                self.tb
+                    .chain
                     .set_registration_outage((o.at_ms + o.duration_ms).div_ceil(1000));
-                faults_injected += 1;
             }
             EventKind::Traffic(round) => {
-                let mut candidates = honest_candidates(&tb, honest, &joined_at, victim);
+                let mut candidates = self.honest_candidates();
                 // only synced members can generate proofs, and the
                 // surveillance adversary's taps never publish
-                candidates.retain(|p| tb.is_member(*p) && !observer_set.contains(p));
-                candidates.shuffle(&mut rng);
+                candidates
+                    .retain(|p| self.tb.is_member(*p) && self.observers.binary_search(p).is_err());
+                candidates.shuffle(&mut self.rng);
                 for p in candidates.into_iter().take(spec.traffic.publishers) {
                     let payload = format!("r{round}-p{p}").into_bytes();
-                    match tb.publish(p, &payload) {
-                        Ok(id) => publishes.push(PublishRecord {
+                    match self.tb.publish(p, &payload) {
+                        Ok(id) => self.publishes.push(PublishRecord {
                             payload,
                             id,
                             publisher: p,
-                            at_ms: tb.net.now(),
+                            at_ms,
                             round,
                         }),
-                        Err(_) => honest_publish_failures += 1,
+                        Err(_) => self.honest_publish_failures += 1,
                     }
                 }
             }
         }
     }
-    if end_ms > tb.net.now() {
-        advance(&mut tb, end_ms, &mut observe, &mut remesh);
-    }
-    // classify the drain: did the network actually settle, or did the
-    // hard stop cut it off with work still queued? (Live meshes keep
-    // heartbeat timers armed forever, so pending > 0 is the norm — the
-    // report records it instead of swallowing it.)
-    let drain = tb.run_to_quiescence(end_ms, spec.slice_ms);
-    let (drain_quiescent, drain_pending_events) = match drain {
-        QuiescenceOutcome::Quiescent { .. } => (true, 0),
-        QuiescenceOutcome::HardStop { pending_events, .. } => (false, pending_events),
-    };
 
-    // distill
-    let n_total = tb.peer_count();
-    let is_censor = |i: usize| i >= honest + spammers && i < n_initial;
-    // one eligibility rule for every delivery metric (honest and spam):
-    // the receiver is alive at the end, isn't the sender or a censor, and
-    // had joined (plus sync grace) before the publish
-    let eligible_receiver = |i: usize, sender: usize, published_at: u64| {
-        i != sender
-            && !is_censor(i)
-            && tb.is_live(i)
-            && (joined_at[i] == 0 || joined_at[i] + JOIN_SYNC_GRACE_MS <= published_at)
-    };
-    let mut arrivals: HashMap<Vec<u8>, HashMap<usize, u64>> = HashMap::new();
-    for i in 0..n_total {
-        for (payload, at) in tb.net.node(NodeId(i)).app_deliveries() {
-            arrivals.entry(payload).or_default().entry(i).or_insert(at);
-        }
+    /// Runs the rest of the timeline and the end-of-run drain, then
+    /// distills the report. Hands back the finished world too.
+    pub(crate) fn finish(mut self) -> (ScenarioReport, Testbed) {
+        self.advance_to(self.end_ms, &mut |_| {});
+        // classify the drain: did the network actually settle, or did the
+        // hard stop cut it off with work still queued? (Live meshes keep
+        // heartbeat timers armed forever, so pending > 0 is the norm — the
+        // report records it instead of swallowing it.)
+        let drain = self.tb.run_to_quiescence(self.end_ms, self.spec.slice_ms);
+        (self.distill(drain), self.tb)
     }
 
-    let mut pairs_total = 0u64;
-    let mut pairs_delivered = 0u64;
-    let mut victim_pairs = 0u64;
-    let mut victim_delivered = 0u64;
-    // per-traffic-round pair counts: (publish time, total, delivered)
-    let mut rounds: Vec<(u64, u64, u64)> = vec![(0, 0, 0); spec.traffic.rounds];
-    let mut samples: Vec<f64> = Vec::new();
-    for publish in &publishes {
-        let delivered_to = arrivals.get(&publish.payload);
-        rounds[publish.round].0 = publish.at_ms;
+    /// Distills the finished run into its report.
+    fn distill(&self, drain: QuiescenceOutcome) -> ScenarioReport {
+        let (spec, tb) = (&self.spec, &self.tb);
+        let honest = spec.honest;
+        let spammers = spec.spam.map(|s| s.spammers).unwrap_or(0);
+        let attackers = spec.eclipse.map(|e| e.attackers).unwrap_or(0);
+        let n_initial = spec.initial_peers();
+        let victim: Option<usize> = spec.eclipse.map(|_| 0);
+        let (drain_quiescent, drain_pending_events) = match drain {
+            QuiescenceOutcome::Quiescent { .. } => (true, 0),
+            QuiescenceOutcome::HardStop { pending_events, .. } => (false, pending_events),
+        };
+
+        let n_total = tb.peer_count();
+        let is_censor = |i: usize| i >= honest + spammers && i < n_initial;
+        // one eligibility rule for every delivery metric (honest and spam):
+        // the receiver is alive at the end, isn't the sender or a censor, and
+        // had joined (plus sync grace) before the publish
+        let eligible_receiver = |i: usize, sender: usize, published_at: u64| {
+            i != sender
+                && !is_censor(i)
+                && tb.is_live(i)
+                && (self.joined_at[i] == 0
+                    || self.joined_at[i] + JOIN_SYNC_GRACE_MS <= published_at)
+        };
+        let mut arrivals: HashMap<Vec<u8>, HashMap<usize, u64>> = HashMap::new();
         for i in 0..n_total {
-            if !eligible_receiver(i, publish.publisher, publish.at_ms) {
-                continue;
+            for (payload, at) in tb.net.node(NodeId(i)).app_deliveries() {
+                arrivals.entry(payload).or_default().entry(i).or_insert(at);
             }
-            pairs_total += 1;
-            rounds[publish.round].1 += 1;
-            let arrival = delivered_to.and_then(|m| m.get(&i));
-            if let Some(at) = arrival {
-                pairs_delivered += 1;
-                rounds[publish.round].2 += 1;
-                samples.push(at.saturating_sub(publish.at_ms) as f64);
-            }
-            if Some(i) == victim {
-                victim_pairs += 1;
-                if arrival.is_some() {
-                    victim_delivered += 1;
+        }
+
+        let mut pairs_total = 0u64;
+        let mut pairs_delivered = 0u64;
+        let mut victim_pairs = 0u64;
+        let mut victim_delivered = 0u64;
+        // per-traffic-round pair counts: (publish time, total, delivered)
+        let mut rounds: Vec<(u64, u64, u64)> = vec![(0, 0, 0); spec.traffic.rounds];
+        let mut samples: Vec<f64> = Vec::new();
+        for publish in &self.publishes {
+            let delivered_to = arrivals.get(&publish.payload);
+            rounds[publish.round].0 = publish.at_ms;
+            for i in 0..n_total {
+                if !eligible_receiver(i, publish.publisher, publish.at_ms) {
+                    continue;
+                }
+                pairs_total += 1;
+                rounds[publish.round].1 += 1;
+                let arrival = delivered_to.and_then(|m| m.get(&i));
+                if let Some(at) = arrival {
+                    pairs_delivered += 1;
+                    rounds[publish.round].2 += 1;
+                    samples.push(at.saturating_sub(publish.at_ms) as f64);
+                }
+                if Some(i) == victim {
+                    victim_pairs += 1;
+                    if arrival.is_some() {
+                        victim_delivered += 1;
+                    }
                 }
             }
         }
+        samples.sort_by(f64::total_cmp);
+        let percentile = |p: f64| -> Option<f64> {
+            if samples.is_empty() {
+                None
+            } else {
+                let rank = ((samples.len() - 1) as f64 * p).round() as usize;
+                Some(samples[rank])
+            }
+        };
+
+        let mut spam_delivered_majority = 0u64;
+        for (spammer, payload, sent_at) in &self.spam_payloads {
+            let eligible: Vec<usize> = (0..n_total)
+                .filter(|i| eligible_receiver(*i, *spammer, *sent_at))
+                .collect();
+            let got = arrivals
+                .get(payload)
+                .map(|m| eligible.iter().filter(|i| m.contains_key(i)).count())
+                .unwrap_or(0);
+            if got * 2 >= eligible.len() && !eligible.is_empty() {
+                spam_delivered_majority += 1;
+            }
+        }
+        let spammers_slashed = (honest..honest + spammers)
+            .filter(|s| !tb.is_member(*s))
+            .count() as u64;
+
+        let mut stats_sum = waku_rln_relay::ValidationStats::default();
+        let mut nullifier_max = 0u64;
+        let mut nullifier_sum = 0u64;
+        let mut nullifier_live = 0u64;
+        let mut tree_max = 0u64;
+        let mut bytes_max = 0u64;
+        let mut bytes_sum = 0u64;
+        let mut cpu_max = 0u64;
+        let mut cpu_sum = 0u64;
+        for i in 0..n_total {
+            let node = tb.net.node(NodeId(i));
+            let s = node.validator().stats();
+            stats_sum.valid += s.valid;
+            stats_sum.malformed += s.malformed;
+            stats_sum.invalid_proof += s.invalid_proof;
+            stats_sum.epoch_out_of_window += s.epoch_out_of_window;
+            stats_sum.duplicates += s.duplicates;
+            stats_sum.spam_detected += s.spam_detected;
+            if tb.is_live(i) {
+                let nb = node.validator().nullifier_map_bytes() as u64;
+                nullifier_max = nullifier_max.max(nb);
+                nullifier_sum += nb;
+                nullifier_live += 1;
+                tree_max = tree_max.max(node.membership_storage_bytes() as u64);
+            }
+            let b = tb.net.metrics().node_bytes_sent(i as u64);
+            bytes_max = bytes_max.max(b);
+            bytes_sum += b;
+            let c = tb.net.metrics().node_counter(i as u64, "cpu_micros");
+            cpu_max = cpu_max.max(c);
+            cpu_sum += c;
+        }
+
+        // the adversary's post-run analysis: pool every observer tape by
+        // message id and run the attribution estimators over each honest
+        // publish. Pure post-processing over per-node state in fixed order —
+        // a function of the seed like everything else in the report.
+        let mut anonymity_observers = None;
+        let mut anonymity_observations = None;
+        let mut anonymity_messages_observed = None;
+        let mut anonymity_first_spy_precision_at1 = None;
+        let mut anonymity_centrality_precision_at1 = None;
+        let mut anonymity_set_mean_size = None;
+        let mut anonymity_arrival_entropy_bits = None;
+        if spec.surveillance.is_some() {
+            let mut pooled: HashMap<MessageId, Vec<PooledObservation>> = HashMap::new();
+            let mut observations_total = 0u64;
+            for &peer in &self.observers {
+                for obs in tb.observations(peer) {
+                    observations_total += 1;
+                    pooled.entry(obs.id).or_default().push(PooledObservation {
+                        observer: peer as u64,
+                        from: obs.from.as_u64(),
+                        at_ms: obs.at_ms,
+                    });
+                }
+            }
+            let mut observed = 0u64;
+            let mut first_spy_hits = 0u64;
+            let mut centrality_hits = 0u64;
+            let mut set_size_sum = 0u64;
+            let mut entropy_sum = 0.0f64;
+            for publish in &self.publishes {
+                let Some(verdict) = pooled.get(&publish.id).and_then(|r| attribute(r)) else {
+                    continue;
+                };
+                observed += 1;
+                if verdict.first_spy_guess == publish.publisher as u64 {
+                    first_spy_hits += 1;
+                }
+                if verdict.centrality_guess == publish.publisher as u64 {
+                    centrality_hits += 1;
+                }
+                set_size_sum += verdict.anonymity_set_size as u64;
+                entropy_sum += verdict.arrival_entropy_bits;
+            }
+            anonymity_observers = Some(self.observers.len() as u64);
+            anonymity_observations = Some(observations_total);
+            anonymity_messages_observed = Some(observed);
+            if observed > 0 {
+                anonymity_first_spy_precision_at1 = Some(first_spy_hits as f64 / observed as f64);
+                anonymity_centrality_precision_at1 = Some(centrality_hits as f64 / observed as f64);
+                anonymity_set_mean_size = Some(set_size_sum as f64 / observed as f64);
+                anonymity_arrival_entropy_bits = Some(entropy_sum / observed as f64);
+            }
+        }
+
+        let metrics = tb.net.metrics();
+
+        // resilience distillation — populated only when the spec schedules
+        // faults, so fault-free reports keep every resilience_* field null
+        let mut resilience_faults_injected = None;
+        let mut resilience_peers_restarted = None;
+        let mut resilience_resync_retries = None;
+        let mut resilience_messages_lost_partition = None;
+        let mut resilience_time_to_remesh_ms = None;
+        let mut resilience_delivery_during_fault = None;
+        let mut resilience_delivery_post_heal = None;
+        let mut resilience_delivery_dip_depth = None;
+        let mut resilience_delivery_dip_duration_ms = None;
+        if !spec.faults.is_empty() {
+            let windows = spec.faults.windows();
+            let last_end = spec.faults.last_end_ms();
+            let in_fault = |t: u64| windows.iter().any(|(s, e)| t >= *s && t < *e);
+            let mut during = (0u64, 0u64);
+            let mut post = (0u64, 0u64);
+            let mut min_rate: Option<f64> = None;
+            let mut dip_rounds = 0u64;
+            for &(at, total, delivered) in &rounds {
+                if total == 0 {
+                    continue;
+                }
+                let rate = delivered as f64 / total as f64;
+                min_rate = Some(min_rate.map_or(rate, |m: f64| m.min(rate)));
+                if rate < DIP_THRESHOLD {
+                    dip_rounds += 1;
+                }
+                if in_fault(at) {
+                    during.0 += total;
+                    during.1 += delivered;
+                }
+                if at >= last_end {
+                    post.0 += total;
+                    post.1 += delivered;
+                }
+            }
+            // every fault window opens with one injected fault
+            resilience_faults_injected = Some(windows.len() as u64);
+            resilience_peers_restarted = Some(metrics.counter("peer_restarts"));
+            resilience_resync_retries = Some(metrics.counter("resync_retries"));
+            resilience_messages_lost_partition = Some(metrics.counter("messages_lost_partition"));
+            resilience_time_to_remesh_ms = self.remesh.recorded;
+            resilience_delivery_during_fault =
+                (during.0 > 0).then(|| during.1 as f64 / during.0 as f64);
+            resilience_delivery_post_heal = (post.0 > 0).then(|| post.1 as f64 / post.0 as f64);
+            resilience_delivery_dip_depth = min_rate.map(|m| 1.0 - m);
+            resilience_delivery_dip_duration_ms = Some(dip_rounds * spec.traffic.interval_ms);
+        }
+
+        ScenarioReport {
+            scenario: spec.name.clone(),
+            seed: spec.seed,
+            peers_initial: n_initial as u64,
+            peers_final_live: tb.live_peer_count() as u64,
+            honest: honest as u64,
+            spammers: spammers as u64,
+            eclipse_attackers: attackers as u64,
+            duration_ms: self.end_ms,
+            tree_depth: spec.effective_tree_depth() as u64,
+            honest_published: self.publishes.len() as u64,
+            honest_publish_failures: self.honest_publish_failures,
+            delivery_rate: pairs_delivered as f64 / pairs_total as f64,
+            propagation_p50_ms: percentile(0.50),
+            propagation_p99_ms: percentile(0.99),
+            propagation_max_ms: percentile(1.0),
+            spam_attempted: self.spam_payloads.len() as u64 + self.spam_send_failures,
+            spam_send_failures: self.spam_send_failures,
+            spam_delivered_majority,
+            spam_detections: tb.total_spam_detections(),
+            spammers_slashed,
+            members_start: self.members_start,
+            members_end: tb.active_members() as u64,
+            peers_crashed: self.peers_crashed,
+            peers_joined: (n_total - n_initial) as u64,
+            messages_sent: metrics.counter("messages_sent"),
+            messages_delivered: metrics.counter("messages_delivered"),
+            messages_to_removed_peer: metrics.counter("messages_to_removed_peer"),
+            bytes_sent: metrics.counter("bytes_sent"),
+            bytes_sent_mean_per_node: bytes_sum as f64 / n_total as f64,
+            bytes_sent_max_node: bytes_max,
+            cpu_micros_mean_per_node: cpu_sum as f64 / n_total as f64,
+            cpu_micros_max_node: cpu_max,
+            valid_total: stats_sum.valid,
+            invalid_proof_total: stats_sum.invalid_proof,
+            epoch_out_of_window_total: stats_sum.epoch_out_of_window,
+            duplicates_total: stats_sum.duplicates,
+            malformed_total: stats_sum.malformed,
+            nullifier_map_max_bytes: nullifier_max,
+            nullifier_map_mean_bytes: nullifier_sum as f64 / nullifier_live.max(1) as f64,
+            membership_tree_max_bytes: tree_max,
+            drain_quiescent,
+            drain_pending_events,
+            eclipse_victim_delivery_rate: spec
+                .eclipse
+                .map(|_| victim_delivered as f64 / victim_pairs.max(1) as f64),
+            anonymity_observers,
+            anonymity_observations,
+            anonymity_messages_observed,
+            anonymity_first_spy_precision_at1,
+            anonymity_centrality_precision_at1,
+            anonymity_set_mean_size,
+            anonymity_arrival_entropy_bits,
+            resilience_faults_injected,
+            resilience_peers_restarted,
+            resilience_resync_retries,
+            resilience_messages_lost_partition,
+            resilience_time_to_remesh_ms,
+            resilience_delivery_during_fault,
+            resilience_delivery_post_heal,
+            resilience_delivery_dip_depth,
+            resilience_delivery_dip_duration_ms,
+        }
     }
-    samples.sort_by(f64::total_cmp);
-    let percentile = |p: f64| -> Option<f64> {
-        if samples.is_empty() {
-            None
-        } else {
-            let rank = ((samples.len() - 1) as f64 * p).round() as usize;
-            Some(samples[rank])
-        }
-    };
-
-    let mut spam_delivered_majority = 0u64;
-    for (spammer, payload, sent_at) in &spam_payloads {
-        let eligible: Vec<usize> = (0..n_total)
-            .filter(|i| eligible_receiver(*i, *spammer, *sent_at))
-            .collect();
-        let got = arrivals
-            .get(payload)
-            .map(|m| eligible.iter().filter(|i| m.contains_key(i)).count())
-            .unwrap_or(0);
-        if got * 2 >= eligible.len() && !eligible.is_empty() {
-            spam_delivered_majority += 1;
-        }
-    }
-    let spammers_slashed = (honest..honest + spammers)
-        .filter(|s| !tb.is_member(*s))
-        .count() as u64;
-
-    let mut stats_sum = waku_rln_relay::ValidationStats::default();
-    let mut nullifier_max = 0u64;
-    let mut nullifier_sum = 0u64;
-    let mut nullifier_live = 0u64;
-    let mut tree_max = 0u64;
-    let mut bytes_max = 0u64;
-    let mut bytes_sum = 0u64;
-    let mut cpu_max = 0u64;
-    let mut cpu_sum = 0u64;
-    for i in 0..n_total {
-        let node = tb.net.node(NodeId(i));
-        let s = node.validator().stats();
-        stats_sum.valid += s.valid;
-        stats_sum.malformed += s.malformed;
-        stats_sum.invalid_proof += s.invalid_proof;
-        stats_sum.epoch_out_of_window += s.epoch_out_of_window;
-        stats_sum.duplicates += s.duplicates;
-        stats_sum.spam_detected += s.spam_detected;
-        if tb.is_live(i) {
-            let nb = node.validator().nullifier_map_bytes() as u64;
-            nullifier_max = nullifier_max.max(nb);
-            nullifier_sum += nb;
-            nullifier_live += 1;
-            tree_max = tree_max.max(node.membership_storage_bytes() as u64);
-        }
-        let b = tb.net.metrics().node_bytes_sent(i as u64);
-        bytes_max = bytes_max.max(b);
-        bytes_sum += b;
-        let c = tb.net.metrics().node_counter(i as u64, "cpu_micros");
-        cpu_max = cpu_max.max(c);
-        cpu_sum += c;
-    }
-
-    // the adversary's post-run analysis: pool every observer tape by
-    // message id and run the attribution estimators over each honest
-    // publish. Pure post-processing over per-node state in fixed order —
-    // a function of the seed like everything else in the report.
-    let mut anonymity_observers = None;
-    let mut anonymity_observations = None;
-    let mut anonymity_messages_observed = None;
-    let mut anonymity_first_spy_precision_at1 = None;
-    let mut anonymity_centrality_precision_at1 = None;
-    let mut anonymity_set_mean_size = None;
-    let mut anonymity_arrival_entropy_bits = None;
-    if spec.surveillance.is_some() {
-        let mut pooled: HashMap<MessageId, Vec<PooledObservation>> = HashMap::new();
-        let mut observations_total = 0u64;
-        for &peer in &observers {
-            for obs in tb.observations(peer) {
-                observations_total += 1;
-                pooled.entry(obs.id).or_default().push(PooledObservation {
-                    observer: peer as u64,
-                    from: obs.from.as_u64(),
-                    at_ms: obs.at_ms,
-                });
-            }
-        }
-        let mut observed = 0u64;
-        let mut first_spy_hits = 0u64;
-        let mut centrality_hits = 0u64;
-        let mut set_size_sum = 0u64;
-        let mut entropy_sum = 0.0f64;
-        for publish in &publishes {
-            let Some(verdict) = pooled.get(&publish.id).and_then(|r| attribute(r)) else {
-                continue;
-            };
-            observed += 1;
-            if verdict.first_spy_guess == publish.publisher as u64 {
-                first_spy_hits += 1;
-            }
-            if verdict.centrality_guess == publish.publisher as u64 {
-                centrality_hits += 1;
-            }
-            set_size_sum += verdict.anonymity_set_size as u64;
-            entropy_sum += verdict.arrival_entropy_bits;
-        }
-        anonymity_observers = Some(observers.len() as u64);
-        anonymity_observations = Some(observations_total);
-        anonymity_messages_observed = Some(observed);
-        if observed > 0 {
-            anonymity_first_spy_precision_at1 = Some(first_spy_hits as f64 / observed as f64);
-            anonymity_centrality_precision_at1 = Some(centrality_hits as f64 / observed as f64);
-            anonymity_set_mean_size = Some(set_size_sum as f64 / observed as f64);
-            anonymity_arrival_entropy_bits = Some(entropy_sum / observed as f64);
-        }
-    }
-
-    let metrics = tb.net.metrics();
-
-    // resilience distillation — populated only when the spec schedules
-    // faults, so fault-free reports keep every resilience_* field null
-    let mut resilience_faults_injected = None;
-    let mut resilience_peers_restarted = None;
-    let mut resilience_resync_retries = None;
-    let mut resilience_messages_lost_partition = None;
-    let mut resilience_time_to_remesh_ms = None;
-    let mut resilience_delivery_during_fault = None;
-    let mut resilience_delivery_post_heal = None;
-    let mut resilience_delivery_dip_depth = None;
-    let mut resilience_delivery_dip_duration_ms = None;
-    if !spec.faults.is_empty() {
-        let windows = spec.faults.windows();
-        let last_end = spec.faults.last_end_ms();
-        let in_fault = |t: u64| windows.iter().any(|(s, e)| t >= *s && t < *e);
-        let mut during = (0u64, 0u64);
-        let mut post = (0u64, 0u64);
-        let mut min_rate: Option<f64> = None;
-        let mut dip_rounds = 0u64;
-        for &(at, total, delivered) in &rounds {
-            if total == 0 {
-                continue;
-            }
-            let rate = delivered as f64 / total as f64;
-            min_rate = Some(min_rate.map_or(rate, |m: f64| m.min(rate)));
-            if rate < DIP_THRESHOLD {
-                dip_rounds += 1;
-            }
-            if in_fault(at) {
-                during.0 += total;
-                during.1 += delivered;
-            }
-            if at >= last_end {
-                post.0 += total;
-                post.1 += delivered;
-            }
-        }
-        resilience_faults_injected = Some(faults_injected);
-        resilience_peers_restarted = Some(metrics.counter("peer_restarts"));
-        resilience_resync_retries = Some(metrics.counter("resync_retries"));
-        resilience_messages_lost_partition = Some(metrics.counter("messages_lost_partition"));
-        resilience_time_to_remesh_ms = remesh.recorded;
-        resilience_delivery_during_fault =
-            (during.0 > 0).then(|| during.1 as f64 / during.0 as f64);
-        resilience_delivery_post_heal = (post.0 > 0).then(|| post.1 as f64 / post.0 as f64);
-        resilience_delivery_dip_depth = min_rate.map(|m| 1.0 - m);
-        resilience_delivery_dip_duration_ms = Some(dip_rounds * spec.traffic.interval_ms);
-    }
-
-    let report = ScenarioReport {
-        scenario: spec.name.clone(),
-        seed: spec.seed,
-        peers_initial: n_initial as u64,
-        peers_final_live: tb.live_peer_count() as u64,
-        honest: honest as u64,
-        spammers: spammers as u64,
-        eclipse_attackers: attackers as u64,
-        duration_ms: end_ms,
-        tree_depth: depth as u64,
-        honest_published: publishes.len() as u64,
-        honest_publish_failures,
-        delivery_rate: pairs_delivered as f64 / pairs_total as f64,
-        propagation_p50_ms: percentile(0.50),
-        propagation_p99_ms: percentile(0.99),
-        propagation_max_ms: percentile(1.0),
-        spam_attempted,
-        spam_send_failures,
-        spam_delivered_majority,
-        spam_detections: tb.total_spam_detections(),
-        spammers_slashed,
-        members_start,
-        members_end: tb.active_members() as u64,
-        peers_crashed,
-        peers_joined,
-        messages_sent: metrics.counter("messages_sent"),
-        messages_delivered: metrics.counter("messages_delivered"),
-        messages_to_removed_peer: metrics.counter("messages_to_removed_peer"),
-        bytes_sent: metrics.counter("bytes_sent"),
-        bytes_sent_mean_per_node: bytes_sum as f64 / n_total as f64,
-        bytes_sent_max_node: bytes_max,
-        cpu_micros_mean_per_node: cpu_sum as f64 / n_total as f64,
-        cpu_micros_max_node: cpu_max,
-        valid_total: stats_sum.valid,
-        invalid_proof_total: stats_sum.invalid_proof,
-        epoch_out_of_window_total: stats_sum.epoch_out_of_window,
-        duplicates_total: stats_sum.duplicates,
-        malformed_total: stats_sum.malformed,
-        nullifier_map_max_bytes: nullifier_max,
-        nullifier_map_mean_bytes: nullifier_sum as f64 / nullifier_live.max(1) as f64,
-        membership_tree_max_bytes: tree_max,
-        drain_quiescent,
-        drain_pending_events,
-        eclipse_victim_delivery_rate: spec
-            .eclipse
-            .map(|_| victim_delivered as f64 / victim_pairs.max(1) as f64),
-        anonymity_observers,
-        anonymity_observations,
-        anonymity_messages_observed,
-        anonymity_first_spy_precision_at1,
-        anonymity_centrality_precision_at1,
-        anonymity_set_mean_size,
-        anonymity_arrival_entropy_bits,
-        resilience_faults_injected,
-        resilience_peers_restarted,
-        resilience_resync_retries,
-        resilience_messages_lost_partition,
-        resilience_time_to_remesh_ms,
-        resilience_delivery_during_fault,
-        resilience_delivery_post_heal,
-        resilience_delivery_dip_depth,
-        resilience_delivery_dip_duration_ms,
-    };
-    (report, tb)
-}
-
-/// Live honest peers (initial honest plus joiners), excluding the
-/// eclipse victim — the pool traffic, crash and bootstrap draws come
-/// from. `joined_at[i]` is peer `i`'s join time (0 for the initial
-/// population), so joiners are exactly the peers with a nonzero entry.
-/// Sorted ascending, so shuffles are reproducible.
-fn honest_candidates(
-    tb: &Testbed,
-    honest: usize,
-    joined_at: &[u64],
-    victim: Option<usize>,
-) -> Vec<usize> {
-    (0..tb.peer_count())
-        .filter(|i| *i < honest || joined_at[*i] > 0)
-        .filter(|i| tb.is_live(*i) && Some(*i) != victim)
-        .collect()
 }
 
 /// Builds the bootstrap adjacency for the whole population: the chosen
@@ -901,12 +1002,15 @@ mod tests {
 
     #[test]
     fn simulated_hour_soak_keeps_per_node_state_bounded() {
+        use crate::soak::{run_soak, SoakBounds, SoakConfig};
         use crate::spec::{ContractOutageEvent, DegradationEvent, PartitionEvent, RestartEvent};
-        // an hour of continuous traffic with every fault class in play:
-        // the long-horizon leak check for the nullifier window GC, the
-        // verdict cache, the mcache and the publisher's own-message map
+        // an hour of continuous traffic with every fault class in play and
+        // the batched pipeline on: the long-horizon leak check for the
+        // nullifier window GC, the verdict cache and deferred verdicts
+        // across a cold restart, the mcache and the own-message map
         let mut spec = ScenarioSpec::baseline(8, 13);
         spec.name = "hour_soak".to_string();
+        spec.pipeline = Some(waku_rln_relay::PipelineConfig::default());
         spec.traffic = TrafficSpec {
             publishers: 2,
             rounds: 30,
@@ -944,28 +1048,61 @@ mod tests {
             duration_ms: 30_000,
         }];
         spec.drain_ms = 120_000;
-        let (report, tb) = run_scenario_detailed(&spec);
-        assert!(report.duration_ms >= 3_600_000);
-        assert!(report.resilience_resync_retries.unwrap() > 0);
-        assert!(report.delivery_rate > 0.9, "rate {}", report.delivery_rate);
-        for i in 0..tb.peer_count() {
-            if !tb.is_live(i) {
-                continue;
+        // ten-minute segments; the second checkpoint replays the cold
+        // restart through the outage
+        let config = SoakConfig {
+            spec,
+            segment_ms: 600_000,
+            checkpoint_every: 3,
+        };
+        let outcome = run_soak(&config, &SoakBounds::default(), &mut |_| {});
+        assert!(outcome.clean(), "violations: {:?}", outcome.violations);
+        assert_eq!(outcome.segments, 6);
+        assert_eq!(outcome.checkpoints_verified, 2);
+        assert!(outcome.deliveries > 0, "traffic must actually deliver");
+    }
+
+    /// Cutting a run at times that are neither timeline events nor
+    /// lock-step boundaries moves no report byte.
+    #[test]
+    fn a_run_advanced_in_segments_reports_the_same_bytes() {
+        for spec in [
+            crate::library::fault_storm(12, 5),
+            crate::library::high_throughput(12, 5),
+        ] {
+            let mut run = ScenarioRun::new(&spec);
+            for t in [12_345, 33_333, 50_500] {
+                run.advance_to(t, &mut |_| {});
+                assert_eq!(run.testbed().net.now(), t);
             }
-            let node = tb.net.node(NodeId(i));
-            // epoch-window GC: far below one entry per message ever sent
-            assert!(
-                node.validator().nullifier_map_bytes() < 16_384,
-                "peer {i}: nullifier map grew unbounded"
-            );
-            let gs = node.relay().gossipsub();
-            assert!(gs.mcache_len() < 200, "peer {i}: mcache leaks");
-            assert!(
-                gs.own_published_len() < 200,
-                "peer {i}: own_published leaks"
-            );
-            assert!(gs.seen_len() < 2_000, "peer {i}: seen cache leaks");
+            let segmented = run.finish().0.to_json();
+            assert_eq!(segmented, run_scenario(&spec).to_json(), "{}", spec.name);
         }
+    }
+
+    /// Checkpoint/restore byte-identity, the hard-stop form: freeze a run
+    /// by deep clone inside `fault_storm`'s first restart window, drive the
+    /// original to the end, then finish from the clone alone. The replay
+    /// crosses a warm restore, a degradation burst, a contract outage and
+    /// a cold restart that resyncs through it — a single diverging RNG
+    /// draw, queue ordering or un-cloned cache would move the report.
+    #[test]
+    fn restored_checkpoint_replays_byte_identical_to_uninterrupted_run() {
+        let spec = crate::library::fault_storm(12, 99);
+        let mut live = ScenarioRun::new(&spec);
+        // the warm wave is down from 25 s to 35 s; stop mid-slice
+        live.advance_to(30_500, &mut |_| {});
+        let checkpoint = live.clone();
+        let uninterrupted = live.finish().0;
+        // hard stop: only the checkpoint survives
+        let restored = checkpoint.finish().0;
+        assert_eq!(
+            restored.to_json(),
+            uninterrupted.to_json(),
+            "restored checkpoint diverged from the uninterrupted run"
+        );
+        assert_eq!(restored.resilience_peers_restarted, Some(2));
+        assert!(restored.resilience_resync_retries.unwrap() > 0);
     }
 
     #[test]

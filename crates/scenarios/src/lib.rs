@@ -61,7 +61,7 @@ pub use attribution::{attribute, MessageAttribution, PooledObservation};
 pub use engine::{run_scenario, run_scenario_detailed, run_scenario_with_progress, Progress};
 pub use library::{builtin, BUILTIN_NAMES};
 pub use report::ScenarioReport;
-pub use soak::{run_soak, run_soak_with, SoakBounds, SoakConfig, SoakDelta, SoakOutcome};
+pub use soak::{run_soak, SoakBounds, SoakConfig, SoakDelta, SoakOutcome};
 pub use spec::{
     ChurnAction, ChurnEvent, ContractOutageEvent, DegradationEvent, DeviceClassSpec, EclipseSpec,
     FaultPlan, LatencySpec, PartitionEvent, RestartEvent, ScenarioSpec, SpamSpec, SurveillanceSpec,

@@ -2,83 +2,91 @@
 //! engine checkpoint/restore and streaming report deltas.
 //!
 //! Scenario runs measure protocol behaviour over minutes of simulated
-//! time; the soak mode instead drives the full testbed for simulated
-//! *days* of continuous honest traffic and asserts that every piece of
-//! per-node state the paper requires to be windowed actually stays
-//! bounded over horizons ≥ 100× longer than any scenario: the RLN
-//! nullifier map (§III epoch-window GC), the pipeline's proof-verdict
-//! cache, the gossipsub `mcache`, `seen` and `own_published` caches,
-//! and the peer-score table.
+//! time; a soak instead drives a scenario for simulated *days* and
+//! asserts that every piece of per-node state the paper requires to be
+//! windowed actually stays bounded over horizons ≥ 100× longer than any
+//! scenario: the RLN nullifier map (§III epoch-window GC), the
+//! pipeline's proof-verdict cache and deferred verdicts, the gossipsub
+//! `mcache`, `seen` and `own_published` caches, and the peer-score table.
 //!
-//! Two design points keep day-scale runs honest:
+//! The soak owns no world and no traffic: its [`SoakConfig::spec`] runs
+//! through the scenario engine, so a soak carries whatever traffic,
+//! faults, spam and churn the spec schedules ([`SoakConfig::steady`]
+//! builds the plain steady-traffic one). Two design points keep
+//! day-scale runs honest:
 //!
 //! * **Streaming deltas.** The run is cut into segments; after each one
 //!   the harness emits a [`SoakDelta`] — per-segment counters plus the
 //!   *current* size of every bounded structure — and drains the
-//!   delivery tapes, so the harness itself holds O(segment) state, not
-//!   O(run). Deltas are checked against [`SoakBounds`] as they stream.
+//!   delivery tapes, so no per-node tape grows with the run. Deltas are
+//!   checked against [`SoakBounds`] as they stream.
 //!
-//! * **Checkpoint/restore.** Every `checkpoint_every` segments the
-//!   world is checkpointed by deep [`Clone`] (the testbed's whole state:
-//!   network, queue, chain, RNG streams), the live world advances one
+//! * **Checkpoint/restore.** Every `checkpoint_every` segments the run
+//!   is checkpointed by deep `Clone` (the testbed's whole state plus the
+//!   engine's timeline cursor and draw stream), the live run advances one
 //!   segment, and the restored checkpoint replays the same segment. The
-//!   two must reach byte-identical [fingerprints](SoakWorld::fingerprint)
-//!   — the determinism contract that makes long runs resumable and
-//!   failures replayable from the nearest checkpoint.
+//!   two must reach byte-identical fingerprints — the determinism
+//!   contract that makes long runs resumable and failures replayable
+//!   from the nearest checkpoint.
 //!
 //! The `simctl soak` subcommand drives this from the command line
-//! (`--sim-hours`, `--checkpoint-every`); the module tests, the
-//! hard-stop replay test in `tests/scenario_determinism.rs` and the CI
-//! soak smoke pin the invariants.
+//! (`--sim-hours`, `--checkpoint-every`); the module tests and the CI
+//! soak steps pin the invariants.
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use crate::engine::ScenarioRun;
+use crate::spec::{ScenarioSpec, TrafficSpec};
 use std::fmt::Write as _;
-use waku_rln_relay::{PipelineConfig, Testbed, TestbedConfig};
+use waku_rln_relay::{PipelineConfig, RlnRelayNode, Testbed};
 use wakurln_netsim::NodeId;
 
 /// Configuration for one soak run.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct SoakConfig {
-    /// Number of peers in the world.
-    pub nodes: usize,
-    /// Determinism seed (topology, identities, traffic draws).
-    pub seed: u64,
-    /// Total simulated time, milliseconds.
-    pub total_ms: u64,
+    /// The scenario to soak. Its timeline drives the run, and its
+    /// duration is the horizon (the tail shorter than a segment is
+    /// dropped).
+    pub spec: ScenarioSpec,
     /// Streaming-report segment length, milliseconds. Deltas, bounds
     /// checks and delivery-tape drains happen at segment boundaries.
     pub segment_ms: u64,
     /// Checkpoint/restore cadence in segments (`0` disables the
     /// byte-identity replay check).
     pub checkpoint_every: u64,
-    /// Honest publishes attempted per traffic tick.
-    pub publishers: usize,
-    /// Traffic tick interval, milliseconds.
-    pub publish_interval_ms: u64,
-}
-
-impl Default for SoakConfig {
-    fn default() -> SoakConfig {
-        SoakConfig {
-            nodes: 8,
-            seed: 2022,
-            total_ms: 24 * 3_600_000,
-            segment_ms: 3_600_000,
-            checkpoint_every: 4,
-            publishers: 2,
-            publish_interval_ms: 120_000,
-        }
-    }
 }
 
 impl SoakConfig {
-    /// Number of whole segments the run covers (the tail shorter than a
-    /// segment is dropped — bounds are only ever checked at segment
-    /// boundaries).
+    /// The steady-traffic soak: `nodes` honest peers on the default
+    /// latency and bootstrap degree, a depth-12 tree and the batched
+    /// validation pipeline on (so the verdict cache is exercised), with
+    /// 2 publishers every 120 s from t = 10 s until `total_ms`. One-hour
+    /// segments, a checkpoint every 4.
+    pub fn steady(nodes: usize, seed: u64, total_ms: u64) -> SoakConfig {
+        let mut spec = ScenarioSpec::baseline(nodes, seed);
+        spec.name = "soak".to_string();
+        spec.tree_depth = 12;
+        spec.pipeline = Some(PipelineConfig::default());
+        let (start_ms, interval_ms) = (10_000, 120_000);
+        let rounds = total_ms.saturating_sub(start_ms).div_ceil(interval_ms);
+        spec.traffic = TrafficSpec {
+            publishers: 2,
+            rounds: rounds as usize,
+            start_ms,
+            interval_ms,
+        };
+        // the drain runs the horizon out past the last publish tick
+        let last_tick = start_ms + interval_ms * rounds.saturating_sub(1);
+        spec.drain_ms = total_ms.saturating_sub(last_tick);
+        SoakConfig {
+            spec,
+            segment_ms: 3_600_000,
+            checkpoint_every: 4,
+        }
+    }
+
+    /// Number of whole segments the run covers (bounds are only ever
+    /// checked at segment boundaries).
     pub fn segments(&self) -> u64 {
-        self.total_ms / self.segment_ms
+        self.spec.duration_ms() / self.segment_ms
     }
 }
 
@@ -92,6 +100,8 @@ pub struct SoakBounds {
     pub nullifier_map_bytes: u64,
     /// Pipeline proof-verdict cache entries per node.
     pub verdict_cache: u64,
+    /// Messages awaiting a deferred pipeline verdict per node.
+    pub pending_validation: u64,
     /// Gossipsub `mcache` entries per node.
     pub mcache: u64,
     /// Publisher-side `own_published` jitter-hold set entries per node.
@@ -108,6 +118,7 @@ impl Default for SoakBounds {
         SoakBounds {
             nullifier_map_bytes: 16_384,
             verdict_cache: 8_192,
+            pending_validation: 256,
             mcache: 200,
             own_published: 200,
             seen: 2_000,
@@ -125,7 +136,7 @@ pub struct SoakDelta {
     pub segment: u64,
     /// Simulated time at the end of the segment, milliseconds.
     pub sim_ms: u64,
-    /// Publishes attempted during the segment.
+    /// Honest publishes attempted during the segment.
     pub published: u64,
     /// Publish attempts refused (per-epoch rate limit, not yet synced).
     pub publish_failures: u64,
@@ -137,6 +148,9 @@ pub struct SoakDelta {
     pub nullifier_map_max_bytes: u64,
     /// Max live-node verdict-cache entries (0 when the pipeline is off).
     pub verdict_cache_max: u64,
+    /// Max live-node deferred-verdict entries (0 when the pipeline is
+    /// off).
+    pub pending_validation_max: u64,
     /// Max live-node `mcache` entries.
     pub mcache_max: u64,
     /// Max live-node `own_published` entries.
@@ -145,9 +159,11 @@ pub struct SoakDelta {
     pub seen_max: u64,
     /// Max live-node peer-score-table entries.
     pub score_table_max: u64,
-    /// Lowest peer score held by any live node about any tracked peer.
+    /// Lowest peer score held by any live node about any tracked peer
+    /// (0 when no live node tracks a peer).
     pub score_min: f64,
-    /// Highest peer score held by any live node about any tracked peer.
+    /// Highest peer score held by any live node about any tracked peer
+    /// (0 when no live node tracks a peer).
     pub score_max: f64,
     /// Whether this segment's checkpoint replay was verified
     /// byte-identical (false on segments without a checkpoint).
@@ -163,9 +179,9 @@ impl SoakDelta {
         format!(
             "{{\"segment\":{},\"sim_ms\":{},\"published\":{},\"publish_failures\":{},\
              \"deliveries\":{},\"events\":{},\"nullifier_map_max_bytes\":{},\
-             \"verdict_cache_max\":{},\"mcache_max\":{},\"own_published_max\":{},\
-             \"seen_max\":{},\"score_table_max\":{},\"score_min\":{:?},\
-             \"score_max\":{:?},\"checkpoint_verified\":{}}}",
+             \"verdict_cache_max\":{},\"pending_validation_max\":{},\"mcache_max\":{},\
+             \"own_published_max\":{},\"seen_max\":{},\"score_table_max\":{},\
+             \"score_min\":{:?},\"score_max\":{:?},\"checkpoint_verified\":{}}}",
             self.segment,
             self.sim_ms,
             self.published,
@@ -174,6 +190,7 @@ impl SoakDelta {
             self.events,
             self.nullifier_map_max_bytes,
             self.verdict_cache_max,
+            self.pending_validation_max,
             self.mcache_max,
             self.own_published_max,
             self.seen_max,
@@ -206,6 +223,11 @@ impl SoakDelta {
             self.verdict_cache_max,
             bounds.verdict_cache,
         );
+        check(
+            "pending_validation",
+            self.pending_validation_max,
+            bounds.pending_validation,
+        );
         check("mcache", self.mcache_max, bounds.mcache);
         check(
             "own_published",
@@ -227,11 +249,9 @@ impl SoakDelta {
 /// The final outcome of a soak run.
 #[derive(Clone, Debug)]
 pub struct SoakOutcome {
-    /// Simulated time covered, milliseconds.
-    pub sim_ms: u64,
-    /// Segments completed.
+    /// Segments completed (each `segment_ms` of simulated time).
     pub segments: u64,
-    /// Total publishes attempted.
+    /// Total honest publishes attempted.
     pub published: u64,
     /// Total application-level deliveries drained.
     pub deliveries: u64,
@@ -253,262 +273,41 @@ impl SoakOutcome {
     }
 }
 
-/// The running world: the full testbed plus the traffic generator's
-/// state. `Clone` is the checkpoint operation — everything that
-/// influences the future (network queue, chain, RNG streams, traffic
-/// cursor) is deep-copied, so a clone replays identically.
-#[derive(Clone)]
-pub struct SoakWorld {
-    tb: Testbed,
-    rng: StdRng,
-    next_publish_ms: u64,
-    publishers: usize,
-    publish_interval_ms: u64,
-    published: u64,
-    publish_failures: u64,
-    deliveries_drained: u64,
-}
-
-/// Lock-step slice used for soak advancement (coarser than scenario
-/// runs — soak measures state bounds, not propagation latency).
-const SOAK_SLICE_MS: u64 = 1_000;
-
-impl SoakWorld {
-    /// Builds the world: a testbed with the batching pipeline enabled
-    /// (so the verdict cache is exercised) and meshes warmed up for 10
-    /// simulated seconds.
-    pub fn new(config: &SoakConfig) -> SoakWorld {
-        assert!(config.nodes >= 2, "soak needs at least two peers");
-        assert!(config.segment_ms > 0, "segment must be positive");
-        let defaults = TestbedConfig::default();
-        let tb_config = TestbedConfig {
-            n_peers: config.nodes,
-            seed: config.seed,
-            pipeline: Some(PipelineConfig::default()),
-            degree: defaults.degree.min(config.nodes - 1),
-            ..defaults
-        };
-        let mut world = SoakWorld {
-            tb: Testbed::build(tb_config),
-            rng: StdRng::seed_from_u64(config.seed ^ SOAK_RNG_TAG),
-            next_publish_ms: 10_000,
-            publishers: config.publishers,
-            publish_interval_ms: config.publish_interval_ms,
-            published: 0,
-            publish_failures: 0,
-            deliveries_drained: 0,
-        };
-        world.tb.run(10_000, SOAK_SLICE_MS);
-        world
-    }
-
-    /// Advances the world by `segment_ms` of continuous traffic, then
-    /// drains the delivery tapes (streaming: the harness never holds
-    /// more than one segment of deliveries).
-    pub fn run_segment(&mut self, segment_ms: u64) {
-        let end = self.tb.net.now() + segment_ms;
-        while self.next_publish_ms < end {
-            if self.next_publish_ms > self.tb.net.now() {
-                let dt = self.next_publish_ms - self.tb.net.now();
-                self.tb.run(dt, SOAK_SLICE_MS);
-            }
-            let mut candidates: Vec<usize> = (0..self.tb.peer_count())
-                .filter(|&i| self.tb.is_live(i) && self.tb.is_member(i))
-                .collect();
-            candidates.shuffle(&mut self.rng);
-            for p in candidates.into_iter().take(self.publishers) {
-                self.published += 1;
-                let payload = format!("soak-{}-{p}", self.next_publish_ms).into_bytes();
-                if self.tb.publish(p, &payload).is_err() {
-                    self.publish_failures += 1;
-                }
-            }
-            self.next_publish_ms += self.publish_interval_ms;
-        }
-        if end > self.tb.net.now() {
-            let dt = end - self.tb.net.now();
-            self.tb.run(dt, SOAK_SLICE_MS);
-        }
-        // drain the per-node delivery tapes so day-long runs hold
-        // O(segment) harness state; part of run_segment so checkpoint
-        // replays drain at the same boundaries
-        for i in 0..self.tb.peer_count() {
-            let drained = self
-                .tb
-                .net
-                .node_mut(NodeId(i))
-                .relay_mut()
-                .gossipsub_mut()
-                .take_delivered()
-                .len();
-            self.deliveries_drained += drained as u64;
-        }
-    }
-
-    /// Measures the current world into a [`SoakDelta`], relative to the
-    /// counters captured at the previous boundary.
-    fn measure(&self, segment: u64, prev: &SoakCounters, checkpoint_verified: bool) -> SoakDelta {
-        let mut delta = SoakDelta {
-            segment,
-            sim_ms: self.tb.net.now(),
-            published: self.published - prev.published,
-            publish_failures: self.publish_failures - prev.publish_failures,
-            deliveries: self.deliveries_drained - prev.deliveries,
-            events: self.tb.net.events_dispatched() - prev.events,
-            nullifier_map_max_bytes: 0,
-            verdict_cache_max: 0,
-            mcache_max: 0,
-            own_published_max: 0,
-            seen_max: 0,
-            score_table_max: 0,
-            score_min: 0.0,
-            score_max: 0.0,
-            checkpoint_verified,
-        };
-        for i in 0..self.tb.peer_count() {
-            if !self.tb.is_live(i) {
-                continue;
-            }
-            let node = self.tb.net.node(NodeId(i));
-            let v = node.validator();
-            delta.nullifier_map_max_bytes = delta
-                .nullifier_map_max_bytes
-                .max(v.nullifier_map_bytes() as u64);
-            delta.verdict_cache_max = delta
-                .verdict_cache_max
-                .max(v.verdict_cache_len().unwrap_or(0) as u64);
-            let gs = node.relay().gossipsub();
-            delta.mcache_max = delta.mcache_max.max(gs.mcache_len() as u64);
-            delta.own_published_max = delta.own_published_max.max(gs.own_published_len() as u64);
-            delta.seen_max = delta.seen_max.max(gs.seen_len() as u64);
-            let score = gs.peer_score();
-            delta.score_table_max = delta.score_table_max.max(score.tracked_len() as u64);
-            for peer in score.tracked_peers() {
-                let s = score.score(peer);
-                delta.score_min = delta.score_min.min(s);
-                delta.score_max = delta.score_max.max(s);
-            }
-        }
-        delta
-    }
-
-    /// A deterministic digest of everything the soak holds bounded plus
-    /// the global progress counters. Two worlds that evolved through
-    /// the same inputs produce byte-identical fingerprints — the
-    /// checkpoint/restore contract is `fingerprint(live) ==
-    /// fingerprint(restored)` after replaying the same segment.
-    pub fn fingerprint(&self) -> String {
-        let mut out = String::new();
-        let metrics = self.tb.net.metrics();
-        let _ = write!(
-            out,
-            "now={} events={} pending={} published={} failures={} drained={} \
-             sent={} delivered={} bytes={} height={} chain_events={}",
-            self.tb.net.now(),
-            self.tb.net.events_dispatched(),
-            self.tb.net.pending_events(),
-            self.published,
-            self.publish_failures,
-            self.deliveries_drained,
-            metrics.counter("messages_sent"),
-            metrics.counter("messages_delivered"),
-            metrics.counter("bytes_sent"),
-            self.tb.chain.height(),
-            self.tb.chain.events_since(0).0.len(),
-        );
-        for i in 0..self.tb.peer_count() {
-            if !self.tb.is_live(i) {
-                let _ = write!(out, "\n{i}: down");
-                continue;
-            }
-            let node = self.tb.net.node(NodeId(i));
-            let v = node.validator();
-            let s = v.stats();
-            let gs = node.relay().gossipsub();
-            let _ = write!(
-                out,
-                "\n{i}: valid={} dup={} oow={} invalid={} spam={} malformed={} \
-                 nmap={} cache={} mcache={} own={} seen={} scores={} mesh={}",
-                s.valid,
-                s.duplicates,
-                s.epoch_out_of_window,
-                s.invalid_proof,
-                s.spam_detected,
-                s.malformed,
-                v.nullifier_map_bytes(),
-                v.verdict_cache_len().unwrap_or(0),
-                gs.mcache_len(),
-                gs.own_published_len(),
-                gs.seen_len(),
-                gs.peer_score().tracked_len(),
-                self.tb.mesh_size(i),
-            );
-        }
-        out
-    }
-
-    /// Read access to the underlying testbed (assertions in tests).
-    pub fn testbed(&self) -> &Testbed {
-        &self.tb
-    }
-}
-
-/// Snapshot of the cumulative counters at a segment boundary.
-#[derive(Clone, Copy, Default)]
-struct SoakCounters {
-    published: u64,
-    publish_failures: u64,
-    deliveries: u64,
-    events: u64,
-}
-
-impl SoakCounters {
-    fn capture(world: &SoakWorld) -> SoakCounters {
-        SoakCounters {
-            published: world.published,
-            publish_failures: world.publish_failures,
-            deliveries: world.deliveries_drained,
-            events: world.tb.net.events_dispatched(),
-        }
-    }
-}
-
-/// RNG domain tag for the soak traffic stream (distinct from the
-/// testbed's and the scenario engine's streams).
-const SOAK_RNG_TAG: u64 = 0x50a6_0a6b_ed00_0001;
-
-/// Runs a soak to completion with default bounds, streaming each delta
-/// to `on_delta`. Violated bounds and failed checkpoint replays are
-/// collected into the outcome, not panicked on — callers decide
-/// (tests assert `clean()`, `simctl soak` exits nonzero).
-pub fn run_soak_with(config: &SoakConfig, mut on_delta: impl FnMut(&SoakDelta)) -> SoakOutcome {
-    run_soak_bounded(config, &SoakBounds::default(), &mut on_delta)
-}
-
-/// [`run_soak_with`] with explicit bounds.
-pub fn run_soak_bounded(
+/// Runs a soak to completion, streaming each delta to `on_delta`.
+/// Violated bounds and failed checkpoint replays are collected into the
+/// outcome, not panicked on — callers decide (tests assert `clean()`,
+/// `simctl soak` exits nonzero).
+///
+/// # Panics
+///
+/// Panics when `segment_ms` is zero or the spec is inconsistent (see
+/// [`ScenarioSpec::validate`]).
+pub fn run_soak(
     config: &SoakConfig,
     bounds: &SoakBounds,
     on_delta: &mut dyn FnMut(&SoakDelta),
 ) -> SoakOutcome {
-    let mut world = SoakWorld::new(config);
+    assert!(config.segment_ms > 0, "segment must be positive");
+    let mut run = ScenarioRun::new(&config.spec);
     let mut violations = Vec::new();
     let mut checkpoints_verified = 0u64;
+    let mut deliveries = 0u64;
     let segments = config.segments();
     for segment in 0..segments {
-        let prev = SoakCounters::capture(&world);
-        // checkpoint: deep-clone the world, advance the live copy, then
+        let (published, failures) = run.publish_attempts();
+        let events = run.testbed().net.events_dispatched();
+        // checkpoint: deep-clone the run, advance the live copy, then
         // replay the same segment from the restored clone — the two
         // must land on byte-identical fingerprints
         let checkpoint = (config.checkpoint_every > 0 && segment % config.checkpoint_every == 0)
-            .then(|| world.clone());
-        world.run_segment(config.segment_ms);
+            .then(|| run.clone());
+        let end_ms = (segment + 1) * config.segment_ms;
+        let drained = advance_segment(&mut run, end_ms);
+        deliveries += drained;
         let mut verified = false;
         if let Some(mut restored) = checkpoint {
-            restored.run_segment(config.segment_ms);
-            let live = world.fingerprint();
-            let replayed = restored.fingerprint();
-            if live == replayed {
+            advance_segment(&mut restored, end_ms);
+            if fingerprint(run.testbed()) == fingerprint(restored.testbed()) {
                 checkpoints_verified += 1;
                 verified = true;
             } else {
@@ -517,39 +316,136 @@ pub fn run_soak_bounded(
                 ));
             }
         }
-        let delta = world.measure(segment, &prev, verified);
+        let (published_now, failures_now) = run.publish_attempts();
+        let delta = SoakDelta {
+            published: published_now - published,
+            publish_failures: failures_now - failures,
+            deliveries: drained,
+            events: run.testbed().net.events_dispatched() - events,
+            ..measure(run.testbed(), segment, verified)
+        };
         violations.extend(delta.check(bounds));
         on_delta(&delta);
     }
     SoakOutcome {
-        sim_ms: world.tb.net.now(),
         segments,
-        published: world.published,
-        deliveries: world.deliveries_drained,
+        published: run.publish_attempts().0,
+        deliveries,
         checkpoints_verified,
         violations,
-        final_fingerprint: world.fingerprint(),
+        final_fingerprint: fingerprint(run.testbed()),
     }
 }
 
-/// [`run_soak_with`] without an observer.
-pub fn run_soak(config: &SoakConfig) -> SoakOutcome {
-    run_soak_with(config, |_| {})
+/// Advances the run to `end_ms`, then drains the per-node delivery tapes
+/// so day-long runs do not accumulate a delivery log. Returns how many
+/// deliveries were drained.
+fn advance_segment(run: &mut ScenarioRun, end_ms: u64) -> u64 {
+    run.advance_to(end_ms, &mut |_| {});
+    let tb = run.testbed_mut();
+    let mut drained = 0;
+    for i in 0..tb.peer_count() {
+        let gossipsub = tb.net.node_mut(NodeId(i)).relay_mut().gossipsub_mut();
+        drained += gossipsub.take_delivered().len() as u64;
+    }
+    drained
+}
+
+/// The current size of every bounded structure (maximum over live
+/// nodes) and the peer-score range, as a delta whose per-segment
+/// counters are left at zero.
+fn measure(tb: &Testbed, segment: u64, checkpoint_verified: bool) -> SoakDelta {
+    let live: Vec<&RlnRelayNode> = (0..tb.peer_count())
+        .filter(|i| tb.is_live(*i))
+        .map(|i| tb.net.node(NodeId(i)))
+        .collect();
+    let max =
+        |size: fn(&RlnRelayNode) -> usize| live.iter().map(|n| size(n) as u64).max().unwrap_or(0);
+    let mut scores = Vec::new();
+    for node in &live {
+        let score = node.relay().gossipsub().peer_score();
+        scores.extend(score.tracked_peers().map(|peer| score.score(peer)));
+    }
+    // folded from the first tracked score; 0 only when nobody tracks a peer
+    let range = |pick: fn(f64, f64) -> f64| scores.iter().copied().reduce(pick).unwrap_or(0.0);
+    SoakDelta {
+        segment,
+        sim_ms: tb.net.now(),
+        published: 0,
+        publish_failures: 0,
+        deliveries: 0,
+        events: 0,
+        nullifier_map_max_bytes: max(|n| n.validator().nullifier_map_bytes()),
+        verdict_cache_max: max(|n| n.validator().verdict_cache_len().unwrap_or(0)),
+        pending_validation_max: max(|n| n.relay().gossipsub().pending_validation_len()),
+        mcache_max: max(|n| n.relay().gossipsub().mcache_len()),
+        own_published_max: max(|n| n.relay().gossipsub().own_published_len()),
+        seen_max: max(|n| n.relay().gossipsub().seen_len()),
+        score_table_max: max(|n| n.relay().gossipsub().peer_score().tracked_len()),
+        score_min: range(f64::min),
+        score_max: range(f64::max),
+        checkpoint_verified,
+    }
+}
+
+/// A deterministic digest of everything the soak holds bounded plus the
+/// global progress counters. Two runs that evolved through the same
+/// inputs produce byte-identical fingerprints — the checkpoint/restore
+/// contract is `fingerprint(live) == fingerprint(restored)` after
+/// replaying the same segment.
+fn fingerprint(tb: &Testbed) -> String {
+    let mut out = String::new();
+    let metrics = tb.net.metrics();
+    let _ = write!(
+        out,
+        "now={} events={} pending={} published={} delivered_app={} \
+         sent={} delivered={} bytes={} height={} chain_events={}",
+        tb.net.now(),
+        tb.net.events_dispatched(),
+        tb.net.pending_events(),
+        metrics.counter("rln_published"),
+        metrics.counter("delivered_app"),
+        metrics.counter("messages_sent"),
+        metrics.counter("messages_delivered"),
+        metrics.counter("bytes_sent"),
+        tb.chain.height(),
+        tb.chain.events_since(0).0.len(),
+    );
+    for i in 0..tb.peer_count() {
+        if !tb.is_live(i) {
+            let _ = write!(out, "\n{i}: down");
+            continue;
+        }
+        let node = tb.net.node(NodeId(i));
+        let v = node.validator();
+        let gs = node.relay().gossipsub();
+        let _ = write!(
+            out,
+            "\n{i}: {:?} nmap={} cache={} pending={} mcache={} own={} seen={} scores={} mesh={}",
+            v.stats(),
+            v.nullifier_map_bytes(),
+            v.verdict_cache_len().unwrap_or(0),
+            gs.pending_validation_len(),
+            gs.mcache_len(),
+            gs.own_published_len(),
+            gs.seen_len(),
+            gs.peer_score().tracked_len(),
+            tb.mesh_size(i),
+        );
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Three one-minute segments, a checkpoint at every one.
     fn quick() -> SoakConfig {
         SoakConfig {
-            nodes: 6,
-            seed: 7,
-            total_ms: 180_000,
             segment_ms: 60_000,
             checkpoint_every: 1,
-            publish_interval_ms: 20_000,
-            ..SoakConfig::default()
+            ..SoakConfig::steady(6, 7, 180_000)
         }
     }
 
@@ -562,10 +458,27 @@ mod tests {
         }
     }
 
+    fn collect(config: &SoakConfig) -> (SoakOutcome, Vec<SoakDelta>) {
+        let mut deltas = Vec::new();
+        let outcome = run_soak(config, &SoakBounds::default(), &mut |d| deltas.push(*d));
+        (outcome, deltas)
+    }
+
+    #[test]
+    fn steady_spec_spans_exactly_the_horizon() {
+        let config = SoakConfig::steady(8, 1, 24 * 3_600_000);
+        assert_eq!(config.spec.duration_ms(), 24 * 3_600_000);
+        assert_eq!(config.segments(), 24);
+        // ticks at 10 s, 130 s, …: the last one falls inside the horizon
+        let t = config.spec.traffic;
+        assert!(t.start_ms + t.interval_ms * (t.rounds as u64 - 1) < 24 * 3_600_000);
+        assert!(t.start_ms + t.interval_ms * t.rounds as u64 >= 24 * 3_600_000);
+        config.spec.validate();
+    }
+
     #[test]
     fn short_soak_is_clean_and_verifies_every_checkpoint() {
-        let mut deltas = Vec::new();
-        let outcome = run_soak_with(&quick(), |d| deltas.push(*d));
+        let (outcome, deltas) = collect(&quick());
         assert!(outcome.clean(), "violations: {:?}", outcome.violations);
         assert_eq!(outcome.segments, 3);
         assert_eq!(outcome.checkpoints_verified, 3);
@@ -577,26 +490,41 @@ mod tests {
 
     #[test]
     fn soak_runs_are_deterministic() {
-        let a = run_soak(&quick_unchecked());
-        let b = run_soak(&quick_unchecked());
+        let a = collect(&quick_unchecked()).0;
+        let b = collect(&quick_unchecked()).0;
         assert_eq!(a.final_fingerprint, b.final_fingerprint);
         assert_eq!(a.published, b.published);
-        let different = SoakConfig {
-            seed: 8,
-            ..quick_unchecked()
-        };
-        let c = run_soak(&different);
+        let mut different = quick_unchecked();
+        different.spec.seed = 8;
+        let c = collect(&different).0;
         assert_ne!(a.final_fingerprint, c.final_fingerprint);
     }
 
     #[test]
     fn delta_json_lines_are_stable_and_parse_shaped() {
-        let mut lines = Vec::new();
-        run_soak_with(&quick_unchecked(), |d| lines.push(d.to_json_line()));
-        for line in &lines {
+        let (_, deltas) = collect(&quick_unchecked());
+        for line in deltas.iter().map(SoakDelta::to_json_line) {
             assert!(line.starts_with("{\"segment\":"));
             assert!(line.ends_with('}'));
             assert!(line.contains("\"nullifier_map_max_bytes\":"));
+            assert!(line.contains("\"pending_validation_max\":"));
+        }
+    }
+
+    /// Every peer of a six-node mesh sits in every other's mesh from the
+    /// first heartbeats on, so every tracked score is positive: the range
+    /// is folded from the scores themselves, not from zero.
+    #[test]
+    fn score_range_is_folded_from_the_tracked_scores() {
+        let (_, deltas) = collect(&quick_unchecked());
+        for d in &deltas {
+            assert!(
+                d.score_min > 0.0,
+                "segment {}: min {}",
+                d.segment,
+                d.score_min
+            );
+            assert!(d.score_min <= d.score_max);
         }
     }
 
@@ -606,7 +534,7 @@ mod tests {
             seen: 1, // any delivered traffic trips this immediately
             ..SoakBounds::default()
         };
-        let outcome = run_soak_bounded(&quick_unchecked(), &tight, &mut |_| {});
+        let outcome = run_soak(&quick_unchecked(), &tight, &mut |_| {});
         assert!(!outcome.clean());
         assert!(outcome.violations.iter().any(|v| v.contains("seen")));
     }

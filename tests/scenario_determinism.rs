@@ -23,9 +23,8 @@
 //! was deleted.
 
 use waku_rln::crypto::sha256::{to_hex, Sha256};
-use waku_rln::scenarios::soak::SoakWorld;
 use waku_rln::scenarios::{
-    builtin, run_scenario, ScenarioReport, ScenarioSpec, SoakConfig, TopologySpec, BUILTIN_NAMES,
+    builtin, run_scenario, ScenarioReport, ScenarioSpec, TopologySpec, BUILTIN_NAMES,
 };
 
 /// Two full runs of the spec must serialize to the same bytes, and the
@@ -163,42 +162,4 @@ fn passive_surveillance_is_deterministic() {
 #[test]
 fn deanonymization_sweep_is_deterministic() {
     assert_deterministic(builtin("deanonymization_sweep", 16, 98).unwrap());
-}
-
-/// Checkpoint/restore byte-identity, the hard-stop form: freeze a world
-/// mid-run by deep clone, keep driving the original, then "restore"
-/// from the clone and replay the same segments. The restored run must
-/// land on a byte-identical fingerprint — a single diverging RNG draw,
-/// queue ordering, or un-cloned cache poisons every metric downstream,
-/// so this is the contract that makes day-long soaks resumable.
-#[test]
-fn restored_checkpoint_replays_byte_identical_to_uninterrupted_run() {
-    let config = SoakConfig {
-        nodes: 6,
-        seed: 99,
-        total_ms: 120_000,
-        segment_ms: 60_000,
-        checkpoint_every: 0,
-        publish_interval_ms: 20_000,
-        ..SoakConfig::default()
-    };
-    let mut live = SoakWorld::new(&config);
-    live.run_segment(config.segment_ms);
-    // checkpoint here, then let the live world run two more segments
-    let checkpoint = live.clone();
-    live.run_segment(config.segment_ms);
-    live.run_segment(config.segment_ms);
-    let uninterrupted = live.fingerprint();
-
-    // hard stop: drop the live world entirely; only the checkpoint
-    // survives. Its replay of the same two segments must match.
-    drop(live);
-    let mut restored = checkpoint;
-    restored.run_segment(config.segment_ms);
-    restored.run_segment(config.segment_ms);
-    assert_eq!(
-        restored.fingerprint(),
-        uninterrupted,
-        "restored checkpoint diverged from the uninterrupted run"
-    );
 }
