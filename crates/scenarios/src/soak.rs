@@ -48,6 +48,10 @@ pub struct SoakConfig {
     pub spec: ScenarioSpec,
     /// Streaming-report segment length, milliseconds. Deltas, bounds
     /// checks and delivery-tape drains happen at segment boundaries.
+    ///
+    /// A boundary off the engine's slice grid (`spec.slice_ms` steps from
+    /// the last timeline event) is measured before that slice's chain
+    /// sync, resync and slash submission, which land in the next segment.
     pub segment_ms: u64,
     /// Checkpoint/restore cadence in segments (`0` disables the
     /// byte-identity replay check).
@@ -130,7 +134,7 @@ impl Default for SoakBounds {
 /// One streaming report entry: what changed during the segment, and how
 /// large every bounded structure currently is (maximum over live
 /// nodes).
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SoakDelta {
     /// Segment index, starting at 0.
     pub segment: u64,
@@ -255,6 +259,8 @@ pub struct SoakOutcome {
     pub published: u64,
     /// Total application-level deliveries drained.
     pub deliveries: u64,
+    /// Merkle resyncs retried because the contract was unreachable.
+    pub resync_retries: u64,
     /// Checkpoints whose restored replay matched the live run
     /// byte-for-byte.
     pub checkpoints_verified: u64,
@@ -331,6 +337,7 @@ pub fn run_soak(
         segments,
         published: run.publish_attempts().0,
         deliveries,
+        resync_retries: run.testbed().net.metrics().counter("resync_retries"),
         checkpoints_verified,
         violations,
         final_fingerprint: fingerprint(run.testbed()),
@@ -371,10 +378,6 @@ fn measure(tb: &Testbed, segment: u64, checkpoint_verified: bool) -> SoakDelta {
     SoakDelta {
         segment,
         sim_ms: tb.net.now(),
-        published: 0,
-        publish_failures: 0,
-        deliveries: 0,
-        events: 0,
         nullifier_map_max_bytes: max(|n| n.validator().nullifier_map_bytes()),
         verdict_cache_max: max(|n| n.validator().verdict_cache_len().unwrap_or(0)),
         pending_validation_max: max(|n| n.relay().gossipsub().pending_validation_len()),
@@ -385,6 +388,7 @@ fn measure(tb: &Testbed, segment: u64, checkpoint_verified: bool) -> SoakDelta {
         score_min: range(f64::min),
         score_max: range(f64::max),
         checkpoint_verified,
+        ..SoakDelta::default()
     }
 }
 
@@ -440,13 +444,20 @@ fn fingerprint(tb: &Testbed) -> String {
 mod tests {
     use super::*;
 
-    /// Three one-minute segments, a checkpoint at every one.
+    /// Three one-minute segments, a checkpoint at every one, and a
+    /// publish tick every 20 s (10 s, 30 s, …, 170 s) so every segment
+    /// replays live traffic.
     fn quick() -> SoakConfig {
-        SoakConfig {
+        let mut config = SoakConfig {
             segment_ms: 60_000,
             checkpoint_every: 1,
             ..SoakConfig::steady(6, 7, 180_000)
-        }
+        };
+        config.spec.traffic.interval_ms = 20_000;
+        config.spec.traffic.rounds = 9;
+        config.spec.drain_ms = 10_000;
+        assert_eq!(config.spec.duration_ms(), 180_000);
+        config
     }
 
     /// `quick` without checkpoint replay (half the work) for tests that
@@ -486,6 +497,7 @@ mod tests {
         assert!(outcome.published > 0);
         assert!(outcome.deliveries > 0, "traffic must actually deliver");
         assert!(deltas.iter().all(|d| d.checkpoint_verified));
+        assert!(deltas.iter().all(|d| d.published > 0));
     }
 
     #[test]
