@@ -10,9 +10,11 @@
 
 use crate::pow::{self, DeviceProfile, PowEnvelope, PowValidator};
 use waku_rln_relay::{Testbed, TestbedConfig};
-use wakurln_gossipsub::AcceptAll;
+use wakurln_gossipsub::{
+    AcceptAll, GossipsubConfig, GossipsubNode, ScoringConfig, Topic, Validator,
+};
 use wakurln_netsim::{topology, Network, NodeId, UniformLatency};
-use wakurln_relay::{WakuMessage, WakuRelayNode};
+use wakurln_relay::{WakuMessage, DEFAULT_PUBSUB_TOPIC};
 
 /// Result of one scheme under the common scenario.
 #[derive(Clone, Debug, PartialEq)]
@@ -113,36 +115,64 @@ pub fn run_rln(scenario: Scenario) -> SchemeOutcome {
     }
 }
 
-/// Runs the scenario under GossipSub peer scoring only (no message
-/// validity concept: spam is indistinguishable from traffic).
-pub fn run_peer_scoring(scenario: Scenario) -> SchemeOutcome {
+/// The world both relay-only baselines share: `n` peers on a 4-regular
+/// graph with 10–80 ms links, an 8 s warm-up, then each honest peer
+/// `i ≥ 1` publishes `honest-{i}` (when `honest_can_seal`), the attacker
+/// (peer 0) floods the first `spam_sealed` of its `spam_k` payloads, and
+/// 40 s of gossip follow. Every frame is `seal(payload)` inside a
+/// [`WakuMessage`] on the default pub/sub topic; `opens(frame, payload)`
+/// says whether a delivered frame carries `payload`. The outcome counts
+/// a payload delivered when a majority of the other peers got it; both
+/// exclusion flags are left `false` for the caller.
+fn run_relay_baseline<V: Validator>(
+    scheme: &'static str,
+    scenario: Scenario,
+    validator: impl Fn() -> V,
+    seal: impl Fn(&[u8]) -> Vec<u8>,
+    opens: impl Fn(&[u8], &[u8]) -> bool,
+    honest_can_seal: bool,
+    spam_sealed: usize,
+) -> (SchemeOutcome, Network<GossipsubNode<V>>) {
     let n = scenario.honest_peers + 1;
-    let adjacency = topology::random_regular(n, 4, scenario.seed);
-    let mut net: Network<WakuRelayNode<AcceptAll>> = Network::new(
+    let topic = Topic::new(DEFAULT_PUBSUB_TOPIC);
+    let mut net = Network::new(
         UniformLatency {
             min_ms: 10,
             max_ms: 80,
         },
         scenario.seed,
     );
-    for peers in adjacency {
-        net.add_node(WakuRelayNode::with_defaults(peers, AcceptAll));
+    for peers in topology::random_regular(n, 4, scenario.seed) {
+        let mut node = GossipsubNode::new(
+            GossipsubConfig::default(),
+            ScoringConfig::default(),
+            peers,
+            validator(),
+        );
+        node.subscribe(topic.clone());
+        net.add_node(node);
     }
     net.run_until(8_000);
 
     let attacker = 0usize;
+    let publish = |net: &mut Network<GossipsubNode<V>>, peer: usize, payload: &[u8]| {
+        let frame = WakuMessage::new("/app", seal(payload)).encode();
+        net.invoke(NodeId(peer), |node, ctx| {
+            node.publish(ctx, topic.clone(), frame)
+        });
+    };
     let honest_payloads: Vec<Vec<u8>> =
         (1..n).map(|i| format!("honest-{i}").into_bytes()).collect();
-    for (i, p) in honest_payloads.iter().enumerate() {
-        let msg = WakuMessage::new("/app", p.clone());
-        net.invoke(NodeId(i + 1), |node, ctx| node.publish(ctx, &msg));
+    if honest_can_seal {
+        for (i, p) in honest_payloads.iter().enumerate() {
+            publish(&mut net, i + 1, p);
+        }
     }
     let spam_payloads: Vec<Vec<u8>> = (0..scenario.spam_k)
         .map(|i| format!("spam-{i}").into_bytes())
         .collect();
-    for p in &spam_payloads {
-        let msg = WakuMessage::new("/app", p.clone());
-        net.invoke(NodeId(attacker), |node, ctx| node.publish(ctx, &msg));
+    for p in spam_payloads.iter().take(spam_sealed) {
+        publish(&mut net, attacker, p);
     }
     net.run_until(48_000);
 
@@ -150,10 +180,11 @@ pub fn run_peer_scoring(scenario: Scenario) -> SchemeOutcome {
         (0..n)
             .filter(|i| *i != exclude)
             .filter(|i| {
+                let carries = |m: WakuMessage| opens(&m.payload, payload);
                 net.node(NodeId(*i))
-                    .waku_deliveries()
+                    .delivered()
                     .iter()
-                    .any(|(m, _)| m.payload == payload)
+                    .any(|d| WakuMessage::decode(&d.data).is_ok_and(carries))
             })
             .count()
     };
@@ -166,26 +197,37 @@ pub fn run_peer_scoring(scenario: Scenario) -> SchemeOutcome {
         .iter()
         .filter(|p| delivered(p, attacker) >= majority(n))
         .count();
-    // is the attacker graylisted anywhere? spam was *valid-looking*, so
-    // scores only went up
-    let excluded_everywhere = (1..n).all(|i| {
-        net.node(NodeId(i))
-            .gossipsub()
-            .peer_score()
-            .graylisted(NodeId(attacker))
-    });
     let cpu_total: u64 = (0..n as u64)
         .map(|i| net.metrics().node_counter(i, "cpu_micros"))
         .sum();
-
-    SchemeOutcome {
-        scheme: "peer-scoring",
+    let outcome = SchemeOutcome {
+        scheme,
         honest_delivery_rate: honest_delivered as f64 / honest_payloads.len() as f64,
         spam_delivery_rate: spam_delivered as f64 / spam_payloads.len() as f64,
-        attacker_globally_excluded: excluded_everywhere,
+        attacker_globally_excluded: false,
         attacker_fined: false,
         relayer_cpu_micros_mean: cpu_total as f64 / n as f64,
-    }
+    };
+    (outcome, net)
+}
+
+/// Runs the scenario under GossipSub peer scoring only (no message
+/// validity concept: spam is indistinguishable from traffic).
+pub fn run_peer_scoring(scenario: Scenario) -> SchemeOutcome {
+    let (mut outcome, net) = run_relay_baseline(
+        "peer-scoring",
+        scenario,
+        || AcceptAll,
+        <[u8]>::to_vec,
+        |frame, payload| frame == payload,
+        true,
+        scenario.spam_k,
+    );
+    // is the attacker graylisted anywhere? spam was *valid-looking*, so
+    // scores only went up
+    let graylisted_by = |i| net.node(NodeId(i)).peer_score().graylisted(NodeId(0));
+    outcome.attacker_globally_excluded = (1..=scenario.honest_peers).all(graylisted_by);
+    outcome
 }
 
 /// PoW scenario parameters: the attacker's and honest devices' hash rates
@@ -223,93 +265,27 @@ impl Default for PowScenario {
 /// unit tests); the envelopes routed through the network are genuinely
 /// sealed at a small *wire* difficulty so that validation is real.
 pub fn run_pow(params: PowScenario) -> SchemeOutcome {
-    let scenario = params.scenario;
-    let n = scenario.honest_peers + 1;
     const WIRE_DIFFICULTY: u32 = 8;
-
-    let adjacency = topology::random_regular(n, 4, scenario.seed);
-    let mut net: Network<WakuRelayNode<PowValidator>> = Network::new(
-        UniformLatency {
-            min_ms: 10,
-            max_ms: 80,
-        },
-        scenario.seed,
-    );
-    for peers in adjacency {
-        net.add_node(WakuRelayNode::with_defaults(
-            peers,
-            PowValidator::new(WIRE_DIFFICULTY),
-        ));
-    }
-    net.run_until(8_000);
-
-    // honest budget: can a phone seal one message per epoch?
+    // honest budget: can a phone seal one message per epoch? attacker
+    // budget: a GPU rig seals as many as its hash rate allows
     let honest_budget = params
         .honest_device
         .seals_per_epoch(params.difficulty_bits, params.epoch_secs);
-    let honest_payloads: Vec<Vec<u8>> =
-        (1..n).map(|i| format!("honest-{i}").into_bytes()).collect();
-    let mut honest_sent = 0usize;
-    for (i, p) in honest_payloads.iter().enumerate() {
-        if honest_budget >= 1.0 {
-            let (env, _) = pow::seal(p, WIRE_DIFFICULTY);
-            let msg = WakuMessage::new("/app", env.encode());
-            net.invoke(NodeId(i + 1), |node, ctx| node.publish(ctx, &msg));
-            honest_sent += 1;
-        }
-    }
-
-    // attacker budget: a GPU rig seals as many as its hash rate allows
     let attacker_budget = params
         .attacker_device
         .seals_per_epoch(params.difficulty_bits, params.epoch_secs)
         .floor() as usize;
-    let spam_payloads: Vec<Vec<u8>> = (0..scenario.spam_k)
-        .map(|i| format!("spam-{i}").into_bytes())
-        .collect();
-    let mut spam_sent = Vec::new();
-    for p in spam_payloads.iter().take(attacker_budget) {
-        let (env, _) = pow::seal(p, WIRE_DIFFICULTY);
-        let msg = WakuMessage::new("/app", env.encode());
-        net.invoke(NodeId(0), |node, ctx| node.publish(ctx, &msg));
-        spam_sent.push(p.clone());
-    }
-    net.run_until(48_000);
-
-    let delivered = |payload: &[u8], exclude: usize| -> usize {
-        (0..n)
-            .filter(|i| *i != exclude)
-            .filter(|i| {
-                net.node(NodeId(*i)).waku_deliveries().iter().any(|(m, _)| {
-                    PowEnvelope::decode(&m.payload)
-                        .map(|e| e.payload == payload)
-                        .unwrap_or(false)
-                })
-            })
-            .count()
-    };
-    let honest_delivered = honest_payloads
-        .iter()
-        .enumerate()
-        .filter(|(i, p)| delivered(p, i + 1) >= majority(n))
-        .count();
-    let spam_delivered = spam_payloads
-        .iter()
-        .filter(|p| delivered(p, 0) >= majority(n))
-        .count();
-    let _ = honest_sent;
-    let cpu_total: u64 = (0..n as u64)
-        .map(|i| net.metrics().node_counter(i, "cpu_micros"))
-        .sum();
-
-    SchemeOutcome {
-        scheme: "proof-of-work",
-        honest_delivery_rate: honest_delivered as f64 / honest_payloads.len() as f64,
-        spam_delivery_rate: spam_delivered as f64 / spam_payloads.len() as f64,
-        attacker_globally_excluded: false, // PoW never identifies anyone
-        attacker_fined: false,
-        relayer_cpu_micros_mean: cpu_total as f64 / n as f64,
-    }
+    // PoW never identifies anyone and fines nobody: both flags stay false
+    run_relay_baseline(
+        "proof-of-work",
+        params.scenario,
+        || PowValidator::new(WIRE_DIFFICULTY),
+        |payload| pow::seal(payload, WIRE_DIFFICULTY).0.encode(),
+        |frame, payload| PowEnvelope::decode(frame).is_some_and(|e| e.payload == payload),
+        honest_budget >= 1.0,
+        attacker_budget,
+    )
+    .0
 }
 
 #[cfg(test)]

@@ -6,10 +6,10 @@
 //! rate-limited anonymous messages over gossip, detect double-signaling in
 //! their nullifier maps, and slash spammers back on the chain.
 
-use crate::epoch::EpochScheme;
 use crate::node::{PublishError, RlnRelayNode};
 use crate::pipeline::PipelineConfig;
 use crate::validator::{CostModel, RlnValidator};
+use crate::EpochScheme;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
@@ -476,20 +476,6 @@ impl Testbed {
     /// [`RlnRelayNode::set_censor`]).
     pub fn set_censor(&mut self, peer: usize, censor: bool) {
         self.net.node_mut(NodeId(peer)).set_censor(censor);
-    }
-
-    /// Marks a peer as a colluding passive observer (see
-    /// [`RlnRelayNode::set_observer`]): its wire-level arrival records
-    /// feed the post-run source-attribution estimators.
-    pub fn set_observer(&mut self, peer: usize, observer: bool) {
-        self.net.node_mut(NodeId(peer)).set_observer(observer);
-    }
-
-    /// A peer's observation records (empty unless the peer was marked an
-    /// observer). Readable even after the peer crashed — a confiscated
-    /// observer's tape is still evidence.
-    pub fn observations(&self, peer: usize) -> &[wakurln_gossipsub::Observation] {
-        self.net.node(NodeId(peer)).observations()
     }
 
     /// Advances the whole world (network, chain, event sync, slashing
@@ -968,7 +954,6 @@ mod recovery_tests {
         let pending = |tb: &Testbed, peer: usize| {
             tb.net
                 .node(NodeId(peer))
-                .relay()
                 .gossipsub()
                 .pending_validation_len()
         };

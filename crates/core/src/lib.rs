@@ -5,19 +5,20 @@
 //! cryptoeconomically enforced spam protection
 //! (*Privacy-Preserving Spam-Protected Gossip-Based Routing*, ICDCS 2022).
 //!
-//! Layered on the workspace substrates:
+//! Layered on the workspace substrates (the epoch arithmetic and the
+//! nullifier map are the model crate's, re-exported as [`EpochScheme`]
+//! and [`NullifierMap`]):
 //!
-//! * [`epoch`] — epochs as external nullifiers and the `Thr = D/T` window,
 //! * [`codec`] — the RLN-signal wire format inside WAKU messages,
-//! * [`nullifier_map`] — windowed double-signaling detection state,
 //! * [`validator`] — the §III routing validation pipeline (proof → epoch →
 //!   nullifier map), pluggable into GossipSub,
 //! * [`pipeline`] — the staged, epoch-sharded batch pipeline that
 //!   amortizes proof verification (dedup and verdict caching before
 //!   zkSNARK work) while preserving the serial validator's outcomes,
-//! * [`node`] — the full peer: light membership tree, rate-limited
-//!   publishing (§III "Publishing"), slashing-event application, and the
-//!   censorship-eclipse adversary mode used by the scenario library,
+//! * [`node`] — the full peer: a GossipSub node carrying WAKU envelopes,
+//!   light membership tree, rate-limited publishing (§III "Publishing"),
+//!   slashing-event application, and the censorship-eclipse adversary
+//!   mode used by the scenario library,
 //! * [`harness`] — a whole-network testbed wiring peers to the simulated
 //!   membership contract (§III registration, group sync, slashing
 //!   round-trip) with churn support (crashes, late joins). Scenario
@@ -46,17 +47,14 @@
 #![deny(missing_docs)]
 
 pub mod codec;
-pub mod epoch;
 pub mod harness;
 pub mod node;
-pub mod nullifier_map;
 pub mod pipeline;
 pub mod validator;
 
 pub use codec::{decode_signal, encode_signal, SignalCodecError, WireSignal};
-pub use epoch::EpochScheme;
 pub use harness::{PhaseTimings, Testbed, TestbedConfig};
 pub use node::{PublishError, RlnRelayNode};
-pub use nullifier_map::{NullifierMap, NullifierOutcome};
 pub use pipeline::{PipelineConfig, PipelineStats};
 pub use validator::{CostModel, RlnValidator, SpamDetection, ValidationStats};
+pub use wakurln_model::{EpochScheme, NullifierMap, NullifierOutcome};

@@ -1,13 +1,13 @@
 //! The WAKU-RLN-RELAY peer.
 
 use crate::codec::encode_signal;
-use crate::epoch::EpochScheme;
 use crate::validator::RlnValidator;
+use crate::EpochScheme;
 use wakurln_crypto::field::Fr;
 use wakurln_crypto::merkle::{zero_hashes, AppendDelta, MemberView, MerkleError, UpdateDelta};
-use wakurln_gossipsub::{GossipsubConfig, MessageId, Rpc, ScoringConfig, Topic};
+use wakurln_gossipsub::{GossipsubConfig, GossipsubNode, MessageId, Rpc, ScoringConfig, Topic};
 use wakurln_netsim::{Context, Node, NodeId};
-use wakurln_relay::{WakuMessage, WakuRelayNode};
+use wakurln_relay::{WakuMessage, DEFAULT_PUBSUB_TOPIC};
 use wakurln_rln::{create_signal, Identity};
 use wakurln_zksnark::{ProveError, ProvingKey};
 
@@ -51,8 +51,9 @@ impl From<ProveError> for PublishError {
     }
 }
 
-/// A full WAKU-RLN-RELAY peer: WAKU-RELAY routing + the RLN validator +
-/// a light membership view + the publishing pipeline.
+/// A full WAKU-RLN-RELAY peer: GossipSub routing on the default pub/sub
+/// topic carrying [`WakuMessage`] envelopes (WAKU-RELAY) + the RLN
+/// validator + a light membership view + the publishing pipeline.
 ///
 /// Peers keep the membership tree **off-chain** (§III): this node holds
 /// only the O(depth) [`MemberView`] — current root plus its own
@@ -62,7 +63,9 @@ impl From<ProveError> for PublishError {
 /// hashing.
 #[derive(Clone)]
 pub struct RlnRelayNode {
-    relay: WakuRelayNode<RlnValidator>,
+    gossipsub: GossipsubNode<RlnValidator>,
+    /// The pub/sub topic every envelope is published on.
+    topic: Topic,
     view: MemberView,
     identity: Option<Identity>,
     proving_key: ProvingKey,
@@ -89,14 +92,12 @@ impl RlnRelayNode {
         scoring: ScoringConfig,
     ) -> RlnRelayNode {
         let epoch_scheme = validator.epoch_scheme();
+        let topic = Topic::new(DEFAULT_PUBSUB_TOPIC);
+        let mut gossipsub = GossipsubNode::new(gossip, scoring, known_peers, validator);
+        gossipsub.subscribe(topic.clone());
         RlnRelayNode {
-            relay: WakuRelayNode::new(
-                gossip,
-                scoring,
-                known_peers,
-                validator,
-                Topic::new(wakurln_relay::DEFAULT_PUBSUB_TOPIC),
-            ),
+            gossipsub,
+            topic,
             // lint:allow(panic-path, reason = "depth comes from NodeConfig, validated against the supported tree range at config construction")
             view: MemberView::new(tree_depth).expect("valid depth"),
             identity: None,
@@ -170,7 +171,7 @@ impl RlnRelayNode {
             None => own_offset,
         };
         self.view.apply_append(delta, own_offset)?;
-        self.relay.validator_mut().push_root(self.view.root());
+        self.gossipsub.validator_mut().push_root(self.view.root());
         Ok(())
     }
 
@@ -182,7 +183,7 @@ impl RlnRelayNode {
     /// Propagates [`MemberView::apply_update`] errors.
     pub fn apply_update_delta(&mut self, delta: &UpdateDelta) -> Result<(), MerkleError> {
         self.view.apply_update(delta)?;
-        self.relay.validator_mut().push_root(self.view.root());
+        self.gossipsub.validator_mut().push_root(self.view.root());
         Ok(())
     }
 
@@ -255,7 +256,9 @@ impl RlnRelayNode {
         )?;
         let waku = WakuMessage::new(CONTENT_TOPIC, encode_signal(epoch, &signal));
         ctx.count("rln_published", 1);
-        Ok(self.relay.publish(ctx, &waku))
+        Ok(self
+            .gossipsub
+            .publish(ctx, self.topic.clone(), waku.encode()))
     }
 
     /// Injects a raw WAKU message **without any RLN fields** — the
@@ -263,57 +266,47 @@ impl RlnRelayNode {
     /// Honest relayers reject these at validation and penalize the
     /// forwarding peer's score.
     pub fn inject_raw(&mut self, ctx: &mut Context<Rpc>, waku: &WakuMessage) -> MessageId {
-        self.relay.publish(ctx, waku)
+        self.gossipsub
+            .publish(ctx, self.topic.clone(), waku.encode())
     }
 
     /// Application deliveries: decoded `(payload, arrival_ms)` pairs of
-    /// accepted RLN messages.
+    /// accepted RLN messages. Undecodable envelopes and signals are
+    /// skipped (validation already counted them).
     pub fn app_deliveries(&self) -> Vec<(Vec<u8>, u64)> {
-        self.relay
-            .waku_deliveries()
-            .into_iter()
-            .filter_map(|(waku, at)| {
-                crate::codec::decode_signal(&waku.payload)
-                    .ok()
-                    .map(|wire| (wire.signal.message, at))
+        self.gossipsub
+            .delivered()
+            .iter()
+            .filter_map(|d| {
+                let waku = WakuMessage::decode(&d.data).ok()?;
+                let wire = crate::codec::decode_signal(&waku.payload).ok()?;
+                Some((wire.signal.message, d.at_ms))
             })
             .collect()
     }
 
     /// The RLN validator (stats, detections, nullifier map).
     pub fn validator(&self) -> &RlnValidator {
-        self.relay.validator()
+        self.gossipsub.validator()
     }
 
     /// Mutable validator access (the harness drains detections).
     pub fn validator_mut(&mut self) -> &mut RlnValidator {
-        self.relay.validator_mut()
+        self.gossipsub.validator_mut()
     }
 
-    /// The underlying relay node (mesh/scoring diagnostics).
-    pub fn relay(&self) -> &WakuRelayNode<RlnValidator> {
-        &self.relay
+    /// The GossipSub layer: mesh and score diagnostics, and the passive
+    /// observer tap of the surveillance scenarios.
+    pub fn gossipsub(&self) -> &GossipsubNode<RlnValidator> {
+        &self.gossipsub
     }
 
-    /// Mutable access to the relay layer (the soak harness drains the
-    /// gossipsub delivery tape through this so day-long runs don't
-    /// accumulate an unbounded delivery log).
-    pub fn relay_mut(&mut self) -> &mut WakuRelayNode<RlnValidator> {
-        &mut self.relay
-    }
-
-    /// Switches the passive observer tap (the colluding-surveillance
-    /// adversary of the scenario library): while enabled, every incoming
-    /// message forward is recorded with its previous hop and arrival
-    /// time. Protocol behaviour is unchanged — the adversary is
-    /// *passive*; only its post-run attribution analysis differs.
-    pub fn set_observer(&mut self, observer: bool) {
-        self.relay.set_observer(observer);
-    }
-
-    /// Wire-level observation records taken while the tap was enabled.
-    pub fn observations(&self) -> &[wakurln_gossipsub::Observation] {
-        self.relay.observations()
+    /// Mutable access to the GossipSub layer (the soak harness drains the
+    /// delivery tape through this so day-long runs don't accumulate an
+    /// unbounded delivery log; the scenario engine switches observer
+    /// taps on).
+    pub fn gossipsub_mut(&mut self) -> &mut GossipsubNode<RlnValidator> {
+        &mut self.gossipsub
     }
 
     /// Light-view storage footprint in bytes (E3): the root plus the own
@@ -326,16 +319,13 @@ impl RlnRelayNode {
     /// metric the fault scenarios sample to measure time-to-remesh after
     /// a restart or partition heal.
     pub fn mesh_size(&self) -> usize {
-        self.relay
-            .gossipsub()
-            .mesh_peers(self.relay.pubsub_topic())
-            .len()
+        self.gossipsub.mesh_peers(&self.topic).len()
     }
 
     /// **Cold-restart** reset: the simulated process came back with its
     /// disk wiped — the membership view collapses to the empty group, the
     /// validator forgets its root window, nullifier map and pipeline
-    /// backlog (see [`RlnValidator::reset_state`]), and the relay forgets
+    /// backlog (see [`RlnValidator::reset_state`]), and gossipsub forgets
     /// the deferred verdicts it awaited from that backlog. The identity
     /// keypair and the rate-limiter memory (`last_published_epoch`)
     /// survive: both model durable secrets an honest operator never
@@ -347,8 +337,10 @@ impl RlnRelayNode {
         let depth = self.view.depth();
         // lint:allow(panic-path, reason = "reset reuses the depth the existing view was built with, which was valid at construction")
         self.view = MemberView::new(depth).expect("valid depth");
-        self.relay.validator_mut().reset_state(zero_hashes()[depth]);
-        self.relay.gossipsub_mut().clear_pending_validation();
+        self.gossipsub
+            .validator_mut()
+            .reset_state(zero_hashes()[depth]);
+        self.gossipsub.clear_pending_validation();
     }
 }
 
@@ -356,7 +348,7 @@ impl Node for RlnRelayNode {
     type Message = Rpc;
 
     fn on_start(&mut self, ctx: &mut Context<Rpc>) {
-        self.relay.on_start(ctx);
+        self.gossipsub.on_start(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Context<Rpc>, from: NodeId, msg: Rpc) {
@@ -364,11 +356,11 @@ impl Node for RlnRelayNode {
             ctx.count("censored_forwards", 1);
             return;
         }
-        self.relay.on_message(ctx, from, msg);
+        self.gossipsub.on_message(ctx, from, msg);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<Rpc>, token: u64) {
-        self.relay.on_timer(ctx, token);
+        self.gossipsub.on_timer(ctx, token);
     }
 }
 

@@ -22,8 +22,8 @@
 //! bit.
 
 use crate::codec::{decode_signal, WireSignal};
-use crate::epoch::EpochScheme;
 use crate::pipeline::{PipelineConfig, PipelineState, PipelineStats};
+use crate::EpochScheme;
 use wakurln_crypto::field::Fr;
 use wakurln_gossipsub::{BatchDecision, SubmitOutcome, Topic, ValidationResult, Validator};
 use wakurln_model::{apply_signal, Outcome, State};
@@ -73,11 +73,6 @@ impl RlnValidator {
     /// amortized.
     pub fn enable_pipeline(&mut self, config: PipelineConfig) {
         self.pipeline = Some(Box::new(PipelineState::new(config)));
-    }
-
-    /// Whether batched-pipeline mode is on.
-    pub fn pipeline_enabled(&self) -> bool {
-        self.pipeline.is_some()
     }
 
     /// Per-stage pipeline counters (`None` while in serial mode).

@@ -279,11 +279,6 @@ impl<V: Validator> GossipsubNode<V> {
         self.observer = observer;
     }
 
-    /// Whether the observer tap is enabled.
-    pub fn is_observer(&self) -> bool {
-        self.observer
-    }
-
     /// The wire-level records taken while the observer tap was enabled,
     /// in arrival order.
     pub fn observations(&self) -> &[Observation] {
@@ -353,11 +348,6 @@ impl<V: Validator> GossipsubNode<V> {
     /// Mutable validator access.
     pub fn validator_mut(&mut self) -> &mut V {
         &mut self.validator
-    }
-
-    /// Whether this id has been seen (published or received).
-    pub fn has_seen(&self, id: &MessageId) -> bool {
-        self.seen.contains_key(id)
     }
 
     /// Peers a message on `topic` is eagerly pushed to, in ascending id

@@ -105,6 +105,46 @@ fn a_message_is_hashed_once_network_wide_not_once_per_hop() {
     assert_eq!(hashed_tapped, hashed);
 }
 
+#[test]
+fn duplicate_publish_is_deduplicated_network_wide() {
+    let topic = Topic::new("test");
+    let mut net: Network<GossipsubNode<AcceptAll>> = Network::new(
+        UniformLatency {
+            min_ms: 10,
+            max_ms: 40,
+        },
+        3,
+    );
+    for peers in topology::random_regular(10, 5, 3) {
+        let mut node = GossipsubNode::new(
+            GossipsubConfig::default(),
+            ScoringConfig::default(),
+            peers,
+            AcceptAll,
+        );
+        node.subscribe(topic.clone());
+        net.add_node(node);
+    }
+    net.run_until(8_000);
+    // two different peers publish identical bytes: content addressing
+    // collapses them into one message
+    for publisher in [0, 1] {
+        net.invoke(NodeId(publisher), |node, ctx| {
+            node.publish(ctx, topic.clone(), b"same-bytes")
+        });
+    }
+    net.run_until(20_000);
+    for i in 2..10 {
+        let copies = net
+            .node(NodeId(i))
+            .delivered()
+            .iter()
+            .filter(|d| d.data == b"same-bytes")
+            .count();
+        assert_eq!(copies, 1, "node {i} delivered {copies} copies");
+    }
+}
+
 /// Bytes as a string, one `char` per byte (injective, always valid).
 fn name(bytes: &[u8]) -> String {
     bytes.iter().map(|b| char::from(*b)).collect()

@@ -1,4 +1,4 @@
-//! Simulation metrics: counters, per-node accounting and value series.
+//! Simulation metrics: global counters and per-node accounting.
 
 use std::collections::BTreeMap;
 
@@ -20,7 +20,6 @@ use std::collections::BTreeMap;
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
     counters: BTreeMap<&'static str, u64>,
-    values: BTreeMap<&'static str, Vec<f64>>,
     /// One dense row per key: `per_node[key][node]`.
     per_node: BTreeMap<&'static str, Vec<u64>>,
     /// Bytes put on the wire by each node. Kept out of `per_node` because
@@ -53,11 +52,6 @@ impl Metrics {
         add_at(self.per_node.entry(key).or_default(), node, n);
     }
 
-    /// Records a sample into the value series `key`.
-    pub fn record(&mut self, key: &'static str, value: f64) {
-        self.values.entry(key).or_default().push(value);
-    }
-
     /// Adds `n` bytes to `node`'s wire-output tally (hot path: called on
     /// every simulated send).
     pub fn add_node_bytes_sent(&mut self, node: u64, n: u64) {
@@ -85,50 +79,6 @@ impl Metrics {
             .copied()
             .unwrap_or(0)
     }
-
-    /// Sums a per-node counter over all nodes.
-    pub fn node_counter_total(&self, key: &str) -> u64 {
-        self.per_node.get(key).map_or(0, |row| row.iter().sum())
-    }
-
-    /// The raw samples of a series (empty slice when absent).
-    pub fn samples(&self, key: &str) -> &[f64] {
-        self.values.get(key).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Arithmetic mean of a series, `None` when empty.
-    pub fn mean(&self, key: &str) -> Option<f64> {
-        let s = self.samples(key);
-        if s.is_empty() {
-            None
-        } else {
-            Some(s.iter().sum::<f64>() / s.len() as f64)
-        }
-    }
-
-    /// The `p`-th percentile (0.0–1.0) of a series, `None` when empty.
-    pub fn percentile(&self, key: &str, p: f64) -> Option<f64> {
-        let mut s = self.samples(key).to_vec();
-        if s.is_empty() {
-            return None;
-        }
-        s.sort_by(f64::total_cmp);
-        let rank = ((s.len() - 1) as f64 * p.clamp(0.0, 1.0)).round() as usize;
-        Some(s[rank])
-    }
-
-    /// Maximum of a series, `None` when empty.
-    pub fn max(&self, key: &str) -> Option<f64> {
-        self.samples(key)
-            .iter()
-            .copied()
-            .fold(None, |acc, v| Some(acc.map_or(v, |m: f64| m.max(v))))
-    }
-
-    /// Names of all counters, in sorted (deterministic) order.
-    pub fn counter_keys(&self) -> impl Iterator<Item = &str> {
-        self.counters.keys().copied()
-    }
 }
 
 #[cfg(test)]
@@ -151,7 +101,6 @@ mod tests {
         m.count_node(1, "cpu", 20);
         assert_eq!(m.node_counter(0, "cpu"), 10);
         assert_eq!(m.node_counter(1, "cpu"), 20);
-        assert_eq!(m.node_counter_total("cpu"), 30);
     }
 
     #[test]
@@ -167,10 +116,10 @@ mod tests {
         m.count_node(40, "cpu", 3);
         m.count_node(7, "cpu", 5);
         assert_eq!(m.node_counter(7, "cpu"), 10);
-        assert_eq!(m.node_counter_total("cpu"), 14);
+        assert_eq!(m.node_counter(2, "cpu"), 1);
+        assert_eq!(m.node_counter(40, "cpu"), 3);
         // rows are per key: another key's row is untouched
         assert_eq!(m.node_counter(7, "other"), 0);
-        assert_eq!(m.node_counter_total("other"), 0);
     }
 
     #[test]
@@ -185,18 +134,13 @@ mod tests {
         // first written long after the others, and built at run time: the
         // read API matches names by content, not by address
         m.count("alpha", 9);
-        m.record("alpha", 1.5);
         m.count_node(0, "alpha", 4);
         let late = String::from("al") + "pha";
         assert_eq!(m.counter(&late), 9);
-        assert_eq!(m.samples(&late), &[1.5]);
         assert_eq!(m.node_counter(0, &late), 4);
         assert_eq!(m.counter("zeta"), 101);
+        assert_eq!(m.counter("mid"), 1);
         assert_eq!(m.node_counter(3, "mid"), 2);
-        assert_eq!(
-            m.counter_keys().collect::<Vec<_>>(),
-            vec!["alpha", "mid", "zeta"]
-        );
     }
 
     #[test]
@@ -209,19 +153,5 @@ mod tests {
         assert_eq!(m.node_bytes_sent(0), 7);
         assert_eq!(m.node_bytes_sent(1), 0);
         assert_eq!(m.node_bytes_sent(99), 0);
-    }
-
-    #[test]
-    fn series_statistics() {
-        let mut m = Metrics::new();
-        for v in [1.0, 2.0, 3.0, 4.0, 5.0] {
-            m.record("latency", v);
-        }
-        assert_eq!(m.mean("latency"), Some(3.0));
-        assert_eq!(m.percentile("latency", 0.0), Some(1.0));
-        assert_eq!(m.percentile("latency", 1.0), Some(5.0));
-        assert_eq!(m.percentile("latency", 0.5), Some(3.0));
-        assert_eq!(m.max("latency"), Some(5.0));
-        assert_eq!(m.mean("nope"), None);
     }
 }

@@ -197,7 +197,7 @@ mod tests {
     use rand::Rng;
 
     /// A node whose behaviour leans on every context facility: RNG
-    /// draws, timers, sends, global and per-node counters.
+    /// draws, timers, sends, global counters and CPU charges.
     struct Chatty {
         peers: Vec<NodeId>,
         draws: Vec<u64>,
@@ -212,7 +212,7 @@ mod tests {
         }
         fn on_message(&mut self, ctx: &mut Context<Vec<u8>>, from: NodeId, msg: Vec<u8>) {
             self.received.push((ctx.now(), from));
-            ctx.count_self("got", 1);
+            ctx.charge_cpu(1);
             if msg.len() < 4 {
                 let mut fwd = msg;
                 fwd.push(0);
@@ -223,7 +223,7 @@ mod tests {
         fn on_timer(&mut self, ctx: &mut Context<Vec<u8>>, _t: u64) {
             let draw: u64 = ctx.rng().gen();
             self.draws.push(draw);
-            ctx.record("draw", (draw % 1000) as f64);
+            ctx.count("draw_residues", draw % 1000);
             for peer in self.peers.clone() {
                 ctx.send(peer, vec![1]);
             }
@@ -234,9 +234,10 @@ mod tests {
         }
     }
 
-    /// (per-node draws, per-node receptions, per-node counter total,
-    /// messages_sent) — the observable surface of one run.
-    type ChattyOutcome = (Vec<Vec<u64>>, Vec<Vec<(u64, NodeId)>>, u64, u64);
+    /// (per-node draws, per-node receptions, per-node CPU total,
+    /// draw residue total, messages_sent) — the observable surface of one
+    /// run.
+    type ChattyOutcome = (Vec<Vec<u64>>, Vec<Vec<(u64, NodeId)>>, u64, u64, u64);
 
     fn run_chatty(seed: u64) -> ChattyOutcome {
         let n = 12;
@@ -261,9 +262,16 @@ mod tests {
             .map(|i| net.node(NodeId(i)).received.clone())
             .collect();
         let got: u64 = (0..n as u64)
-            .map(|i| net.metrics().node_counter(i, "got"))
+            .map(|i| net.metrics().node_counter(i, "cpu_micros"))
             .sum();
-        (draws, received, got, net.metrics().counter("messages_sent"))
+        let metrics = net.metrics();
+        (
+            draws,
+            received,
+            got,
+            metrics.counter("draw_residues"),
+            metrics.counter("messages_sent"),
+        )
     }
 
     /// The seed is the whole simulated world: the same seed replays

@@ -128,14 +128,12 @@ pub(crate) enum Effect<M> {
 pub(crate) enum MetricOp {
     Count(&'static str, u64),
     CountNode(u64, &'static str, u64),
-    Record(&'static str, f64),
 }
 
 pub(crate) fn apply_metric_op(metrics: &mut Metrics, op: MetricOp) {
     match op {
         MetricOp::Count(key, n) => metrics.count(key, n),
         MetricOp::CountNode(node, key, n) => metrics.count_node(node, key, n),
-        MetricOp::Record(key, v) => metrics.record(key, v),
     }
 }
 
@@ -227,17 +225,6 @@ impl<M: Payload> Context<M> {
     /// Adds to a global counter.
     pub fn count(&mut self, key: &'static str, n: u64) {
         self.ops.push(MetricOp::Count(key, n));
-    }
-
-    /// Adds to this node's counter.
-    pub fn count_self(&mut self, key: &'static str, n: u64) {
-        self.ops
-            .push(MetricOp::CountNode(self.node.as_u64(), key, n));
-    }
-
-    /// Records a sample into a series.
-    pub fn record(&mut self, key: &'static str, value: f64) {
-        self.ops.push(MetricOp::Record(key, value));
     }
 
     /// Charges simulated CPU time (microseconds) to this node — the

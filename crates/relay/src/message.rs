@@ -34,6 +34,10 @@ pub enum CodecError {
     TrailingBytes,
     /// A length field exceeds sane bounds.
     LengthOverflow,
+    /// The timestamp flag is neither 0 (absent) nor 1 (present). Only
+    /// those two are accepted, so every envelope has exactly one encoding
+    /// and a relay cannot mint fresh gossip ids for the same content.
+    BadTimestampFlag(u8),
 }
 
 impl std::fmt::Display for CodecError {
@@ -43,6 +47,7 @@ impl std::fmt::Display for CodecError {
             CodecError::BadTopic => write!(f, "content topic is not valid utf-8"),
             CodecError::TrailingBytes => write!(f, "trailing bytes after message"),
             CodecError::LengthOverflow => write!(f, "length field exceeds limits"),
+            CodecError::BadTimestampFlag(flag) => write!(f, "timestamp flag {flag} is not 0 or 1"),
         }
     }
 }
@@ -81,7 +86,8 @@ impl WakuMessage {
         out
     }
 
-    /// Parses the wire format produced by [`WakuMessage::encode`].
+    /// Parses the wire format produced by [`WakuMessage::encode`]. The
+    /// codec is canonical: whatever decodes re-encodes to the same bytes.
     ///
     /// # Errors
     ///
@@ -98,7 +104,8 @@ impl WakuMessage {
         let ts_flag = cur.read_u8()?;
         let timestamp = match ts_flag {
             0 => None,
-            _ => Some(cur.read_u64()?),
+            1 => Some(cur.read_u64()?),
+            flag => return Err(CodecError::BadTimestampFlag(flag)),
         };
         let payload_len = cur.read_u32()? as usize;
         if payload_len > MAX_FIELD {
@@ -217,6 +224,35 @@ mod tests {
         #[test]
         fn prop_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..128)) {
             let _ = WakuMessage::decode(&bytes);
+        }
+
+        /// Frames assembled field by field — honest length fields, a free
+        /// flag byte — so most inputs decode and the property has teeth.
+        #[test]
+        fn prop_whatever_decodes_reencodes_to_the_same_bytes(
+            topic in ".{0,40}", flag in any::<u8>(), ts in any::<u64>(),
+            payload in proptest::collection::vec(any::<u8>(), 0..64)) {
+            let mut bytes = (topic.len() as u32).to_le_bytes().to_vec();
+            bytes.extend_from_slice(topic.as_bytes());
+            bytes.push(flag);
+            if flag != 0 {
+                bytes.extend_from_slice(&ts.to_le_bytes());
+            }
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&payload);
+            if let Ok(m) = WakuMessage::decode(&bytes) {
+                prop_assert_eq!(m.encode(), bytes);
+            }
+        }
+
+        #[test]
+        fn prop_timestamp_flags_above_one_are_rejected(
+            topic in ".{0,40}", ts in proptest::option::of(any::<u64>()),
+            payload in proptest::collection::vec(any::<u8>(), 0..64), flag in 2u8..=255) {
+            let m = WakuMessage { payload, content_topic: topic, timestamp: ts };
+            let mut bytes = m.encode();
+            bytes[4 + m.content_topic.len()] = flag;
+            prop_assert_eq!(WakuMessage::decode(&bytes), Err(CodecError::BadTimestampFlag(flag)));
         }
     }
 }

@@ -265,7 +265,10 @@ impl ScenarioRun {
                 pool.truncate(spec.observer_count());
                 pool.sort_unstable();
                 for &peer in &pool {
-                    tb.set_observer(peer, true);
+                    tb.net
+                        .node_mut(NodeId(peer))
+                        .gossipsub_mut()
+                        .set_observer(true);
                 }
                 pool
             }
@@ -658,7 +661,9 @@ impl ScenarioRun {
             let mut pooled: HashMap<MessageId, Vec<PooledObservation>> = HashMap::new();
             let mut observations_total = 0u64;
             for &peer in &self.observers {
-                for obs in tb.observations(peer) {
+                // a crashed observer's tape is still read: a confiscated
+                // tap is still evidence
+                for obs in tb.net.node(NodeId(peer)).gossipsub().observations() {
                     observations_total += 1;
                     pooled.entry(obs.id).or_default().push(PooledObservation {
                         observer: peer as u64,

@@ -317,7 +317,9 @@ impl WireValue for u64 {
     }
 }
 
-/// Fixed-point with six decimals; a non-finite value is written as `null`.
+/// Fixed-point with six decimals; a non-finite value is written as `null`
+/// and `null` reads back as NaN (a 0/0 ratio such as a delivery rate with
+/// no eligible pair), so every report `to_json` writes parses.
 impl WireValue for f64 {
     fn write(&self, out: &mut String) {
         if self.is_finite() {
@@ -330,6 +332,7 @@ impl WireValue for f64 {
     fn read(value: &JsonValue) -> Result<f64, String> {
         match value {
             JsonValue::Number(raw) => raw.parse().map_err(|_| format!("expected f64, got {raw}")),
+            JsonValue::Null => Ok(f64::NAN),
             other => Err(format!("expected f64, got {other:?}")),
         }
     }
@@ -746,6 +749,21 @@ mod tests {
                 "{name}: resilience section diverged"
             );
         }
+    }
+
+    #[test]
+    fn a_run_without_traffic_round_trips_its_nan_delivery_rate() {
+        // no publish, so no eligible delivery pair: the rate is 0/0
+        let mut spec = crate::spec::ScenarioSpec::baseline(6, 3);
+        spec.traffic.rounds = 0;
+        spec.drain_ms = 5_000;
+        let report = crate::run_scenario(&spec);
+        assert!(report.delivery_rate.is_nan());
+        let json = report.to_json();
+        assert!(json.contains("\"delivery_rate\": null"));
+        let parsed = ScenarioReport::from_json(&json).expect("a written report parses");
+        assert!(parsed.delivery_rate.is_nan());
+        assert_eq!(parsed.to_json(), json);
     }
 
     #[test]

@@ -352,7 +352,7 @@ fn advance_segment(run: &mut ScenarioRun, end_ms: u64) -> u64 {
     let tb = run.testbed_mut();
     let mut drained = 0;
     for i in 0..tb.peer_count() {
-        let gossipsub = tb.net.node_mut(NodeId(i)).relay_mut().gossipsub_mut();
+        let gossipsub = tb.net.node_mut(NodeId(i)).gossipsub_mut();
         drained += gossipsub.take_delivered().len() as u64;
     }
     drained
@@ -370,7 +370,7 @@ fn measure(tb: &Testbed, segment: u64, checkpoint_verified: bool) -> SoakDelta {
         |size: fn(&RlnRelayNode) -> usize| live.iter().map(|n| size(n) as u64).max().unwrap_or(0);
     let mut scores = Vec::new();
     for node in &live {
-        let score = node.relay().gossipsub().peer_score();
+        let score = node.gossipsub().peer_score();
         scores.extend(score.tracked_peers().map(|peer| score.score(peer)));
     }
     // folded from the first tracked score; 0 only when nobody tracks a peer
@@ -380,11 +380,11 @@ fn measure(tb: &Testbed, segment: u64, checkpoint_verified: bool) -> SoakDelta {
         sim_ms: tb.net.now(),
         nullifier_map_max_bytes: max(|n| n.validator().nullifier_map_bytes()),
         verdict_cache_max: max(|n| n.validator().verdict_cache_len().unwrap_or(0)),
-        pending_validation_max: max(|n| n.relay().gossipsub().pending_validation_len()),
-        mcache_max: max(|n| n.relay().gossipsub().mcache_len()),
-        own_published_max: max(|n| n.relay().gossipsub().own_published_len()),
-        seen_max: max(|n| n.relay().gossipsub().seen_len()),
-        score_table_max: max(|n| n.relay().gossipsub().peer_score().tracked_len()),
+        pending_validation_max: max(|n| n.gossipsub().pending_validation_len()),
+        mcache_max: max(|n| n.gossipsub().mcache_len()),
+        own_published_max: max(|n| n.gossipsub().own_published_len()),
+        seen_max: max(|n| n.gossipsub().seen_len()),
+        score_table_max: max(|n| n.gossipsub().peer_score().tracked_len()),
         score_min: range(f64::min),
         score_max: range(f64::max),
         checkpoint_verified,
@@ -422,7 +422,7 @@ fn fingerprint(tb: &Testbed) -> String {
         }
         let node = tb.net.node(NodeId(i));
         let v = node.validator();
-        let gs = node.relay().gossipsub();
+        let gs = node.gossipsub();
         let _ = write!(
             out,
             "\n{i}: {:?} nmap={} cache={} pending={} mcache={} own={} seen={} scores={} mesh={}",

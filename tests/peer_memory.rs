@@ -92,7 +92,7 @@ fn metropolis_heap_per_peer_stays_under_its_ceiling() {
     // each gossipsub node now holds a blank validator: not its share
     let mut gossipsub = 0;
     for i in 0..peers {
-        let node = tb.net.node_mut(NodeId(i)).relay_mut().gossipsub_mut();
+        let node = tb.net.node_mut(NodeId(i)).gossipsub_mut();
         gossipsub += freed_by(std::mem::replace(node, placeholder())) - blank_bytes;
     }
     let rest = freed_by(tb) - peers * placeholder_bytes;
