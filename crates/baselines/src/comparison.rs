@@ -184,7 +184,7 @@ fn run_relay_baseline<V: Validator>(
                 net.node(NodeId(*i))
                     .delivered()
                     .iter()
-                    .any(|d| WakuMessage::decode(&d.data).is_ok_and(carries))
+                    .any(|d| WakuMessage::decode(d.data()).is_ok_and(carries))
             })
             .count()
     };

@@ -278,7 +278,7 @@ impl RlnRelayNode {
             .delivered()
             .iter()
             .filter_map(|d| {
-                let waku = WakuMessage::decode(&d.data).ok()?;
+                let waku = WakuMessage::decode(d.data()).ok()?;
                 let wire = crate::codec::decode_signal(&waku.payload).ok()?;
                 Some((wire.signal.message, d.at_ms))
             })

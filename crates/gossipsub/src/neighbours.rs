@@ -3,28 +3,53 @@
 //!
 //! A peer talks to about a dozen neighbours, so a binary search over a
 //! dense row vector finds a peer faster than hashing and stores each one
-//! in a single 64-byte row instead of an entry in four maps (liveness
+//! in a single 48-byte row instead of an entry in four maps (liveness
 //! clock, two IWANT budgets, score counters).
 
 use crate::config::ScoringConfig;
 use crate::score::{PeerCounters, PeerScore};
 use wakurln_netsim::NodeId;
 
+/// `Neighbour::last_heard` of a peer without a liveness clock.
+const NO_CLOCK: u64 = u64::MAX;
+
 /// One neighbour's row.
 #[derive(Clone, Debug)]
 pub(crate) struct Neighbour {
-    pub(crate) peer: NodeId,
-    /// Last time (ms) any RPC arrived from the peer — the liveness signal
-    /// behind churn repair. `None` once the peer is presumed dead.
-    last_heard: Option<u64>,
+    /// The peer's node index (see [`key`]).
+    key: u32,
     /// IWANT ids requested from this peer this heartbeat.
     iwant_spent: u32,
     /// Full payloads served to this peer from the mcache this heartbeat
     /// (the serving-side mirror of `iwant_spent`).
     iwant_served: u32,
-    /// The peer's score entry, created by the first scoring event and
-    /// kept for good: a presumed-dead peer keeps its score.
-    pub(crate) counters: Option<PeerCounters>,
+    /// Whether the row holds a score entry: set by the first scoring
+    /// event and kept for good (a presumed-dead peer keeps its score).
+    /// `counters` stay zero until then.
+    pub(crate) scored: bool,
+    /// Whether the peer currently sits in at least one of our meshes
+    /// (drives P1 accrual).
+    pub(crate) in_mesh: bool,
+    /// Last time (ms) any RPC arrived from the peer — the liveness signal
+    /// behind churn repair. [`NO_CLOCK`] once the peer is presumed dead.
+    last_heard: u64,
+    pub(crate) counters: PeerCounters,
+}
+
+const _: () = assert!(std::mem::size_of::<Neighbour>() <= 48);
+
+/// The row key of `peer`: node ids index the simulator's node table, so
+/// 32 bits hold every one.
+fn key(peer: NodeId) -> u32 {
+    // lint:allow(panic-path, reason = "a node table of 2^32 peers does not fit in memory, so every real node id fits in 32 bits")
+    u32::try_from(peer.index()).expect("node ids fit in 32 bits")
+}
+
+/// The row of `peer` in `rows` (sorted by key).
+pub(crate) fn find(rows: &[Neighbour], peer: NodeId) -> Option<&Neighbour> {
+    rows.binary_search_by_key(&key(peer), |r| r.key)
+        .ok()
+        .map(|at| &rows[at])
 }
 
 /// The rows, sorted by peer id.
@@ -56,15 +81,18 @@ impl Neighbours {
 
     /// The peer's row, created empty if absent.
     fn row(&mut self, peer: NodeId) -> &mut Neighbour {
-        let at = match self.rows.binary_search_by_key(&peer, |r| r.peer) {
+        let key = key(peer);
+        let at = match self.rows.binary_search_by_key(&key, |r| r.key) {
             Ok(at) => at,
             Err(at) => {
                 let row = Neighbour {
-                    peer,
-                    last_heard: None,
+                    key,
                     iwant_spent: 0,
                     iwant_served: 0,
-                    counters: None,
+                    scored: false,
+                    in_mesh: false,
+                    last_heard: NO_CLOCK,
+                    counters: PeerCounters::default(),
                 };
                 self.rows.insert(at, row);
                 at
@@ -75,31 +103,28 @@ impl Neighbours {
 
     /// Records that an RPC from `peer` arrived at `now`.
     pub(crate) fn heard(&mut self, peer: NodeId, now: u64) {
-        self.row(peer).last_heard = Some(now);
+        self.row(peer).last_heard = now;
     }
 
     /// The peer's liveness clock; a peer never heard from starts its
     /// clock at `now` (first sight).
     pub(crate) fn clock(&mut self, peer: NodeId, now: u64) -> u64 {
-        *self.row(peer).last_heard.get_or_insert(now)
+        let row = self.row(peer);
+        if row.last_heard == NO_CLOCK {
+            row.last_heard = now;
+        }
+        row.last_heard
     }
 
     /// Presumes `peer` dead: its clock stops and it leaves every mesh.
     pub(crate) fn presume_dead(&mut self, peer: NodeId) {
-        self.row(peer).last_heard = None;
+        self.row(peer).last_heard = NO_CLOCK;
         self.set_in_mesh(peer, false);
-    }
-
-    fn get(&self, peer: NodeId) -> Option<&Neighbour> {
-        self.rows
-            .binary_search_by_key(&peer, |r| r.peer)
-            .ok()
-            .map(|at| &self.rows[at])
     }
 
     /// IWANT ids already requested from `peer` this heartbeat.
     pub(crate) fn iwant_spent(&self, peer: NodeId) -> usize {
-        self.get(peer).map_or(0, |r| r.iwant_spent as usize)
+        find(&self.rows, peer).map_or(0, |r| r.iwant_spent as usize)
     }
 
     /// Adds `n` ids to the IWANT budget spent on `peer`.
@@ -110,7 +135,7 @@ impl Neighbours {
 
     /// Payloads already served to `peer` this heartbeat.
     pub(crate) fn iwant_served(&self, peer: NodeId) -> usize {
-        self.get(peer).map_or(0, |r| r.iwant_served as usize)
+        find(&self.rows, peer).map_or(0, |r| r.iwant_served as usize)
     }
 
     /// Adds `n` payloads to those served to `peer`.
@@ -119,25 +144,26 @@ impl Neighbours {
         row.iwant_served = saturating_add(row.iwant_served, n);
     }
 
-    fn counters(&mut self, peer: NodeId) -> &mut PeerCounters {
-        self.row(peer)
-            .counters
-            .get_or_insert_with(PeerCounters::default)
+    /// The peer's row, with its score entry created if absent.
+    fn scored_row(&mut self, peer: NodeId) -> &mut Neighbour {
+        let row = self.row(peer);
+        row.scored = true;
+        row
     }
 
     /// Marks a peer as (not) being in one of our meshes.
     pub(crate) fn set_in_mesh(&mut self, peer: NodeId, in_mesh: bool) {
-        self.counters(peer).in_mesh = in_mesh;
+        self.scored_row(peer).in_mesh = in_mesh;
     }
 
     /// Records a first delivery of a valid message.
     pub(crate) fn record_first_delivery(&mut self, peer: NodeId) {
-        self.counters(peer).first_deliveries += 1.0;
+        self.scored_row(peer).counters.first_deliveries += 1.0;
     }
 
     /// Records an invalid message (validation rejected it).
     pub(crate) fn record_invalid(&mut self, peer: NodeId) {
-        self.counters(peer).invalid_messages += 1.0;
+        self.scored_row(peer).counters.invalid_messages += 1.0;
     }
 
     /// Heartbeat maintenance: score accrual and decay, and a fresh IWANT
@@ -146,8 +172,8 @@ impl Neighbours {
         for row in &mut self.rows {
             row.iwant_spent = 0;
             row.iwant_served = 0;
-            if let Some(c) = &mut row.counters {
-                c.heartbeat(&self.scoring);
+            if row.scored {
+                row.counters.heartbeat(row.in_mesh, &self.scoring);
             }
         }
     }
@@ -160,10 +186,15 @@ impl Neighbours {
 }
 
 impl Neighbour {
+    /// The peer this row describes.
+    pub(crate) fn peer(&self) -> NodeId {
+        NodeId(self.key as usize)
+    }
+
     /// Whether the peer currently has a liveness clock.
     #[cfg(test)]
     pub(crate) fn is_heard(&self) -> bool {
-        self.last_heard.is_some()
+        self.last_heard != NO_CLOCK
     }
 }
 

@@ -4,10 +4,11 @@ use crate::config::{GossipsubConfig, ScoringConfig};
 use crate::neighbours::Neighbours;
 use crate::score::PeerScore;
 use crate::topics::{self, Topics};
-use crate::types::{MessageCache, MessageId, RawMessage, Rpc, Topic};
+use crate::types::{reserve_doubling, MessageCache, MessageId, RawMessage, Rpc, Topic};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
+use std::rc::Rc;
 use wakurln_netsim::{Bytes, Context, Node, NodeId};
 
 /// Heartbeat timer token.
@@ -132,17 +133,32 @@ pub struct Observation {
     pub at_ms: u64,
 }
 
-/// A message delivered to the local application.
+/// A message delivered to the local application: the network-wide
+/// message handle (nothing is copied per delivery) and the arrival time.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Delivery {
-    /// Content id.
-    pub id: MessageId,
-    /// Topic it arrived on.
-    pub topic: Topic,
-    /// Payload (shared with the forwarding path — no copy per delivery).
-    pub data: Bytes,
+    msg: RawMessage,
     /// Simulated arrival time (ms).
     pub at_ms: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<Delivery>() == 16);
+
+impl Delivery {
+    /// Content id.
+    pub fn id(&self) -> MessageId {
+        self.msg.id()
+    }
+
+    /// Topic it arrived on.
+    pub fn topic(&self) -> &Topic {
+        self.msg.topic()
+    }
+
+    /// Payload.
+    pub fn data(&self) -> &Bytes {
+        self.msg.data()
+    }
 }
 
 /// A GossipSub v1.1 peer with a pluggable validator.
@@ -161,9 +177,11 @@ pub struct GossipsubNode<V: Validator> {
     /// Per topic: our subscription, our mesh, the peers known to
     /// subscribe (learned from Subscribe RPCs) and the graft backoffs.
     topics: Topics,
+    /// Per message id: the seen-cache entry, the mcache copy and the own
+    /// mark. Every wire copy of an own id — eager push *and* IWANT
+    /// serving — gets a fresh hold, so no path leaks the unjittered
+    /// `from = publisher` timing.
     mcache: MessageCache,
-    /// Message id → first-seen time (ms).
-    seen: HashMap<MessageId, u64>,
     /// Per remote peer: liveness clock, this heartbeat's IWANT budgets
     /// (per *heartbeat*, not per RPC, so splitting ids across many IWANT
     /// frames — or re-requesting the same id — cannot drain unbounded
@@ -171,11 +189,6 @@ pub struct GossipsubNode<V: Validator> {
     neighbours: Neighbours,
     validator: V,
     delivered: Vec<Delivery>,
-    /// Ids this node itself published while `publish_jitter_ms` was
-    /// active: every wire copy of these — eager push *and* IWANT
-    /// serving — gets a fresh hold, so no path leaks the unjittered
-    /// `from = publisher` timing. GC'd with the seen-cache.
-    own_published: BTreeSet<MessageId>,
     /// Passive observer tap: when enabled, every incoming `Forward`
     /// frame is recorded as an [`Observation`] (duplicates included —
     /// the adversary sees the wire, not the dedup cache).
@@ -203,10 +216,8 @@ impl<V: Validator> GossipsubNode<V> {
             neighbours: Neighbours::new(scoring, known_peers.len()),
             known_peers,
             topics: Topics::default(),
-            seen: HashMap::new(),
             validator,
             delivered: Vec::new(),
-            own_published: BTreeSet::new(),
             observer: false,
             observations: Vec::new(),
             pending_validation: HashMap::new(),
@@ -245,18 +256,14 @@ impl<V: Validator> GossipsubNode<V> {
         // shares this allocation and reads the id
         let msg = RawMessage::new(topic, data.into());
         let id = msg.id();
-        self.seen.insert(id, ctx.now());
-        self.mcache.put(msg.clone());
-        ctx.count("published", 1);
         let jitter = self.config.publish_jitter_ms;
-        if jitter > 0 {
-            // remember own ids so IWANT serving jitters them too — the
-            // message enters the mcache (and so our IHAVE gossip)
-            // immediately, and an unjittered IWANT reply would hand an
-            // observer exactly the from=publisher timing signal the
-            // eager-push holds below are hiding
-            self.own_published.insert(id);
-        }
+        // with jitter on, mark the id own so IWANT serving jitters it too
+        // — the message enters the mcache (and so our IHAVE gossip)
+        // immediately, and an unjittered IWANT reply would hand an
+        // observer exactly the from=publisher timing signal the
+        // eager-push holds below are hiding
+        self.mcache.publish(msg.clone(), ctx.now(), jitter > 0);
+        ctx.count("published", 1);
         for peer in self.eager_targets(msg.topic(), None) {
             if jitter > 0 {
                 // source-anonymity countermeasure: each first-hop copy is
@@ -311,7 +318,7 @@ impl<V: Validator> GossipsubNode<V> {
     /// Entries currently in the seen-cache (bounded by `seen_ttl_ms` GC;
     /// soak tests hold the long-horizon memory contract to this).
     pub fn seen_len(&self) -> usize {
-        self.seen.len()
+        self.mcache.seen_len()
     }
 
     /// Messages currently held across the mcache's history windows
@@ -323,7 +330,7 @@ impl<V: Validator> GossipsubNode<V> {
     /// Own-published ids still tracked for jittered IWANT serving
     /// (GC'd with the seen-cache; empty whenever `publish_jitter_ms` is 0).
     pub fn own_published_len(&self) -> usize {
-        self.own_published.len()
+        self.mcache.own_len()
     }
 
     /// Messages awaiting a deferred validation verdict (bounded by the
@@ -374,12 +381,10 @@ impl<V: Validator> GossipsubNode<V> {
     fn handle_forward(&mut self, ctx: &mut Context<Rpc>, from: NodeId, msg: RawMessage) {
         // read, not hashed: the id was derived once where the message was
         // built and every copy on the wire shares it
-        let id = msg.id();
-        if self.seen.contains_key(&id) {
+        if !self.mcache.first_seen(msg.id(), ctx.now()) {
             ctx.count("duplicates", 1);
             return;
         }
-        self.seen.insert(id, ctx.now());
 
         match self.validator.submit(ctx.now(), msg.topic(), msg.data()) {
             SubmitOutcome::Decided(verdict) => {
@@ -421,10 +426,9 @@ impl<V: Validator> GossipsubNode<V> {
 
         self.neighbours.record_first_delivery(from);
         if self.topics.subscribed(msg.topic()) {
+            reserve_doubling(&mut self.delivered);
             self.delivered.push(Delivery {
-                id: msg.id(),
-                topic: msg.topic().clone(),
-                data: msg.data().clone(),
+                msg: msg.clone(),
                 at_ms: ctx.now(),
             });
             ctx.count("delivered_app", 1);
@@ -451,7 +455,7 @@ impl<V: Validator> GossipsubNode<V> {
         ctx: &mut Context<Rpc>,
         from: NodeId,
         topic: Topic,
-        ids: Vec<MessageId>,
+        ids: Rc<[MessageId]>,
     ) {
         // IHAVE for a topic we never subscribed to buys the advertiser
         // nothing but would still spend our IWANT budget and pull
@@ -467,8 +471,9 @@ impl<V: Validator> GossipsubNode<V> {
         let spent = self.neighbours.iwant_spent(from);
         let budget = self.config.max_iwant_per_heartbeat.saturating_sub(spent);
         let wanted: Vec<MessageId> = ids
-            .into_iter()
-            .filter(|id| !self.seen.contains_key(id))
+            .iter()
+            .copied()
+            .filter(|id| !self.mcache.is_seen(id))
             .take(budget)
             .collect();
         if wanted.is_empty() {
@@ -497,7 +502,7 @@ impl<V: Validator> GossipsubNode<V> {
             }
             if let Some(msg) = self.mcache.get(&id) {
                 let jitter = self.config.publish_jitter_ms;
-                if jitter > 0 && self.own_published.contains(&id) {
+                if jitter > 0 && self.mcache.is_own(&id) {
                     // serving our own fresh message is a first hop too:
                     // an unjittered reply would leak the exact
                     // from=publisher timing the eager-push holds hide
@@ -658,6 +663,7 @@ impl<V: Validator> GossipsubNode<V> {
             // lazy gossip: IHAVE to non-mesh peers
             let ids = self.mcache.gossip_ids(&t.topic, self.config.history_gossip);
             if !ids.is_empty() {
+                let ids: Rc<[MessageId]> = ids.into();
                 let score = self.neighbours.score();
                 let mut candidates: Vec<NodeId> = t
                     .subscribers
@@ -680,12 +686,7 @@ impl<V: Validator> GossipsubNode<V> {
         }
 
         self.mcache.shift();
-        let ttl = self.config.seen_ttl_ms;
-        // lint:allow(map-iteration, reason = "order-independent: per-entry TTL prune; entries are judged in isolation")
-        self.seen.retain(|_, t| now.saturating_sub(*t) < ttl);
-        if !self.own_published.is_empty() {
-            self.own_published.retain(|id| self.seen.contains_key(id));
-        }
+        self.mcache.expire_seen(now, self.config.seen_ttl_ms);
         ctx.set_timer(self.config.heartbeat_ms, TIMER_HEARTBEAT);
     }
 }
@@ -852,7 +853,7 @@ mod tests {
                 .node(NodeId(i))
                 .delivered()
                 .iter()
-                .any(|d| d.topic == topic && d.data == b"hello network")
+                .any(|d| *d.topic() == topic && d.data() == b"hello network")
             {
                 received += 1;
             }
@@ -878,7 +879,7 @@ mod tests {
                 net.node(NodeId(*i))
                     .delivered()
                     .iter()
-                    .any(|d| d.data == b"lossy")
+                    .any(|d| d.data() == b"lossy")
             })
             .count();
         assert!(received >= 27, "only {received}/29 after gossip recovery");
@@ -899,7 +900,7 @@ mod tests {
                 .node(NodeId(i))
                 .delivered()
                 .iter()
-                .filter(|d| d.data == b"dup")
+                .filter(|d| d.data() == b"dup")
                 .count();
             assert!(count <= 1, "node {i} delivered the message {count} times");
         }
@@ -995,7 +996,7 @@ mod tests {
                 net.node(NodeId(**i))
                     .delivered()
                     .iter()
-                    .any(|d| d.data == b"after the storm")
+                    .any(|d| d.data() == b"after the storm")
             })
             .count();
         assert!(
@@ -1279,7 +1280,7 @@ mod tests {
             .node(NodeId(1))
             .delivered()
             .iter()
-            .find(|d| d.id == id)
+            .find(|d| d.id() == id)
             .expect("IWANT must still be served");
         // base latency is 10 ms; an unjittered serve would arrive exactly
         // then, leaking the from=publisher timing (seed chosen so the
@@ -1301,7 +1302,7 @@ mod tests {
                 NodeId(1),
                 Rpc::IHave {
                     topic: Topic::new("other"),
-                    ids: vec![foreign],
+                    ids: vec![foreign].into(),
                 },
             )
         });
@@ -1319,7 +1320,7 @@ mod tests {
                 NodeId(1),
                 Rpc::IHave {
                     topic: Topic::new("test"),
-                    ids: vec![local],
+                    ids: vec![local].into(),
                 },
             )
         });
@@ -1378,14 +1379,14 @@ mod tests {
                 net.node(NodeId(i))
                     .delivered()
                     .iter()
-                    .find(|d| d.data == b"jittered")
+                    .find(|d| d.data() == b"jittered")
                     .expect("jitter must not cost delivery")
                     .at_ms
             })
             .collect();
         // constant links would put every first-hop arrival at +10 ms;
         // the per-target holds must spread them out
-        let distinct: BTreeSet<u64> = arrivals.iter().copied().collect();
+        let distinct: std::collections::BTreeSet<u64> = arrivals.iter().copied().collect();
         assert!(distinct.len() > 1, "all arrivals identical despite jitter");
         assert!(arrivals.iter().all(|at| *at >= 8_010));
     }
@@ -1415,7 +1416,7 @@ mod tests {
                     p,
                     Rpc::IHave {
                         topic,
-                        ids: vec![advertised],
+                        ids: vec![advertised].into(),
                     },
                 );
             });
@@ -1426,21 +1427,21 @@ mod tests {
         let node = net.node(NodeId(0));
         let rows = node.neighbours.rows();
         assert!(
-            rows.iter().all(|r| r.is_heard() || r.counters.is_some()),
+            rows.iter().all(|r| r.is_heard() || r.scored),
             "a row with neither a liveness clock nor a score entry survived"
         );
         for p in &phantoms {
             let row = rows
                 .iter()
-                .find(|r| r.peer == *p)
+                .find(|r| r.peer() == *p)
                 .expect("a presumed-dead peer keeps its score entry");
             assert!(!row.is_heard(), "silent phantom {p} still has a clock");
-            assert!(row.counters.is_some());
+            assert!(row.scored);
         }
         let live: Vec<NodeId> = rows
             .iter()
             .filter(|r| r.is_heard())
-            .map(|r| r.peer)
+            .map(|r| r.peer())
             .collect();
         assert!(
             known.iter().all(|k| live.contains(k)),
@@ -1475,7 +1476,7 @@ mod tests {
                 net.node(NodeId(*i))
                     .delivered()
                     .iter()
-                    .any(|d| d.data == b"early")
+                    .any(|d| d.data() == b"early")
             })
             .count();
         assert!(received >= 8, "early publish reached only {received}/9");

@@ -9,11 +9,11 @@
 //! baseline that E6 compares WAKU-RLN-RELAY against.
 
 use crate::config::ScoringConfig;
-use crate::neighbours::Neighbour;
+use crate::neighbours::{self, Neighbour};
 use wakurln_netsim::NodeId;
 
 /// Per-peer scoring counters (one column group of the node's neighbour
-/// table).
+/// table, beside the row's `in_mesh` flag).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PeerCounters {
     /// Heartbeats spent in any of our meshes (P1 input).
@@ -22,8 +22,6 @@ pub(crate) struct PeerCounters {
     pub(crate) first_deliveries: f64,
     /// Invalid (validation-rejected) messages (P4 input).
     pub(crate) invalid_messages: f64,
-    /// Whether the peer currently sits in at least one mesh.
-    pub(crate) in_mesh: bool,
 }
 
 impl PeerCounters {
@@ -39,9 +37,10 @@ impl PeerCounters {
         p1 + p2 + p4
     }
 
-    /// Heartbeat maintenance: time-in-mesh accrual and counter decay.
-    pub(crate) fn heartbeat(&mut self, config: &ScoringConfig) {
-        if self.in_mesh {
+    /// Heartbeat maintenance: time-in-mesh accrual (while the peer sits
+    /// `in_mesh`) and counter decay.
+    pub(crate) fn heartbeat(&mut self, in_mesh: bool, config: &ScoringConfig) {
+        if in_mesh {
             self.heartbeats_in_mesh += 1.0;
         }
         self.first_deliveries *= config.decay;
@@ -60,8 +59,8 @@ impl PeerCounters {
 #[derive(Clone, Copy, Debug)]
 pub struct PeerScore<'a> {
     config: &'a ScoringConfig,
-    /// Neighbour rows sorted by peer id; a row with `counters: None` has
-    /// no score entry.
+    /// Neighbour rows sorted by peer id; a row without `scored` has no
+    /// score entry.
     rows: &'a [Neighbour],
 }
 
@@ -78,7 +77,8 @@ impl<'a> PeerScore<'a> {
     fn entries(&self) -> impl Iterator<Item = (NodeId, &'a PeerCounters)> + 'a {
         self.rows
             .iter()
-            .filter_map(|r| r.counters.as_ref().map(|c| (r.peer, c)))
+            .filter(|r| r.scored)
+            .map(|r| (r.peer(), &r.counters))
     }
 
     /// Number of peers with score-tracking state. The table must track
@@ -96,12 +96,9 @@ impl<'a> PeerScore<'a> {
 
     /// Computes a peer's current score.
     pub fn score(&self, peer: NodeId) -> f64 {
-        match self.rows.binary_search_by_key(&peer, |r| r.peer) {
-            Ok(at) => self.rows[at]
-                .counters
-                .as_ref()
-                .map_or(0.0, |c| c.score(self.config)),
-            Err(_) => 0.0,
+        match neighbours::find(self.rows, peer) {
+            Some(row) if row.scored => row.counters.score(self.config),
+            _ => 0.0,
         }
     }
 

@@ -7,7 +7,7 @@
 //! of the bytes, and every walk over them is in ascending peer order —
 //! the order the protocol's RNG draws and sends are defined in.
 
-use crate::types::Topic;
+use crate::types::{reserve_doubling, Topic};
 use wakurln_netsim::NodeId;
 
 /// Everything this node tracks about one topic.
@@ -74,10 +74,8 @@ impl Topics {
         let at = match self.0.binary_search_by(|t| t.topic.cmp(topic)) {
             Ok(at) => at,
             Err(at) => {
-                if self.0.capacity() == 0 {
-                    // nearly every node lives on one topic
-                    self.0.reserve_exact(1);
-                }
+                // nearly every node lives on one topic
+                reserve_doubling(&mut self.0);
                 let state = TopicState {
                     topic: topic.clone(),
                     subscribed: false,

@@ -2,15 +2,16 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 use wakurln_netsim::{Bytes, Payload};
 
 /// A pub/sub topic (peers congregate around topics, §I).
 ///
 /// The name is interned in an `Arc<str>`: a topic rides in every
-/// `Rpc::Forward`, [`Delivery`](crate::Delivery), mesh key and IHAVE, so
-/// `clone()` is a reference-count bump rather than a heap copy of the
-/// string. Equality, ordering and hashing are those of the name.
+/// message, topic entry and IHAVE, so `clone()` is a reference-count
+/// bump rather than a heap copy of the string. Equality, ordering and
+/// hashing are those of the name.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Topic(Arc<str>);
 
@@ -133,8 +134,9 @@ pub enum Rpc {
     IHave {
         /// Topic the ids belong to.
         topic: Topic,
-        /// Advertised message ids.
-        ids: Vec<MessageId>,
+        /// Advertised message ids, built once per topic per heartbeat
+        /// and shared by every target.
+        ids: Rc<[MessageId]>,
     },
     /// Request for full messages previously advertised via IHAVE.
     IWant {
@@ -167,43 +169,146 @@ impl Payload for Rpc {
     }
 }
 
-/// The sliding-window message cache (`mcache`): full messages for the last
-/// `history_length` heartbeats, with the most recent `history_gossip`
-/// windows eligible for IHAVE gossip.
+/// Makes room for one more element, growing a full vector to exactly
+/// twice its length (1 → 2 → 4 …) rather than std's first jump to four
+/// slots: most per-peer vectors hold one or two entries.
+pub(crate) fn reserve_doubling<T>(v: &mut Vec<T>) {
+    if v.len() == v.capacity() {
+        v.reserve_exact(v.len().max(1));
+    }
+}
+
+/// `Entry::seen_at` of an id the seen-cache no longer holds (simulated
+/// time never reaches it).
+const NOT_SEEN: u64 = u64::MAX;
+
+/// What a node holds for one message id.
+#[derive(Clone, Debug)]
+struct Entry {
+    /// First-seen time (ms), refreshed by a publish; [`NOT_SEEN`] once
+    /// the seen-cache TTL expired it.
+    seen_at: u64,
+    /// The message, while an mcache window holds it.
+    cached: Option<RawMessage>,
+    /// Published here with `publish_jitter_ms` on; cleared with the seen
+    /// entry.
+    own: bool,
+}
+
+impl Entry {
+    const EMPTY: Entry = Entry {
+        seen_at: NOT_SEEN,
+        cached: None,
+        own: false,
+    };
+
+    fn is_seen(&self) -> bool {
+        self.seen_at != NOT_SEEN
+    }
+}
+
+/// A node's per-message state in one id-keyed table: the seen-cache, the
+/// sliding-window message cache (`mcache`) and the marks on own
+/// publishes.
+///
+/// - *Seen:* every id first received or published less than `seen_ttl_ms`
+///   before the last [`MessageCache::expire_seen`].
+/// - *Cached:* full messages for the last `history_length` heartbeats, in
+///   windows ordered oldest first, each holding its messages in put
+///   order; the most recent `history_gossip` windows are eligible for
+///   IHAVE gossip.
+/// - *Own:* ids this node published while `publish_jitter_ms` was on:
+///   every wire copy of these gets a fresh hold. An id is own only while
+///   it is seen.
+///
+/// An entry lives while its id is seen or cached.
 #[derive(Clone, Debug)]
 pub struct MessageCache {
     history_length: usize,
-    windows: Vec<Vec<MessageId>>,
-    messages: HashMap<MessageId, RawMessage>,
+    /// Never empty: the last window is the current one.
+    windows: Vec<Vec<RawMessage>>,
+    table: HashMap<MessageId, Entry>,
+    /// Entries that are seen.
+    seen: usize,
+    /// Entries that are own.
+    own: usize,
 }
 
 impl MessageCache {
     /// Creates a cache with `history_length` windows.
     pub fn new(history_length: usize) -> MessageCache {
         assert!(history_length >= 1, "need at least one window");
+        let mut windows = Vec::with_capacity(history_length);
+        windows.push(Vec::new());
         MessageCache {
             history_length,
-            windows: vec![Vec::new()],
-            messages: HashMap::new(),
+            windows,
+            table: HashMap::new(),
+            seen: 0,
+            own: 0,
         }
     }
 
-    /// Inserts a message into the current window (idempotent), keyed by
-    /// its memoized id.
-    pub fn put(&mut self, msg: RawMessage) {
-        let id = msg.id();
-        if self.messages.insert(id, msg).is_none() {
-            self.windows
-                .last_mut()
-                // lint:allow(panic-path, reason = "the constructor seeds one window and shift() never leaves the ring empty")
-                .expect("at least one window")
-                .push(id);
+    /// Adds `msg` to the current window unless a window already holds it.
+    fn cache(windows: &mut [Vec<RawMessage>], entry: &mut Entry, msg: RawMessage) {
+        if entry.cached.is_some() {
+            return;
         }
+        if let Some(current) = windows.last_mut() {
+            reserve_doubling(current);
+            current.push(msg.clone());
+            entry.cached = Some(msg);
+        }
+    }
+
+    /// Inserts a message into the current window (idempotent while it is
+    /// cached), keyed by its memoized id.
+    pub fn put(&mut self, msg: RawMessage) {
+        let entry = self.table.entry(msg.id()).or_insert(Entry::EMPTY);
+        MessageCache::cache(&mut self.windows, entry, msg);
+    }
+
+    /// Records our own publish of `msg` at `now`: its seen entry starts
+    /// (or restarts) at `now`, the message is cached, and with `own` it
+    /// is marked own.
+    pub fn publish(&mut self, msg: RawMessage, now: u64, own: bool) {
+        let entry = self.table.entry(msg.id()).or_insert(Entry::EMPTY);
+        if !entry.is_seen() {
+            self.seen += 1;
+        }
+        entry.seen_at = now;
+        if own && !entry.own {
+            entry.own = true;
+            self.own += 1;
+        }
+        MessageCache::cache(&mut self.windows, entry, msg);
+    }
+
+    /// Marks `id` seen at `now`; `false` (and no change) when it already
+    /// is — the message is a duplicate.
+    pub fn first_seen(&mut self, id: MessageId, now: u64) -> bool {
+        let entry = self.table.entry(id).or_insert(Entry::EMPTY);
+        if entry.is_seen() {
+            return false;
+        }
+        entry.seen_at = now;
+        self.seen += 1;
+        true
+    }
+
+    /// Whether the seen-cache holds `id`.
+    pub fn is_seen(&self, id: &MessageId) -> bool {
+        self.table.get(id).is_some_and(Entry::is_seen)
+    }
+
+    /// Whether `id` is an own publish still in the seen-cache.
+    pub fn is_own(&self, id: &MessageId) -> bool {
+        self.table.get(id).is_some_and(|e| e.own)
     }
 
     /// Fetches a cached message by id.
     pub fn get(&self, id: &MessageId) -> Option<&RawMessage> {
-        self.messages.get(id)
+        self.table.get(id).and_then(|e| e.cached.as_ref())
     }
 
     /// Ids in the most recent `gossip_windows` windows for `topic`.
@@ -212,41 +317,74 @@ impl MessageCache {
         self.windows[start..]
             .iter()
             .flatten()
-            .filter(|id| {
-                self.messages
-                    .get(id)
-                    .map(|m| m.topic() == topic)
-                    .unwrap_or(false)
-            })
-            .copied()
+            .filter(|m| m.topic() == topic)
+            .map(RawMessage::id)
             .collect()
     }
 
-    /// Advances to a new window, evicting the oldest if full.
+    /// Advances to a new window, evicting the oldest once
+    /// `history_length` windows are held.
     pub fn shift(&mut self) {
-        self.windows.push(Vec::new());
-        if self.windows.len() > self.history_length {
-            let evicted = self.windows.remove(0);
-            for id in evicted {
-                self.messages.remove(&id);
+        if self.windows.len() == self.history_length {
+            for msg in self.windows.remove(0) {
+                let id = msg.id();
+                if let Some(entry) = self.table.get_mut(&id) {
+                    entry.cached = None;
+                    if !entry.is_seen() {
+                        self.table.remove(&id);
+                    }
+                }
             }
         }
+        self.windows.push(Vec::new());
+    }
+
+    /// Expires every seen entry first seen `ttl_ms` or more before `now`,
+    /// and its own mark with it, then drops entries left neither seen
+    /// nor cached.
+    pub fn expire_seen(&mut self, now: u64, ttl_ms: u64) {
+        let (mut seen, mut own) = (self.seen, self.own);
+        // lint:allow(map-iteration, reason = "order-independent: per-entry TTL prune; entries are judged in isolation")
+        self.table.retain(|_, e| {
+            if e.is_seen() && now.saturating_sub(e.seen_at) >= ttl_ms {
+                e.seen_at = NOT_SEEN;
+                seen -= 1;
+                if e.own {
+                    e.own = false;
+                    own -= 1;
+                }
+            }
+            e.is_seen() || e.cached.is_some()
+        });
+        (self.seen, self.own) = (seen, own);
     }
 
     /// Number of cached messages.
     pub fn len(&self) -> usize {
-        self.messages.len()
+        self.windows.iter().map(Vec::len).sum()
     }
 
     /// `true` when no messages are cached.
     pub fn is_empty(&self) -> bool {
-        self.messages.is_empty()
+        self.windows.iter().all(Vec::is_empty)
+    }
+
+    /// Number of ids in the seen-cache.
+    pub fn seen_len(&self) -> usize {
+        self.seen
+    }
+
+    /// Number of own ids (always 0 while `publish_jitter_ms` is 0).
+    pub fn own_len(&self) -> usize {
+        self.own
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn msg(topic: &str, data: &[u8]) -> RawMessage {
         RawMessage::new(Topic::new(topic), data.into())
@@ -308,6 +446,203 @@ mod tests {
         assert_eq!(c.gossip_ids(&Topic::new("t"), 3).len(), 2);
     }
 
+    /// The tables the one message table replaced, kept as the
+    /// differential oracle: the node's `seen` map and own-published set
+    /// and the mcache's message map and id windows, each driven by the
+    /// rule the node applied to it.
+    struct Reference {
+        history_length: usize,
+        seen: HashMap<MessageId, u64>,
+        own: BTreeSet<MessageId>,
+        windows: Vec<Vec<MessageId>>,
+        messages: HashMap<MessageId, RawMessage>,
+    }
+
+    impl Reference {
+        fn new(history_length: usize) -> Reference {
+            Reference {
+                history_length,
+                seen: HashMap::new(),
+                own: BTreeSet::new(),
+                windows: vec![Vec::new()],
+                messages: HashMap::new(),
+            }
+        }
+
+        fn put(&mut self, msg: RawMessage) {
+            let id = msg.id();
+            if self.messages.insert(id, msg).is_none() {
+                self.windows.last_mut().unwrap().push(id);
+            }
+        }
+
+        fn publish(&mut self, msg: RawMessage, now: u64, jitter: bool) {
+            self.seen.insert(msg.id(), now);
+            if jitter {
+                self.own.insert(msg.id());
+            }
+            self.put(msg);
+        }
+
+        fn first_seen(&mut self, id: MessageId, now: u64) -> bool {
+            if self.seen.contains_key(&id) {
+                return false;
+            }
+            self.seen.insert(id, now);
+            true
+        }
+
+        fn shift(&mut self) {
+            self.windows.push(Vec::new());
+            if self.windows.len() > self.history_length {
+                for id in self.windows.remove(0) {
+                    self.messages.remove(&id);
+                }
+            }
+        }
+
+        fn expire_seen(&mut self, now: u64, ttl: u64) {
+            self.seen.retain(|_, t| now.saturating_sub(*t) < ttl);
+            let seen = &self.seen;
+            self.own.retain(|id| seen.contains_key(id));
+        }
+
+        fn gossip_ids(&self, topic: &Topic, gossip_windows: usize) -> Vec<MessageId> {
+            let start = self.windows.len().saturating_sub(gossip_windows);
+            self.windows[start..]
+                .iter()
+                .flatten()
+                .filter(|id| self.messages[*id].topic() == topic)
+                .copied()
+                .collect()
+        }
+    }
+
+    /// Asserts every read of `cache` equals the oracle's, for every id of
+    /// the message pool.
+    fn assert_matches(cache: &MessageCache, oracle: &Reference, pool: &[RawMessage]) {
+        assert_eq!(cache.seen_len(), oracle.seen.len());
+        assert_eq!(cache.len(), oracle.messages.len());
+        assert_eq!(cache.is_empty(), oracle.messages.is_empty());
+        assert_eq!(cache.own_len(), oracle.own.len());
+        for msg in pool {
+            let id = msg.id();
+            assert_eq!(cache.is_seen(&id), oracle.seen.contains_key(&id));
+            assert_eq!(cache.is_own(&id), oracle.own.contains(&id));
+            assert_eq!(cache.get(&id), oracle.messages.get(&id));
+        }
+        for topic in [Topic::new("a"), Topic::new("b")] {
+            for windows in 0..=oracle.history_length + 1 {
+                assert_eq!(
+                    cache.gossip_ids(&topic, windows),
+                    oracle.gossip_ids(&topic, windows)
+                );
+            }
+        }
+        // an entry lives exactly while its id is seen or cached
+        let live: BTreeSet<MessageId> = oracle
+            .seen
+            .keys()
+            .chain(oracle.messages.keys())
+            .copied()
+            .collect();
+        assert_eq!(cache.table.len(), live.len());
+    }
+
+    proptest! {
+        /// The one table is observably the two maps, the windows and the
+        /// own set it replaced: random publishes (re-publishes of seen
+        /// ids included, with and without jitter), first receipts, puts
+        /// (after eviction included), shifts, seen expiries, IWANT gets
+        /// and IHAVE id lists agree after every step, with seen TTLs
+        /// shorter and longer than the cache history.
+        #[test]
+        fn prop_message_table_matches_the_maps_it_replaced(
+            history_length in 1usize..6,
+            ttl in 0u64..12,
+            ops in proptest::collection::vec((any::<u8>(), any::<u8>(), 0u64..3), 1..200),
+        ) {
+            let pool: Vec<RawMessage> = ["a", "b"]
+                .iter()
+                .flat_map(|t| (0u8..6).map(move |d| msg(t, &[d])))
+                .collect();
+            let mut cache = MessageCache::new(history_length);
+            let mut oracle = Reference::new(history_length);
+            let mut now = 0;
+            for (kind, pick, step) in ops {
+                now += step;
+                let msg = pool[usize::from(pick) % pool.len()].clone();
+                match kind % 6 {
+                    0 => {
+                        let jitter = pick >= 128;
+                        cache.publish(msg.clone(), now, jitter);
+                        oracle.publish(msg, now, jitter);
+                    }
+                    1 => prop_assert_eq!(
+                        cache.first_seen(msg.id(), now),
+                        oracle.first_seen(msg.id(), now)
+                    ),
+                    2 => {
+                        cache.put(msg.clone());
+                        oracle.put(msg);
+                    }
+                    3 => {
+                        cache.shift();
+                        oracle.shift();
+                    }
+                    4 => {
+                        cache.expire_seen(now, ttl);
+                        oracle.expire_seen(now, ttl);
+                    }
+                    _ => {
+                        // a node heartbeat: shift, then expire
+                        cache.shift();
+                        cache.expire_seen(now, ttl);
+                        oracle.shift();
+                        oracle.expire_seen(now, ttl);
+                    }
+                }
+                assert_matches(&cache, &oracle, &pool);
+            }
+        }
+    }
+
+    #[test]
+    fn a_put_after_eviction_and_an_expiry_while_cached_keep_the_rules() {
+        let mut c = MessageCache::new(2);
+        let m = msg("t", b"x");
+        c.publish(m.clone(), 0, true);
+        // the seen entry expires while the message is still cached: the
+        // own mark goes with it, the cached copy stays
+        c.expire_seen(10, 10);
+        assert!(!c.is_seen(&m.id()) && !c.is_own(&m.id()));
+        assert_eq!(c.get(&m.id()), Some(&m));
+        // eviction then drops the entry; a later put caches it afresh
+        c.shift();
+        c.shift();
+        assert!(c.get(&m.id()).is_none() && c.table.is_empty());
+        c.put(m.clone());
+        assert_eq!(c.gossip_ids(&Topic::new("t"), 1), vec![m.id()]);
+        // a re-publish of a seen id restarts its clock and caches nothing twice
+        assert!(c.first_seen(m.id(), 20));
+        c.publish(m.clone(), 30, false);
+        c.expire_seen(39, 10);
+        assert!(c.is_seen(&m.id()) && !c.is_own(&m.id()));
+        assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn small_vectors_grow_one_two_four() {
+        let mut v: Vec<u64> = Vec::new();
+        let mut capacities = Vec::new();
+        for k in 0..5 {
+            reserve_doubling(&mut v);
+            v.push(k);
+            capacities.push(v.capacity());
+        }
+        assert_eq!(capacities, [1, 2, 4, 4, 8]);
+    }
+
     #[test]
     fn rpc_sizes_reflect_content() {
         let small = Rpc::Forward(msg("t", b"x"));
@@ -315,7 +650,7 @@ mod tests {
         assert!(big.size_bytes() > small.size_bytes());
         let ihave = Rpc::IHave {
             topic: Topic::new("t"),
-            ids: vec![MessageId([0; 32]); 4],
+            ids: vec![MessageId([0; 32]); 4].into(),
         };
         assert_eq!(ihave.size_bytes(), 2 + 1 + 128);
     }

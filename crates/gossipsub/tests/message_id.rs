@@ -139,7 +139,7 @@ fn duplicate_publish_is_deduplicated_network_wide() {
             .node(NodeId(i))
             .delivered()
             .iter()
-            .filter(|d| d.data == b"same-bytes")
+            .filter(|d| d.data() == b"same-bytes")
             .count();
         assert_eq!(copies, 1, "node {i} delivered {copies} copies");
     }

@@ -114,15 +114,16 @@ impl State {
 
     /// Registers a new membership root (one per synced contract event).
     /// Keeps the last `root_window` roots acceptable; a repeat of the
-    /// current root is a no-op.
+    /// current root is a no-op. The oldest root leaves before the new one
+    /// enters, so the window never grows past `root_window` slots.
     pub fn push_root(&mut self, root: Fr) {
         if self.accepted_roots.back() == Some(&root) {
             return;
         }
-        self.accepted_roots.push_back(root);
-        while self.accepted_roots.len() > self.root_window {
+        while self.accepted_roots.len() >= self.root_window {
             self.accepted_roots.pop_front();
         }
+        self.accepted_roots.push_back(root);
     }
 
     /// The most recent root.
@@ -424,6 +425,8 @@ mod tests {
             state.push_root(Fr::from_u64(100 + i));
         }
         assert_eq!(state.accepted_roots.len(), 8);
+        // the oldest root leaves before the ninth enters: no 16-slot growth
+        assert!(state.accepted_roots.capacity() <= 8);
         assert!(state.root_accepted(&Fr::from_u64(119)));
         assert!(!state.root_accepted(&Fr::from_u64(100)));
         state.set_root_window(2);

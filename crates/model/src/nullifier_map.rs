@@ -32,6 +32,15 @@ pub enum NullifierOutcome {
 /// entries recorded for it, sorted by φ.
 type Epoch = (u64, Vec<([u8; 32], Share)>);
 
+/// Makes room for one more element, growing a full vector to exactly
+/// twice its length (1 → 2 → 4 …) rather than std's first jump to four
+/// slots: an epoch of a small network holds one or two entries.
+fn reserve_doubling<T>(v: &mut Vec<T>) {
+    if v.len() == v.capacity() {
+        v.reserve_exact(v.len().max(1));
+    }
+}
+
 /// The windowed `(epoch, φ) → [sk]` record.
 ///
 /// Stored densely: the tracked epochs in ascending order, each holding
@@ -66,12 +75,14 @@ impl NullifierMap {
         let slot = match self.epochs.binary_search_by_key(&epoch, |(e, _)| *e) {
             Ok(at) => &mut self.epochs[at].1,
             Err(at) => {
+                reserve_doubling(&mut self.epochs);
                 self.epochs.insert(at, (epoch, Vec::new()));
                 &mut self.epochs[at].1
             }
         };
         match slot.binary_search_by(|(phi, _)| phi.cmp(&key)) {
             Err(at) => {
+                reserve_doubling(slot);
                 slot.insert(at, (key, share));
                 NullifierOutcome::Fresh
             }
@@ -246,6 +257,8 @@ mod tests {
             NullifierOutcome::Fresh
         );
         assert_eq!(map.len(), 2);
+        // right-sized: two entries hold two slots, not std's first four
+        assert_eq!((map.epochs.capacity(), map.epochs[0].1.capacity()), (1, 2));
     }
 
     #[test]

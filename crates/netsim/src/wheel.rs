@@ -19,9 +19,10 @@
 //!   per queued event, freed when it pops — so that a slab entry stays
 //!   16 bytes: the slab only ever grows to the high-water mark of
 //!   in-flight events, and inline entries of event size would pin peak
-//!   RSS there for the rest of the run (measured: `publish_200` peak RSS
-//!   51 → 52–62 MB un-boxed). The level-0 slot `Vec`s, drained once per
-//!   round, do keep their capacity.
+//!   RSS there for the rest of the run (measured on the benchmark's
+//!   `mesh_10k`: un-boxed entries cut `run_s` 9 % and raise peak RSS
+//!   5 %). The level-0 slot `Vec`s, drained once per round, do keep
+//!   their capacity.
 //!
 //! # Determinism contract
 //!

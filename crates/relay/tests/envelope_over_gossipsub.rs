@@ -38,7 +38,7 @@ fn waku_deliveries(net: &Network<GossipsubNode<AcceptAll>>, peer: usize) -> Vec<
     net.node(NodeId(peer))
         .delivered()
         .iter()
-        .filter_map(|d| WakuMessage::decode(&d.data).ok())
+        .filter_map(|d| WakuMessage::decode(d.data()).ok())
         .collect()
 }
 

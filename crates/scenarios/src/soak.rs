@@ -7,7 +7,8 @@
 //! windowed actually stays bounded over horizons ≥ 100× longer than any
 //! scenario: the RLN nullifier map (§III epoch-window GC), the
 //! pipeline's proof-verdict cache and deferred verdicts, the gossipsub
-//! `mcache`, `seen` and `own_published` caches, and the peer-score table.
+//! message table (its `mcache`, `seen` and `own_published` entries), and
+//! the peer-score table.
 //!
 //! The soak owns no world and no traffic: its [`SoakConfig::spec`] runs
 //! through the scenario engine, so a soak carries whatever traffic,

@@ -1,12 +1,15 @@
 //! Bytes-per-peer tripwire: the heap a finished `metropolis` run holds,
 //! divided by its peers, measured with a counting global allocator and
-//! split into gossipsub, validator and the rest.
+//! split into gossipsub, validator and the rest. A second run of the
+//! same spec with more traffic rounds gives the heap each extra message
+//! leaves in every peer.
 //!
 //! Allocation sizes are a pure function of spec and seed, so the
-//! ceiling can sit 5 % above the measured value: a change that grows any
-//! per-peer table trips it. This file is its own test binary with a
-//! single test, so no other test allocates while it counts. Run it with
-//! `cargo test --test peer_memory -- --nocapture` to see the split.
+//! ceilings can sit 5 % above the measured values: a change that grows
+//! any per-peer table or per-message entry trips them. This file is its
+//! own test binary with a single test, so no other test allocates while
+//! it counts. Run it with `cargo test --test peer_memory -- --nocapture`
+//! to see the split.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -57,14 +60,55 @@ fn freed_by<T>(value: T) -> usize {
 }
 
 /// Heap bytes per peer held by the finished testbed of `metropolis` @
-/// 2 000, seed 1: 5 % above the measured 5 989 B (gossipsub 2 168,
-/// validator 1 024, rest 2 797). With per-peer hash and B-tree tables
-/// the same run held 7 748 B (3 016 / 1 568 / 3 163).
-const CEILING_BYTES_PER_PEER: usize = 6_288;
+/// 2 000, seed 1: 5 % above the measured 4 936 B (gossipsub 1 628,
+/// validator 575, rest 2 731). Before the per-message state was
+/// right-sized the same run held 5 981 B (2 168 / 1 024 / 2 789), and
+/// with per-peer hash and B-tree tables 7 748 B (3 016 / 1 568 / 3 163).
+const CEILING_BYTES_PER_PEER: usize = 5_182;
 
-#[test]
-fn metropolis_heap_per_peer_stays_under_its_ceiling() {
-    let spec = builtin("metropolis", 2_000, 1).expect("a built-in scenario");
+/// Traffic rounds of the second run: three times the built-in's two, so
+/// its two publishers send eight more messages.
+const MORE_ROUNDS: usize = 6;
+
+/// Heap bytes per peer that each of those extra messages leaves behind at
+/// the end of the run: 5 % above the measured 89 B (gossipsub 81,
+/// validator 8). Before the per-message state was right-sized: 149 B,
+/// all of it gossipsub.
+const CEILING_BYTES_PER_PEER_PER_MESSAGE: usize = 93;
+
+/// Heap bytes a finished run holds, split by owner.
+struct Split {
+    peers: usize,
+    messages: usize,
+    gossipsub: usize,
+    validator: usize,
+    rest: usize,
+}
+
+impl Split {
+    fn total(&self) -> usize {
+        self.gossipsub + self.validator + self.rest
+    }
+
+    fn print(&self, label: &str) {
+        let peers = self.peers;
+        println!(
+            "{label}: {} heap bytes per peer (gossipsub {}, validator {}, rest {})",
+            self.total() / peers,
+            self.gossipsub / peers,
+            self.validator / peers,
+            self.rest / peers
+        );
+    }
+}
+
+/// Runs `metropolis` @ 2 000, seed 1 with `rounds` traffic rounds and
+/// measures what its testbed holds: each validator, then each gossipsub
+/// node, then the rest, dropped in turn.
+fn measure(rounds: usize) -> Split {
+    let mut spec = builtin("metropolis", 2_000, 1).expect("a built-in scenario");
+    spec.traffic.rounds = rounds;
+    let messages = spec.traffic.publishers * rounds;
     let (report, mut tb) = run_scenario_detailed(&spec);
     assert_eq!(report.delivery_rate, 1.0);
     drop(report);
@@ -96,18 +140,45 @@ fn metropolis_heap_per_peer_stays_under_its_ceiling() {
         gossipsub += freed_by(std::mem::replace(node, placeholder())) - blank_bytes;
     }
     let rest = freed_by(tb) - peers * placeholder_bytes;
+    Split {
+        peers,
+        messages,
+        gossipsub,
+        validator,
+        rest,
+    }
+}
 
-    let total = gossipsub + validator + rest;
-    let per_peer = total / peers;
-    println!(
-        "metropolis @ {peers}, seed 1: {per_peer} heap bytes per peer \
-         (gossipsub {}, validator {}, rest {})",
-        gossipsub / peers,
-        validator / peers,
-        rest / peers
-    );
+/// Both checks share one test so that nothing else allocates while the
+/// runs are measured.
+#[test]
+fn metropolis_heap_per_peer_stays_under_its_ceiling() {
+    let base = measure(2);
+    base.print("metropolis @ 2000, seed 1");
+    let per_peer = base.total() / base.peers;
     assert!(
         per_peer <= CEILING_BYTES_PER_PEER,
         "per-peer heap grew: {per_peer} B > ceiling {CEILING_BYTES_PER_PEER} B"
+    );
+
+    // what each message leaves behind in every peer: seen entries, the
+    // delivery tape, nullifier-map entries
+    let more = measure(MORE_ROUNDS);
+    more.print(&format!("metropolis @ 2000, seed 1, {MORE_ROUNDS} rounds"));
+    let extra = more.messages - base.messages;
+    let per_message = |bytes: fn(&Split) -> usize| {
+        (bytes(&more).saturating_sub(bytes(&base))) / base.peers / extra
+    };
+    let per_peer_per_message = per_message(Split::total);
+    println!(
+        "per peer per extra message: {per_peer_per_message} B (gossipsub {}, validator {}, rest {})",
+        per_message(|s| s.gossipsub),
+        per_message(|s| s.validator),
+        per_message(|s| s.rest)
+    );
+    assert!(
+        per_peer_per_message <= CEILING_BYTES_PER_PEER_PER_MESSAGE,
+        "per-message heap grew: {per_peer_per_message} B per peer per message \
+         > ceiling {CEILING_BYTES_PER_PEER_PER_MESSAGE} B"
     );
 }
