@@ -7,7 +7,7 @@
 //!    (`|Δ| ≤ Thr = D/T`),
 //! 3. look the internal nullifier up in the nullifier map; a collision
 //!    with a distinct share is double-signaling — reconstruct the secret
-//!    key and queue slashing evidence.
+//!    key and queue slashing evidence, once per `(epoch, φ)` statement.
 //!
 //! The message is relayed only if all checks pass.
 //!
@@ -140,12 +140,18 @@ impl RlnValidator {
     }
 
     /// Caught spammers not yet drained (the node submits these to the
-    /// chain and clears the queue).
+    /// chain and clears the queue). One entry per caught `(epoch, φ)`
+    /// statement, not per frame: repeats of a statement this peer has
+    /// already caught are counted in [`ValidationStats::spam_detected`]
+    /// but queue nothing, until the epoch leaves the window or a cold
+    /// [`reset_state`](RlnValidator::reset_state).
     pub fn detections(&self) -> &[SpamDetection] {
         &self.state.detections
     }
 
-    /// Drains the detection queue.
+    /// Drains the detection queue (one entry per caught statement, as
+    /// in [`RlnValidator::detections`]). Draining does not forget the
+    /// caught marks, so a drained statement is not queued again.
     pub fn take_detections(&mut self) -> Vec<SpamDetection> {
         std::mem::take(&mut self.state.detections)
     }
@@ -291,8 +297,10 @@ impl Validator for RlnValidator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::encode_signal;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use wakurln_crypto::poseidon;
     use wakurln_rln::{create_signal, Identity, RlnGroup};
     use wakurln_zksnark::{ProvingKey, RlnCircuit, SimSnark};
 
@@ -423,6 +431,68 @@ mod tests {
         assert_eq!(detections[0].evidence.commitment, f.id.commitment());
         // queue drained
         assert!(f.validator.detections().is_empty());
+    }
+
+    /// One member signals three distinct messages in one epoch and each
+    /// reaches the relay six times under fresh envelopes, the fan-in of
+    /// the relay benchmark's corpus. All twelve double-signal frames are
+    /// rejected and counted, but only the first reconstructs the secret:
+    /// the other eleven run no Poseidon permutation at all.
+    #[test]
+    fn a_caught_statement_is_reconstructed_once_across_rewraps() {
+        let mut f = fixture();
+        let topic = Topic::new("t");
+        let signals: Vec<WireSignal> = [&b"one"[..], b"two", b"three"]
+            .into_iter()
+            .map(|msg| wire_at(&mut f, 1_000, msg))
+            .collect();
+        let mut at = 1_000;
+        let mut doubles = Vec::new();
+        for (i, wire) in signals.iter().enumerate() {
+            for copy in 0..6 {
+                let mut envelope =
+                    WakuMessage::new("/waku/2/test", encode_signal(wire.epoch, &wire.signal));
+                envelope.timestamp = Some(at);
+                let before = poseidon::permutation_count();
+                let verdict = Validator::validate(&mut f.validator, at, &topic, &envelope.encode());
+                let permutations = poseidon::permutation_count() - before;
+                let expected = match (i, copy) {
+                    (0, 0) => ValidationResult::Accept,
+                    (0, _) => ValidationResult::Ignore,
+                    _ => ValidationResult::Reject,
+                };
+                assert_eq!(verdict, expected, "signal {i}, copy {copy}");
+                if i > 0 {
+                    doubles.push(permutations);
+                }
+                at += 10;
+            }
+        }
+        assert_eq!(
+            f.validator.stats(),
+            ValidationStats {
+                valid: 1,
+                duplicates: 5,
+                spam_detected: 12,
+                ..ValidationStats::default()
+            }
+        );
+        assert_eq!(f.validator.detections().len(), 1);
+        assert_eq!(
+            f.validator.detections()[0].evidence.revealed_secret,
+            f.id.secret()
+        );
+        assert!(doubles[0] > 0, "the first double-signal builds evidence");
+        assert_eq!(doubles[1..].iter().sum::<u64>(), 0, "{doubles:?}");
+
+        // a cold restart forgets the mark: the next violation is caught
+        // and queued again
+        f.validator.take_detections();
+        f.validator.reset_state(f.group.root());
+        for wire in &signals[..2] {
+            f.validator.validate_wire(at, wire);
+        }
+        assert_eq!(f.validator.detections().len(), 1);
     }
 
     #[test]

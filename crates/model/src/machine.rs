@@ -15,7 +15,7 @@ use crate::nullifier_map::{NullifierMap, NullifierOutcome};
 use std::collections::VecDeque;
 use wakurln_crypto::field::Fr;
 use wakurln_rln::SlashingEvidence;
-use wakurln_rln::{analyze_double_signal, build_evidence, DoubleSignalOutcome, Signal};
+use wakurln_rln::{analyze_share_pair, build_evidence, DoubleSignalOutcome, Signal};
 
 /// Modeled per-check CPU costs in microseconds, used for the
 /// resource-restricted-device accounting (E6/E9). Defaults follow the
@@ -57,7 +57,9 @@ pub struct ValidationStats {
     pub epoch_out_of_window: u64,
     /// Exact duplicates (same nullifier, same share).
     pub duplicates: u64,
-    /// Double-signaling caught.
+    /// Double-signal frames rejected — every frame, including the
+    /// repeats of a statement already caught (compare
+    /// [`State::detections`], which counts statements).
     pub spam_detected: u64,
 }
 
@@ -87,9 +89,12 @@ pub struct State {
     pub accepted_roots: VecDeque<Fr>,
     /// How many recent roots remain acceptable.
     pub root_window: usize,
-    /// The windowed `(epoch, φ) → [sk]` double-signaling record.
+    /// The windowed `(epoch, φ) → [sk]` double-signaling record, with
+    /// the statements already caught.
     pub nullifier_map: NullifierMap,
-    /// Caught spammers not yet drained by the host.
+    /// Caught spammers not yet drained by the host: one per caught
+    /// `(epoch, φ)` statement while its epoch is tracked, however many
+    /// double-signal frames it took.
     pub detections: Vec<SpamDetection>,
     /// Cumulative per-verdict counters.
     pub stats: ValidationStats,
@@ -155,10 +160,11 @@ impl State {
     }
 
     /// Crash-recovery reset (a **cold** restart): the accepted-roots
-    /// window collapses to `initial_root`, the nullifier map is emptied
-    /// and undelivered detections are discarded. Cumulative
-    /// [`ValidationStats`] survive — they model the operator's metrics
-    /// store, which outlives the process.
+    /// window collapses to `initial_root`, the nullifier map (caught
+    /// marks included) is emptied and undelivered detections are
+    /// discarded, so a statement caught before the crash is detected and
+    /// queued again. Cumulative [`ValidationStats`] survive — they model
+    /// the operator's metrics store, which outlives the process.
     pub fn reset(&mut self, initial_root: Fr) {
         self.accepted_roots.clear();
         self.accepted_roots.push_back(initial_root);
@@ -262,21 +268,26 @@ pub fn apply_signal(
             Outcome::Ignore
         }
         NullifierOutcome::DoubleSignal { prior_share } => {
+            // every double-signal frame is charged and counted; only the
+            // first per caught statement reconstructs and queues evidence
             cost += state.cost.reconstruct_micros;
             state.stats.spam_detected += 1;
-            // rebuild the prior signal's share pair for reconstruction
-            let mut prior = signal.clone();
-            prior.share = prior_share;
-            match analyze_double_signal(&prior, signal) {
-                DoubleSignalOutcome::SecretRecovered(sk) => {
-                    if let Some(evidence) = build_evidence(sk, signal) {
-                        state.detections.push(SpamDetection { evidence, epoch });
+            let phi = signal.internal_nullifier;
+            if !state.nullifier_map.is_caught(epoch, phi) {
+                // the map hit on (epoch, φ), so both shares carry the
+                // same nullifiers
+                match analyze_share_pair(&prior_share, &signal.share) {
+                    DoubleSignalOutcome::SecretRecovered(sk) => {
+                        if let Some(evidence) = build_evidence(sk, signal) {
+                            state.nullifier_map.mark_caught(epoch, phi);
+                            state.detections.push(SpamDetection { evidence, epoch });
+                        }
                     }
-                }
-                DoubleSignalOutcome::Duplicate | DoubleSignalOutcome::InconsistentShares => {
-                    // cannot happen for proof-verified signals: the
-                    // circuit pins y to x, and distinct shares imply
-                    // distinct x
+                    DoubleSignalOutcome::Duplicate | DoubleSignalOutcome::InconsistentShares => {
+                        // cannot happen for proof-verified signals: the
+                        // circuit pins y to x, and distinct shares imply
+                        // distinct x
+                    }
                 }
             }
             Outcome::Reject
@@ -366,6 +377,50 @@ mod tests {
         assert_eq!(apply(&mut state, &second).outcome, Outcome::Reject);
         assert_eq!(state.stats.spam_detected, 1);
         // the recovered secret is the member's actual secret
+        assert_eq!(state.detections.len(), 1);
+        assert_eq!(
+            state.detections[0].evidence.revealed_secret,
+            p.member_identity(0).secret()
+        );
+    }
+
+    #[test]
+    fn a_caught_statement_is_reconstructed_once() {
+        let p = params();
+        let cost = CostModel::default();
+        let mut state = fresh_state(&p);
+        let local = p.scheme().epoch_at_ms(1_000);
+        apply(&mut state, &input(&p, 1_000, 0, local, 0));
+        for (i, msg) in [1, 2, 1, 3].into_iter().enumerate() {
+            let now = 1_100 + 100 * i as u64;
+            let v = apply(&mut state, &input(&p, now, 0, local, msg));
+            assert_eq!(v.outcome, Outcome::Reject);
+            assert_eq!(
+                v.cost_micros,
+                cost.verify_proof_micros
+                    + cost.epoch_check_micros
+                    + cost.nullifier_check_micros
+                    + cost.reconstruct_micros,
+                "every double-signal frame is charged the reconstruction"
+            );
+        }
+        assert_eq!(state.stats.spam_detected, 4, "counts frames");
+        assert_eq!(state.detections.len(), 1, "counts statements");
+        assert_eq!(state.nullifier_map.caught_len(), 1);
+        // another member's statement in the same epoch is caught apart
+        apply(&mut state, &input(&p, 1_600, 1, local, 0));
+        apply(&mut state, &input(&p, 1_700, 1, local, 1));
+        assert_eq!(state.detections.len(), 2);
+
+        // a warm copy keeps the mark; a cold restart forgets it and
+        // queues the evidence again
+        let mut warm = state.clone();
+        apply(&mut warm, &input(&p, 1_800, 0, local, 4));
+        assert_eq!(warm.detections.len(), 2);
+        state.reset(Fr::from_u64(1));
+        assert_eq!(state.nullifier_map.caught_len(), 0);
+        apply(&mut state, &input(&p, 1_900, 0, local, 0));
+        apply(&mut state, &input(&p, 2_000, 0, local, 1));
         assert_eq!(state.detections.len(), 1);
         assert_eq!(
             state.detections[0].evidence.revealed_secret,

@@ -8,7 +8,8 @@
 //! the nullifier map suffices to hold messages that belong to the last
 //! `Thr` epochs because older messages are considered invalid by default."
 
-use wakurln_crypto::field::Fr;
+use std::cmp::Ordering;
+use wakurln_crypto::field::{Fr, MODULUS_BITS};
 use wakurln_crypto::shamir::Share;
 
 /// What inserting a signal's nullifier revealed.
@@ -32,6 +33,24 @@ pub enum NullifierOutcome {
 /// entries recorded for it, sorted by φ.
 type Epoch = (u64, Vec<([u8; 32], Share)>);
 
+/// The caught flag, kept in the top bit of a stored φ's last
+/// little-endian byte. φ is a canonical field element, below
+/// `2^MODULUS_BITS`, so that bit of a real φ is always clear.
+const CAUGHT: u8 = 0x80;
+const _: () = assert!(MODULUS_BITS <= 255, "the caught flag needs φ's top bit");
+
+/// Whether a stored φ carries the caught flag.
+fn is_flagged(stored: &[u8; 32]) -> bool {
+    stored[31] & CAUGHT != 0
+}
+
+/// Orders a stored φ against a probe φ, ignoring the caught flag.
+fn cmp_phi(stored: &[u8; 32], probe: &[u8; 32]) -> Ordering {
+    stored[..31]
+        .cmp(&probe[..31])
+        .then((stored[31] & !CAUGHT).cmp(&probe[31]))
+}
+
 /// Makes room for one more element, growing a full vector to exactly
 /// twice its length (1 → 2 → 4 …) rather than std's first jump to four
 /// slots: an epoch of a small network holds one or two entries.
@@ -50,6 +69,14 @@ fn reserve_doubling<T>(v: &mut Vec<T>) {
 /// No tracked epoch is ever empty (an epoch is created by the insert
 /// that fills it), so equal contents mean equal vectors and `PartialEq`
 /// is derived.
+///
+/// An entry also records whether its statement is *caught*: whether
+/// this peer has already turned its double-signal into slashing
+/// evidence ([`NullifierMap::mark_caught`]), so that a repeat need not
+/// reconstruct the secret again. The mark is a bit of the stored φ that
+/// no field element sets, so it costs no memory and lives exactly as
+/// long as its entry: [`gc`](NullifierMap::gc) drops it with its epoch,
+/// and a fresh map (a cold restart) has none.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct NullifierMap {
     epochs: Vec<Epoch>,
@@ -68,6 +95,18 @@ impl NullifierMap {
             .map(|at| &self.epochs[at])
     }
 
+    /// Where the `(epoch, φ)` entry is stored: the index of its epoch
+    /// and its index within that epoch.
+    fn position(&self, epoch: u64, nullifier: Fr) -> Option<(usize, usize)> {
+        let key = nullifier.to_bytes_le();
+        let at = self.epochs.binary_search_by_key(&epoch, |(e, _)| *e).ok()?;
+        let entries = &self.epochs[at].1;
+        let slot = entries
+            .binary_search_by(|(phi, _)| cmp_phi(phi, &key))
+            .ok()?;
+        Some((at, slot))
+    }
+
     /// Records a signal's `(epoch, φ, [sk])`, reporting whether it is
     /// fresh, a duplicate, or a double-signal.
     pub fn insert(&mut self, epoch: u64, nullifier: Fr, share: Share) -> NullifierOutcome {
@@ -80,7 +119,7 @@ impl NullifierMap {
                 &mut self.epochs[at].1
             }
         };
-        match slot.binary_search_by(|(phi, _)| phi.cmp(&key)) {
+        match slot.binary_search_by(|(phi, _)| cmp_phi(phi, &key)) {
             Err(at) => {
                 reserve_doubling(slot);
                 slot.insert(at, (key, share));
@@ -91,6 +130,30 @@ impl NullifierMap {
                 prior_share: slot[at].1,
             },
         }
+    }
+
+    /// Whether the `(epoch, φ)` statement is marked caught: its
+    /// double-signal has already produced slashing evidence here.
+    pub fn is_caught(&self, epoch: u64, nullifier: Fr) -> bool {
+        self.position(epoch, nullifier)
+            .is_some_and(|(at, slot)| is_flagged(&self.epochs[at].1[slot].0))
+    }
+
+    /// Marks the `(epoch, φ)` statement caught. Does nothing when the
+    /// map holds no entry for it.
+    pub fn mark_caught(&mut self, epoch: u64, nullifier: Fr) {
+        if let Some((at, slot)) = self.position(epoch, nullifier) {
+            self.epochs[at].1[slot].0[31] |= CAUGHT;
+        }
+    }
+
+    /// Number of tracked statements marked caught.
+    pub fn caught_len(&self) -> usize {
+        self.epochs
+            .iter()
+            .flat_map(|(_, entries)| entries)
+            .filter(|(phi, _)| is_flagged(phi))
+            .count()
     }
 
     /// Drops every epoch older than `current_epoch − thr` (the paper's
@@ -144,7 +207,7 @@ impl NullifierMap {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::{BTreeMap, HashMap};
+    use std::collections::{BTreeMap, BTreeSet, HashMap};
 
     fn share(x: u64, y: u64) -> Share {
         Share {
@@ -153,11 +216,21 @@ mod tests {
         }
     }
 
+    /// A φ whose little-endian bytes are zero but for the last one: φs
+    /// that differ only where the caught flag lives.
+    fn high_phi(top: u8) -> Fr {
+        let mut bytes = [0u8; 32];
+        bytes[31] = top;
+        Fr::from_bytes_le(&bytes).expect("below the modulus")
+    }
+
     /// The previous nested-map layout, kept as the differential oracle:
-    /// epoch → (nullifier bytes → first-seen share).
+    /// epoch → (nullifier bytes → first-seen share), plus the caught
+    /// `(epoch, nullifier bytes)` statements.
     #[derive(Default)]
     struct Reference {
         epochs: BTreeMap<u64, HashMap<[u8; 32], Share>>,
+        caught: BTreeSet<(u64, [u8; 32])>,
     }
 
     impl Reference {
@@ -175,8 +248,21 @@ mod tests {
             }
         }
 
+        fn mark_caught(&mut self, epoch: u64, nullifier: Fr) {
+            let key = nullifier.to_bytes_le();
+            if self
+                .epochs
+                .get(&epoch)
+                .is_some_and(|m| m.contains_key(&key))
+            {
+                self.caught.insert((epoch, key));
+            }
+        }
+
         fn gc(&mut self, current_epoch: u64, thr: u64) {
-            self.epochs = self.epochs.split_off(&current_epoch.saturating_sub(thr));
+            let cutoff = current_epoch.saturating_sub(thr);
+            self.epochs = self.epochs.split_off(&cutoff);
+            self.caught = self.caught.split_off(&(cutoff, [0; 32]));
         }
 
         fn len(&self) -> usize {
@@ -185,6 +271,16 @@ mod tests {
 
         fn memory_bytes(&self) -> usize {
             self.epochs.len() * 8 + self.len() * (32 + 64)
+        }
+    }
+
+    /// The φ universe of the differential test: two that differ in the
+    /// first byte and two more that differ from the first only in the
+    /// byte that holds the caught flag.
+    fn phi_of(n: u64) -> Fr {
+        match n {
+            0 | 1 => Fr::from_u64(n),
+            _ => high_phi(n as u8 - 1),
         }
     }
 
@@ -217,6 +313,17 @@ mod tests {
                 map.entries_at(probe),
                 oracle.epochs.get(&probe).map_or(0, HashMap::len)
             );
+            for phi in (0..4).map(phi_of) {
+                assert_eq!(
+                    map.is_caught(probe, phi),
+                    oracle.caught.contains(&(probe, phi.to_bytes_le()))
+                );
+            }
+        }
+        assert_eq!(map.caught_len(), oracle.caught.len());
+        for (epoch, key) in &oracle.caught {
+            let phi = Fr::from_bytes_le(key).expect("a stored φ");
+            assert!(map.is_caught(*epoch, phi));
         }
     }
 
@@ -321,6 +428,68 @@ mod tests {
         assert_eq!(map.tracked_epochs(), 10);
     }
 
+    /// A caught mark lives and dies with its entry: it changes no
+    /// lookup or byte count, leaves with its epoch at the same cutoff,
+    /// and a fresh map (a cold restart) starts with none.
+    #[test]
+    fn caught_mark_follows_its_entry() {
+        let mut map = NullifierMap::new();
+        // φs that differ only in the byte holding the flag
+        let (phi, next) = (high_phi(1), high_phi(2));
+        for epoch in [97u64, 98] {
+            map.insert(epoch, phi, share(1, 1));
+            map.insert(epoch, next, share(2, 2));
+            map.mark_caught(epoch, Fr::from_u64(5)); // no entry: no mark
+            assert_eq!(map.caught_len(), if epoch == 97 { 0 } else { 1 });
+            let bytes = map.memory_bytes();
+            map.mark_caught(epoch, phi);
+            map.mark_caught(epoch, phi);
+            assert!(map.is_caught(epoch, phi));
+            assert!(!map.is_caught(epoch, next), "marks are per φ");
+            assert_eq!(map.memory_bytes(), bytes, "a mark costs no bytes");
+        }
+        assert_eq!(map.caught_len(), 2);
+        // the marked entry still answers both lookups, and its neighbour
+        // is still found
+        assert_eq!(
+            map.insert(98, phi, share(1, 1)),
+            NullifierOutcome::DuplicateMessage
+        );
+        assert_eq!(
+            map.insert(98, phi, share(3, 3)),
+            NullifierOutcome::DoubleSignal {
+                prior_share: share(1, 1)
+            }
+        );
+        assert_eq!(
+            map.insert(98, next, share(2, 2)),
+            NullifierOutcome::DuplicateMessage
+        );
+        assert_eq!(map.entries_at(98), 2);
+        // current = 100, thr = 2 ⇒ cutoff = 98: 97 goes, 98 stays
+        map.gc(100, 2);
+        assert!(!map.is_caught(97, phi));
+        assert!(map.is_caught(98, phi), "mark at the cutoff epoch survives");
+        assert_eq!(map.caught_len(), 1);
+        map.gc(101, 2);
+        assert_eq!((map.caught_len(), map.tracked_epochs()), (0, 0));
+
+        let mut map = NullifierMap::new();
+        map.insert(5, phi, share(1, 1));
+        map.mark_caught(5, phi);
+        assert!(map.clone().is_caught(5, phi), "a clone keeps the mark");
+        map = NullifierMap::new();
+        assert!(!map.is_caught(5, phi), "a cold reset forgets the mark");
+        map.insert(5, phi, share(1, 1));
+        assert_eq!(
+            map.insert(5, phi, share(2, 2)),
+            NullifierOutcome::DoubleSignal {
+                prior_share: share(1, 1)
+            }
+        );
+        assert!(!map.is_caught(5, phi), "detected again, not yet marked");
+    }
+
     #[test]
     fn memory_grows_linearly_with_entries() {
         let mut map = NullifierMap::new();
@@ -350,9 +519,11 @@ mod tests {
         }
 
         /// The dense layout is observably the nested-map oracle: random
-        /// insert / gc sequences — the same φ in several epochs, gossip
-        /// duplicates, double-signals, far-future epochs, `thr` = 0 —
-        /// give equal outcomes and equal reads after every step, and
+        /// insert / mark / gc / reset sequences — the same φ in several
+        /// epochs, φs that differ only where the caught flag lives, gossip
+        /// duplicates, double-signals, marks on caught or absent
+        /// statements, far-future epochs, `thr` = 0, a cold reset — give
+        /// equal outcomes and equal reads after every step, and
         /// `PartialEq` ignores insertion order.
         #[test]
         fn prop_matches_nested_map_oracle(
@@ -371,23 +542,34 @@ mod tests {
                     map.gc(current, thr);
                     oracle.gc(current, thr);
                     fresh.retain(|(epoch, _, _)| *epoch >= current.saturating_sub(thr));
+                } else if kind % 32 == 1 {
+                    map = NullifierMap::new();
+                    oracle = Reference::default();
+                    fresh.clear();
+                } else if kind % 4 == 1 {
+                    let epoch = epoch_of(raw);
+                    map.mark_caught(epoch, phi_of(phi));
+                    oracle.mark_caught(epoch, phi_of(phi));
                 } else {
                     let epoch = epoch_of(raw);
                     // two shares per φ: repeats are duplicates or
                     // double-signals depending on the draw
                     let s = share(phi, pick % 2);
-                    let outcome = map.insert(epoch, Fr::from_u64(phi), s);
-                    prop_assert_eq!(outcome, oracle.insert(epoch, Fr::from_u64(phi), s));
+                    let outcome = map.insert(epoch, phi_of(phi), s);
+                    prop_assert_eq!(outcome, oracle.insert(epoch, phi_of(phi), s));
                     if outcome == NullifierOutcome::Fresh {
                         fresh.push((epoch, phi, s));
                     }
                 }
                 assert_matches(&map, &oracle);
             }
-            // the surviving entries, inserted newest first
+            // the surviving entries, inserted newest first, then the marks
             let mut rebuilt = NullifierMap::new();
             for (epoch, phi, s) in fresh.into_iter().rev() {
-                rebuilt.insert(epoch, Fr::from_u64(phi), s);
+                rebuilt.insert(epoch, phi_of(phi), s);
+            }
+            for (epoch, key) in &oracle.caught {
+                rebuilt.mark_caught(*epoch, Fr::from_bytes_le(key).expect("a stored φ"));
             }
             prop_assert_eq!(rebuilt, map);
         }

@@ -7,7 +7,7 @@
 //! into concrete [`Input`]s using the real RLN share algebra
 //! (`y = sk + a₁·x`, `φ = H(a₁)`), so double-signal reconstruction in
 //! the model recovers real secrets. [`replay`] runs a trace through
-//! [`crate::apply`] while checking four machine-readable invariants
+//! [`crate::apply`] while checking five machine-readable invariants
 //! after every step:
 //!
 //! 1. **Boundedness** — the nullifier map tracks only epochs within
@@ -23,6 +23,11 @@
 //! 4. **GC safety** — garbage collection never drops an entry whose
 //!    epoch is still inside the acceptance window of the current local
 //!    epoch.
+//! 5. **One detection per caught statement** — while its epoch is
+//!    tracked, a `(member, epoch)` statement yields at most one
+//!    detection however many double-signal frames arrive
+//!    (uniqueness), and a proof-valid, in-window double-signal always
+//!    leaves one (completeness).
 //!
 //! [`generate_trace`] produces seeded adversarial schedules (epoch
 //! skews, replays, mutated proofs, bursts and clock jumps);
@@ -33,7 +38,7 @@
 use crate::machine::{apply, CostModel, Input, Outcome, State};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use wakurln_crypto::field::Fr;
 use wakurln_crypto::poseidon;
 use wakurln_crypto::shamir::share_on_line;
@@ -164,6 +169,8 @@ pub fn replay(params: &TraceParams, steps: &[TraceStep]) -> Result<State, Invari
     // ground truth: distinct proof-valid messages sent per statement
     let mut sent: HashMap<(usize, u64), HashSet<u64>> = HashMap::new();
     let mut accepted: HashSet<(usize, u64)> = HashSet::new();
+    // statements detected since their epoch was last tracked
+    let mut detected: BTreeSet<(usize, u64)> = BTreeSet::new();
     // newest local epoch at which an insertion actually happened
     let mut last_insert_epoch: Option<u64> = None;
 
@@ -178,6 +185,7 @@ pub fn replay(params: &TraceParams, steps: &[TraceStep]) -> Result<State, Invari
             .map(|e| (e, state.nullifier_map.entries_at(e)))
             .collect();
         let detections_before = state.detections.len();
+        let spam_before = state.stats.spam_detected;
 
         let input = fabricate_input(params, step);
         let verdict = apply(&mut state, &input);
@@ -233,8 +241,32 @@ pub fn replay(params: &TraceParams, steps: &[TraceStep]) -> Result<State, Invari
             }
         }
 
+        // invariant 5, uniqueness: one detection per step at most, and
+        // none for a statement already detected while its epoch is tracked
+        let new_detections = state.detections.len() - detections_before;
+        if new_detections > 1
+            || (new_detections == 1 && !detected.insert((step.member, step.epoch)))
+        {
+            return Err(fail(format!(
+                "second detection for member {} epoch {} while the epoch is tracked",
+                step.member, step.epoch
+            )));
+        }
+        // invariant 5, completeness: a double-signal that reached the
+        // nullifier map leaves a detection for its statement
+        if inserted
+            && state.stats.spam_detected > spam_before
+            && !detected.contains(&(step.member, step.epoch))
+        {
+            return Err(fail(format!(
+                "double-signal by member {} in epoch {} left no detection",
+                step.member, step.epoch
+            )));
+        }
+        detected.retain(|(_, e)| state.nullifier_map.entries_at(*e) > 0);
+
         // invariant 3: slashing soundness
-        if state.detections.len() > detections_before {
+        if new_detections == 1 {
             // lint:allow(panic-path, reason = "guarded: this branch runs only when detections grew, so last() is the new entry")
             let detection = state.detections.last().expect("just pushed");
             let truth = sent.get(&(step.member, step.epoch));

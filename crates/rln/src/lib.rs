@@ -55,4 +55,7 @@ pub use group::{GroupError, RlnGroup};
 pub use identity::Identity;
 pub use shared::SharedGroup;
 pub use signal::{create_signal, verify_signal, Signal, SignalValidity};
-pub use slashing::{analyze_double_signal, build_evidence, DoubleSignalOutcome, SlashingEvidence};
+pub use slashing::{
+    analyze_double_signal, analyze_share_pair, build_evidence, DoubleSignalOutcome,
+    SlashingEvidence,
+};

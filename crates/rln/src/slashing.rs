@@ -10,7 +10,7 @@ use crate::identity::Identity;
 use crate::signal::Signal;
 use serde::{Deserialize, Serialize};
 use wakurln_crypto::field::Fr;
-use wakurln_crypto::shamir;
+use wakurln_crypto::shamir::{self, Share};
 
 /// The result of comparing two signals that share an internal nullifier.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -51,10 +51,17 @@ pub fn analyze_double_signal(a: &Signal, b: &Signal) -> DoubleSignalOutcome {
         (b.external_nullifier, b.internal_nullifier),
         "signals must collide on both nullifiers"
     );
-    if a.share == b.share {
+    analyze_share_pair(&a.share, &b.share)
+}
+
+/// [`analyze_double_signal`] on the two shares alone, for a caller that
+/// already knows both came with the same `(external, internal)`
+/// nullifiers — a nullifier-map hit, which keys on exactly that pair.
+pub fn analyze_share_pair(a: &Share, b: &Share) -> DoubleSignalOutcome {
+    if a == b {
         return DoubleSignalOutcome::Duplicate;
     }
-    match shamir::recover_line_secret(&a.share, &b.share) {
+    match shamir::recover_line_secret(a, b) {
         Some(sk) => DoubleSignalOutcome::SecretRecovered(sk),
         None => DoubleSignalOutcome::InconsistentShares,
     }
@@ -112,6 +119,27 @@ mod tests {
             DoubleSignalOutcome::SecretRecovered(sk) => assert_eq!(sk, id.secret()),
             other => panic!("expected recovery, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn share_pair_agrees_with_the_signal_pair() {
+        let (s1, s2, _) = two_signals(false);
+        assert_eq!(
+            analyze_share_pair(&s1.share, &s2.share),
+            analyze_double_signal(&s1, &s2)
+        );
+        assert_eq!(
+            analyze_share_pair(&s1.share, &s1.share),
+            DoubleSignalOutcome::Duplicate
+        );
+        let off_line = Share {
+            x: s1.share.x,
+            y: s1.share.y + Fr::ONE,
+        };
+        assert_eq!(
+            analyze_share_pair(&s1.share, &off_line),
+            DoubleSignalOutcome::InconsistentShares
+        );
     }
 
     #[test]

@@ -1113,6 +1113,43 @@ mod tests {
         assert!(restored.resilience_resync_retries.unwrap() > 0);
     }
 
+    /// A checkpoint keeps every peer's caught marks: the clone of a run
+    /// taken after `spam_burst`'s spammers were caught holds the same
+    /// validator states, marks included, so neither copy reconstructs a
+    /// caught statement again.
+    #[test]
+    fn caught_marks_survive_a_checkpoint_clone() {
+        let spec = crate::library::spam_burst(12, 3);
+        let mut run = ScenarioRun::new(&spec);
+        let caught = |run: &ScenarioRun| -> usize {
+            let tb = run.testbed();
+            (0..tb.net.len())
+                .map(|i| tb.net.node(NodeId(i)).validator().model_state())
+                .map(|state| state.nullifier_map.caught_len())
+                .sum()
+        };
+        let mut t = 0;
+        while caught(&run) == 0 {
+            assert!(t < run.end_ms, "no peer caught a spammer");
+            t += 1_000;
+            run.advance_to(t, &mut |_| {});
+        }
+        let checkpoint = run.clone();
+        assert_eq!(caught(&checkpoint), caught(&run));
+        for i in 0..run.testbed().net.len() {
+            assert_eq!(
+                checkpoint
+                    .testbed()
+                    .net
+                    .node(NodeId(i))
+                    .validator()
+                    .model_state(),
+                run.testbed().net.node(NodeId(i)).validator().model_state(),
+                "peer {i}"
+            );
+        }
+    }
+
     #[test]
     fn device_mix_assignment_covers_honest_peers() {
         let devices = [

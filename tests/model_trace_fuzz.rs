@@ -1,9 +1,10 @@
 //! Trace-fuzz regression harness: replays the committed corpus in
 //! `tests/corpus/*.trace` and a bank of fixed-seed generator schedules
-//! through the pure model, checking the four machine-readable
+//! through the pure model, checking the five machine-readable
 //! invariants (nullifier-map boundedness, at-most-one-accept per
 //! statement, slashing ⇒ genuine double-signal, GC never drops an
-//! in-window entry) after every step.
+//! in-window entry, one detection per caught statement) after every
+//! step.
 //!
 //! When a generated schedule fails, the harness delta-debugs it to a
 //! locally minimal trace and prints it in the corpus format — commit
@@ -66,6 +67,22 @@ fn corpus_traces_pin_their_named_behaviors() {
     assert_eq!(
         state.detections[0].evidence.revealed_secret,
         p.member_identity(0).secret()
+    );
+
+    // caught_once: five double-signal frames, two caught statements
+    let (p, steps) = load("caught_once.trace");
+    let state = replay(&p, &steps).expect("invariants hold");
+    assert_eq!(state.stats.valid, 2);
+    assert_eq!(state.stats.spam_detected, 5, "every frame is counted");
+    let caught: Vec<_> = state
+        .detections
+        .iter()
+        .map(|d| d.evidence.revealed_secret)
+        .collect();
+    assert_eq!(
+        caught,
+        [p.member_identity(0).secret(), p.member_identity(1).secret()],
+        "one detection per statement"
     );
 
     // gc_boundary: the entry at the exact GC cutoff survived long enough
