@@ -2,16 +2,17 @@
 //!
 //! One common scenario — `n` honest peers each publish one message, one
 //! attacker floods `k` distinct messages inside a single epoch — executed
-//! under each protection scheme. This is the engine behind experiment E6
-//! (the paper's §I claims: peer scoring provides no *global* protection
+//! under each comparator scheme. This is the relay-only half of experiment
+//! E6 (the paper's §I claims: peer scoring provides no *global* protection
 //! and is Sybil-cheap; PoW throttles honest weak devices as much as
-//! spammers; RLN removes the spammer network-wide and punishes them
-//! financially).
+//! spammers). The RLN row of the same world runs on the scenario engine
+//! (`tests/adversarial.rs::rln_stops_spam_and_slashes`): RLN removes the
+//! spammer network-wide and punishes them financially.
 
-use crate::pow::{self, DeviceProfile, PowEnvelope, PowValidator};
-use waku_rln_relay::{Testbed, TestbedConfig};
+use crate::pow::{self, DeviceProfile, PowValidator};
+use wakurln_ethsim::types::Wei;
 use wakurln_gossipsub::{
-    AcceptAll, GossipsubConfig, GossipsubNode, ScoringConfig, Topic, Validator,
+    AcceptAll, GossipsubConfig, GossipsubNode, MessageId, ScoringConfig, Topic, Validator,
 };
 use wakurln_netsim::{topology, Network, NodeId, UniformLatency};
 use wakurln_relay::{WakuMessage, DEFAULT_PUBSUB_TOPIC};
@@ -59,77 +60,20 @@ fn majority(n_peers: usize) -> usize {
     n_peers / 2
 }
 
-/// Runs the scenario under WAKU-RLN-RELAY.
-pub fn run_rln(scenario: Scenario) -> SchemeOutcome {
-    let n = scenario.honest_peers + 1;
-    let mut tb = Testbed::build(TestbedConfig {
-        n_peers: n,
-        tree_depth: 10,
-        degree: 4,
-        seed: scenario.seed,
-        ..Default::default()
-    });
-    tb.run(8_000, 1_000);
-
-    let attacker = 0usize;
-    // honest publishes
-    let honest_payloads: Vec<Vec<u8>> =
-        (1..n).map(|i| format!("honest-{i}").into_bytes()).collect();
-    for (i, p) in honest_payloads.iter().enumerate() {
-        // lint:allow(panic-path, reason = "comparison driver: honest members are registered during testbed setup, so publish cannot fail")
-        tb.publish(i + 1, p).expect("honest publish");
-    }
-    // the flood
-    let spam_payloads: Vec<Vec<u8>> = (0..scenario.spam_k)
-        .map(|i| format!("spam-{i}").into_bytes())
-        .collect();
-    for p in &spam_payloads {
-        let _ = tb.publish_spam(attacker, p);
-    }
-    tb.run(40_000, 1_000);
-
-    let honest_delivered = honest_payloads
-        .iter()
-        .enumerate()
-        .filter(|(i, p)| tb.delivery_count(p, i + 1) >= majority(n))
-        .count();
-    let spam_delivered = spam_payloads
-        .iter()
-        .filter(|p| tb.delivery_count(p, attacker) >= majority(n))
-        .count();
-    let cpu_total: u64 = (0..n as u64)
-        .map(|i| tb.net.metrics().node_counter(i, "cpu_micros"))
-        .sum();
-    // the attacker's escrowed stake was (partly) burnt on slashing —
-    // that's the financial punishment (§I: "spammers are financially
-    // punished and those who find spammers are rewarded")
-    let fined = tb.chain.balance_of(wakurln_ethsim::types::Address::BURN) > 0;
-
-    SchemeOutcome {
-        scheme: "waku-rln-relay",
-        honest_delivery_rate: honest_delivered as f64 / honest_payloads.len() as f64,
-        spam_delivery_rate: spam_delivered as f64 / spam_payloads.len() as f64,
-        attacker_globally_excluded: !tb.is_member(attacker),
-        attacker_fined: fined,
-        relayer_cpu_micros_mean: cpu_total as f64 / n as f64,
-    }
-}
-
 /// The world both relay-only baselines share: `n` peers on a 4-regular
 /// graph with 10–80 ms links, an 8 s warm-up, then each honest peer
 /// `i ≥ 1` publishes `honest-{i}` (when `honest_can_seal`), the attacker
 /// (peer 0) floods the first `spam_sealed` of its `spam_k` payloads, and
 /// 40 s of gossip follow. Every frame is `seal(payload)` inside a
-/// [`WakuMessage`] on the default pub/sub topic; `opens(frame, payload)`
-/// says whether a delivered frame carries `payload`. The outcome counts
-/// a payload delivered when a majority of the other peers got it; both
-/// exclusion flags are left `false` for the caller.
+/// [`WakuMessage`] on the default pub/sub topic. The outcome counts a
+/// message delivered when a majority of the other peers hold the
+/// [`MessageId`] its publish returned; both exclusion flags are left
+/// `false` for the caller.
 fn run_relay_baseline<V: Validator>(
     scheme: &'static str,
     scenario: Scenario,
     validator: impl Fn() -> V,
     seal: impl Fn(&[u8]) -> Vec<u8>,
-    opens: impl Fn(&[u8], &[u8]) -> bool,
     honest_can_seal: bool,
     spam_sealed: usize,
 ) -> (SchemeOutcome, Network<GossipsubNode<V>>) {
@@ -155,55 +99,46 @@ fn run_relay_baseline<V: Validator>(
     net.run_until(8_000);
 
     let attacker = 0usize;
-    let publish = |net: &mut Network<GossipsubNode<V>>, peer: usize, payload: &[u8]| {
-        let frame = WakuMessage::new("/app", seal(payload)).encode();
+    let mut publish = |peer: usize, payload: String| {
+        let frame = WakuMessage::new("/app", seal(payload.as_bytes())).encode();
         net.invoke(NodeId(peer), |node, ctx| {
             node.publish(ctx, topic.clone(), frame)
-        });
+        })
     };
-    let honest_payloads: Vec<Vec<u8>> =
-        (1..n).map(|i| format!("honest-{i}").into_bytes()).collect();
-    if honest_can_seal {
-        for (i, p) in honest_payloads.iter().enumerate() {
-            publish(&mut net, i + 1, p);
-        }
-    }
-    let spam_payloads: Vec<Vec<u8>> = (0..scenario.spam_k)
-        .map(|i| format!("spam-{i}").into_bytes())
+    let honest: Vec<(usize, MessageId)> = if honest_can_seal {
+        (1..n)
+            .map(|i| (i, publish(i, format!("honest-{i}"))))
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let spam: Vec<MessageId> = (0..scenario.spam_k.min(spam_sealed))
+        .map(|k| publish(attacker, format!("spam-{k}")))
         .collect();
-    for p in spam_payloads.iter().take(spam_sealed) {
-        publish(&mut net, attacker, p);
-    }
     net.run_until(48_000);
 
-    let delivered = |payload: &[u8], exclude: usize| -> usize {
-        (0..n)
-            .filter(|i| *i != exclude)
-            .filter(|i| {
-                let carries = |m: WakuMessage| opens(&m.payload, payload);
-                net.node(NodeId(*i))
-                    .delivered()
-                    .iter()
-                    .any(|d| WakuMessage::decode(d.data()).is_ok_and(carries))
-            })
-            .count()
+    let holds = |peer: usize, id: &MessageId| {
+        let tape = net.node(NodeId(peer)).delivered();
+        tape.iter().any(|d| d.id() == *id)
     };
-    let honest_delivered = honest_payloads
+    let reaches_majority = |id: &MessageId, sender: usize| {
+        (0..n).filter(|i| *i != sender && holds(*i, id)).count() >= majority(n)
+    };
+    let honest_delivered = honest
         .iter()
-        .enumerate()
-        .filter(|(i, p)| delivered(p, i + 1) >= majority(n))
+        .filter(|(sender, id)| reaches_majority(id, *sender))
         .count();
-    let spam_delivered = spam_payloads
+    let spam_delivered = spam
         .iter()
-        .filter(|p| delivered(p, attacker) >= majority(n))
+        .filter(|id| reaches_majority(id, attacker))
         .count();
     let cpu_total: u64 = (0..n as u64)
         .map(|i| net.metrics().node_counter(i, "cpu_micros"))
         .sum();
     let outcome = SchemeOutcome {
         scheme,
-        honest_delivery_rate: honest_delivered as f64 / honest_payloads.len() as f64,
-        spam_delivery_rate: spam_delivered as f64 / spam_payloads.len() as f64,
+        honest_delivery_rate: honest_delivered as f64 / (n - 1) as f64,
+        spam_delivery_rate: spam_delivered as f64 / scenario.spam_k as f64,
         attacker_globally_excluded: false,
         attacker_fined: false,
         relayer_cpu_micros_mean: cpu_total as f64 / n as f64,
@@ -219,7 +154,6 @@ pub fn run_peer_scoring(scenario: Scenario) -> SchemeOutcome {
         scenario,
         || AcceptAll,
         <[u8]>::to_vec,
-        |frame, payload| frame == payload,
         true,
         scenario.spam_k,
     );
@@ -281,26 +215,44 @@ pub fn run_pow(params: PowScenario) -> SchemeOutcome {
         params.scenario,
         || PowValidator::new(WIRE_DIFFICULTY),
         |payload| pow::seal(payload, WIRE_DIFFICULTY).0.encode(),
-        |frame, payload| PowEnvelope::decode(frame).is_some_and(|e| e.payload == payload),
         honest_budget >= 1.0,
         attacker_budget,
     )
     .0
 }
 
+/// Economic comparison of Sybil attacks (§I/§IV: "Sybil attack is also
+/// mitigated by making registration expensive").
+///
+/// Returns the attacker's cost in wei to field `bot_count` identities
+/// under each scheme.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SybilCost {
+    /// Number of identities.
+    pub bot_count: u64,
+    /// RLN: stake per registration, all of it slashable on first
+    /// double-signal.
+    pub rln_wei: Wei,
+    /// Peer scoring: identities are free (fresh `NodeId`s reset scores).
+    pub peer_scoring_wei: Wei,
+    /// PoW: identities are free; the cost is per *message*, not per
+    /// identity.
+    pub pow_wei: Wei,
+}
+
+/// Computes the identity-acquisition cost table.
+pub fn sybil_cost(bot_count: u64, stake: Wei) -> SybilCost {
+    SybilCost {
+        bot_count,
+        rln_wei: stake * bot_count as Wei,
+        peer_scoring_wei: 0,
+        pow_wei: 0,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rln_stops_spam_and_slashes() {
-        let out = run_rln(Scenario::default());
-        assert!(out.honest_delivery_rate >= 0.8, "{out:?}");
-        // at most the first spam message of the epoch goes through
-        assert!(out.spam_delivery_rate <= 1.0 / 8.0 + 1e-9, "{out:?}");
-        assert!(out.attacker_globally_excluded, "{out:?}");
-        assert!(out.attacker_fined, "{out:?}");
-    }
 
     #[test]
     fn peer_scoring_lets_spam_through() {
@@ -335,5 +287,13 @@ mod tests {
         });
         assert!(out.honest_delivery_rate >= 0.8, "{out:?}");
         assert!(out.spam_delivery_rate >= 0.9, "{out:?}");
+    }
+
+    #[test]
+    fn sybil_cost_table() {
+        let c = sybil_cost(1_000_000, wakurln_ethsim::types::ETHER);
+        assert_eq!(c.peer_scoring_wei, 0);
+        assert_eq!(c.pow_wei, 0);
+        assert_eq!(c.rln_wei, 1_000_000 * wakurln_ethsim::types::ETHER);
     }
 }

@@ -1,21 +1,20 @@
 //! # wakurln-baselines
 //!
-//! The comparator schemes from the paper's §I and the attack library that
-//! exercises them:
+//! The comparator schemes from the paper's §I:
 //!
 //! * [`pow`] — Proof-of-Work spam protection (Whisper / EIP-627 style),
 //!   with device profiles that expose its resource-discrimination problem,
-//! * [`attacks`] — double-signal floods, epoch replays, Sybil costing,
-//! * [`comparison`] — the E6 engine: one spam scenario, three schemes
-//!   (WAKU-RLN-RELAY vs peer scoring vs PoW), comparable outcome rows.
+//! * [`comparison`] — the relay-only rows of E6: one spam scenario under
+//!   peer scoring and under PoW, comparable outcome rows, and the Sybil
+//!   cost table.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod attacks;
 pub mod comparison;
 pub mod pow;
 
-pub use attacks::{double_signal_burst, epoch_replay_attack, sybil_cost, SpamReport, SybilCost};
-pub use comparison::{run_peer_scoring, run_pow, run_rln, PowScenario, Scenario, SchemeOutcome};
+pub use comparison::{
+    run_peer_scoring, run_pow, sybil_cost, PowScenario, Scenario, SchemeOutcome, SybilCost,
+};
 pub use pow::{seal, verify, DeviceProfile, PowEnvelope, PowValidator, DEVICES};

@@ -7,7 +7,8 @@
 //!
 //! Layered on the workspace substrates (the epoch arithmetic and the
 //! nullifier map are the model crate's, re-exported as [`EpochScheme`]
-//! and [`NullifierMap`]):
+//! and [`NullifierMap`]; the WAKU envelope is the relay crate's,
+//! re-exported as [`WakuMessage`] and [`DEFAULT_PUBSUB_TOPIC`]):
 //!
 //! * [`codec`] — the RLN-signal wire format inside WAKU messages,
 //! * [`validator`] — the §III routing validation pipeline (proof → epoch →
@@ -58,3 +59,4 @@ pub use node::{PublishError, RlnRelayNode};
 pub use pipeline::{PipelineConfig, PipelineStats};
 pub use validator::{CostModel, RlnValidator, SpamDetection, ValidationStats};
 pub use wakurln_model::{EpochScheme, NullifierMap, NullifierOutcome};
+pub use wakurln_relay::{WakuMessage, DEFAULT_PUBSUB_TOPIC};

@@ -39,8 +39,8 @@ const DIP_THRESHOLD: f64 = 0.99;
 /// What the engine remembers about one honest publish.
 #[derive(Clone)]
 struct PublishRecord {
-    payload: Vec<u8>,
-    /// Content-derived wire id — the key observer tapes are pooled by.
+    /// Content-derived wire id — the key delivery tapes and observer
+    /// tapes are read by.
     id: MessageId,
     publisher: usize,
     at_ms: u64,
@@ -183,7 +183,8 @@ pub(crate) struct ScenarioRun {
     observers: Vec<usize>,
     members_start: u64,
     publishes: Vec<PublishRecord>,
-    spam_payloads: Vec<(usize, Vec<u8>, u64)>,
+    /// Every spam message sent: `(spammer, wire id, sent at)`.
+    spam_messages: Vec<(usize, MessageId, u64)>,
     honest_publish_failures: u64,
     spam_send_failures: u64,
     peers_crashed: u64,
@@ -315,7 +316,7 @@ impl ScenarioRun {
             observers,
             members_start,
             publishes: Vec::new(),
-            spam_payloads: Vec::new(),
+            spam_messages: Vec::new(),
             honest_publish_failures: 0,
             spam_send_failures: 0,
             peers_crashed: 0,
@@ -429,7 +430,7 @@ impl ScenarioRun {
                     for k in 0..s.burst {
                         let payload = format!("spam-{spammer}-{k}").into_bytes();
                         match self.tb.publish_spam(spammer, &payload) {
-                            Ok(_) => self.spam_payloads.push((spammer, payload, at_ms)),
+                            Ok(id) => self.spam_messages.push((spammer, id, at_ms)),
                             Err(_) => self.spam_send_failures += 1,
                         }
                     }
@@ -499,7 +500,6 @@ impl ScenarioRun {
                     let payload = format!("r{round}-p{p}").into_bytes();
                     match self.tb.publish(p, &payload) {
                         Ok(id) => self.publishes.push(PublishRecord {
-                            payload,
                             id,
                             publisher: p,
                             at_ms,
@@ -549,10 +549,14 @@ impl ScenarioRun {
                 && (self.joined_at[i] == 0
                     || self.joined_at[i] + JOIN_SYNC_GRACE_MS <= published_at)
         };
-        let mut arrivals: HashMap<Vec<u8>, HashMap<usize, u64>> = HashMap::new();
+        let mut arrivals: HashMap<MessageId, HashMap<usize, u64>> = HashMap::new();
         for i in 0..n_total {
-            for (payload, at) in tb.net.node(NodeId(i)).app_deliveries() {
-                arrivals.entry(payload).or_default().entry(i).or_insert(at);
+            for d in tb.net.node(NodeId(i)).gossipsub().delivered() {
+                arrivals
+                    .entry(d.id())
+                    .or_default()
+                    .entry(i)
+                    .or_insert(d.at_ms);
             }
         }
 
@@ -564,7 +568,7 @@ impl ScenarioRun {
         let mut rounds: Vec<(u64, u64, u64)> = vec![(0, 0, 0); spec.traffic.rounds];
         let mut samples: Vec<f64> = Vec::new();
         for publish in &self.publishes {
-            let delivered_to = arrivals.get(&publish.payload);
+            let delivered_to = arrivals.get(&publish.id);
             rounds[publish.round].0 = publish.at_ms;
             for i in 0..n_total {
                 if !eligible_receiver(i, publish.publisher, publish.at_ms) {
@@ -597,12 +601,12 @@ impl ScenarioRun {
         };
 
         let mut spam_delivered_majority = 0u64;
-        for (spammer, payload, sent_at) in &self.spam_payloads {
+        for (spammer, id, sent_at) in &self.spam_messages {
             let eligible: Vec<usize> = (0..n_total)
                 .filter(|i| eligible_receiver(*i, *spammer, *sent_at))
                 .collect();
             let got = arrivals
-                .get(payload)
+                .get(id)
                 .map(|m| eligible.iter().filter(|i| m.contains_key(i)).count())
                 .unwrap_or(0);
             if got * 2 >= eligible.len() && !eligible.is_empty() {
@@ -770,7 +774,7 @@ impl ScenarioRun {
             propagation_p50_ms: percentile(0.50),
             propagation_p99_ms: percentile(0.99),
             propagation_max_ms: percentile(1.0),
-            spam_attempted: self.spam_payloads.len() as u64 + self.spam_send_failures,
+            spam_attempted: self.spam_messages.len() as u64 + self.spam_send_failures,
             spam_send_failures: self.spam_send_failures,
             spam_delivered_majority,
             spam_detections: tb.total_spam_detections(),

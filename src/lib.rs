@@ -15,7 +15,7 @@
 //! * [`gossipsub`] — GossipSub v1.1 with peer scoring
 //! * [`relay`] — WAKU-RELAY (anonymous pub/sub)
 //! * [`core`] — WAKU-RLN-RELAY itself (the paper's contribution)
-//! * [`baselines`] — PoW and peer-scoring comparators + attack library
+//! * [`baselines`] — PoW and peer-scoring comparators, Sybil cost table
 //! * [`scenarios`] — the declarative scenario engine (thousand-node
 //!   adversarial simulations, `simctl`)
 //!

@@ -2,9 +2,12 @@
 //! forged proofs, non-members, malformed frames, packet loss, and the
 //! comparison baselines.
 
-use waku_rln::baselines::{epoch_replay_attack, run_peer_scoring, Scenario};
+use waku_rln::baselines::{run_peer_scoring, Scenario};
 use waku_rln::core::{EpochScheme, Testbed, TestbedConfig};
-use waku_rln::scenarios::{run_scenario, ScenarioSpec, SpamSpec};
+use waku_rln::ethsim::types::Address;
+use waku_rln::scenarios::{
+    run_scenario, run_scenario_detailed, ScenarioSpec, SpamSpec, TopologySpec,
+};
 
 use waku_rln::netsim::NodeId;
 use waku_rln::relay::WakuMessage;
@@ -22,14 +25,60 @@ fn build(n: usize, seed: u64) -> Testbed {
     tb
 }
 
+/// The epoch-replay attack (§III): `attacker` signs one message per
+/// offset for epoch `current + offset`, and 15 s of gossip follow each.
+/// Returns, per offset, whether a majority of the other peers received it.
+fn epoch_replay_attack(tb: &mut Testbed, attacker: usize, offsets: &[i64]) -> Vec<(i64, bool)> {
+    let half = tb.config().n_peers / 2;
+    offsets
+        .iter()
+        .map(|&offset| {
+            let payload = format!("replay-{offset}").into_bytes();
+            tb.publish_with_epoch_offset(attacker, &payload, offset)
+                .expect("attacker can always send");
+            tb.run(15_000, 1_000);
+            (offset, tb.delivery_count(&payload, attacker) >= half)
+        })
+        .collect()
+}
+
 #[test]
 fn replay_attack_blocked_outside_thr_window() {
+    // Thr = D / T = 2: delivered exactly when |offset| <= 2
     let mut tb = build(8, 10);
-    let results = epoch_replay_attack(&mut tb, 0, &[-50, -2, 0, 2, 50]);
+    let results = epoch_replay_attack(&mut tb, 0, &[-50, -10, -2, -1, 0, 2, 50]);
     for (offset, delivered) in results {
         let expected = offset.abs() <= 2;
         assert_eq!(delivered, expected, "offset {offset}");
     }
+}
+
+#[test]
+fn rln_stops_spam_and_slashes() {
+    // E6's RLN row, in the world the relay-only rows run: 12 peers on a
+    // 4-regular graph, 11 honest publishes in one round, and one member
+    // flooding 8 distinct messages inside one epoch
+    let mut spec = ScenarioSpec::baseline(11, 7);
+    spec.name = "e6_rln".to_string();
+    spec.tree_depth = 10;
+    spec.topology = TopologySpec::RandomRegular { degree: 4 };
+    spec.traffic.publishers = 11;
+    spec.traffic.rounds = 1;
+    spec.traffic.start_ms = 8_000;
+    spec.spam = Some(SpamSpec {
+        spammers: 1,
+        burst: 8,
+        at_ms: 8_000,
+    });
+    spec.drain_ms = 40_000;
+    let (report, tb) = run_scenario_detailed(&spec);
+    assert!(report.delivery_rate >= 0.8, "{}", report.to_json());
+    // at most the first spam message of the epoch goes through
+    assert!(report.spam_delivered_majority <= 1, "{}", report.to_json());
+    assert!(report.spam_detections >= 1, "{}", report.to_json());
+    assert_eq!(report.spammers_slashed, 1, "attacker kept membership");
+    // the attacker's escrowed stake was (partly) burnt on slashing
+    assert!(tb.chain.balance_of(Address::BURN) > 0, "attacker not fined");
 }
 
 #[test]
@@ -56,13 +105,19 @@ fn burst_spammer_is_neutralized() {
 fn garbage_frames_are_rejected_and_penalized() {
     let mut tb = build(6, 12);
     // a malicious peer injects a WAKU frame with no RLN fields at all
-    tb.net.invoke(NodeId(0), |node, ctx| {
+    let junk = tb.net.invoke(NodeId(0), |node, ctx| {
         let msg = WakuMessage::new("/junk", b"not an rln signal".to_vec());
         node.inject_raw(ctx, &msg)
     });
     tb.run(15_000, 1_000);
-    // nobody delivered it to the application
-    assert_eq!(tb.delivery_count(b"not an rln signal", 0), 0);
+    // nobody delivered it: no peer's delivery tape holds its id
+    for i in 0..6 {
+        let tape = tb.net.node(NodeId(i)).gossipsub().delivered();
+        assert!(
+            tape.iter().all(|d| d.id() != junk),
+            "peer {i} delivered junk"
+        );
+    }
     // at least one direct neighbour counted a malformed frame
     let malformed: u64 = (0..6)
         .map(|i| tb.net.node(NodeId(i)).validator().stats().malformed)

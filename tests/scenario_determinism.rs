@@ -10,12 +10,14 @@
 //! quickly in debug builds; the engine scales the same code path to
 //! 1000+ nodes under `simctl`.
 //!
-//! Four of the reports are additionally pinned **across commits**: their
-//! SHA-256 must equal a constant computed at an earlier commit. Proof
-//! bytes, every RNG draw and every simulated statistic feed those bytes,
-//! so a change that is meant to be speed-only and shifts any of them fails
-//! here, by itself, instead of waiting for a benchmark diff. A *declared*
-//! protocol or report-format change updates the constant in the same PR:
+//! Every built-in's report at the small sizes is pinned **across commits**
+//! in `tests/golden.txt` (one `name sha256` line per built-in), and four
+//! more reports by constants below: their SHA-256 must equal a value
+//! computed at an earlier commit. Proof bytes, every RNG draw and every
+//! simulated statistic feed those bytes, so a change that is meant to be
+//! speed-only and shifts any of them fails here, by itself, instead of
+//! waiting for a benchmark diff. A *declared* protocol or report-format
+//! change updates the file or the constant in the same PR:
 //! the `baseline` and `spam_burst` constants date from the O(n · degree)
 //! bootstrap generator (same graph family, another sample per seed), the
 //! ring one from the commit before it and held across that swap, and the
@@ -62,13 +64,29 @@ fn pinned_sha256(spec: ScenarioSpec) -> String {
 }
 
 /// Every built-in on its own topology, at small sizes: 14 peers, and 20
-/// for `mass_churn` so its crash draws still leave a mesh.
+/// for `mass_churn` so its crash draws still leave a mesh. Each report's
+/// hash must match its line in `tests/golden.txt`; a declared report
+/// change replaces that file with the fresh table this test prints.
 #[test]
 fn every_builtin_is_deterministic() {
+    let golden: Vec<(&str, &str)> = include_str!("golden.txt")
+        .lines()
+        .filter_map(|line| line.split_once(' '))
+        .collect();
+    let mut fresh = String::new();
+    let mut moved = Vec::new();
     for name in BUILTIN_NAMES {
         let nodes = if name == "mass_churn" { 20 } else { 14 };
-        assert_deterministic(builtin(name, nodes, 11).expect("known builtin"));
+        let sha = pinned_sha256(builtin(name, nodes, 11).expect("known builtin"));
+        if !golden.contains(&(name, sha.as_str())) {
+            moved.push(name);
+        }
+        fresh.push_str(&format!("{name} {sha}\n"));
     }
+    assert!(
+        moved.is_empty() && golden.len() == BUILTIN_NAMES.len(),
+        "reports moved against tests/golden.txt: {moved:?}; fresh table:\n{fresh}"
+    );
 }
 
 /// The one row that takes the publisher-side hold path
