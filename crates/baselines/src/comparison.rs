@@ -6,7 +6,7 @@
 //! E6 (the paper's §I claims: peer scoring provides no *global* protection
 //! and is Sybil-cheap; PoW throttles honest weak devices as much as
 //! spammers). The RLN row of the same world runs on the scenario engine
-//! (`tests/adversarial.rs::rln_stops_spam_and_slashes`): RLN removes the
+//! (the umbrella crate's `comparison::tests::rln_stops_spam_and_slashes`): RLN removes the
 //! spammer network-wide and punishes them financially.
 
 use crate::pow::{self, DeviceProfile, PowValidator};

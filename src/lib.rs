@@ -51,6 +51,10 @@ pub use wakurln_rln as rln;
 pub use wakurln_scenarios as scenarios;
 pub use wakurln_zksnark as zksnark;
 
+// Full-stack checks of §III's attacks and of E6's RLN row.
+mod attacks;
+mod comparison;
+
 // ---------------------------------------------------------------------------
 // Documentation smoke: every fenced Rust block in the workspace-level
 // markdown runs under `cargo test --doc`, so the prose cannot drift from
