@@ -448,6 +448,7 @@ mod tests {
             .collect();
         let mut at = 1_000;
         let mut doubles = Vec::new();
+        let reconstructions = wakurln_rln::reconstruction_count();
         for (i, wire) in signals.iter().enumerate() {
             for copy in 0..6 {
                 let mut envelope =
@@ -484,6 +485,7 @@ mod tests {
         );
         assert!(doubles[0] > 0, "the first double-signal builds evidence");
         assert_eq!(doubles[1..].iter().sum::<u64>(), 0, "{doubles:?}");
+        assert_eq!(wakurln_rln::reconstruction_count() - reconstructions, 1);
 
         // a cold restart forgets the mark: the next violation is caught
         // and queued again
@@ -493,6 +495,7 @@ mod tests {
             f.validator.validate_wire(at, wire);
         }
         assert_eq!(f.validator.detections().len(), 1);
+        assert_eq!(wakurln_rln::reconstruction_count() - reconstructions, 2);
     }
 
     #[test]

@@ -289,7 +289,7 @@ impl Fr {
 
     /// `true` iff the canonical representation is an odd integer.
     pub fn is_odd(&self) -> bool {
-        // lint:allow(panic-path, reason = "to_repr returns [u8; 32]; index 0 is always in range")
+        // lint:allow(panic-path, reason = "to_repr returns [u64; 4]; index 0 is always in range")
         self.to_repr()[0] & 1 == 1
     }
 
@@ -330,6 +330,20 @@ impl Fr {
         }
     }
 
+    /// The dot product `Σ aᵢ·bᵢ` of the pairs, reduced once per
+    /// [`SumOfProducts::CHUNK`] products.
+    #[inline]
+    pub fn sum_of_products<'a, I>(pairs: I) -> Fr
+    where
+        I: IntoIterator<Item = (&'a Fr, &'a Fr)>,
+    {
+        let mut acc = SumOfProducts::new();
+        for (a, b) in pairs {
+            acc.add_product(a, b);
+        }
+        acc.finish()
+    }
+
     /// Whether the canonical integer is in the "high" half of the field
     /// (strictly greater than `(r-1)/2`). Useful for canonical sign checks.
     pub fn is_high(&self) -> bool {
@@ -341,6 +355,12 @@ impl Fr {
 /// Schoolbook 256×256→512-bit multiply followed by Montgomery reduction.
 #[inline]
 fn mont_mul(a: &[u64; 4], b: &[u64; 4]) -> [u64; 4] {
+    mont_reduce(&mul_wide(a, b))
+}
+
+/// Schoolbook 256×256→512-bit multiply, unreduced.
+#[inline(always)]
+fn mul_wide(a: &[u64; 4], b: &[u64; 4]) -> [u64; 8] {
     let mut t = [0u64; 8];
     for i in 0..4 {
         let mut carry = 0u64;
@@ -351,7 +371,7 @@ fn mont_mul(a: &[u64; 4], b: &[u64; 4]) -> [u64; 4] {
         }
         t[i + 4] = carry;
     }
-    mont_reduce(&t)
+    t
 }
 
 /// Montgomery reduction of a 512-bit value: returns `t · R^{-1} mod r`,
@@ -382,6 +402,119 @@ fn mont_reduce(t: &[u64; 8]) -> [u64; 4] {
     }
     out
 }
+
+/// `k · r < R = 2^256`, so `k` products of reduced residues sum below
+/// `r·R`.
+const fn times_modulus_fits_radix(k: u64) -> bool {
+    let mut carry = 0u64;
+    let mut i = 0;
+    while i < 4 {
+        carry = mac(0, MODULUS[i], k, carry).1;
+        i += 1;
+    }
+    carry == 0
+}
+
+/// An exact running sum `Σ aᵢ·bᵢ + Σ cⱼ` over `Fr` that reduces once per
+/// few products instead of once per term: the kernel of every dot product
+/// on the prover's and Poseidon's hot paths.
+///
+/// A product of two Montgomery residues `a = A·R`, `b = B·R` is added to a
+/// 512-bit accumulator as its unreduced schoolbook value `a·b`; one
+/// Montgomery reduction of the sum then yields `(Σ AᵢBᵢ)·R`, the residue of
+/// the dot product. Both factors are reduced (`< r`), so each product is
+/// `< r²`, and [`SumOfProducts::CHUNK`] of them stay `< r·R` — the bound
+/// under which the reduction is exact with its single conditional
+/// subtraction. A longer sum reduces once per chunk. A term that needs no
+/// multiplication ([`SumOfProducts::add`]) goes straight into the reduced
+/// total.
+///
+/// The result equals the per-term `Σ a * b + Σ c` bit for bit.
+///
+/// # Examples
+///
+/// ```
+/// use wakurln_crypto::field::{Fr, SumOfProducts};
+///
+/// let a: Vec<Fr> = (1..=12u64).map(Fr::from_u64).collect();
+/// let b: Vec<Fr> = (1..=12u64).map(|v| -Fr::from_u64(v)).collect();
+/// let mut acc = SumOfProducts::new();
+/// for (x, y) in a.iter().zip(&b) {
+///     acc.add_product(x, y);
+/// }
+/// acc.add(&Fr::from_u64(1000));
+/// // 1000 − (1² + 2² + … + 12²) = 1000 − 650
+/// assert_eq!(acc.finish(), Fr::from_u64(350));
+/// assert_eq!(Fr::sum_of_products(a.iter().zip(&a)), Fr::from_u64(650));
+/// ```
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SumOfProducts {
+    /// Unreduced sum of the products since the last reduction.
+    wide: [u64; 8],
+    /// Products in `wide`.
+    pending: u32,
+    /// Reduced sum of everything before `wide`, plus the added terms.
+    total: Fr,
+}
+
+impl SumOfProducts {
+    /// Products summed before one reduction: `5·r² < r·R` because
+    /// `5r < 2^256` (`r ≈ 0.19 · 2^256`), while six products may not be.
+    pub const CHUNK: u32 = 5;
+
+    /// The empty sum.
+    pub const fn new() -> SumOfProducts {
+        SumOfProducts {
+            wide: [0; 8],
+            pending: 0,
+            total: Fr::ZERO,
+        }
+    }
+
+    /// Adds `a · b`.
+    #[inline]
+    pub fn add_product(&mut self, a: &Fr, b: &Fr) {
+        if self.pending == Self::CHUNK {
+            self.reduce();
+        }
+        let p = mul_wide(&a.0, &b.0);
+        let mut carry = 0u64;
+        for (w, p) in self.wide.iter_mut().zip(p) {
+            let (lo, c) = adc(*w, p, carry);
+            *w = lo;
+            carry = c;
+        }
+        // The chunk bound keeps the sum below r·R < 2^512.
+        debug_assert_eq!(carry, 0);
+        self.pending += 1;
+    }
+
+    /// Adds `c` with no multiplication.
+    #[inline]
+    pub fn add(&mut self, c: &Fr) {
+        self.total += *c;
+    }
+
+    /// Folds the pending products into the reduced total.
+    #[inline]
+    fn reduce(&mut self) {
+        self.total += Fr(mont_reduce(&self.wide));
+        self.wide = [0; 8];
+        self.pending = 0;
+    }
+
+    /// The sum, fully reduced.
+    #[inline]
+    pub fn finish(mut self) -> Fr {
+        if self.pending != 0 {
+            self.reduce();
+        }
+        self.total
+    }
+}
+
+// The bound `SumOfProducts` is exact under, checked at compile time.
+const _: () = assert!(times_modulus_fits_radix(SumOfProducts::CHUNK as u64));
 
 impl Add for Fr {
     type Output = Fr;
@@ -805,6 +938,80 @@ mod tests {
         assert_eq!(d.len(), "Fr(0x".len() + 64 + 1);
     }
 
+    /// The residue `r − 1` (largest limbs an `Fr` can hold).
+    const R_MINUS_ONE: Fr = Fr([MODULUS[0] - 1, MODULUS[1], MODULUS[2], MODULUS[3]]);
+
+    /// Residues (raw Montgomery limbs) a sum of products must handle:
+    /// 0, 1, r − 1, one at or above 2^253, or any reduced value.
+    fn arb_residue() -> impl Strategy<Value = Fr> {
+        (any::<u8>(), arb_limbs()).prop_map(|(kind, mut l)| match kind % 5 {
+            0 => Fr::ZERO,
+            1 => Fr([1, 0, 0, 0]),
+            2 => R_MINUS_ONE,
+            3 => {
+                // 2^253 ≤ l < 0x3000… · 2^192 < r
+                l[3] = 0x2000000000000000 | (l[3] & 0x0fffffffffffffff);
+                Fr(l)
+            }
+            _ => Fr(l),
+        })
+    }
+
+    /// The per-term sum the kernel must equal: a full reduced multiply
+    /// and add for every product, a reduced add for every plain term.
+    fn per_term_sum(terms: &[(bool, Fr, Fr)]) -> Fr {
+        terms.iter().fold(
+            Fr::ZERO,
+            |acc, &(plain, a, b)| if plain { acc + a } else { acc + a * b },
+        )
+    }
+
+    fn kernel_sum(terms: &[(bool, Fr, Fr)]) -> Fr {
+        let mut acc = SumOfProducts::new();
+        for (plain, a, b) in terms {
+            if *plain {
+                acc.add(a);
+            } else {
+                acc.add_product(a, b);
+            }
+        }
+        acc.finish()
+    }
+
+    #[test]
+    fn sum_of_products_is_exact_at_every_length_and_chunk_boundary() {
+        // (r − 1)² is the largest product, so chunks of residues just below
+        // r are the tightest case for the r·R bound; lengths 0..=64 cross
+        // every reduction boundary a combination on the prover's path
+        // reaches
+        assert!(times_modulus_fits_radix(5) && !times_modulus_fits_radix(6));
+        let mut rng = StdRng::seed_from_u64(11);
+        let high = |rng: &mut StdRng| {
+            let below = 1 + rng.next_u64() % (MODULUS[0] - 1);
+            Fr([MODULUS[0] - below, MODULUS[1], MODULUS[2], MODULUS[3]])
+        };
+        for len in 0..=64usize {
+            let worst = vec![(false, R_MINUS_ONE, R_MINUS_ONE); len];
+            assert_eq!(kernel_sum(&worst), per_term_sum(&worst), "len {len}");
+            for _ in 0..4 {
+                let near_r: Vec<(bool, Fr, Fr)> = (0..len)
+                    .map(|_| (false, high(&mut rng), high(&mut rng)))
+                    .collect();
+                assert_eq!(kernel_sum(&near_r), per_term_sum(&near_r), "len {len}");
+            }
+            let random: Vec<(bool, Fr, Fr)> = (0..len)
+                .map(|i| (i % 7 == 3, Fr::random(&mut rng), Fr::random(&mut rng)))
+                .collect();
+            assert_eq!(kernel_sum(&random), per_term_sum(&random), "len {len}");
+            let (a, b): (Vec<Fr>, Vec<Fr>) = random.iter().map(|&(_, a, b)| (a, b)).unzip();
+            assert_eq!(
+                Fr::sum_of_products(a.iter().zip(&b)),
+                a.iter().zip(&b).fold(Fr::ZERO, |acc, (x, y)| acc + *x * *y),
+            );
+        }
+        assert_eq!(SumOfProducts::new().finish(), Fr::ZERO);
+    }
+
     #[test]
     fn sum_and_product_iterators() {
         let xs: Vec<Fr> = (1..=5u64).map(Fr::from_u64).collect();
@@ -883,6 +1090,16 @@ mod tests {
         fn prop_repr_roundtrip(a in arb_limbs()) {
             let f = fr_from_limbs(a);
             prop_assert_eq!(f.to_repr(), a);
+        }
+
+        #[test]
+        fn prop_sum_of_products_matches_per_term_sum(
+            terms in proptest::collection::vec((any::<u8>(), arb_residue(), arb_residue()), 0..65),
+        ) {
+            // about one term in eight needs no multiply
+            let terms: Vec<(bool, Fr, Fr)> =
+                terms.into_iter().map(|(k, a, b)| (k % 8 == 0, a, b)).collect();
+            prop_assert_eq!(kernel_sum(&terms), per_term_sum(&terms));
         }
 
         #[test]

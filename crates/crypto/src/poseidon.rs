@@ -467,10 +467,7 @@ pub fn permute_fast<const T: usize>(fp: &FastPoseidonParams, state: &mut [Fr; T]
         match layer {
             PartialLayer::Sparse { row0, col0 } => {
                 let s0 = state[0];
-                let mut new0 = row0[0] * s0;
-                for i in 1..T {
-                    new0 += row0[i] * state[i];
-                }
+                let new0 = Fr::sum_of_products(row0.iter().zip(state.iter()));
                 for i in 1..T {
                     state[i] += col0[i - 1] * s0;
                 }
@@ -500,14 +497,8 @@ fn full_round<const T: usize>(fp: &FastPoseidonParams, r: usize, state: &mut [Fr
 #[inline]
 fn dense_mix<const T: usize>(m: &[Fr], state: &mut [Fr; T]) {
     let mut out = [Fr::ZERO; T];
-    for (i, slot) in out.iter_mut().enumerate() {
-        let row = &m[i * T..(i + 1) * T];
-        // lint:allow(panic-path, reason = "row is a T-element slice of the flattened T-by-T matrix")
-        let mut acc = row[0] * state[0];
-        for j in 1..T {
-            acc += row[j] * state[j];
-        }
-        *slot = acc;
+    for (slot, row) in out.iter_mut().zip(m.chunks_exact(T)) {
+        *slot = Fr::sum_of_products(row.iter().zip(state.iter()));
     }
     *state = out;
 }

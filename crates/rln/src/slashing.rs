@@ -9,8 +9,35 @@
 use crate::identity::Identity;
 use crate::signal::Signal;
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use wakurln_crypto::field::Fr;
 use wakurln_crypto::shamir::{self, Share};
+
+thread_local! {
+    /// Secrets recovered by [`analyze_share_pair`] on this thread.
+    static RECONSTRUCTION_COUNT: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Secrets recovered on this thread since process start (monotonic): one
+/// per [`DoubleSignalOutcome::SecretRecovered`].
+///
+/// Diff two readings around a run to count its reconstructions, beside
+/// `poseidon::permutation_count` and `sha256::compression_count`:
+///
+/// ```
+/// use wakurln_crypto::field::Fr;
+/// use wakurln_crypto::shamir::Share;
+/// use wakurln_rln::{analyze_share_pair, reconstruction_count};
+///
+/// let share = |x: u64, y: u64| Share { x: Fr::from_u64(x), y: Fr::from_u64(y) };
+/// let before = reconstruction_count();
+/// analyze_share_pair(&share(1, 5), &share(1, 5)); // a duplicate
+/// analyze_share_pair(&share(1, 5), &share(2, 7)); // a double signal
+/// assert_eq!(reconstruction_count() - before, 1);
+/// ```
+pub fn reconstruction_count() -> u64 {
+    RECONSTRUCTION_COUNT.with(|c| c.get())
+}
 
 /// The result of comparing two signals that share an internal nullifier.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -62,7 +89,10 @@ pub fn analyze_share_pair(a: &Share, b: &Share) -> DoubleSignalOutcome {
         return DoubleSignalOutcome::Duplicate;
     }
     match shamir::recover_line_secret(a, b) {
-        Some(sk) => DoubleSignalOutcome::SecretRecovered(sk),
+        Some(sk) => {
+            RECONSTRUCTION_COUNT.with(|c| c.set(c.get() + 1));
+            DoubleSignalOutcome::SecretRecovered(sk)
+        }
         None => DoubleSignalOutcome::InconsistentShares,
     }
 }

@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
-use wakurln_crypto::field::Fr;
+use wakurln_crypto::field::{Fr, SumOfProducts};
 
 /// A variable in the constraint system.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -211,9 +211,11 @@ impl ConstraintMatrix {
         1 + self.num_instance + self.num_witness
     }
 
-    /// Stored terms after de-duplication: the multiply-adds of one
-    /// [`ConstraintMatrix::solve`] pass, i.e. the prover's work per proof
-    /// as an exact count.
+    /// Stored terms after de-duplication: the terms one
+    /// [`ConstraintMatrix::solve`] pass adds up, i.e. the prover's work per
+    /// proof as an exact count. A term on the constant wire or with
+    /// coefficient one is a plain add; every other term is one unreduced
+    /// product, reduced once per [`SumOfProducts::CHUNK`] of them.
     pub fn num_entries(&self) -> usize {
         self.entries.len()
     }
@@ -242,8 +244,29 @@ impl ConstraintMatrix {
         start..self.ends[id] as usize
     }
 
-    /// Evaluates combination `id` under `z`.
+    /// Evaluates combination `id` under `z` (with `z[0] = 1`) as one
+    /// [`SumOfProducts`]: a term on the constant wire adds its coefficient
+    /// and a term with coefficient one adds its variable, neither
+    /// multiplying.
     fn eval(&self, id: usize, z: &[Fr]) -> Fr {
+        let mut acc = SumOfProducts::new();
+        for e in &self.entries[self.span(id)] {
+            let coeff = &self.coeffs[e.coeff as usize];
+            if e.col == 0 {
+                acc.add(coeff);
+            } else if coeff.is_one() {
+                acc.add(&z[e.col as usize]);
+            } else {
+                acc.add_product(&z[e.col as usize], coeff);
+            }
+        }
+        acc.finish()
+    }
+
+    /// Evaluates combination `id` under `z` term by term, one reduced
+    /// multiply and add each: the independent evaluator of
+    /// [`ConstraintMatrix::check`].
+    fn eval_per_term(&self, id: usize, z: &[Fr]) -> Fr {
         let mut acc = Fr::ZERO;
         for e in &self.entries[self.span(id)] {
             acc += z[e.col as usize] * self.coeffs[e.coeff as usize];
@@ -271,6 +294,7 @@ impl ConstraintMatrix {
     /// Panics if `z.len() != self.num_vars()`.
     pub fn solve(&self, z: &mut [Fr]) -> Result<(), UnsatisfiedConstraint> {
         assert_eq!(z.len(), self.num_vars(), "assignment length mismatch");
+        debug_assert_eq!(z.first(), Some(&Fr::ONE), "z[0] is the constant 1");
         let mut vals: Vec<Fr> = Vec::with_capacity(self.ends.len());
         for (index, row) in self.rows.iter().enumerate() {
             let (a, b, c) = (row.a as usize, row.b as usize, row.c as usize);
@@ -295,11 +319,12 @@ impl ConstraintMatrix {
     }
 
     /// Checks a complete assignment row by row, evaluating all three sides
-    /// of every row afresh (deliberately not the caching pass of
+    /// of every row afresh and term by term (deliberately neither the
+    /// caching pass nor the sum-of-products evaluation of
     /// [`ConstraintMatrix::solve`], which is tested against this).
     fn check(&self, z: &[Fr]) -> Result<(), UnsatisfiedConstraint> {
         for (index, row) in self.rows.iter().enumerate() {
-            let [a, b, c] = [row.a, row.b, row.c].map(|id| self.eval(id as usize, z));
+            let [a, b, c] = [row.a, row.b, row.c].map(|id| self.eval_per_term(id as usize, z));
             if a * b != c {
                 return Err(UnsatisfiedConstraint {
                     index,
@@ -662,6 +687,81 @@ mod tests {
                 label: "out"
             })
         );
+    }
+
+    #[test]
+    fn sum_of_products_eval_matches_per_term_on_every_rln_combination() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let compiled = crate::RlnCircuit::new(4).compile();
+        let matrix = compiled.matrix();
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut z: Vec<Fr> = (0..matrix.num_vars())
+            .map(|_| Fr::random(&mut rng))
+            .collect();
+        z[0] = Fr::ONE;
+        // the circuit has every shape the prover meets: constant-wire
+        // terms, unit coefficients and the long partial-round lane inputs
+        let longest = (0..matrix.ends.len()).map(|id| matrix.span(id).len()).max();
+        assert!(longest > Some(2 * SumOfProducts::CHUNK as usize));
+        for id in 0..matrix.ends.len() {
+            assert_eq!(
+                matrix.eval(id, &z),
+                matrix.eval_per_term(id, &z),
+                "combination {id}"
+            );
+        }
+    }
+
+    #[test]
+    fn corruption_on_an_unmultiplied_term_fails_solve_and_check_alike() {
+        // sq: w0·w0 = s; mix: Σ cᵢ·wᵢ (12 products) + s + u + 9 = out,
+        // where s and u carry coefficient one and 9 sits on the constant
+        // wire, so none of the three multiplies in `solve`
+        let mut cs = ConstraintSystem::new();
+        let values: Vec<Fr> = (0..12u64).map(|i| Fr::from_u64(3 * i + 2)).collect();
+        let coeffs: Vec<Fr> = (0..12u64).map(|i| -Fr::from_u64(7 * i + 11)).collect();
+        let unit = Fr::from_u64(1_000);
+        let square = values[0] * values[0];
+        let expected = values
+            .iter()
+            .zip(&coeffs)
+            .fold(square + unit + Fr::from_u64(9), |acc, (v, c)| acc + *v * *c);
+        let out = cs.alloc_instance(expected);
+        let ws: Vec<Variable> = values.iter().map(|v| cs.alloc_witness(*v)).collect();
+        let u = cs.alloc_witness(unit);
+        let w0 = LinearCombination::from_var(ws[0]);
+        let s = cs.alloc_product("sq", &w0, &w0, square);
+        let mix = ws
+            .iter()
+            .zip(&coeffs)
+            .fold(LinearCombination::from_var(s), |lc, (w, c)| {
+                lc.add_term(*w, *c)
+            })
+            .add_term(u, Fr::ONE)
+            .add_term(Variable::One, Fr::from_u64(9));
+        cs.enforce_equal("mix", &mix, &out.into());
+        assert_eq!(cs.is_satisfied(), Ok(()));
+        let honest = cs.clone().into_assignment();
+        let matrix = cs.into_matrix();
+
+        let mut z = honest.clone();
+        assert_eq!(matrix.solve(&mut z), Ok(()));
+        assert_eq!(z, honest);
+
+        let mix_fails = Err(UnsatisfiedConstraint {
+            index: 1,
+            label: "mix",
+        });
+        // the unit-coefficient input and the instance the constant-wire
+        // term is compared against, each off by one
+        for corrupt in [matrix.column(u), matrix.column(out)] {
+            let mut z = honest.clone();
+            z[corrupt] += Fr::ONE;
+            assert_eq!(matrix.solve(&mut z), mix_fails);
+            // the per-term oracle reads the assignment solve left behind
+            assert_eq!(matrix.check(&z), mix_fails);
+        }
     }
 
     #[test]
