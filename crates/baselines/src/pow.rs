@@ -8,12 +8,11 @@
 //! only by their hash rate — and so is an honest phone's publish rate,
 //! which is the scheme's fatal flaw reproduced in experiment E6.
 
-use serde::{Deserialize, Serialize};
 use wakurln_crypto::sha256::Sha256;
 use wakurln_gossipsub::{Topic, ValidationResult, Validator};
 
 /// A PoW-sealed message envelope.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PowEnvelope {
     /// The nonce making the hash meet the difficulty target.
     pub nonce: u64,
@@ -92,7 +91,7 @@ pub fn verify(envelope: &PowEnvelope, difficulty_bits: u32) -> bool {
 
 /// A device class, characterized by its hash rate — the axis along which
 /// PoW discriminates (paper §I: resource-restricted devices).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DeviceProfile {
     /// Human label for reports.
     pub name: &'static str,

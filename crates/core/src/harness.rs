@@ -12,7 +12,7 @@ use crate::validator::{CostModel, RlnValidator};
 use crate::EpochScheme;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 // lint:allow(host-time, reason = "phase timing only: Instant feeds the host-side phase_timings accumulators, never simulation state")
 use std::time::Instant;
 use wakurln_crypto::field::Fr;
@@ -24,45 +24,17 @@ use wakurln_netsim::{topology, Network, NodeId, QuiescenceOutcome, UniformLatenc
 use wakurln_rln::{Identity, SharedGroup};
 use wakurln_zksnark::{ProvingKey, RlnCircuit, SimSnark, VerifyingKey};
 
-/// A processed membership event in the broadcast delta form peers
-/// consume, kept so a late-joining or restarted peer can replay history.
-/// Registration runs are stored at the same burst granularity live peers
-/// applied them (one burst per sync slice), so a replaying newcomer's
-/// accepted-roots window sees exactly the root sequence every live peer
-/// pushed.
+/// One entry of the membership log: a processed contract event in the
+/// delta form peers apply. The log is the only thing that moves a peer's
+/// light view — live peers, late joiners and restarted peers all catch up
+/// from their cursor through [`Testbed::catch_up`] — so every peer applies
+/// the same deltas in the same order and ends with the same root and
+/// accepted-roots window. Registrations are stored one burst per sync
+/// slice, the granularity at which roots enter that window.
 #[derive(Clone, Debug)]
 enum ReplayEvent {
     RegisteredBurst { delta: AppendDelta },
     Slashed { delta: UpdateDelta },
-}
-
-/// Replays recorded membership history into one peer's light view —
-/// the §III group-synchronization bootstrap for late joins and
-/// restarts. The peer's own registration (if present in a replayed
-/// burst) is found by scanning the delta's leaves: replay is rare, so
-/// the `O(burst)` scan is fine here, unlike the live fan-out path which
-/// resolves offsets through a per-burst map.
-fn replay_into(node: &mut crate::node::RlnRelayNode, events: &[ReplayEvent]) {
-    for event in events {
-        match event {
-            ReplayEvent::RegisteredBurst { delta } => {
-                let own = node.identity().map(|id| id.commitment()).and_then(|c| {
-                    delta
-                        .leaves()
-                        .iter()
-                        .position(|l| *l == c)
-                        .map(|p| p as u64)
-                });
-                node.apply_append_delta(delta, own)
-                    // lint:allow(panic-path, reason = "replay invariant: the log was produced by this same testbed, so registration deltas apply cleanly")
-                    .expect("replayed registration burst");
-            }
-            ReplayEvent::Slashed { delta } => {
-                // lint:allow(panic-path, reason = "replay invariant: slashing deltas in the log applied successfully when recorded")
-                node.apply_update_delta(delta).expect("replayed slashing");
-            }
-        }
-    }
 }
 
 /// Wall-clock time the harness spent in each phase — **host** time, not
@@ -72,8 +44,8 @@ fn replay_into(node: &mut crate::node::RlnRelayNode, events: &[ReplayEvent]) {
 /// counts).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseTimings {
-    /// Membership sync: canonical-tree updates, delta fan-out to peers,
-    /// and restart/late-join replay.
+    /// Membership sync: canonical-tree updates and every peer's catch-up
+    /// from the membership log (live peers, late joiners, restarts).
     pub registration_sync_ns: u64,
     /// Event dispatch inside the network scheduler.
     pub dispatch_ns: u64,
@@ -149,19 +121,18 @@ pub struct Testbed {
     mirror: SharedGroup,
     event_cursor: usize,
     addresses: Vec<Address>,
-    identities: Vec<Identity>,
     verifying_key: VerifyingKey,
     proving_key: ProvingKey,
     submitted_slashes: HashSet<[u8; 32]>,
-    /// Processed events, kept so late-joining peers can replay history.
+    /// The membership log: every processed contract event, in order.
     replay_log: Vec<ReplayEvent>,
-    /// Per-peer resync position: how many `replay_log` entries the peer
-    /// has applied. Live peers track the log head; a crashed peer's
-    /// cursor freezes, and a cold-restarted peer's rewinds to zero.
+    /// Per-peer sync position: how many `replay_log` entries the peer
+    /// has applied. Live peers reach the log head after every sync slice;
+    /// a crashed peer's cursor freezes, and a cold-restarted peer's
+    /// rewinds to zero.
     replay_cursor: Vec<usize>,
-    /// Peers restarted but not yet resynced with the group. They are
-    /// excluded from event fan-out (their replay happens in order from
-    /// the cursor) and from slash submission until the resync lands.
+    /// Peers restarted but not yet resynced with the group. They stay
+    /// behind the log head and submit no slashes until the resync lands.
     awaiting_resync: Vec<bool>,
     rng: StdRng,
     timings: PhaseTimings,
@@ -205,80 +176,41 @@ impl Testbed {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let (proving_key, verifying_key) =
             SimSnark::setup(RlnCircuit::new(config.tree_depth), &mut rng);
-
-        let mut chain = Chain::new(ChainConfig {
-            stake_amount: config.stake,
-            tree_depth: config.tree_depth,
-            ..ChainConfig::default()
-        });
-
-        let mut net: Network<RlnRelayNode> = Network::new(
-            UniformLatency {
-                min_ms: config.latency_ms.0,
-                max_ms: config.latency_ms.1,
-            },
-            config.seed,
-        );
-
-        let empty_root = zero_hashes()[config.tree_depth];
-        let mut addresses = Vec::with_capacity(config.n_peers);
-        let mut identities = Vec::with_capacity(config.n_peers);
-        for (i, peers) in adjacency.into_iter().enumerate() {
-            let identity = Identity::random(&mut rng);
-            let mut validator =
-                RlnValidator::new(verifying_key.clone(), config.epoch, empty_root, cost_of(i));
-            if let Some(pipeline) = config.pipeline {
-                validator.enable_pipeline(pipeline);
-            }
-            let mut node = RlnRelayNode::new(
-                peers,
-                validator,
-                proving_key.clone(),
-                config.tree_depth,
-                config.gossip,
-                config.scoring,
-            );
-            node.set_identity(identity);
-            net.add_node(node);
-
-            let address = Address::from_label(&format!("peer-{i}"));
-            chain.fund(address, 100 * config.stake);
-            chain
-                .submit(
-                    address,
-                    config.stake,
-                    CallData::Register {
-                        commitment: identity.commitment(),
-                    },
-                )
-                // lint:allow(panic-path, reason = "testbed setup: the account was funded with exactly the required stake the line above")
-                .expect("funded");
-            addresses.push(address);
-            identities.push(identity);
-        }
-
         let mut testbed = Testbed {
-            net,
-            chain,
+            net: Network::new(
+                UniformLatency {
+                    min_ms: config.latency_ms.0,
+                    max_ms: config.latency_ms.1,
+                },
+                config.seed,
+            ),
+            chain: Chain::new(ChainConfig {
+                stake_amount: config.stake,
+                tree_depth: config.tree_depth,
+                ..ChainConfig::default()
+            }),
             config,
             // lint:allow(panic-path, reason = "testbed config is validated at construction; the depth is in the supported range")
             mirror: SharedGroup::new(config.tree_depth).expect("valid depth"),
             event_cursor: 0,
-            addresses,
-            identities,
+            addresses: Vec::with_capacity(config.n_peers),
             verifying_key,
             proving_key,
             submitted_slashes: HashSet::new(),
             replay_log: Vec::new(),
-            replay_cursor: vec![0; config.n_peers],
-            awaiting_resync: vec![false; config.n_peers],
+            replay_cursor: Vec::with_capacity(config.n_peers),
+            awaiting_resync: Vec::with_capacity(config.n_peers),
             rng,
             timings: PhaseTimings::default(),
         };
+        for (i, known) in adjacency.into_iter().enumerate() {
+            testbed.spawn_peer(known, cost_of(i), false);
+        }
         // mine the registrations and sync everyone
         let first_block = testbed.chain.config().block_interval;
         testbed.chain.advance_to(first_block);
         testbed.sync_chain_events();
+        testbed.attempt_resyncs();
         testbed
     }
 
@@ -287,42 +219,29 @@ impl Testbed {
         &self.config
     }
 
-    /// A peer's identity.
-    pub fn identity(&self, peer: usize) -> &Identity {
-        &self.identities[peer]
-    }
-
     /// A peer's chain account.
     pub fn address(&self, peer: usize) -> Address {
         self.addresses[peer]
     }
 
-    /// The shared verifying key.
-    pub fn verifying_key(&self) -> &VerifyingKey {
-        &self.verifying_key
-    }
-
-    /// Adds a **late-joining peer** while the network is running: creates
-    /// a fresh identity and account, replays the full membership history
-    /// into the newcomer's light tree (the §III "Group Synchronization"
-    /// bootstrap), wires it to `bootstrap` existing peers, and submits its
-    /// registration transaction. The registration lands with the next
-    /// mined block and syncs to everyone through the normal event flow.
-    ///
-    /// Returns the new peer's index.
-    pub fn add_peer(&mut self, bootstrap: &[usize]) -> usize {
+    /// Creates one peer — the only constructor of an [`RlnRelayNode`] in
+    /// the testbed. Draws the peer's identity from the testbed RNG, builds
+    /// its validator (batched when configured) and node with an empty
+    /// light view at replay cursor zero, then funds its account and
+    /// submits its `Register` transaction. A `late` joiner's account label
+    /// takes one more RNG draw, after the identity's.
+    fn spawn_peer(&mut self, known: Vec<NodeId>, cost: CostModel, late: bool) -> usize {
         let identity = Identity::random(&mut self.rng);
         let empty_root = zero_hashes()[self.config.tree_depth];
         let mut validator = RlnValidator::new(
             self.verifying_key.clone(),
             self.config.epoch,
             empty_root,
-            self.config.cost,
+            cost,
         );
         if let Some(pipeline) = self.config.pipeline {
             validator.enable_pipeline(pipeline);
         }
-        let known: Vec<NodeId> = bootstrap.iter().map(|i| NodeId(*i)).collect();
         let mut node = RlnRelayNode::new(
             known,
             validator,
@@ -332,19 +251,16 @@ impl Testbed {
             self.config.scoring,
         );
         node.set_identity(identity);
-        // replay history so the newcomer's view matches the network's:
-        // each recorded delta is applied at the same burst granularity
-        // live peers saw it, reproducing their accepted-roots window
-        // lint:allow(host-time, reason = "phase timing: wall-clock duration lands in phase_timings (bench diagnostics), not in the simulation")
-        let sync_start = Instant::now();
-        replay_into(&mut node, &self.replay_log);
-        self.timings.registration_sync_ns += sync_start.elapsed().as_nanos() as u64;
-        let id = self.net.add_node(node);
-        let peer = id.0;
-        self.replay_cursor.push(self.replay_log.len());
+        let peer = self.net.add_node(node).0;
+        self.replay_cursor.push(0);
         self.awaiting_resync.push(false);
 
-        let address = Address::from_label(&format!("peer-{peer}-late-{}", self.rng.gen::<u64>()));
+        let label = if late {
+            format!("peer-{peer}-late-{}", self.rng.gen::<u64>())
+        } else {
+            format!("peer-{peer}")
+        };
+        let address = Address::from_label(&label);
         self.chain.fund(address, 100 * self.config.stake);
         self.chain
             .submit(
@@ -357,7 +273,24 @@ impl Testbed {
             // lint:allow(panic-path, reason = "testbed setup: the account was just funded with the required stake")
             .expect("funded");
         self.addresses.push(address);
-        self.identities.push(identity);
+        peer
+    }
+
+    /// Adds a **late-joining peer** while the network is running: creates
+    /// a fresh identity and account, replays the full membership history
+    /// into the newcomer's light tree (the §III "Group Synchronization"
+    /// bootstrap), wires it to `bootstrap` existing peers, and submits its
+    /// registration transaction. The registration lands with the next
+    /// mined block and syncs to everyone through the normal event flow.
+    ///
+    /// Returns the new peer's index.
+    pub fn add_peer(&mut self, bootstrap: &[usize]) -> usize {
+        let known = bootstrap.iter().map(|i| NodeId(*i)).collect();
+        let peer = self.spawn_peer(known, self.config.cost, true);
+        // lint:allow(host-time, reason = "phase timing: wall-clock duration lands in phase_timings (bench diagnostics), not in the simulation")
+        let sync_start = Instant::now();
+        self.catch_up(peer);
+        self.timings.registration_sync_ns += sync_start.elapsed().as_nanos() as u64;
         peer
     }
 
@@ -409,11 +342,10 @@ impl Testbed {
     ///   the replay cursor rewinds to zero for a full §III group
     ///   resynchronization from genesis.
     ///
-    /// Either way the peer is flagged `awaiting_resync`: it is excluded
-    /// from live event fan-out and slash submission until
-    /// [`Testbed::attempt_resyncs`] replays its backlog — which is tried
-    /// immediately, and retried each run slice while the registration
-    /// contract is unreachable (counted as `resync_retries`).
+    /// Either way the peer is flagged `awaiting_resync`: it stays behind
+    /// the log head and submits no slashes until its backlog is replayed
+    /// — which is tried immediately, and retried each run slice while the
+    /// registration contract is unreachable (counted as `resync_retries`).
     ///
     /// Returns `false` (and does nothing) when the peer was not down.
     pub fn restart_peer(&mut self, peer: usize, warm: bool) -> bool {
@@ -430,34 +362,66 @@ impl Testbed {
         true
     }
 
-    /// Tries to complete the group resync of every restarted peer:
-    /// replays `replay_log[cursor..]` (recorded deltas at the exact
-    /// burst granularity live peers applied them) into the peer's light
-    /// view, then clears the flag. While the registration contract is in
-    /// outage the sync source is unreachable: each pending peer counts
-    /// one `resync_retries` and stays flagged for the next slice — the
-    /// bounded-retry loop the fault scenarios measure.
-    ///
-    /// Runs automatically inside [`Testbed::run`] after each event-sync
-    /// slice; public so tests can drive recovery without advancing time.
-    pub fn attempt_resyncs(&mut self) {
+    /// The per-peer half of §III group sync: catches every live peer up
+    /// with the membership log. Runs after `build`'s first sync, after
+    /// each event-sync slice of [`Testbed::run`] and from
+    /// [`Testbed::restart_peer`]. A restarted peer still awaiting resync
+    /// needs the registration contract as its sync source: while that is
+    /// in outage it counts one `resync_retries` and stays flagged (and
+    /// behind) for the next slice — the bounded-retry loop the fault
+    /// scenarios measure; otherwise it replays its backlog, counts one
+    /// `peer_resyncs` and clears the flag.
+    fn attempt_resyncs(&mut self) {
         // lint:allow(host-time, reason = "phase timing: wall-clock duration lands in phase_timings (bench diagnostics), not in the simulation")
         let start = Instant::now();
         for peer in 0..self.net.len() {
-            if !self.awaiting_resync[peer] || !self.net.is_active(NodeId(peer)) {
+            if !self.net.is_active(NodeId(peer)) {
                 continue;
             }
-            if self.chain.registration_outage_active() {
-                self.net.metrics_mut().count("resync_retries", 1);
-                continue;
+            if self.awaiting_resync[peer] {
+                if self.chain.registration_outage_active() {
+                    self.net.metrics_mut().count("resync_retries", 1);
+                    continue;
+                }
+                self.awaiting_resync[peer] = false;
+                self.net.metrics_mut().count("peer_resyncs", 1);
             }
-            let cursor = self.replay_cursor[peer];
-            replay_into(self.net.node_mut(NodeId(peer)), &self.replay_log[cursor..]);
-            self.replay_cursor[peer] = self.replay_log.len();
-            self.awaiting_resync[peer] = false;
-            self.net.metrics_mut().count("peer_resyncs", 1);
+            self.catch_up(peer);
         }
         self.timings.registration_sync_ns += start.elapsed().as_nanos() as u64;
+    }
+
+    /// Applies `replay_log[replay_cursor[peer]..]` to the peer's light
+    /// view and moves its cursor to the log head — the one place a
+    /// [`ReplayEvent`] reaches a node. While the node is not yet a member,
+    /// its own leaf comes from the canonical group's commitment index: a
+    /// burst whose span holds that leaf builds the own path. A member
+    /// slashed before a cold restart is no longer indexed and replays as
+    /// an observer.
+    fn catch_up(&mut self, peer: usize) {
+        let node = self.net.node_mut(NodeId(peer));
+        for event in &self.replay_log[self.replay_cursor[peer]..] {
+            match event {
+                ReplayEvent::RegisteredBurst { delta } => {
+                    let own = match node.identity() {
+                        Some(id) if !node.is_member() => self
+                            .mirror
+                            .index_of(id.commitment())
+                            .and_then(|leaf| leaf.checked_sub(delta.start))
+                            .filter(|offset| *offset < delta.count),
+                        _ => None,
+                    };
+                    node.apply_append_delta(delta, own)
+                        // lint:allow(panic-path, reason = "replay invariant: the log was produced by this same testbed, so registration deltas apply cleanly")
+                        .expect("replayed registration burst");
+                }
+                ReplayEvent::Slashed { delta } => {
+                    // lint:allow(panic-path, reason = "replay invariant: slashing deltas in the log applied successfully when recorded")
+                    node.apply_update_delta(delta).expect("replayed slashing");
+                }
+            }
+        }
+        self.replay_cursor[peer] = self.replay_log.len();
     }
 
     /// Number of restarted peers whose group resync has not completed.
@@ -591,14 +555,11 @@ impl Testbed {
             .sum()
     }
 
-    /// Applies a burst of consecutive registration events: **one**
-    /// `O(n + depth)` tree update at the canonical group, then the
-    /// captured delta fans out to every live peer as `O(depth)` pure
-    /// lookups. Total hashing per burst is `O(n + depth)` regardless of
-    /// peer count — previously every peer re-hashed the whole burst
-    /// locally (`n` peers × `O(n + depth)` hashes), the `n²` wall that
-    /// capped simulations around 10k nodes.
-    fn flush_registration_burst(&mut self, burst: &mut Vec<Fr>) {
+    /// Logs a burst of consecutive registration events: **one**
+    /// `O(n + depth)` tree update at the canonical group, whose captured
+    /// delta every peer then applies as `O(depth)` pure lookups — total
+    /// hashing per burst is `O(n + depth)` regardless of peer count.
+    fn log_registration_burst(&mut self, burst: &mut Vec<Fr>) {
         if burst.is_empty() {
             return;
         }
@@ -607,44 +568,13 @@ impl Testbed {
             .register_batch(burst)
             // lint:allow(panic-path, reason = "the burst holds fresh commitments and the spec checked capacity, so the mirror batch registers")
             .expect("mirror batch registration");
-        // resolve each peer's own position in the burst through one map
-        // (an O(burst) build, O(1) per peer) rather than scanning the
-        // burst per peer. Crashed peers stop syncing; restarted peers
-        // still mid-resync get the delta later via their ordered replay.
-        let offset_of: HashMap<[u8; 32], u64> = burst
-            .iter()
-            .enumerate()
-            .map(|(offset, c)| (c.to_bytes_le(), offset as u64))
-            .collect();
-        for peer in 0..self.net.len() {
-            if !self.net.is_active(NodeId(peer)) || self.awaiting_resync[peer] {
-                continue;
-            }
-            let node = self.net.node_mut(NodeId(peer));
-            let own = node
-                .identity()
-                .and_then(|id| offset_of.get(&id.commitment().to_bytes_le()).copied());
-            node.apply_append_delta(&delta, own)
-                // lint:allow(panic-path, reason = "peers mirror the group the mirror tree just accepted; the append delta applies by construction")
-                .expect("peer registration sync");
-        }
         burst.clear();
         self.replay_log.push(ReplayEvent::RegisteredBurst { delta });
-        self.advance_live_cursors();
     }
 
-    /// Marks every peer that just applied the newest replay event as
-    /// caught up with the log head. Crashed or resync-pending peers keep
-    /// their frozen cursor — the backlog they will replay on recovery.
-    fn advance_live_cursors(&mut self) {
-        let head = self.replay_log.len();
-        for peer in 0..self.net.len() {
-            if self.net.is_active(NodeId(peer)) && !self.awaiting_resync[peer] {
-                self.replay_cursor[peer] = head;
-            }
-        }
-    }
-
+    /// Reads the contract's new events into the canonical group and the
+    /// membership log; peers apply the log in
+    /// [`Testbed::attempt_resyncs`].
     fn sync_chain_events(&mut self) {
         // lint:allow(host-time, reason = "phase timing: wall-clock duration lands in phase_timings (bench diagnostics), not in the simulation")
         let start_time = Instant::now();
@@ -663,28 +593,17 @@ impl Testbed {
                 ChainEvent::MemberSlashed {
                     index, commitment, ..
                 } => {
-                    self.flush_registration_burst(&mut burst);
+                    self.log_registration_burst(&mut burst);
                     expected_start = None;
                     // lint:allow(panic-path, reason = "slash events reference members the mirror registered earlier in the same event stream")
                     let (removed, delta) = self.mirror.remove(index).expect("mirror removal");
                     debug_assert_eq!(removed, commitment, "slash event/commitment mismatch");
-                    for i in 0..self.net.len() {
-                        if !self.net.is_active(NodeId(i)) || self.awaiting_resync[i] {
-                            continue;
-                        }
-                        self.net
-                            .node_mut(NodeId(i))
-                            .apply_update_delta(&delta)
-                            // lint:allow(panic-path, reason = "peers track the same tree the mirror just updated; the update delta applies by construction")
-                            .expect("peer slashing sync");
-                    }
                     self.replay_log.push(ReplayEvent::Slashed { delta });
-                    self.advance_live_cursors();
                 }
                 ChainEvent::TreeRootUpdated { .. } | ChainEvent::MessagePosted { .. } => {}
             }
         }
-        self.flush_registration_burst(&mut burst);
+        self.log_registration_burst(&mut burst);
         self.timings.registration_sync_ns += start_time.elapsed().as_nanos() as u64;
     }
 
@@ -1003,8 +922,8 @@ mod recovery_tests {
         tb.chain.set_registration_outage(40);
         assert!(tb.restart_peer(6, true));
         // while 6 is pending, new history arrives — a spammer is slashed
-        // (slashing is unaffected by the *registration* outage). The
-        // event must reach 6 via its ordered replay, not the live fan-out
+        // (slashing is unaffected by the *registration* outage). 6 stays
+        // behind the log until the outage lifts, then replays the event
         tb.publish_spam(1, b"mid-a").unwrap();
         tb.publish_spam(1, b"mid-b").unwrap();
         tb.run(20_000, 1_000);
@@ -1015,8 +934,56 @@ mod recovery_tests {
         assert_eq!(
             tb.net.node(NodeId(6)).membership_root(),
             tb.net.node(NodeId(0)).membership_root(),
-            "replayed backlog diverged from live fan-out"
+            "replayed backlog diverged from the live peers"
         );
+    }
+
+    #[test]
+    fn every_sync_path_lands_on_the_same_membership_state() {
+        let mut tb = testbed(57);
+        tb.run(8_000, 1_000);
+        // 3 is down while a spammer is slashed and a newcomer joins
+        assert!(tb.crash_peer(3));
+        tb.publish_spam(5, b"paths-a").unwrap();
+        tb.publish_spam(5, b"paths-b").unwrap();
+        tb.run(30_000, 1_000);
+        assert!(!tb.is_member(5), "spammer not slashed");
+        let newbie = tb.add_peer(&[0, 1, 2]);
+        tb.run(10_000, 1_000);
+        assert!(tb.is_member(newbie), "newcomer not registered");
+        // the slashed spammer loses its disk and replays from genesis
+        assert!(tb.crash_peer(5));
+        assert!(tb.restart_peer(5, false));
+        // 6 comes back cold inside a contract outage; 3 comes back warm
+        assert!(tb.crash_peer(6));
+        tb.chain.set_registration_outage(tb.net.now() / 1000 + 10);
+        assert!(tb.restart_peer(6, false));
+        assert!(tb.restart_peer(3, true));
+        assert_eq!(tb.awaiting_resync_count(), 2);
+        tb.run(20_000, 1_000);
+        assert_eq!(tb.awaiting_resync_count(), 0);
+
+        let accepted = |tb: &Testbed, peer: usize| {
+            tb.net
+                .node(NodeId(peer))
+                .validator()
+                .model_state()
+                .accepted_roots
+                .clone()
+        };
+        let reference = accepted(&tb, 0);
+        for peer in (0..tb.peer_count()).filter(|p| tb.is_live(*p)) {
+            let node = tb.net.node(NodeId(peer));
+            assert_eq!(node.membership_root(), tb.mirror.root(), "peer {peer} root");
+            assert_eq!(accepted(&tb, peer), reference, "peer {peer} window");
+            let commitment = node.identity().unwrap().commitment();
+            assert_eq!(
+                node.is_member(),
+                tb.mirror.index_of(commitment).is_some(),
+                "peer {peer} membership"
+            );
+        }
+        assert!(tb.is_member(3) && tb.is_member(6) && !tb.is_member(5));
     }
 }
 

@@ -146,9 +146,10 @@ impl RlnRelayNode {
 
     /// Applies a registration-burst delta broadcast from the canonical
     /// group tree. `own_offset` marks this peer's position within the
-    /// burst (the harness resolves it once per burst from a
-    /// commitment→offset map); it is ignored when the peer already holds
-    /// a membership. Costs `O(depth)` lookups — no hashing.
+    /// burst (the harness resolves it from the canonical group's
+    /// commitment index while the peer is not yet a member); it is ignored
+    /// when the peer already holds a membership. Costs `O(depth)` lookups
+    /// — no hashing.
     ///
     /// The accepted-roots window advances **once per burst** (only the
     /// post-burst root enters the window). This is sound as long as all
@@ -331,8 +332,10 @@ impl RlnRelayNode {
     /// survive: both model durable secrets an honest operator never
     /// risks — losing the limiter state could make an honest restart
     /// double-signal and burn its own stake. The harness follows this
-    /// with a full group resync (delta replay from genesis), which
-    /// restores membership through the normal own-offset path.
+    /// with a full group resync — the same catch-up from the membership
+    /// log every peer takes, here from genesis — which restores the
+    /// membership through the own-offset path unless the peer was
+    /// slashed.
     pub fn reset_for_cold_restart(&mut self) {
         let depth = self.view.depth();
         // lint:allow(panic-path, reason = "reset reuses the depth the existing view was built with, which was valid at construction")

@@ -691,43 +691,6 @@ impl fmt::Display for Fr {
     }
 }
 
-impl serde::Serialize for Fr {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_bytes(&self.to_bytes_le())
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for Fr {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Fr, D::Error> {
-        struct V;
-        impl<'de> serde::de::Visitor<'de> for V {
-            type Value = Fr;
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.write_str("32 little-endian bytes encoding a reduced BN254 scalar")
-            }
-            fn visit_bytes<E: serde::de::Error>(self, v: &[u8]) -> Result<Fr, E> {
-                if v.len() != 32 {
-                    return Err(E::invalid_length(v.len(), &self));
-                }
-                let mut b = [0u8; 32];
-                b.copy_from_slice(v);
-                Fr::from_bytes_le(&b).ok_or_else(|| E::custom("field element not fully reduced"))
-            }
-            fn visit_seq<A: serde::de::SeqAccess<'de>>(self, mut seq: A) -> Result<Fr, A::Error> {
-                let mut b = [0u8; 32];
-                for (i, slot) in b.iter_mut().enumerate() {
-                    *slot = seq
-                        .next_element()?
-                        .ok_or_else(|| serde::de::Error::invalid_length(i, &self))?;
-                }
-                Fr::from_bytes_le(&b)
-                    .ok_or_else(|| serde::de::Error::custom("field element not fully reduced"))
-            }
-        }
-        d.deserialize_bytes(V)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -920,10 +883,9 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
+    fn bytes_le_roundtrip() {
         let mut rng = StdRng::seed_from_u64(3);
         let a = Fr::random(&mut rng);
-        // serde with a simple byte-oriented format via serde_test-like manual check
         let bytes = a.to_bytes_le();
         let b = Fr::from_bytes_le(&bytes).unwrap();
         assert_eq!(a, b);

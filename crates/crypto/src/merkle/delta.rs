@@ -32,11 +32,10 @@
 
 use super::{validate_depth, zero_hashes, FullMerkleTree, MerkleError, MerkleProof};
 use crate::field::Fr;
-use serde::{Deserialize, Serialize};
 
 /// Everything a registration burst changed in the canonical tree, in
 /// broadcastable form: `O(n + depth)` field elements for `n` appends.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AppendDelta {
     /// Index of the first appended leaf.
     pub start: u64,
@@ -72,7 +71,7 @@ impl AppendDelta {
 
 /// Everything a single-leaf update (member deletion) changed in the
 /// canonical tree: the rewritten branch from the leaf to the root.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct UpdateDelta {
     /// The updated leaf index.
     pub index: u64,
@@ -163,7 +162,7 @@ impl FullMerkleTree {
 
 /// A member's own standing in the group: leaf index, leaf value and
 /// authentication path.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 struct OwnPath {
     index: u64,
     leaf: Fr,
@@ -193,7 +192,7 @@ struct OwnPath {
 /// assert!(proof.verify(canonical.root(), Fr::from_u64(3)));
 /// # Ok::<(), wakurln_crypto::merkle::MerkleError>(())
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MemberView {
     depth: usize,
     /// Leaves the canonical tree holds after the last applied delta.

@@ -35,7 +35,6 @@ pub use incremental::IncrementalMerkleTree;
 
 use crate::field::Fr;
 use crate::poseidon;
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// Maximum supported tree depth. Depth 32 covers the paper's 2³² group size.
@@ -106,7 +105,7 @@ pub fn node_hash(left: Fr, right: Fr) -> Fr {
 /// `siblings[l]` is the sibling node at level `l` (level 0 = leaves);
 /// `index` encodes the left/right directions (bit `l` of `index` is 1 when
 /// the path node at level `l` is a right child).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MerkleProof {
     /// Leaf index the proof authenticates.
     pub index: u64,

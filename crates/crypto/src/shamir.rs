@@ -25,13 +25,12 @@
 
 use crate::field::Fr;
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// One evaluation point of a sharing polynomial: `(x, y = A(x))`.
 ///
 /// In RLN terms this is the `[sk]` component of a signal, with
 /// `x = H(m)` and `y = sk + a1·x`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Share {
     /// Evaluation point (derived from the message in RLN).
     pub x: Fr,
@@ -71,7 +70,7 @@ pub fn recover_line_slope(s1: &Share, s2: &Share) -> Option<Fr> {
 
 /// A polynomial over `Fr` in coefficient form, `coeffs[i]` being the
 /// coefficient of `x^i`. `coeffs[0]` is the shared secret.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Polynomial {
     coeffs: Vec<Fr>,
 }

@@ -9,7 +9,6 @@
 
 use crate::gas::GasMeter;
 use crate::types::{Address, ChainEvent, Wei};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use wakurln_crypto::field::Fr;
 use wakurln_crypto::merkle::{IncrementalMerkleTree, MerkleError};
@@ -22,7 +21,7 @@ pub trait BalanceEnv {
 }
 
 /// One registered member slot on the registry.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MemberSlot {
     /// The registered commitment.
     pub commitment: Fr,
@@ -38,7 +37,7 @@ pub struct MemberSlot {
 /// tree lives off-chain with the peers. Registration appends one storage
 /// slot; slashing flips one slot and moves stake. Both are O(1) in gas,
 /// independent of group size.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MembershipContract {
     /// Required stake per registration (the paper's `v` Eth).
     pub stake_amount: Wei,
@@ -301,7 +300,7 @@ impl OnChainTreeContract {
 /// only once mined (E5 compares its latency against gossip propagation;
 /// §III: "we achieve higher message propagation speed as opposed to the
 /// on-chain case where messages should be mined before being visible").
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct SignalBoardContract {
     messages: Vec<(Address, Vec<u8>)>,
 }

@@ -1,12 +1,11 @@
 //! Chain primitives: addresses, transactions, receipts, events.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use wakurln_crypto::field::Fr;
 use wakurln_crypto::sha256::{to_hex, Sha256};
 
 /// A 20-byte account address.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Address(pub [u8; 20]);
 
 impl Address {
@@ -44,7 +43,7 @@ pub type Wei = u128;
 pub const ETHER: Wei = 1_000_000_000_000_000_000;
 
 /// Contract entry points callable by transactions.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum CallData {
     /// `MembershipContract::register(commitment)` — the paper's design:
     /// the contract stores only the ordered list of commitments.
@@ -82,7 +81,7 @@ pub enum CallData {
 }
 
 /// A transaction waiting in the pool or included in a block.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Transaction {
     /// Sender account.
     pub from: Address,
@@ -95,7 +94,7 @@ pub struct Transaction {
 }
 
 /// Execution status of a mined transaction.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TxStatus {
     /// Executed successfully.
     Success,
@@ -104,7 +103,7 @@ pub enum TxStatus {
 }
 
 /// A mined transaction's receipt.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Receipt {
     /// The transaction's pool nonce.
     pub nonce: u64,
@@ -117,7 +116,7 @@ pub struct Receipt {
 }
 
 /// Events emitted by the contracts into the chain's log.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ChainEvent {
     /// A member registered on the membership (registry) contract.
     MemberRegistered {
@@ -156,7 +155,7 @@ pub enum ChainEvent {
 }
 
 /// A log entry: an event plus where it happened.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LoggedEvent {
     /// Block number of the enclosing block.
     pub block_number: u64,
@@ -167,7 +166,7 @@ pub struct LoggedEvent {
 }
 
 /// A mined block.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Block {
     /// Height.
     pub number: u64,

@@ -1,6 +1,5 @@
 //! Wire types and the message cache.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -12,7 +11,7 @@ use wakurln_netsim::{Bytes, Payload};
 /// message, topic entry and IHAVE, so `clone()` is a reference-count
 /// bump rather than a heap copy of the string. Equality, ordering and
 /// hashing are those of the name.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Topic(Arc<str>);
 
 impl Topic {
@@ -39,7 +38,7 @@ impl std::fmt::Display for Topic {
 /// `(topic, data)` only — two peers publishing identical bytes produce the
 /// same id (deduplicated), and nothing in the id links a message to its
 /// origin.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MessageId(pub [u8; 32]);
 
 impl MessageId {
@@ -87,7 +86,7 @@ impl std::fmt::Debug for MessageId {
 ///
 /// This is host-side bookkeeping only. What a *device* would spend on a
 /// frame is modelled separately (`Validator::last_cost_micros`).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RawMessage(Arc<Shared>);
 
 #[derive(Debug, PartialEq)]
@@ -122,7 +121,7 @@ impl RawMessage {
 }
 
 /// GossipSub RPC frames exchanged between peers.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Rpc {
     /// Announce subscription to a topic.
     Subscribe(Topic),

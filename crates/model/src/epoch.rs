@@ -8,12 +8,11 @@
 //! network delay — this stops a fresh registrant from spamming all past
 //! epochs at once.
 
-use serde::{Deserialize, Serialize};
 use wakurln_crypto::field::Fr;
 
 /// The epoch scheme: converts simulated wall-clock time to epoch numbers
 /// and field elements, and performs the `Thr` window check.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EpochScheme {
     /// Epoch length `T`, in seconds.
     pub epoch_secs: u64,

@@ -1,7 +1,5 @@
 //! The anonymized WAKU message envelope and its wire codec.
 
-use serde::{Deserialize, Serialize};
-
 /// A WAKU-RELAY message.
 ///
 /// Deliberately minimal: a payload and a *content topic* (application-level
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// The `timestamp` is coarse (seconds) and optional; publishers that care
 /// about timing correlation can omit it.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WakuMessage {
     /// Application payload (for WAKU-RLN-RELAY: an encoded RLN signal).
     pub payload: Vec<u8>,

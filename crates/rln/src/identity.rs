@@ -1,7 +1,6 @@
 //! RLN member identities.
 
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use wakurln_crypto::field::Fr;
 use wakurln_crypto::poseidon;
 
@@ -22,7 +21,7 @@ use wakurln_crypto::poseidon;
 /// let id = Identity::random(&mut rng);
 /// assert_eq!(id.commitment(), Identity::from_secret(id.secret()).commitment());
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Identity {
     sk: Fr,
     pk: Fr,

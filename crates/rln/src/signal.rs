@@ -7,7 +7,6 @@
 
 use crate::identity::Identity;
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use wakurln_crypto::field::Fr;
 use wakurln_crypto::merkle::MerkleProof;
 use wakurln_crypto::poseidon;
@@ -17,7 +16,7 @@ use wakurln_zksnark::{
 };
 
 /// A complete RLN signal, ready to be wrapped in a routing-layer message.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Signal {
     /// The application message `m`.
     pub message: Vec<u8>,

@@ -8,7 +8,6 @@
 
 use crate::identity::Identity;
 use crate::signal::Signal;
-use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use wakurln_crypto::field::Fr;
 use wakurln_crypto::shamir::{self, Share};
@@ -40,7 +39,7 @@ pub fn reconstruction_count() -> u64 {
 }
 
 /// The result of comparing two signals that share an internal nullifier.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DoubleSignalOutcome {
     /// The signals are byte-identical duplicates (normal gossip behaviour,
     /// not spam).
@@ -54,7 +53,7 @@ pub enum DoubleSignalOutcome {
 }
 
 /// Evidence of a slashing, ready to submit to the membership contract.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SlashingEvidence {
     /// The reconstructed secret key.
     pub revealed_secret: Fr,

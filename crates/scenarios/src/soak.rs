@@ -393,8 +393,9 @@ fn measure(tb: &Testbed, segment: u64, checkpoint_verified: bool) -> SoakDelta {
     }
 }
 
-/// A deterministic digest of everything the soak holds bounded plus the
-/// global progress counters. Two runs that evolved through the same
+/// A deterministic digest of everything the soak holds bounded, each
+/// live peer's membership state (light-view root, membership, validator
+/// root) and the global progress counters. Two runs that evolved through the same
 /// inputs produce byte-identical fingerprints — the checkpoint/restore
 /// contract is `fingerprint(live) == fingerprint(restored)` after
 /// replaying the same segment.
@@ -426,7 +427,8 @@ fn fingerprint(tb: &Testbed) -> String {
         let gs = node.gossipsub();
         let _ = write!(
             out,
-            "\n{i}: {:?} nmap={} cache={} pending={} mcache={} own={} seen={} scores={} mesh={}",
+            "\n{i}: {:?} nmap={} cache={} pending={} mcache={} own={} seen={} scores={} mesh={} \
+             root={:?} member={} validator_root={:?}",
             v.stats(),
             v.nullifier_map_bytes(),
             v.verdict_cache_len().unwrap_or(0),
@@ -436,6 +438,9 @@ fn fingerprint(tb: &Testbed) -> String {
             gs.seen_len(),
             gs.peer_score().tracked_len(),
             tb.mesh_size(i),
+            node.membership_root(),
+            node.is_member(),
+            v.current_root(),
         );
     }
     out

@@ -18,14 +18,13 @@
 
 use crate::gadgets::{merkle_root, poseidon_hash1, poseidon_hash2, Boolean, Num};
 use crate::r1cs::{ConstraintMatrix, ConstraintSystem, UnsatisfiedConstraint};
-use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 use wakurln_crypto::field::Fr;
 use wakurln_crypto::merkle::{MerkleProof, MAX_DEPTH};
 use wakurln_crypto::poseidon;
 
 /// The public inputs of an RLN proof, in canonical order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RlnPublicInputs {
     /// Membership tree root the prover claims membership under.
     pub root: Fr,
@@ -84,7 +83,7 @@ impl RlnWitness {
 }
 
 /// The RLN circuit for a fixed membership-tree depth.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RlnCircuit {
     depth: usize,
 }

@@ -22,14 +22,13 @@
 //!   and comparing every row. The matrices are the witness program; there
 //!   is no second description of the circuit to keep in step with them.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 use wakurln_crypto::field::{Fr, SumOfProducts};
 
 /// A variable in the constraint system.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Variable {
     /// The constant `1` wire.
     One,
@@ -40,7 +39,7 @@ pub enum Variable {
 }
 
 /// A sparse linear combination `Σ coeff · var`.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LinearCombination {
     terms: Vec<(Variable, Fr)>,
 }

@@ -55,7 +55,6 @@
 
 use crate::circuit::{CompiledCircuit, RlnCircuit, RlnPublicInputs, RlnWitness};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 use wakurln_crypto::sha256::Sha256;
@@ -148,7 +147,7 @@ impl fmt::Debug for ProvingKey {
 }
 
 /// The verifying key: constant-size, independent of the circuit depth.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct VerifyingKey {
     circuit: RlnCircuit,
     srs_secret: [u8; 32],
@@ -168,12 +167,12 @@ impl VerifyingKey {
 }
 
 /// A constant-size simulated proof.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Proof {
     /// Simulated `π_A` (32 bytes) and `π_C` (32 bytes) around `π_B`
     /// (64 bytes) — jointly random-looking bytes derived from fresh prover
     /// randomness, carrying no witness information. Stored as four 32-byte
-    /// words for serde compatibility.
+    /// words.
     pub elements: [[u8; 32]; 4],
     /// MAC binding `elements` and the public inputs under the SRS secret.
     pub binding: [u8; BINDING_BYTES],

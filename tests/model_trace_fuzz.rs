@@ -116,7 +116,7 @@ fn corpus_traces_pin_their_named_behaviors() {
     assert_eq!(state.stats.spam_detected, 0);
 }
 
-/// Fixed-seed generator bank: 3 window geometries × 40 seeds × 200-step
+/// Fixed-seed generator bank: 3 window geometries × 200 seeds × 200-step
 /// adversarial schedules. Failures shrink to a minimal counterexample
 /// printed in the corpus format for committing.
 #[test]
@@ -139,7 +139,7 @@ fn fixed_seed_generator_bank_upholds_invariants() {
         }, // Thr = 12
     ];
     for params in geometries {
-        for seed in 0..40u64 {
+        for seed in 0..200u64 {
             let steps = generate_trace(&params, seed, 200);
             if let Err(violation) = replay(&params, &steps) {
                 let shrunk = shrink_trace(&steps, |t| replay(&params, t).is_err());
