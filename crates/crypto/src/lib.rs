@@ -7,7 +7,8 @@
 //!
 //! * [`field`] — the BN254 scalar field `Fr` (Montgomery arithmetic),
 //! * [`poseidon`] — the Poseidon hash used for all in-circuit hashing,
-//! * [`sha256`] — SHA-256 for the simulated chain and the PoW baseline,
+//! * [`sha256`] — SHA-256 for message ids, the simulated SNARK binding,
+//!   `x = H(m)`, `ethsim` and the PoW baseline (on SHA-NI where present),
 //! * [`shamir`] — Shamir secret sharing (the RLN slashing mechanism),
 //! * [`merkle`] — membership Merkle trees: full, append-only frontier, and
 //!   the reference-\[9\] light-member tree with O(depth) storage.
@@ -37,7 +38,7 @@
 //! # Ok::<(), wakurln_crypto::merkle::MerkleError>(())
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod field;

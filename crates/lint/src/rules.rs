@@ -7,8 +7,9 @@
 //!   parameter declared with a `HashMap`/`HashSet` type (or initialized
 //!   from `HashMap::new()`-style constructors) in the same file.
 //! - `host-time` — `Instant`, `SystemTime`, `thread_rng`, `OsRng`,
-//!   `from_entropy`, `getrandom`, `std::thread::current` in deterministic
-//!   code. `Duration` is pure data and allowed.
+//!   `from_entropy`, `getrandom`, `std::thread::current`, and the CPU
+//!   feature probes `is_x86_feature_detected` / `is_aarch64_feature_detected`
+//!   in deterministic code. `Duration` is pure data and allowed.
 //! - `rng-in-branch` — an RNG draw lexically inside an `if`/`while`/
 //!   `match` whose condition/scrutinee mentions a tracked map name: the
 //!   draw count (and thus the stream position) would depend on unordered
@@ -539,6 +540,8 @@ const HOST_TIME_IDENTS: &[(&str, &str)] = &[
     ("OsRng", "OS entropy source"),
     ("from_entropy", "OS entropy seeding"),
     ("getrandom", "OS entropy source"),
+    ("is_x86_feature_detected", "host CPU feature probe"),
+    ("is_aarch64_feature_detected", "host CPU feature probe"),
 ];
 
 fn rule_host_time(src: &str, code: &[Token], out: &mut Vec<(&'static str, u32, usize, String)>) {

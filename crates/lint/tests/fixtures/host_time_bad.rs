@@ -17,3 +17,7 @@ pub fn roll() -> u64 {
 pub fn who_am_i() -> String {
     format!("{:?}", std::thread::current().id()) //~ host-time
 }
+
+pub fn fast_path() -> bool {
+    std::arch::is_x86_feature_detected!("sha") //~ host-time
+}
