@@ -64,6 +64,7 @@
 use crate::codec::WireSignal;
 use crate::validator::RlnValidator;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use wakurln_crypto::digest_hash::DigestState;
 use wakurln_crypto::sha256::Sha256;
 use wakurln_gossipsub::{BatchDecision, Validator as _};
 use wakurln_rln::{verify_signal, SignalValidity};
@@ -151,10 +152,11 @@ fn statement_digest(wire: &WireSignal) -> [u8; 32] {
 }
 
 /// One epoch's slice of the verdict cache, with FIFO insertion order for
-/// capacity eviction.
+/// capacity eviction. Keyed by statement digests, so it hashes one word
+/// of the digest ([`DigestState`]).
 #[derive(Clone, Debug, Default)]
 struct CacheShard {
-    verdicts: HashMap<[u8; 32], bool>,
+    verdicts: HashMap<[u8; 32], bool, DigestState>,
     order: VecDeque<[u8; 32]>,
 }
 
@@ -306,7 +308,7 @@ impl PipelineState {
         // or an identical statement earlier in this batch) around the
         // verifier
         let mut to_verify: Vec<usize> = Vec::new();
-        let mut in_batch: HashSet<[u8; 32]> = HashSet::new();
+        let mut in_batch: HashSet<[u8; 32], DigestState> = HashSet::default();
         for (i, c) in candidates.iter().enumerate() {
             if !c.root_ok {
                 self.stats.root_window_skips += 1;

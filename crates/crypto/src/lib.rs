@@ -9,6 +9,7 @@
 //! * [`poseidon`] — the Poseidon hash used for all in-circuit hashing,
 //! * [`sha256`] — SHA-256 for message ids, the simulated SNARK binding,
 //!   `x = H(m)`, `ethsim` and the PoW baseline (on SHA-NI where present),
+//! * [`digest_hash`] — the table hasher for keys that are SHA-256 digests,
 //! * [`shamir`] — Shamir secret sharing (the RLN slashing mechanism),
 //! * [`merkle`] — membership Merkle trees: full, append-only frontier, and
 //!   the reference-\[9\] light-member tree with O(depth) storage.
@@ -41,6 +42,7 @@
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod digest_hash;
 pub mod field;
 pub mod merkle;
 pub mod poseidon;

@@ -20,7 +20,10 @@ pub struct GossipsubConfig {
     pub history_length: usize,
     /// Number of most recent windows gossiped (`mcache_gossip`).
     pub history_gossip: usize,
-    /// Seen-cache time-to-live, milliseconds.
+    /// Seen-cache time-to-live, milliseconds. At least the mcache's span
+    /// (`history_length × heartbeat_ms`): a node must not cache and
+    /// gossip an id it no longer remembers seeing, or an IHAVE → IWANT
+    /// round trip hands the message to the application a second time.
     pub seen_ttl_ms: u64,
     /// Maximum IHAVE ids answered with IWANT per heartbeat per peer
     /// (bounds the IWANT-flood attack surface). The same budget bounds
@@ -82,7 +85,8 @@ impl GossipsubConfig {
     /// # Panics
     ///
     /// Panics when the degree bounds are inconsistent
-    /// (`D_lo ≤ D ≤ D_hi`), or history windows are inconsistent.
+    /// (`D_lo ≤ D ≤ D_hi`), history windows are inconsistent, or the
+    /// seen-cache forgets ids before the mcache drops them.
     pub fn assert_valid(&self) {
         assert!(self.mesh_n_low <= self.mesh_n, "D_lo must be <= D");
         assert!(self.mesh_n <= self.mesh_n_high, "D must be <= D_hi");
@@ -91,6 +95,10 @@ impl GossipsubConfig {
             "gossip windows must fit in history"
         );
         assert!(self.heartbeat_ms > 0, "heartbeat must be positive");
+        assert!(
+            self.seen_ttl_ms >= (self.history_length as u64).saturating_mul(self.heartbeat_ms),
+            "seen TTL must cover the mcache (history_length × heartbeat_ms)"
+        );
     }
 }
 
@@ -157,6 +165,46 @@ mod tests {
             ..Default::default()
         }
         .assert_valid();
+    }
+
+    #[test]
+    #[should_panic(expected = "seen TTL must cover the mcache")]
+    fn a_seen_ttl_of_zero_panics() {
+        GossipsubConfig {
+            seen_ttl_ms: 0,
+            ..Default::default()
+        }
+        .assert_valid();
+    }
+
+    #[test]
+    #[should_panic(expected = "seen TTL must cover the mcache")]
+    fn a_seen_ttl_shorter_than_the_mcache_panics() {
+        // 5 windows × 1 s: the id would stay cached (and gossiped) for a
+        // millisecond after the node forgot seeing it
+        GossipsubConfig {
+            seen_ttl_ms: 4_999,
+            ..Default::default()
+        }
+        .assert_valid();
+    }
+
+    #[test]
+    fn seen_ttls_of_deployed_shapes_are_valid() {
+        // the mcache's span itself, and two deployed configurations:
+        // ream (12 windows × 700 ms heartbeats, a 2-epoch = 768 s
+        // duplicate cache) and ursa (5 × 1 s, 60 s)
+        for (history_length, heartbeat_ms, seen_ttl_ms) in
+            [(5, 1_000, 5_000), (12, 700, 768_000), (5, 1_000, 60_000)]
+        {
+            GossipsubConfig {
+                history_length,
+                heartbeat_ms,
+                seen_ttl_ms,
+                ..Default::default()
+            }
+            .assert_valid();
+        }
     }
 
     #[test]

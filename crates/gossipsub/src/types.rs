@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
+use wakurln_crypto::digest_hash::DigestState;
 use wakurln_netsim::{Bytes, Payload};
 
 /// A pub/sub topic (peers congregate around topics, §I).
@@ -221,16 +222,32 @@ impl Entry {
 ///   it is seen.
 ///
 /// An entry lives while its id is seen or cached.
+///
+/// The table is keyed by SHA-256 message ids, so it hashes one word of
+/// the id ([`DigestState`]) instead of SipHashing all 32 bytes. The
+/// seen-cache keeps a lower bound on its oldest `seen_at`, so a
+/// heartbeat's [`MessageCache::expire_seen`] walks the table only when
+/// an entry can have reached the TTL.
 #[derive(Clone, Debug)]
 pub struct MessageCache {
     history_length: usize,
     /// Never empty: the last window is the current one.
     windows: Vec<Vec<RawMessage>>,
-    table: HashMap<MessageId, Entry>,
+    table: HashMap<MessageId, Entry, DigestState>,
     /// Entries that are seen.
     seen: usize,
     /// Entries that are own.
     own: usize,
+    /// At most the smallest `seen_at` of a seen entry ([`NOT_SEEN`] when
+    /// none is seen): exact after a sweep, lowered by every new seen
+    /// time, left alone when a re-publish raises one.
+    oldest_seen: u64,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Full-table sweeps [`MessageCache::expire_seen`] ran on this thread.
+    static SWEEPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 impl MessageCache {
@@ -242,9 +259,10 @@ impl MessageCache {
         MessageCache {
             history_length,
             windows,
-            table: HashMap::new(),
+            table: HashMap::default(),
             seen: 0,
             own: 0,
+            oldest_seen: NOT_SEEN,
         }
     }
 
@@ -276,6 +294,7 @@ impl MessageCache {
             self.seen += 1;
         }
         entry.seen_at = now;
+        self.oldest_seen = self.oldest_seen.min(now);
         if own && !entry.own {
             entry.own = true;
             self.own += 1;
@@ -292,6 +311,7 @@ impl MessageCache {
         }
         entry.seen_at = now;
         self.seen += 1;
+        self.oldest_seen = self.oldest_seen.min(now);
         true
     }
 
@@ -341,9 +361,19 @@ impl MessageCache {
     /// Expires every seen entry first seen `ttl_ms` or more before `now`,
     /// and its own mark with it, then drops entries left neither seen
     /// nor cached.
+    ///
+    /// Returns at once while no seen entry can have reached the TTL (every
+    /// entry is seen or cached between calls, so there is nothing else to
+    /// drop); otherwise sweeps the table and re-derives the bound on the
+    /// oldest seen entry from the entries it keeps.
     pub fn expire_seen(&mut self, now: u64, ttl_ms: u64) {
-        let (mut seen, mut own) = (self.seen, self.own);
-        // lint:allow(map-iteration, reason = "order-independent: per-entry TTL prune; entries are judged in isolation")
+        if now.saturating_sub(self.oldest_seen) < ttl_ms {
+            return;
+        }
+        #[cfg(test)]
+        SWEEPS.with(|sweeps| sweeps.set(sweeps.get() + 1));
+        let (mut seen, mut own, mut oldest) = (self.seen, self.own, NOT_SEEN);
+        // lint:allow(map-iteration, reason = "order-independent: per-entry TTL prune; entries are judged in isolation and the bound is a min")
         self.table.retain(|_, e| {
             if e.is_seen() && now.saturating_sub(e.seen_at) >= ttl_ms {
                 e.seen_at = NOT_SEEN;
@@ -353,9 +383,10 @@ impl MessageCache {
                     own -= 1;
                 }
             }
+            oldest = oldest.min(e.seen_at);
             e.is_seen() || e.cached.is_some()
         });
-        (self.seen, self.own) = (seen, own);
+        (self.seen, self.own, self.oldest_seen) = (seen, own, oldest);
     }
 
     /// Number of cached messages.
@@ -554,12 +585,14 @@ mod tests {
         /// ids included, with and without jitter), first receipts, puts
         /// (after eviction included), shifts, seen expiries, IWANT gets
         /// and IHAVE id lists agree after every step, with seen TTLs
-        /// shorter and longer than the cache history.
+        /// shorter and longer than the cache history and clock steps of
+        /// exactly `ttl − 1` and `ttl` among the small ones (the edges of
+        /// the expiry bound).
         #[test]
         fn prop_message_table_matches_the_maps_it_replaced(
             history_length in 1usize..6,
             ttl in 0u64..12,
-            ops in proptest::collection::vec((any::<u8>(), any::<u8>(), 0u64..3), 1..200),
+            ops in proptest::collection::vec((any::<u8>(), any::<u8>(), 0u64..5), 1..200),
         ) {
             let pool: Vec<RawMessage> = ["a", "b"]
                 .iter()
@@ -569,7 +602,11 @@ mod tests {
             let mut oracle = Reference::new(history_length);
             let mut now = 0;
             for (kind, pick, step) in ops {
-                now += step;
+                now += match step {
+                    3 => ttl.saturating_sub(1),
+                    4 => ttl,
+                    small => small,
+                };
                 let msg = pool[usize::from(pick) % pool.len()].clone();
                 match kind % 6 {
                     0 => {
@@ -628,6 +665,51 @@ mod tests {
         c.expire_seen(39, 10);
         assert!(c.is_seen(&m.id()) && !c.is_own(&m.id()));
         assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn expiry_sweeps_only_once_an_entry_can_have_reached_the_ttl() {
+        const TTL: u64 = 10_000;
+        let mut c = MessageCache::new(3);
+        let (old_a, old_b, young) = (msg("t", b"a"), msg("t", b"b"), msg("t", b"y"));
+        assert!(c.first_seen(old_a.id(), 0));
+        c.publish(old_b.clone(), 0, true);
+        c.publish(young.clone(), 4_000, false);
+        let heartbeat = |c: &mut MessageCache, now: u64| {
+            c.shift();
+            c.expire_seen(now, TTL);
+        };
+        let start = SWEEPS.with(std::cell::Cell::get);
+        let sweeps = || SWEEPS.with(std::cell::Cell::get) - start;
+        // heartbeats before the oldest entry reaches the TTL do not sweep
+        for now in (1_000..TTL).step_by(1_000) {
+            heartbeat(&mut c, now);
+        }
+        assert_eq!((sweeps(), c.seen_len(), c.oldest_seen), (0, 3, 0));
+        // the first one after sweeps once and expires exactly the old ids
+        heartbeat(&mut c, TTL);
+        assert_eq!(sweeps(), 1);
+        assert!(!c.is_seen(&old_a.id()) && !c.is_seen(&old_b.id()));
+        assert!(c.is_seen(&young.id()) && !c.is_own(&old_b.id()));
+        assert_eq!((c.seen_len(), c.own_len(), c.table.len()), (1, 0, 1));
+        assert_eq!(c.oldest_seen, 4_000);
+        heartbeat(&mut c, 4_000 + TTL - 1);
+        assert_eq!(sweeps(), 1);
+        // re-publishing the oldest id raises its seen_at: the bound stays
+        // below it (safe, no longer tight), so the heartbeat the old time
+        // would have expired sweeps once, expires nothing and re-derives
+        c.publish(young.clone(), 6_000, false);
+        assert_eq!(c.oldest_seen, 4_000);
+        heartbeat(&mut c, 4_000 + TTL);
+        assert_eq!((sweeps(), c.seen_len(), c.oldest_seen), (2, 1, 6_000));
+        heartbeat(&mut c, 6_000 + TTL - 1);
+        assert_eq!(sweeps(), 2);
+        heartbeat(&mut c, 6_000 + TTL);
+        assert_eq!((sweeps(), c.seen_len(), c.oldest_seen), (3, 0, NOT_SEEN));
+        // with nothing seen, no heartbeat sweeps
+        heartbeat(&mut c, 100 * TTL);
+        assert_eq!(sweeps(), 3);
+        assert!(c.table.is_empty());
     }
 
     #[test]

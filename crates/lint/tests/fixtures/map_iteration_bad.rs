@@ -1,10 +1,14 @@
 // Fixture: HashMap/HashSet iteration in deterministic code must fire.
 // Tilde-comments mark the line each finding is expected on.
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasherDefault;
 
 pub struct State {
     peers: HashMap<u64, u32>,
     seen: HashSet<u64>,
+    // an explicit hasher leaves the order as unspecified as `RandomState`
+    digests: HashMap<[u8; 32], u32, BuildHasherDefault<DefaultHasher>>,
 }
 
 impl State {
@@ -34,5 +38,9 @@ impl State {
 
     pub fn flush(&mut self) -> Vec<u64> {
         self.seen.drain().collect() //~ map-iteration
+    }
+
+    pub fn digest_total(&self) -> u32 {
+        self.digests.values().sum() //~ map-iteration
     }
 }
