@@ -133,7 +133,7 @@ fn run_relay_baseline<V: Validator>(
         .filter(|id| reaches_majority(id, attacker))
         .count();
     let cpu_total: u64 = (0..n as u64)
-        .map(|i| net.metrics().node_counter(i, "cpu_micros"))
+        .map(|i| net.metrics().node_cpu_micros(i))
         .sum();
     let outcome = SchemeOutcome {
         scheme,

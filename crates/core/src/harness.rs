@@ -17,9 +17,9 @@ use std::collections::HashSet;
 use std::time::Instant;
 use wakurln_crypto::field::Fr;
 use wakurln_crypto::merkle::{zero_hashes, AppendDelta, UpdateDelta};
-use wakurln_ethsim::types::{Address, CallData, ChainEvent, Wei, ETHER};
+use wakurln_ethsim::types::{Address, CallData, ChainEvent};
 use wakurln_ethsim::{Chain, ChainConfig};
-use wakurln_gossipsub::{GossipsubConfig, MessageId, ScoringConfig};
+use wakurln_gossipsub::{GossipsubConfig, MessageId};
 use wakurln_netsim::{topology, Network, NodeId, QuiescenceOutcome, UniformLatency};
 use wakurln_rln::{Identity, SharedGroup};
 use wakurln_zksnark::{ProvingKey, RlnCircuit, SimSnark, VerifyingKey};
@@ -68,12 +68,11 @@ pub struct TestbedConfig {
     pub seed: u64,
     /// Link latency bounds in milliseconds.
     pub latency_ms: (u64, u64),
-    /// GossipSub parameters.
-    pub gossip: GossipsubConfig,
-    /// Peer-scoring parameters.
-    pub scoring: ScoringConfig,
-    /// Validation cost model (device profile).
-    pub cost: CostModel,
+    /// Publisher-side first-hop jitter bound, milliseconds (the
+    /// source-anonymity countermeasure,
+    /// [`GossipsubConfig::publish_jitter_ms`]); every other GossipSub and
+    /// peer-scoring parameter is the default.
+    pub publish_jitter_ms: u64,
     /// Batched validation pipeline knobs; `None` keeps the serial
     /// per-message validator (byte-identical to pre-pipeline behaviour).
     pub pipeline: Option<PipelineConfig>,
@@ -81,8 +80,6 @@ pub struct TestbedConfig {
     /// only because the out-of-workspace `benchmark/` package still sets
     /// it; goes once that package stops doing so.
     pub threads: usize,
-    /// Stake per member, wei.
-    pub stake: Wei,
 }
 
 impl Default for TestbedConfig {
@@ -94,12 +91,9 @@ impl Default for TestbedConfig {
             degree: 6,
             seed: 1,
             latency_ms: (10, 80),
-            gossip: GossipsubConfig::default(),
-            scoring: ScoringConfig::default(),
-            cost: CostModel::default(),
+            publish_jitter_ms: 0,
             pipeline: None,
             threads: 1,
-            stake: ETHER,
         }
     }
 }
@@ -149,7 +143,7 @@ impl Testbed {
         // below degree + 1 peers, "`degree` random peers" is everyone else
         let degree = config.degree.min(config.n_peers.saturating_sub(1));
         let adjacency = topology::random_regular(config.n_peers, degree, config.seed);
-        Testbed::build_custom(config, adjacency, |_| config.cost)
+        Testbed::build_custom(config, adjacency, |_| CostModel::default())
     }
 
     /// [`Testbed::build`] with full control over the bootstrap topology
@@ -185,7 +179,6 @@ impl Testbed {
                 config.seed,
             ),
             chain: Chain::new(ChainConfig {
-                stake_amount: config.stake,
                 tree_depth: config.tree_depth,
                 ..ChainConfig::default()
             }),
@@ -247,8 +240,10 @@ impl Testbed {
             validator,
             self.proving_key.clone(),
             self.config.tree_depth,
-            self.config.gossip,
-            self.config.scoring,
+            GossipsubConfig {
+                publish_jitter_ms: self.config.publish_jitter_ms,
+                ..GossipsubConfig::default()
+            },
         );
         node.set_identity(identity);
         let peer = self.net.add_node(node).0;
@@ -261,11 +256,12 @@ impl Testbed {
             format!("peer-{peer}")
         };
         let address = Address::from_label(&label);
-        self.chain.fund(address, 100 * self.config.stake);
+        let stake = self.chain.config().stake_amount;
+        self.chain.fund(address, 100 * stake);
         self.chain
             .submit(
                 address,
-                self.config.stake,
+                stake,
                 CallData::Register {
                     commitment: identity.commitment(),
                 },
@@ -282,11 +278,12 @@ impl Testbed {
     /// bootstrap), wires it to `bootstrap` existing peers, and submits its
     /// registration transaction. The registration lands with the next
     /// mined block and syncs to everyone through the normal event flow.
+    /// The newcomer validates under the default [`CostModel`].
     ///
     /// Returns the new peer's index.
     pub fn add_peer(&mut self, bootstrap: &[usize]) -> usize {
         let known = bootstrap.iter().map(|i| NodeId(*i)).collect();
-        let peer = self.spawn_peer(known, self.config.cost, true);
+        let peer = self.spawn_peer(known, CostModel::default(), true);
         // lint:allow(host-time, reason = "phase timing: wall-clock duration lands in phase_timings (bench diagnostics), not in the simulation")
         let sync_start = Instant::now();
         self.catch_up(peer);
@@ -640,6 +637,7 @@ impl Testbed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wakurln_ethsim::types::ETHER;
 
     fn small() -> Testbed {
         Testbed::build(TestbedConfig {

@@ -82,18 +82,19 @@ pub struct RlnRelayNode {
 
 impl RlnRelayNode {
     /// Creates a peer. `proving_key`/validator must come from the same
-    /// trusted setup across the network.
+    /// trusted setup across the network. Peer scoring runs at
+    /// [`ScoringConfig::default`].
     pub fn new(
         known_peers: Vec<NodeId>,
         validator: RlnValidator,
         proving_key: ProvingKey,
         tree_depth: usize,
         gossip: GossipsubConfig,
-        scoring: ScoringConfig,
     ) -> RlnRelayNode {
         let epoch_scheme = validator.epoch_scheme();
         let topic = Topic::new(DEFAULT_PUBSUB_TOPIC);
-        let mut gossipsub = GossipsubNode::new(gossip, scoring, known_peers, validator);
+        let mut gossipsub =
+            GossipsubNode::new(gossip, ScoringConfig::default(), known_peers, validator);
         gossipsub.subscribe(topic.clone());
         RlnRelayNode {
             gossipsub,
@@ -374,7 +375,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use wakurln_crypto::merkle::zero_hashes;
-    use wakurln_gossipsub::{GossipsubConfig, ScoringConfig};
+    use wakurln_gossipsub::GossipsubConfig;
     use wakurln_zksnark::{RlnCircuit, SimSnark};
 
     fn node(depth: usize) -> RlnRelayNode {
@@ -386,14 +387,7 @@ mod tests {
             zero_hashes()[depth],
             CostModel::default(),
         );
-        RlnRelayNode::new(
-            vec![],
-            validator,
-            pk,
-            depth,
-            GossipsubConfig::default(),
-            ScoringConfig::default(),
-        )
+        RlnRelayNode::new(vec![], validator, pk, depth, GossipsubConfig::default())
     }
 
     #[test]

@@ -40,14 +40,6 @@ pub const MODULUS: [u64; 4] = [
     0x30644e72e131a029,
 ];
 
-/// `(r - 1) / 2`, used by [`Fr::is_odd`]-style sign checks and sqrt.
-const MODULUS_MINUS_ONE_DIV_TWO: [u64; 4] = [
-    0xa1f0fac9f8000000,
-    0x9419f4243cdcb848,
-    0xdc2822db40c0ac2e,
-    0x183227397098d014,
-];
-
 /// `r - 2`, the exponent used for Fermat inversion.
 const MODULUS_MINUS_TWO: [u64; 4] = [
     0x43e1f593efffffff,
@@ -342,13 +334,6 @@ impl Fr {
             acc.add_product(a, b);
         }
         acc.finish()
-    }
-
-    /// Whether the canonical integer is in the "high" half of the field
-    /// (strictly greater than `(r-1)/2`). Useful for canonical sign checks.
-    pub fn is_high(&self) -> bool {
-        let repr = self.to_repr();
-        !const_geq(&MODULUS_MINUS_ONE_DIV_TWO, &repr)
     }
 }
 
@@ -878,8 +863,6 @@ mod tests {
     fn ordering_matches_integers() {
         assert!(Fr::from_u64(3) < Fr::from_u64(5));
         assert!(-Fr::ONE > Fr::from_u64(1_000_000)); // r-1 is huge
-        assert!((-Fr::ONE).is_high());
-        assert!(!Fr::ONE.is_high());
     }
 
     #[test]

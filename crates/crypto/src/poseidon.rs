@@ -586,13 +586,6 @@ pub fn hash2(a: Fr, b: Fr) -> Fr {
     state[0]
 }
 
-/// Hashes exactly three field elements (width-4 compression).
-pub fn hash3(a: Fr, b: Fr, c: Fr) -> Fr {
-    let mut state = [Fr::ZERO, a, b, c];
-    permute_fast::<4>(fast_params_cache(4), &mut state);
-    state[0]
-}
-
 /// Variable-length sponge hash with rate 2 (width 3), padded with the
 /// length to prevent extension ambiguity.
 ///
@@ -762,7 +755,7 @@ mod tests {
         let before = permutation_count();
         hash1(Fr::ONE);
         hash2(Fr::ONE, Fr::ZERO);
-        hash3(Fr::ONE, Fr::ZERO, Fr::ONE);
+        permute(&mut [Fr::ZERO, Fr::ONE, Fr::ZERO, Fr::ONE]);
         let mut state = [Fr::ZERO; 3];
         permute_with(params(3), &mut state);
         assert_eq!(permutation_count() - before, 4);

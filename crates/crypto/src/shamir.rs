@@ -60,14 +60,6 @@ pub fn recover_line_secret(s1: &Share, s2: &Share) -> Option<Fr> {
     Some((s1.y * s2.x - s2.y * s1.x) * inv)
 }
 
-/// Recovers the line's slope from two shares (useful for verifying a
-/// reconstructed identity: `slope == H(sk, ∅)` must hold).
-pub fn recover_line_slope(s1: &Share, s2: &Share) -> Option<Fr> {
-    let dx = s2.x - s1.x;
-    let inv = dx.inverse()?;
-    Some((s2.y - s1.y) * inv)
-}
-
 /// A polynomial over `Fr` in coefficient form, `coeffs[i]` being the
 /// coefficient of `x^i`. `coeffs[0]` is the shared secret.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -187,7 +179,6 @@ mod tests {
         let s1 = share_on_line(sk, a1, Fr::from_u64(3));
         let s2 = share_on_line(sk, a1, Fr::from_u64(4));
         assert_eq!(recover_line_secret(&s1, &s2), Some(sk));
-        assert_eq!(recover_line_slope(&s1, &s2), Some(a1));
     }
 
     #[test]
@@ -197,7 +188,6 @@ mod tests {
         let s1 = share_on_line(sk, a1, Fr::from_u64(3));
         let s2 = share_on_line(sk, a1, Fr::from_u64(3));
         assert_eq!(recover_line_secret(&s1, &s2), None);
-        assert_eq!(recover_line_slope(&s1, &s2), None);
     }
 
     #[test]
@@ -276,7 +266,6 @@ mod tests {
             let s1 = share_on_line(sk, a1, Fr::from_u64(x1));
             let s2 = share_on_line(sk, a1, Fr::from_u64(x1 + dx));
             prop_assert_eq!(recover_line_secret(&s1, &s2), Some(sk));
-            prop_assert_eq!(recover_line_slope(&s1, &s2), Some(a1));
         }
 
         #[test]

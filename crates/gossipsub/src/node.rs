@@ -792,9 +792,15 @@ impl<V: Validator> Node for GossipsubNode<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wakurln_netsim::{topology, ConstantLatency, Network, UniformLatency};
+    use wakurln_netsim::{topology, Network, UniformLatency};
 
     type Net = Network<GossipsubNode<AcceptAll>>;
+
+    /// A fixed 10 ms link delay.
+    const TEN_MS: UniformLatency = UniformLatency {
+        min_ms: 10,
+        max_ms: 10,
+    };
 
     fn build_network(n: usize, seed: u64) -> Net {
         let topic = Topic::new("test");
@@ -922,7 +928,7 @@ mod tests {
     fn rejected_messages_do_not_propagate_and_sink_scores() {
         let topic = Topic::new("test");
         let adjacency = topology::full_mesh(6);
-        let mut net: Network<GossipsubNode<RejectBad>> = Network::new(ConstantLatency(10), 5);
+        let mut net: Network<GossipsubNode<RejectBad>> = Network::new(TEN_MS, 5);
         for peers in adjacency {
             let mut node = GossipsubNode::new(
                 GossipsubConfig::default(),
@@ -1049,7 +1055,7 @@ mod tests {
     /// 1000–2000 ms), so per-heartbeat budgets are never reset.
     fn two_isolated_nodes(seed: u64) -> Net {
         let topic = Topic::new("test");
-        let mut net: Net = Network::new(ConstantLatency(10), seed);
+        let mut net: Net = Network::new(TEN_MS, seed);
         for _ in 0..2 {
             let mut node = GossipsubNode::new(
                 GossipsubConfig::default(),
@@ -1169,7 +1175,7 @@ mod tests {
     /// pins down); with it, B retries only after `prune_backoff_ms`.
     fn graft_pingpong_net(prune_backoff_ms: u64) -> Net {
         let topic = Topic::new("test");
-        let mut net: Net = Network::new(ConstantLatency(10), 27);
+        let mut net: Net = Network::new(TEN_MS, 27);
         let config = GossipsubConfig {
             prune_backoff_ms,
             ..Default::default()
@@ -1253,7 +1259,7 @@ mod tests {
     #[test]
     fn iwant_serving_of_own_messages_is_jittered_too() {
         let topic = Topic::new("test");
-        let mut net: Net = Network::new(ConstantLatency(10), 31);
+        let mut net: Net = Network::new(TEN_MS, 31);
         for _ in 0..2 {
             let mut node = GossipsubNode::new(
                 GossipsubConfig {
@@ -1355,7 +1361,7 @@ mod tests {
     fn publish_jitter_spreads_first_hop_arrivals_without_losing_delivery() {
         let topic = Topic::new("test");
         let adjacency = topology::full_mesh(8);
-        let mut net: Net = Network::new(ConstantLatency(10), 9);
+        let mut net: Net = Network::new(TEN_MS, 9);
         for peers in adjacency {
             let mut node = GossipsubNode::new(
                 GossipsubConfig {

@@ -172,6 +172,11 @@ impl Payload for Rpc {
 /// Makes room for one more element, growing a full vector to exactly
 /// twice its length (1 → 2 → 4 …) rather than std's first jump to four
 /// slots: most per-peer vectors hold one or two entries.
+///
+/// `wakurln-model` keeps an identical copy in `nullifier_map.rs`: no
+/// crate that both it and this crate depend on owns `Vec` helpers, and
+/// one line of Cargo edge per helper is not worth it before the crate
+/// graph is collapsed.
 pub(crate) fn reserve_doubling<T>(v: &mut Vec<T>) {
     if v.len() == v.capacity() {
         v.reserve_exact(v.len().max(1));

@@ -71,7 +71,7 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
 /// - non-`.rs` files, anything under `target/` or a `fixtures/` dir: skipped;
 /// - `crates/compat/**`: skipped (vendored third-party API surface — its
 ///   panics replicate the upstream crates by design);
-/// - `crates/bench/**`, any `src/bin/**`, `benches/**`, `examples/**`,
+/// - any `src/bin/**`, `benches/**`, `examples/**`,
 ///   top-level `tests/**` and per-crate `tests/**`: host-side
 ///   (`unsafe-audit` only — test and measurement code may use wall
 ///   clocks, ambient RNG, and `unwrap` freely);
@@ -98,9 +98,6 @@ pub fn classify(rel: &str) -> FileClass {
         .iter()
         .any(|p| *p == "tests" || *p == "benches" || *p == "examples" || *p == "bin")
     {
-        return FileClass::HOST_SIDE;
-    }
-    if rel.starts_with("crates/bench/") {
         return FileClass::HOST_SIDE;
     }
     if rel.starts_with("crates/lint/") {
@@ -178,9 +175,8 @@ mod tests {
             FileClass::DETERMINISTIC_LIBRARY
         );
         assert_eq!(classify("src/lib.rs"), FileClass::DETERMINISTIC_LIBRARY);
-        assert_eq!(classify("crates/bench/src/cli.rs"), FileClass::HOST_SIDE);
         assert_eq!(
-            classify("crates/bench/src/bin/simctl.rs"),
+            classify("crates/scenarios/src/bin/simctl.rs"),
             FileClass::HOST_SIDE
         );
         assert_eq!(

@@ -230,6 +230,12 @@ fn parse_one_marker(rest: &str) -> Result<(String, String), String> {
 /// Byte ranges of items annotated with a `test`-bearing attribute
 /// (`#[test]`, `#[cfg(test)] mod …`). Attributes containing `not` are
 /// ignored so `#[cfg(not(test))]` code stays checked.
+///
+/// An item region ends at its `;` or at the `}` closing its first
+/// top-level `{…}`. A field — a struct field, struct-literal field, enum
+/// variant or match arm, i.e. anything not led by an item keyword — also
+/// ends at its own top-level `,` or before the `}` / `)` / `]` that
+/// encloses it, so the code after a test-only field stays checked.
 fn test_regions(src: &str, code: &[Token]) -> Vec<(usize, usize)> {
     let mut regions = Vec::new();
     let mut i = 0usize;
@@ -257,7 +263,7 @@ fn test_regions(src: &str, code: &[Token]) -> Vec<(usize, usize)> {
             i = attr_end + 1;
             continue;
         }
-        // Skip any further attributes, then the item header up to `{` or `;`.
+        // Skip any further attributes, then scan the attributed item.
         let mut j = attr_end + 1;
         while is_punct(src, code, j, "#") && is_punct(src, code, j + 1, "[") {
             match matching_close(src, code, j + 1, "[", "]") {
@@ -265,25 +271,53 @@ fn test_regions(src: &str, code: &[Token]) -> Vec<(usize, usize)> {
                 None => return regions,
             }
         }
+        let field = is_field_start(src, code, j);
+        let mut depth = 0usize;
         let mut k = j;
-        while k < code.len() {
-            let t = code[k].text(src);
-            if t == ";" {
-                regions.push((code[i].start, code[k].end));
-                break;
-            }
-            if t == "{" {
-                match matching_close(src, code, k, "{", "}") {
-                    Some(e) => regions.push((code[i].start, code[e].end)),
-                    None => regions.push((code[i].start, src.len())),
+        while let Some(t) = code.get(k) {
+            let punct = t.kind == TokenKind::Punct;
+            let p = if punct { t.text(src) } else { "" };
+            match p {
+                "{" if depth == 0 => {
+                    let close = matching_close(src, code, k, "{", "}");
+                    regions.push((code[i].start, close.map_or(src.len(), |e| code[e].end)));
+                    break;
                 }
-                break;
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" if depth == 0 => {
+                    // the enclosing delimiter: the field ends before it
+                    regions.push((code[i].start, code[k - 1].end));
+                    k -= 1;
+                    break;
+                }
+                ")" | "]" | "}" => depth -= 1,
+                ";" | "," if depth == 0 && (field || p == ";") => {
+                    regions.push((code[i].start, code[k].end));
+                    break;
+                }
+                _ => {}
             }
             k += 1;
         }
         i = k + 1;
     }
     regions
+}
+
+/// Keywords that open an item or a statement rather than a field.
+const ITEM_KEYWORDS: &str =
+    "fn impl mod struct enum union trait type use const static extern unsafe async macro_rules let";
+
+/// Whether `code[j]` starts a field rather than an item or statement:
+/// after an optional `pub` / `pub(…)`, no item keyword leads it.
+fn is_field_start(src: &str, code: &[Token], mut j: usize) -> bool {
+    if is_ident(src, code, j, "pub") {
+        j += 1;
+        if is_punct(src, code, j, "(") {
+            j = matching_close(src, code, j, "(", ")").map_or(j, |e| e + 1);
+        }
+    }
+    !ident_at(src, code, j).is_some_and(|w| ITEM_KEYWORDS.split(' ').any(|k| k == w))
 }
 
 // ---------------------------------------------------------------------------

@@ -71,6 +71,13 @@ fn map_iteration_fires_and_suppresses() {
     check_allowed("map_iteration_allowed.rs");
 }
 
+/// A `#[cfg(test)]` field hides only itself: the impl and function
+/// after it are still checked.
+#[test]
+fn cfg_test_field_ends_at_its_comma() {
+    check_bad("cfg_test_field_bad.rs");
+}
+
 #[test]
 fn host_time_fires_and_suppresses() {
     check_bad("host_time_bad.rs");

@@ -54,6 +54,11 @@ fn cmp_phi(stored: &[u8; 32], probe: &[u8; 32]) -> Ordering {
 /// Makes room for one more element, growing a full vector to exactly
 /// twice its length (1 → 2 → 4 …) rather than std's first jump to four
 /// slots: an epoch of a small network holds one or two entries.
+///
+/// `wakurln-gossipsub` keeps an identical copy in `types.rs`: no crate
+/// that both it and this crate depend on owns `Vec` helpers, and one
+/// line of Cargo edge per helper is not worth it before the crate graph
+/// is collapsed.
 fn reserve_doubling<T>(v: &mut Vec<T>) {
     if v.len() == v.capacity() {
         v.reserve_exact(v.len().max(1));

@@ -16,10 +16,10 @@
 //!   node drawing from its own seed-derived RNG stream,
 //! * [`bytes`] — `Arc`-backed shared payload bytes (clone-free gossip
 //!   forwarding with `O(1)` wire-size accounting),
-//! * [`latency`] — link latency and loss models (and the network-delay
-//!   bound `D` that sizes the protocol's epoch threshold `Thr = D/T`),
+//! * [`latency`] — the uniform one-way link delay every send samples
+//!   (loss and degradation live on [`sim::Network`]),
 //! * [`topology`] — bootstrap peer-set generators,
-//! * [`metrics`] — counters, per-node accounting, latency series.
+//! * [`metrics`] — global counters and per-node CPU and wire-byte rows.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -33,7 +33,7 @@ pub mod topology;
 mod wheel;
 
 pub use bytes::Bytes;
-pub use latency::{ConstantLatency, InternetLatency, LatencyModel, UniformLatency};
+pub use latency::UniformLatency;
 pub use metrics::Metrics;
 pub use scheduler::stream_seed;
 pub use sim::{Context, Network, Node, NodeId, Payload, QuiescenceOutcome};

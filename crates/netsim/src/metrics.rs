@@ -7,23 +7,25 @@ use std::collections::BTreeMap;
 /// Protocols write into this through
 /// [`Context`](crate::sim::Context) helpers; experiment harnesses read the
 /// totals after [`Network::run_until`](crate::sim::Network::run_until).
-/// Per-node keys are explicit `u64` (not `usize`): report fields derived
-/// from them are wire-stable across 32- and 64-bit platforms.
+/// Per-node accounting is keyed by explicit `u64` node ids (not `usize`):
+/// report fields derived from it are wire-stable across 32- and 64-bit
+/// platforms.
 ///
-/// Writing allocates nothing once a key has been seen: keys are
-/// `&'static str` (every caller passes a literal) and are stored as such,
-/// so the several updates replayed per simulated event are a map lookup
-/// and an add. Per-node counters are one dense row per key, indexed by
-/// node id, which grows to the highest id written; nodes never written
-/// read 0. Names are compared only by content, so the read API takes any
-/// `&str`.
+/// Writing allocates nothing once a key has been seen: global counter
+/// keys are `&'static str` (every caller passes a literal) and are stored
+/// as such, so the several updates replayed per simulated event are a map
+/// lookup and an add. Names are compared only by content, so the read API
+/// takes any `&str`.
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
+    /// Global counters by name.
     counters: BTreeMap<&'static str, u64>,
-    /// One dense row per key: `per_node[key][node]`.
-    per_node: BTreeMap<&'static str, Vec<u64>>,
-    /// Bytes put on the wire by each node. Kept out of `per_node` because
-    /// it is bumped on every send — a bare `Vec` skips the key lookup.
+    /// Simulated CPU microseconds charged to each node
+    /// ([`Context::charge_cpu`](crate::sim::Context::charge_cpu)), indexed
+    /// by node id; grows to the highest id charged.
+    cpu_micros_per_node: Vec<u64>,
+    /// Bytes put on the wire by each node, indexed by node id; grows to
+    /// the highest id that sent (bumped on every simulated send).
     bytes_sent_per_node: Vec<u64>,
 }
 
@@ -34,6 +36,11 @@ fn add_at(row: &mut Vec<u64>, node: u64, n: u64) {
         row.resize(node + 1, 0);
     }
     row[node] += n;
+}
+
+/// `row[node]`, or 0 past the end of the row.
+fn read_at(row: &[u64], node: u64) -> u64 {
+    row.get(node as usize).copied().unwrap_or(0)
 }
 
 impl Metrics {
@@ -47,9 +54,9 @@ impl Metrics {
         *self.counters.entry(key).or_default() += n;
     }
 
-    /// Adds `n` to a per-node counter.
-    pub fn count_node(&mut self, node: u64, key: &'static str, n: u64) {
-        add_at(self.per_node.entry(key).or_default(), node, n);
+    /// Charges `micros` of simulated CPU time to `node`.
+    pub fn add_node_cpu_micros(&mut self, node: u64, micros: u64) {
+        add_at(&mut self.cpu_micros_per_node, node, micros);
     }
 
     /// Adds `n` bytes to `node`'s wire-output tally (hot path: called on
@@ -58,26 +65,20 @@ impl Metrics {
         add_at(&mut self.bytes_sent_per_node, node, n);
     }
 
+    /// Simulated CPU microseconds charged to `node` so far (0 when it was
+    /// never charged).
+    pub fn node_cpu_micros(&self, node: u64) -> u64 {
+        read_at(&self.cpu_micros_per_node, node)
+    }
+
     /// Bytes `node` put on the wire so far (0 when it never sent).
     pub fn node_bytes_sent(&self, node: u64) -> u64 {
-        self.bytes_sent_per_node
-            .get(node as usize)
-            .copied()
-            .unwrap_or(0)
+        read_at(&self.bytes_sent_per_node, node)
     }
 
     /// Reads a global counter (0 when absent).
     pub fn counter(&self, key: &str) -> u64 {
         self.counters.get(key).copied().unwrap_or(0)
-    }
-
-    /// Reads a per-node counter (0 when absent).
-    pub fn node_counter(&self, node: u64, key: &str) -> u64 {
-        self.per_node
-            .get(key)
-            .and_then(|row| row.get(node as usize))
-            .copied()
-            .unwrap_or(0)
     }
 }
 
@@ -97,29 +98,31 @@ mod tests {
     #[test]
     fn per_node_counters_are_separate() {
         let mut m = Metrics::new();
-        m.count_node(0, "cpu", 10);
-        m.count_node(1, "cpu", 20);
-        assert_eq!(m.node_counter(0, "cpu"), 10);
-        assert_eq!(m.node_counter(1, "cpu"), 20);
+        m.add_node_cpu_micros(0, 10);
+        m.add_node_cpu_micros(1, 20);
+        m.add_node_bytes_sent(1, 7);
+        assert_eq!(m.node_cpu_micros(0), 10);
+        assert_eq!(m.node_cpu_micros(1), 20);
+        // the CPU and byte rows are independent
+        assert_eq!(m.node_bytes_sent(0), 0);
+        assert_eq!(m.node_bytes_sent(1), 7);
     }
 
     #[test]
     fn sparse_node_id_grows_the_row_and_unseen_nodes_read_zero() {
         let mut m = Metrics::new();
-        m.count_node(7, "cpu", 5);
-        assert_eq!(m.node_counter(7, "cpu"), 5);
+        m.add_node_cpu_micros(7, 5);
+        assert_eq!(m.node_cpu_micros(7), 5);
         for unseen in [0, 6, 8, 1_000_000] {
-            assert_eq!(m.node_counter(unseen, "cpu"), 0);
+            assert_eq!(m.node_cpu_micros(unseen), 0);
         }
         // a lower id later lands in the same row; a higher one extends it
-        m.count_node(2, "cpu", 1);
-        m.count_node(40, "cpu", 3);
-        m.count_node(7, "cpu", 5);
-        assert_eq!(m.node_counter(7, "cpu"), 10);
-        assert_eq!(m.node_counter(2, "cpu"), 1);
-        assert_eq!(m.node_counter(40, "cpu"), 3);
-        // rows are per key: another key's row is untouched
-        assert_eq!(m.node_counter(7, "other"), 0);
+        m.add_node_cpu_micros(2, 1);
+        m.add_node_cpu_micros(40, 3);
+        m.add_node_cpu_micros(7, 5);
+        assert_eq!(m.node_cpu_micros(7), 10);
+        assert_eq!(m.node_cpu_micros(2), 1);
+        assert_eq!(m.node_cpu_micros(40), 3);
     }
 
     #[test]
@@ -127,20 +130,16 @@ mod tests {
         let mut m = Metrics::new();
         m.count("zeta", 1);
         m.count("mid", 1);
-        m.count_node(3, "mid", 2);
         for _ in 0..100 {
             m.count("zeta", 1);
         }
         // first written long after the others, and built at run time: the
         // read API matches names by content, not by address
         m.count("alpha", 9);
-        m.count_node(0, "alpha", 4);
         let late = String::from("al") + "pha";
         assert_eq!(m.counter(&late), 9);
-        assert_eq!(m.node_counter(0, &late), 4);
         assert_eq!(m.counter("zeta"), 101);
         assert_eq!(m.counter("mid"), 1);
-        assert_eq!(m.node_counter(3, "mid"), 2);
     }
 
     #[test]

@@ -262,7 +262,7 @@ mod tests {
             .map(|i| net.node(NodeId(i)).received.clone())
             .collect();
         let got: u64 = (0..n as u64)
-            .map(|i| net.metrics().node_counter(i, "cpu_micros"))
+            .map(|i| net.metrics().node_cpu_micros(i))
             .sum();
         let metrics = net.metrics();
         (
@@ -315,7 +315,13 @@ mod tests {
             }
             fn on_timer(&mut self, _: &mut Context<Vec<u8>>, _: u64) {}
         }
-        let mut net: Network<Relay> = Network::new(crate::latency::ConstantLatency(0), 5);
+        let mut net: Network<Relay> = Network::new(
+            UniformLatency {
+                min_ms: 0,
+                max_ms: 0,
+            },
+            5,
+        );
         for i in 0..5 {
             let next = (i + 1 < 5).then(|| NodeId(i + 1));
             net.add_node(Relay { next, got_at: None });

@@ -8,7 +8,7 @@
 //! from its own seed-derived stream, and every emitted effect is applied
 //! before the next event runs.
 
-use crate::latency::LatencyModel;
+use crate::latency::UniformLatency;
 use crate::metrics::Metrics;
 use crate::scheduler::{stream_seed, NodeStore, LINK_STREAM};
 use crate::wheel::EventWheel;
@@ -127,13 +127,14 @@ pub(crate) enum Effect<M> {
 /// nothing beyond the op list itself.
 pub(crate) enum MetricOp {
     Count(&'static str, u64),
-    CountNode(u64, &'static str, u64),
+    /// `(node, micros)`: simulated CPU charged to one node.
+    CpuMicros(u64, u64),
 }
 
 pub(crate) fn apply_metric_op(metrics: &mut Metrics, op: MetricOp) {
     match op {
         MetricOp::Count(key, n) => metrics.count(key, n),
-        MetricOp::CountNode(node, key, n) => metrics.count_node(node, key, n),
+        MetricOp::CpuMicros(node, micros) => metrics.add_node_cpu_micros(node, micros),
     }
 }
 
@@ -230,11 +231,8 @@ impl<M: Payload> Context<M> {
     /// Charges simulated CPU time (microseconds) to this node — the
     /// resource-restricted-device accounting used by E6/E9.
     pub fn charge_cpu(&mut self, micros: u64) {
-        self.ops.push(MetricOp::CountNode(
-            self.node.as_u64(),
-            "cpu_micros",
-            micros,
-        ));
+        self.ops
+            .push(MetricOp::CpuMicros(self.node.as_u64(), micros));
     }
 }
 
@@ -282,7 +280,7 @@ impl QuiescenceOutcome {
 /// # Examples
 ///
 /// ```
-/// use wakurln_netsim::{latency::ConstantLatency, sim::{Context, Network, Node, NodeId}};
+/// use wakurln_netsim::{latency::UniformLatency, sim::{Context, Network, Node, NodeId}};
 ///
 /// struct Echo;
 /// impl Node for Echo {
@@ -299,12 +297,18 @@ impl QuiescenceOutcome {
 ///     fn on_timer(&mut self, _: &mut Context<Vec<u8>>, _: u64) {}
 /// }
 ///
-/// let mut net = Network::new(ConstantLatency(10), 42);
+/// let mut net = Network::new(UniformLatency { min_ms: 10, max_ms: 10 }, 42);
 /// net.add_node(Echo);
 /// net.add_node(Echo);
 /// net.run_until(100);
 /// assert_eq!(net.metrics().counter("pong"), 1);
 /// ```
+///
+/// `Clone` deep-copies the whole simulation — nodes, queue, RNG streams,
+/// metrics — producing an independent network that replays
+/// byte-identically from that instant (the soak harness's
+/// checkpoint/restore primitive).
+#[derive(Clone)]
 pub struct Network<N: Node> {
     /// Per-node state (protocol machine + private RNG stream + liveness
     /// flag).
@@ -313,7 +317,7 @@ pub struct Network<N: Node> {
     /// slab-allocated events (see [`crate::wheel`]), pop-order-identical
     /// to the `BinaryHeap` it replaced.
     pub(crate) queue: EventWheel<N::Message>,
-    pub(crate) latency: Box<dyn LatencyModel>,
+    pub(crate) latency: UniformLatency,
     pub(crate) loss_probability: f64,
     /// Partition-group assignment by node index; empty = no partition.
     /// Sends between different groups are dropped *before* any link-stream
@@ -339,38 +343,13 @@ pub struct Network<N: Node> {
     pub(crate) dispatched: u64,
 }
 
-impl<N: Node + Clone> Clone for Network<N> {
-    /// Deep-copies the whole simulation — nodes, queue, RNG streams,
-    /// metrics — producing an independent network that replays
-    /// byte-identically from this instant (the soak harness's
-    /// checkpoint/restore primitive).
-    fn clone(&self) -> Network<N> {
-        Network {
-            nodes: self.nodes.clone(),
-            queue: self.queue.clone(),
-            latency: self.latency.clone(),
-            loss_probability: self.loss_probability,
-            partition: self.partition.clone(),
-            degraded_extra_loss: self.degraded_extra_loss,
-            degraded_extra_latency_ms: self.degraded_extra_latency_ms,
-            link_rng: self.link_rng.clone(),
-            seed: self.seed,
-            now: self.now,
-            seq: self.seq,
-            started: self.started,
-            metrics: self.metrics.clone(),
-            dispatched: self.dispatched,
-        }
-    }
-}
-
 impl<N: Node> Network<N> {
-    /// Creates a network with the given latency model and RNG seed.
-    pub fn new<L: LatencyModel + 'static>(latency: L, seed: u64) -> Network<N> {
+    /// Creates a network with the given link latency and RNG seed.
+    pub fn new(latency: UniformLatency, seed: u64) -> Network<N> {
         Network {
             nodes: NodeStore::new(),
             queue: EventWheel::new(),
-            latency: Box::new(latency),
+            latency,
             loss_probability: 0.0,
             partition: Vec::new(),
             degraded_extra_loss: 0.0,
@@ -406,11 +385,6 @@ impl<N: Node> Network<N> {
         self.partition.clear();
     }
 
-    /// Whether a partition is currently installed.
-    pub fn partition_active(&self) -> bool {
-        !self.partition.is_empty()
-    }
-
     /// Starts a link-degradation burst: every send suffers `extra_loss`
     /// additional i.i.d. loss (drawn after the base loss model, counted
     /// as `messages_lost_degraded`) and `extra_latency_ms` extra delay.
@@ -427,12 +401,6 @@ impl<N: Node> Network<N> {
     pub fn clear_degradation(&mut self) {
         self.degraded_extra_loss = 0.0;
         self.degraded_extra_latency_ms = 0;
-    }
-
-    /// Upper bound on link delay, exposed for protocol parameterization
-    /// (`Thr = D / T`).
-    pub fn max_delay_ms(&self) -> u64 {
-        self.latency.max_delay_ms()
     }
 
     /// Adds a node, returning its id. The node receives its own RNG
@@ -682,8 +650,8 @@ impl<N: Node> Network<N> {
                         self.metrics.count("messages_lost_degraded", 1);
                         continue;
                     }
-                    let latency = self.latency.sample(&mut self.link_rng, origin, to)
-                        + self.degraded_extra_latency_ms;
+                    let latency =
+                        self.latency.sample(&mut self.link_rng) + self.degraded_extra_latency_ms;
                     let ev = QueuedEvent {
                         at: self.now + hold_ms + latency,
                         seq: self.next_seq(),
@@ -709,7 +677,7 @@ impl<N: Node> Network<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::latency::{ConstantLatency, UniformLatency};
+    use crate::latency::UniformLatency;
 
     /// Counts everything it receives; optionally rebroadcasts once.
     struct Flood {
@@ -734,7 +702,13 @@ mod tests {
     }
 
     fn ring(n: usize) -> Network<Flood> {
-        let mut net = Network::new(ConstantLatency(10), 1);
+        let mut net = Network::new(
+            UniformLatency {
+                min_ms: 10,
+                max_ms: 10,
+            },
+            1,
+        );
         for i in 0..n {
             net.add_node(Flood {
                 neighbors: vec![NodeId((i + 1) % n), NodeId((i + n - 1) % n)],
@@ -825,7 +799,13 @@ mod tests {
                 self.fired.push(token);
             }
         }
-        let mut net = Network::new(ConstantLatency(1), 1);
+        let mut net = Network::new(
+            UniformLatency {
+                min_ms: 1,
+                max_ms: 1,
+            },
+            1,
+        );
         let id = net.add_node(TimerNode { fired: vec![] });
         net.run_until(100);
         assert_eq!(net.node(id).fired, vec![1, 2, 3]);
@@ -886,7 +866,13 @@ mod tests {
                 ctx.set_timer(10, 0); // periodic: would leak forever if not dropped
             }
         }
-        let mut net = Network::new(ConstantLatency(5), 1);
+        let mut net = Network::new(
+            UniformLatency {
+                min_ms: 5,
+                max_ms: 5,
+            },
+            1,
+        );
         let a = net.add_node(Beacon {
             heartbeats: 0,
             received: 0,
@@ -968,7 +954,13 @@ mod tests {
             fn on_message(&mut self, _: &mut Context<Vec<u8>>, _: NodeId, _: Vec<u8>) {}
             fn on_timer(&mut self, _: &mut Context<Vec<u8>>, _: u64) {}
         }
-        let mut net: Network<Beacon> = Network::new(ConstantLatency(5), 1);
+        let mut net: Network<Beacon> = Network::new(
+            UniformLatency {
+                min_ms: 5,
+                max_ms: 5,
+            },
+            1,
+        );
         let a = net.add_node(Beacon { starts: 0 });
         net.run_until(50);
         assert_eq!(net.node(a).starts, 1);
@@ -982,7 +974,6 @@ mod tests {
     fn partition_cuts_cross_group_traffic_only() {
         let mut net = ring(4);
         net.set_partition(vec![0, 0, 1, 1]);
-        assert!(net.partition_active());
         // same side: delivered
         net.invoke(NodeId(0), |node, ctx| {
             node.seen = true;

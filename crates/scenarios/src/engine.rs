@@ -24,7 +24,7 @@ use std::collections::HashMap;
 // lint:allow(host-time, reason = "wall-clock progress/elapsed reporting only; the simulation reads ctx.now() exclusively")
 use std::time::Instant;
 use waku_rln_relay::{CostModel, Testbed, TestbedConfig};
-use wakurln_gossipsub::MessageId;
+use wakurln_gossipsub::{GossipsubConfig, MessageId};
 use wakurln_netsim::{topology, NodeId, QuiescenceOutcome};
 
 /// A newly joined peer needs its registration mined, synced, and a mesh
@@ -215,7 +215,7 @@ impl ScenarioRun {
             LatencySpec::Constant { ms } => (ms, ms),
             LatencySpec::Uniform { min_ms, max_ms } => (min_ms, max_ms),
         };
-        let mut config = TestbedConfig {
+        let config = TestbedConfig {
             n_peers: n_initial,
             tree_depth: spec.effective_tree_depth(),
             epoch: spec.epoch,
@@ -225,23 +225,23 @@ impl ScenarioRun {
             },
             seed: spec.seed,
             latency_ms: (latency_min, latency_max),
+            // the source-anonymity countermeasure: publishers hold first-hop
+            // copies back for per-target jitter drawn from their own RNG stream
+            publish_jitter_ms: spec.publish_jitter_ms,
             pipeline: spec.pipeline,
             ..TestbedConfig::default()
         };
-        // the source-anonymity countermeasure: publishers hold first-hop
-        // copies back for per-target jitter drawn from their own RNG stream
-        config.gossip.publish_jitter_ms = spec.publish_jitter_ms;
 
         // time-to-remesh after restarts/heals (see RemeshProbe for why the
         // floor is connectivity, not mesh_n_low)
         let remesh = RemeshProbe {
             since: None,
             recorded: None,
-            mesh_floor: config.gossip.mesh_n_low.min(2),
+            mesh_floor: GossipsubConfig::default().mesh_n_low.min(2),
         };
 
         let adjacency = build_adjacency(spec, honest + spammers, attackers);
-        let costs = assign_costs(&spec.devices, honest, n_initial, config.cost);
+        let costs = assign_costs(&spec.devices, honest, n_initial);
         let mut tb = Testbed::build_custom(config, adjacency, |i| costs[i]);
         if spec.loss > 0.0 {
             tb.net.set_loss_probability(spec.loss);
@@ -645,7 +645,7 @@ impl ScenarioRun {
             let b = tb.net.metrics().node_bytes_sent(i as u64);
             bytes_max = bytes_max.max(b);
             bytes_sum += b;
-            let c = tb.net.metrics().node_counter(i as u64, "cpu_micros");
+            let c = tb.net.metrics().node_cpu_micros(i as u64);
             cpu_max = cpu_max.max(c);
             cpu_sum += c;
         }
@@ -863,12 +863,8 @@ fn build_adjacency(spec: &ScenarioSpec, n_hs: usize, attackers: usize) -> Vec<Ve
 
 /// Device classes assigned weighted round-robin over the honest
 /// population; spammers and attackers run the default profile.
-fn assign_costs(
-    devices: &[DeviceClassSpec],
-    honest: usize,
-    n_total: usize,
-    default: CostModel,
-) -> Vec<CostModel> {
+fn assign_costs(devices: &[DeviceClassSpec], honest: usize, n_total: usize) -> Vec<CostModel> {
+    let default = CostModel::default();
     let mut costs = vec![default; n_total];
     if devices.is_empty() {
         return costs;
@@ -964,6 +960,23 @@ mod tests {
         for adj in &adjacency[10..] {
             assert!(adj.contains(&NodeId(0)));
         }
+    }
+
+    /// `publish_jitter_ms` travels spec → `TestbedConfig` → every peer's
+    /// `GossipsubConfig`: publishers that hold first-hop copies back for
+    /// up to 200 ms produce a different report with a slower median.
+    #[test]
+    fn publish_jitter_reaches_the_peers() {
+        let plain = run_scenario(&tiny(7));
+        let mut spec = tiny(7);
+        spec.publish_jitter_ms = 200;
+        let jittered = run_scenario(&spec);
+        assert_ne!(plain.to_json(), jittered.to_json());
+        let (p50, jittered_p50) = (plain.propagation_p50_ms, jittered.propagation_p50_ms);
+        assert!(
+            jittered_p50 > p50,
+            "p50 {p50:?} ms at jitter 0, {jittered_p50:?} ms at 200 ms"
+        );
     }
 
     #[test]
@@ -1169,7 +1182,7 @@ mod tests {
             },
         ];
         let default = CostModel::default();
-        let costs = assign_costs(&devices, 8, 10, default);
+        let costs = assign_costs(&devices, 8, 10);
         let phones = costs[..8]
             .iter()
             .filter(|c| c.verify_proof_micros == 30_000)

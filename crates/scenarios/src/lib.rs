@@ -29,7 +29,7 @@
 //! ([`BUILTIN_NAMES`]), including the source-anonymity adversary
 //! scenarios (`passive_surveillance`, `deanonymization_sweep`) whose
 //! colluding observer taps feed the [`attribution`] estimators; the
-//! `simctl` binary (in `wakurln-bench`) runs them from the command
+//! `simctl` binary (`src/bin/simctl.rs`) runs them from the command
 //! line, including parameter sweeps over network size, seed and
 //! adversary fraction. See `docs/SCENARIOS.md` for the full schema
 //! reference.
