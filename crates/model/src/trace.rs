@@ -408,8 +408,7 @@ pub fn parse_trace(text: &str) -> Result<(TraceParams, Vec<TraceStep>), String> 
             continue;
         }
         let mut words = line.split_whitespace();
-        // lint:allow(panic-path, reason = "guarded: blank lines are skipped above, so a first token exists")
-        let key = words.next().expect("non-empty line has a first word");
+        let Some(key) = words.next() else { continue };
         let mut next_u64 = |name: &str| -> Result<u64, String> {
             words
                 .next()

@@ -1,7 +1,7 @@
 //! Local (off-chain) view of the RLN membership group.
 
 use crate::identity::Identity;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use wakurln_crypto::field::Fr;
 use wakurln_crypto::merkle::{
     AppendDelta, FullMerkleTree, MerkleError, MerkleProof, UpdateDelta, EMPTY_LEAF,
@@ -166,27 +166,21 @@ impl RlnGroup {
     }
 
     fn check_batch(&self, commitments: &[Fr]) -> Result<(), GroupError> {
-        let mut batch_keys = Vec::with_capacity(commitments.len());
+        let mut seen = HashSet::with_capacity(commitments.len());
+        let mut first_repeat = None;
         for commitment in commitments {
             let key = commitment.to_bytes_le();
             if self.index_of.contains_key(&key) {
                 return Err(GroupError::AlreadyRegistered(*commitment));
             }
-            batch_keys.push(key);
+            if !seen.insert(key) && first_repeat.is_none() {
+                first_repeat = Some(*commitment);
+            }
         }
-        batch_keys.sort_unstable();
-        // lint:allow(panic-path, reason = "windows(2) yields exactly-two-element slices")
-        if batch_keys.windows(2).any(|w| w[0] == w[1]) {
-            let dup = commitments
-                .iter()
-                .enumerate()
-                .find(|(i, c)| commitments[..*i].contains(c))
-                .map(|(_, c)| *c)
-                // lint:allow(panic-path, reason = "guarded: the windows(2) scan above proved a duplicate exists")
-                .expect("duplicate exists");
-            return Err(GroupError::AlreadyRegistered(dup));
+        match first_repeat {
+            Some(dup) => Err(GroupError::AlreadyRegistered(dup)),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// [`RlnGroup::remove`], additionally capturing the [`UpdateDelta`]
