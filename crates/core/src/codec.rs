@@ -137,16 +137,16 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use wakurln_rln::{create_signal, Identity, RlnGroup};
+    use wakurln_rln::{create_signal, Identity, SharedGroup};
     use wakurln_zksnark::{RlnCircuit, SimSnark};
 
     fn sample_signal(epoch: u64, msg: &[u8]) -> Signal {
         let mut rng = StdRng::seed_from_u64(31);
         let depth = 10;
         let (pk, _) = SimSnark::setup(RlnCircuit::new(depth), &mut rng);
-        let mut group = RlnGroup::new(depth).unwrap();
+        let mut group = SharedGroup::new(depth).unwrap();
         let id = Identity::random(&mut rng);
-        let index = group.register(id.commitment()).unwrap();
+        let index = group.register_batch(&[id.commitment()]).unwrap().0.start;
         create_signal(
             &id,
             &group.membership_proof(index).unwrap(),

@@ -441,15 +441,15 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         use wakurln_crypto::field::Fr;
-        use wakurln_rln::{create_signal, Identity, RlnGroup};
+        use wakurln_rln::{create_signal, Identity, SharedGroup};
         use wakurln_zksnark::{RlnCircuit, SimSnark};
 
         let mut rng = StdRng::seed_from_u64(51);
         let depth = 10;
         let (pk, _) = SimSnark::setup(RlnCircuit::new(depth), &mut rng);
-        let mut group = RlnGroup::new(depth).unwrap();
+        let mut group = SharedGroup::new(depth).unwrap();
         let id = Identity::random(&mut rng);
-        let index = group.register(id.commitment()).unwrap();
+        let index = group.register_batch(&[id.commitment()]).unwrap().0.start;
         let signal = create_signal(
             &id,
             &group.membership_proof(index).unwrap(),

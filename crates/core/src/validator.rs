@@ -301,12 +301,12 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use wakurln_crypto::poseidon;
-    use wakurln_rln::{create_signal, Identity, RlnGroup};
+    use wakurln_rln::{create_signal, Identity, SharedGroup};
     use wakurln_zksnark::{ProvingKey, RlnCircuit, SimSnark};
 
     struct Fixture {
         validator: RlnValidator,
-        group: RlnGroup,
+        group: SharedGroup,
         id: Identity,
         index: u64,
         pk: ProvingKey,
@@ -318,9 +318,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(41);
         let depth = 10;
         let (pk, vk) = SimSnark::setup(RlnCircuit::new(depth), &mut rng);
-        let mut group = RlnGroup::new(depth).unwrap();
+        let mut group = SharedGroup::new(depth).unwrap();
         let id = Identity::random(&mut rng);
-        let index = group.register(id.commitment()).unwrap();
+        let index = group.register_batch(&[id.commitment()]).unwrap().0.start;
         let scheme = EpochScheme::new(10, 20_000); // Thr = 2
         let validator = RlnValidator::new(vk, scheme, group.root(), CostModel::default());
         Fixture {
@@ -536,7 +536,7 @@ mod tests {
         let wire = wire_at(&mut f, 1000, b"pre-change");
         // a new member registers; root advances
         let newcomer = Identity::from_secret(Fr::from_u64(777));
-        f.group.register(newcomer.commitment()).unwrap();
+        f.group.register_batch(&[newcomer.commitment()]).unwrap();
         f.validator.push_root(f.group.root());
         // the proof against the *old* root still validates (window)
         assert_eq!(

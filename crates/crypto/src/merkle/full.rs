@@ -1,6 +1,6 @@
 //! Fully materialized Merkle tree.
 
-use super::{node_hash, validate_depth, zero_hashes, MerkleError, MerkleProof, EMPTY_LEAF};
+use super::{node_hash, validate_depth, zero_hashes, MerkleError, MerkleProof};
 use crate::field::Fr;
 
 /// A fixed-depth Merkle tree with every node materialized.
@@ -177,15 +177,6 @@ impl FullMerkleTree {
         Ok(start)
     }
 
-    /// Clears the leaf at `index` back to the empty value (member deletion).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MerkleError::IndexOutOfRange`] for indices beyond capacity.
-    pub fn remove(&mut self, index: u64) -> Result<(), MerkleError> {
-        self.set(index, EMPTY_LEAF)
-    }
-
     /// Produces the authentication path for `index`.
     ///
     /// # Errors
@@ -234,7 +225,7 @@ impl FullMerkleTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::merkle::zero_hashes;
+    use crate::merkle::{zero_hashes, EMPTY_LEAF};
 
     #[test]
     fn set_and_get_roundtrip() {
@@ -250,7 +241,7 @@ mod tests {
         let empty_root = t.root();
         t.set(3, Fr::from_u64(9)).unwrap();
         assert_ne!(t.root(), empty_root);
-        t.remove(3).unwrap();
+        t.set(3, EMPTY_LEAF).unwrap();
         assert_eq!(t.root(), empty_root);
     }
 

@@ -4,8 +4,8 @@
 //! assembled from the crypto and zkSNARK substrates:
 //!
 //! * [`identity`] — member secrets and identity commitments,
-//! * [`group`] — the off-chain membership view and the deltas it
-//!   broadcasts to light members,
+//! * [`shared`] — the canonical off-chain membership group, shared
+//!   copy-on-write, and the deltas it broadcasts to light members,
 //! * [`signal`] — signal creation (`(m, ∅, φ, [sk], π)`) and verification,
 //! * [`slashing`] — double-signal analysis and secret reconstruction.
 //!
@@ -15,7 +15,7 @@
 //! # Example: one membership proof, one message, one epoch
 //!
 //! ```
-//! use wakurln_rln::{Identity, RlnGroup, create_signal, verify_signal, SignalValidity};
+//! use wakurln_rln::{Identity, SharedGroup, create_signal, verify_signal, SignalValidity};
 //! use wakurln_zksnark::{RlnCircuit, SimSnark};
 //! use wakurln_crypto::field::Fr;
 //! use rand::SeedableRng;
@@ -24,9 +24,10 @@
 //! let depth = 16;
 //! let (pk, vk) = SimSnark::setup(RlnCircuit::new(depth), &mut rng);
 //!
-//! let mut group = RlnGroup::new(depth)?;
+//! let mut group = SharedGroup::new(depth)?;
 //! let id = Identity::random(&mut rng);
-//! let index = group.register(id.commitment())?;
+//! let (members, _delta) = group.register_batch(&[id.commitment()])?;
+//! let index = members.start;
 //!
 //! let signal = create_signal(
 //!     &id,
@@ -45,15 +46,13 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod group;
 pub mod identity;
 pub mod shared;
 pub mod signal;
 pub mod slashing;
 
-pub use group::{GroupError, RlnGroup};
 pub use identity::Identity;
-pub use shared::SharedGroup;
+pub use shared::{GroupError, SharedGroup};
 pub use signal::{create_signal, verify_signal, Signal, SignalValidity};
 pub use slashing::{
     analyze_double_signal, analyze_share_pair, build_evidence, reconstruction_count,

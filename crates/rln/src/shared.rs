@@ -1,8 +1,9 @@
-//! Shared copy-on-write handle over the canonical membership group.
+//! The canonical membership group, shared copy-on-write.
 //!
-//! A simulation hosts **one** canonical group tree, no matter how many
-//! relays run in it: each registration burst is hashed exactly once at
-//! the canonical [`RlnGroup`], yielding the broadcast
+//! Per §III the on-chain contract stores only the *ordered list* of
+//! commitments; a simulation replays registration and deletion events into
+//! **one** canonical tree, no matter how many relays run in it. Each
+//! registration burst is hashed exactly once here, yielding the broadcast
 //! [`AppendDelta`] / [`UpdateDelta`] that per-node
 //! [`MemberView`](wakurln_crypto::merkle::MemberView)s apply with pure
 //! lookups. That replaces per-node tree replay (`n` members × `O(n)`
@@ -11,21 +12,66 @@
 //!
 //! [`SharedGroup`] is the handle: [`Clone`] is an `Arc` bump — an `O(1)`
 //! immutable snapshot (what soak checkpoints and harness clones take) —
-//! while mutation goes through `Arc::make_mut`, copying the tree only
-//! when a snapshot is actually outstanding.
+//! while a write goes through `Arc::make_mut`, copying the tree only when
+//! a snapshot is actually outstanding and the write is valid.
 
-use crate::group::{GroupError, RlnGroup};
+use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::Arc;
 use wakurln_crypto::field::Fr;
-use wakurln_crypto::merkle::{AppendDelta, MerkleProof, UpdateDelta};
+use wakurln_crypto::merkle::{
+    AppendDelta, FullMerkleTree, MerkleError, MerkleProof, UpdateDelta, EMPTY_LEAF,
+};
+
+/// Errors from group bookkeeping.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum GroupError {
+    /// Underlying tree error.
+    Merkle(MerkleError),
+    /// The commitment is already registered.
+    AlreadyRegistered(Fr),
+    /// No member at the given index.
+    NoSuchMember(u64),
+}
+
+impl std::fmt::Display for GroupError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GroupError::Merkle(e) => write!(f, "merkle error: {e}"),
+            GroupError::AlreadyRegistered(pk) => write!(f, "commitment {pk} already registered"),
+            GroupError::NoSuchMember(i) => write!(f, "no member at index {i}"),
+        }
+    }
+}
+
+impl std::error::Error for GroupError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            GroupError::Merkle(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<MerkleError> for GroupError {
+    fn from(e: MerkleError) -> GroupError {
+        GroupError::Merkle(e)
+    }
+}
+
+/// The complete tree plus the commitment→index map: what one
+/// [`SharedGroup`] snapshot holds.
+#[derive(Clone, Debug)]
+struct Members {
+    tree: FullMerkleTree,
+    index_of: HashMap<[u8; 32], u64>,
+}
 
 /// Copy-on-write handle to the one canonical membership tree of a
-/// simulation.
-///
-/// Reads delegate to the shared [`RlnGroup`]; mutators capture the
-/// delta that light members replay. Cloning snapshots the group in
-/// `O(1)`; the first mutation after a snapshot pays one tree copy.
+/// simulation: a full-node view (every leaf, so it proves any member)
+/// whose writes capture the delta light members replay. Cloning
+/// snapshots the group in `O(1)`; the first valid write after a snapshot
+/// pays one tree copy.
 ///
 /// # Examples
 ///
@@ -43,76 +89,62 @@ use wakurln_crypto::merkle::{AppendDelta, MerkleProof, UpdateDelta};
 /// assert_eq!(range, 0..4);
 /// assert_eq!(delta.leaves(), &commitments[..]);
 /// assert_eq!(snapshot.member_count(), 0); // unaffected
+/// let proof = group.membership_proof(2)?;
+/// assert!(proof.verify(group.root(), commitments[2]));
 /// # Ok::<(), wakurln_rln::GroupError>(())
 /// ```
 #[derive(Clone, Debug)]
 pub struct SharedGroup {
-    inner: Arc<RlnGroup>,
+    inner: Arc<Members>,
 }
 
 impl SharedGroup {
-    /// Creates an empty shared group over a tree of the given depth.
+    /// Creates an empty group over a tree of the given depth.
     ///
     /// # Errors
     ///
-    /// Propagates [`wakurln_crypto::merkle::MerkleError::UnsupportedDepth`].
+    /// Propagates [`MerkleError::UnsupportedDepth`].
     pub fn new(depth: usize) -> Result<SharedGroup, GroupError> {
         Ok(SharedGroup {
-            inner: Arc::new(RlnGroup::new(depth)?),
+            inner: Arc::new(Members {
+                tree: FullMerkleTree::new(depth)?,
+                index_of: HashMap::new(),
+            }),
         })
-    }
-
-    /// Tree depth.
-    pub fn depth(&self) -> usize {
-        self.inner.depth()
     }
 
     /// Current membership root.
     pub fn root(&self) -> Fr {
-        self.inner.root()
+        self.inner.tree.root()
     }
 
     /// Number of registered (non-deleted) members.
     pub fn member_count(&self) -> usize {
-        self.inner.member_count()
+        self.inner.index_of.len()
     }
 
     /// Index of a commitment, if registered.
     pub fn index_of(&self, commitment: Fr) -> Option<u64> {
-        self.inner.index_of(commitment)
+        self.inner.index_of.get(&commitment.to_bytes_le()).copied()
     }
 
     /// Whether a commitment is currently registered.
     pub fn contains(&self, commitment: Fr) -> bool {
-        self.inner.contains(commitment)
+        self.inner.index_of.contains_key(&commitment.to_bytes_le())
     }
 
-    /// Authentication path for the member at `index` (slashing evidence).
+    /// Index the next registration will be assigned.
+    pub fn next_index(&self) -> u64 {
+        self.inner.tree.next_index()
+    }
+
+    /// Authentication path for the member at `index`.
     ///
     /// # Errors
     ///
     /// [`GroupError::Merkle`] for out-of-range indices.
     pub fn membership_proof(&self, index: u64) -> Result<MerkleProof, GroupError> {
-        self.inner.membership_proof(index)
-    }
-
-    /// The leaf value at `index`.
-    ///
-    /// # Errors
-    ///
-    /// [`GroupError::Merkle`] for out-of-range indices.
-    pub fn leaf(&self, index: u64) -> Result<Fr, GroupError> {
-        self.inner.leaf(index)
-    }
-
-    /// Index the next registration will be assigned.
-    pub fn next_index(&self) -> u64 {
-        self.inner.tree().next_index()
-    }
-
-    /// Read access to the canonical group (storage accounting etc.).
-    pub fn group(&self) -> &RlnGroup {
-        &self.inner
+        Ok(self.inner.tree.proof(index)?)
     }
 
     /// Whether two handles share the same underlying allocation (i.e.
@@ -121,28 +153,73 @@ impl SharedGroup {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
-    /// Registers a burst of commitments once at the canonical tree,
-    /// returning the assigned index range and the broadcast
-    /// [`AppendDelta`]. Atomic: errors leave the group untouched.
+    /// Registers a burst of commitments in one `O(n + depth)` tree
+    /// update, returning the assigned index range and the broadcast
+    /// [`AppendDelta`].
+    ///
+    /// The whole batch is validated before anything is written (or
+    /// copied): duplicates (against the group *or* within the batch) and
+    /// over-capacity batches leave the group untouched.
     ///
     /// # Errors
     ///
-    /// As [`RlnGroup::register_batch`].
+    /// * [`GroupError::AlreadyRegistered`] for the first duplicate found —
+    ///   mirroring the contract, which rejects double registration.
+    /// * [`GroupError::Merkle`] when the batch exceeds capacity.
     pub fn register_batch(
         &mut self,
         commitments: &[Fr],
     ) -> Result<(Range<u64>, AppendDelta), GroupError> {
-        Arc::make_mut(&mut self.inner).register_batch_with_delta(commitments)
+        self.check_batch(commitments)?;
+        let members = Arc::make_mut(&mut self.inner);
+        let delta = members.tree.append_batch_with_delta(commitments)?;
+        let start = delta.start;
+        for (offset, commitment) in commitments.iter().enumerate() {
+            members
+                .index_of
+                .insert(commitment.to_bytes_le(), start + offset as u64);
+        }
+        Ok((start..start + commitments.len() as u64, delta))
     }
 
-    /// Removes the member at `index` (slashing), returning the removed
-    /// commitment and the broadcast [`UpdateDelta`].
+    fn check_batch(&self, commitments: &[Fr]) -> Result<(), GroupError> {
+        let mut seen = HashSet::with_capacity(commitments.len());
+        let mut first_repeat = None;
+        for commitment in commitments {
+            let key = commitment.to_bytes_le();
+            if self.inner.index_of.contains_key(&key) {
+                return Err(GroupError::AlreadyRegistered(*commitment));
+            }
+            if !seen.insert(key) && first_repeat.is_none() {
+                first_repeat = Some(*commitment);
+            }
+        }
+        if let Some(dup) = first_repeat {
+            return Err(GroupError::AlreadyRegistered(dup));
+        }
+        let tree = &self.inner.tree;
+        if commitments.len() as u64 > tree.capacity() - tree.next_index() {
+            return Err(MerkleError::TreeFull.into());
+        }
+        Ok(())
+    }
+
+    /// Removes the member at `index` (slashing), zeroing its leaf, and
+    /// returns the removed commitment and the broadcast [`UpdateDelta`].
     ///
     /// # Errors
     ///
-    /// As [`RlnGroup::remove`].
+    /// * [`GroupError::NoSuchMember`] if the slot is empty.
+    /// * [`GroupError::Merkle`] for out-of-range indices.
     pub fn remove(&mut self, index: u64) -> Result<(Fr, UpdateDelta), GroupError> {
-        Arc::make_mut(&mut self.inner).remove_with_delta(index)
+        let leaf = self.inner.tree.leaf(index)?;
+        if leaf == EMPTY_LEAF {
+            return Err(GroupError::NoSuchMember(index));
+        }
+        let members = Arc::make_mut(&mut self.inner);
+        let delta = members.tree.set_with_delta(index, EMPTY_LEAF)?;
+        members.index_of.remove(&leaf.to_bytes_le());
+        Ok((leaf, delta))
     }
 }
 
@@ -159,6 +236,78 @@ mod tests {
         (0..n)
             .map(|_| Identity::random(&mut rng).commitment())
             .collect()
+    }
+
+    #[test]
+    fn register_and_prove() {
+        let mut g = SharedGroup::new(8).unwrap();
+        let id = Identity::from_secret(Fr::from_u64(9));
+        let (range, _) = g.register_batch(&[id.commitment()]).unwrap();
+        assert_eq!(range, 0..1);
+        assert!(g.contains(id.commitment()));
+        assert_eq!(g.index_of(id.commitment()), Some(0));
+        let proof = g.membership_proof(range.start).unwrap();
+        assert!(proof.verify(g.root(), id.commitment()));
+    }
+
+    #[test]
+    fn register_batch_matches_sequential_and_is_atomic() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let ids: Vec<Identity> = (0..17).map(|_| Identity::random(&mut rng)).collect();
+        let commitments: Vec<Fr> = ids.iter().map(Identity::commitment).collect();
+
+        let mut sequential = SharedGroup::new(8).unwrap();
+        for c in &commitments {
+            sequential.register_batch(&[*c]).unwrap();
+        }
+        let mut batched = SharedGroup::new(8).unwrap();
+        let (range, _) = batched.register_batch(&commitments).unwrap();
+        assert_eq!(range, 0..17);
+        assert_eq!(batched.root(), sequential.root());
+        assert_eq!(batched.member_count(), 17);
+        for (i, c) in commitments.iter().enumerate() {
+            assert_eq!(batched.index_of(*c), Some(i as u64));
+        }
+
+        // a batch containing an already-registered commitment is rejected
+        // without mutating the group
+        let root_before = batched.root();
+        let fresh = Identity::random(&mut rng).commitment();
+        let err = batched
+            .register_batch(&[fresh, commitments[0]])
+            .unwrap_err();
+        assert!(matches!(err, GroupError::AlreadyRegistered(_)));
+        assert_eq!(batched.root(), root_before);
+        assert!(!batched.contains(fresh));
+
+        // as is a batch with an internal duplicate
+        let twin = Identity::random(&mut rng).commitment();
+        let err = batched.register_batch(&[twin, twin]).unwrap_err();
+        assert_eq!(err, GroupError::AlreadyRegistered(twin));
+        assert!(!batched.contains(twin));
+    }
+
+    #[test]
+    fn duplicate_registration_rejected() {
+        let mut g = SharedGroup::new(8).unwrap();
+        let id = Identity::from_secret(Fr::from_u64(9));
+        g.register_batch(&[id.commitment()]).unwrap();
+        assert!(matches!(
+            g.register_batch(&[id.commitment()]),
+            Err(GroupError::AlreadyRegistered(_))
+        ));
+    }
+
+    #[test]
+    fn double_remove_fails() {
+        let mut g = SharedGroup::new(8).unwrap();
+        let id = Identity::from_secret(Fr::from_u64(9));
+        let (range, _) = g.register_batch(&[id.commitment()]).unwrap();
+        g.remove(range.start).unwrap();
+        assert_eq!(
+            g.remove(range.start).unwrap_err(),
+            GroupError::NoSuchMember(range.start)
+        );
     }
 
     #[test]
@@ -224,7 +373,9 @@ mod tests {
         let snapshot = g.clone();
         let err = g.register_batch(&[cs[1]]).unwrap_err();
         assert!(matches!(err, GroupError::AlreadyRegistered(_)));
+        assert_eq!(g.remove(7).unwrap_err(), GroupError::NoSuchMember(7));
         assert_eq!(g.root(), snapshot.root());
         assert_eq!(g.member_count(), 3);
+        assert!(g.ptr_eq(&snapshot), "a rejected write must not copy");
     }
 }

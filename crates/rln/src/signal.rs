@@ -129,12 +129,12 @@ pub fn verify_signal(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::group::RlnGroup;
+    use crate::shared::SharedGroup;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     struct Fixture {
-        group: RlnGroup,
+        group: SharedGroup,
         id: Identity,
         index: u64,
         pk: ProvingKey,
@@ -146,12 +146,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let depth = 10;
         let (pk, vk) = SimSnark::setup(RlnCircuit::new(depth), &mut rng);
-        let mut group = RlnGroup::new(depth).unwrap();
+        let mut group = SharedGroup::new(depth).unwrap();
         let id = Identity::random(&mut rng);
         group
-            .register(Identity::random(&mut rng).commitment())
+            .register_batch(&[Identity::random(&mut rng).commitment()])
             .unwrap();
-        let index = group.register(id.commitment()).unwrap();
+        let index = group.register_batch(&[id.commitment()]).unwrap().0.start;
         Fixture {
             group,
             id,
@@ -225,7 +225,7 @@ mod tests {
         let sig = make_signal(&mut f, 1, b"hello");
         // group moves on: new member registers
         let newcomer = Identity::random(&mut f.rng);
-        f.group.register(newcomer.commitment()).unwrap();
+        f.group.register_batch(&[newcomer.commitment()]).unwrap();
         assert_eq!(
             verify_signal(&f.vk, f.group.root(), &sig),
             SignalValidity::InvalidProof

@@ -182,7 +182,7 @@ pub fn build_evidence(sk: Fr, reference: &Signal) -> Option<SlashingEvidence> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::group::RlnGroup;
+    use crate::shared::SharedGroup;
     use crate::signal::create_signal;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -193,9 +193,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(17);
         let depth = 10;
         let (pk, _vk) = SimSnark::setup(RlnCircuit::new(depth), &mut rng);
-        let mut group = RlnGroup::new(depth).unwrap();
+        let mut group = SharedGroup::new(depth).unwrap();
         let id = Identity::random(&mut rng);
-        let index = group.register(id.commitment()).unwrap();
+        let index = group.register_batch(&[id.commitment()]).unwrap().0.start;
         let proof = group.membership_proof(index).unwrap();
         let epoch = Fr::from_u64(55);
         let s1 =
@@ -399,9 +399,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(19);
         let depth = 10;
         let (pk, _vk) = SimSnark::setup(RlnCircuit::new(depth), &mut rng);
-        let mut group = RlnGroup::new(depth).unwrap();
+        let mut group = SharedGroup::new(depth).unwrap();
         let id = Identity::random(&mut rng);
-        let index = group.register(id.commitment()).unwrap();
+        let index = group.register_batch(&[id.commitment()]).unwrap().0.start;
         let proof = group.membership_proof(index).unwrap();
         let s1 = create_signal(
             &id,
@@ -433,9 +433,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(23);
         let depth = 10;
         let (pk, _vk) = SimSnark::setup(RlnCircuit::new(depth), &mut rng);
-        let mut group = RlnGroup::new(depth).unwrap();
+        let mut group = SharedGroup::new(depth).unwrap();
         let id = Identity::random(&mut rng);
-        let index = group.register(id.commitment()).unwrap();
+        let index = group.register_batch(&[id.commitment()]).unwrap().0.start;
         let proof = group.membership_proof(index).unwrap();
         let s1 = create_signal(
             &id,

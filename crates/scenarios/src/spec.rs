@@ -441,12 +441,9 @@ impl ScenarioSpec {
             + self.eclipse.map(|e| e.attackers).unwrap_or(0)
     }
 
-    /// The tree depth actually used: explicit, or auto-sized to hold the
-    /// initial population plus scheduled joins with headroom.
-    pub fn effective_tree_depth(&self) -> usize {
-        if self.tree_depth != 0 {
-            return self.tree_depth;
-        }
+    /// Peers that register over the whole run: the initial population
+    /// plus every scheduled join. The membership tree must hold them all.
+    fn registered_peers(&self) -> usize {
         let joins: usize = self
             .churn
             .iter()
@@ -455,7 +452,16 @@ impl ScenarioSpec {
                 ChurnAction::Crash { .. } => 0,
             })
             .sum();
-        let capacity_needed = (self.initial_peers() + joins) * 2;
+        self.initial_peers() + joins
+    }
+
+    /// The tree depth actually used: explicit, or auto-sized to hold the
+    /// initial population plus scheduled joins with headroom.
+    pub fn effective_tree_depth(&self) -> usize {
+        if self.tree_depth != 0 {
+            return self.tree_depth;
+        }
+        let capacity_needed = self.registered_peers() * 2;
         let mut depth = 10;
         while (1usize << depth) < capacity_needed {
             depth += 1;
@@ -491,7 +497,8 @@ impl ScenarioSpec {
     /// # Panics
     ///
     /// Panics on an impossible spec (no peers, unsorted churn, loss out
-    /// of range, zero slice, eclipse without enough honest peers).
+    /// of range, zero slice, eclipse without enough honest peers, a tree
+    /// too shallow for the initial peers plus scheduled joins).
     pub fn validate(&self) {
         assert!(self.honest >= 2, "need at least two honest peers");
         assert!((0.0..=1.0).contains(&self.loss), "loss out of range");
@@ -530,10 +537,10 @@ impl ScenarioSpec {
             );
         }
         let depth = self.effective_tree_depth();
+        let registered = self.registered_peers();
         assert!(
-            (1usize << depth) >= self.initial_peers(),
-            "tree depth {depth} cannot hold {} peers",
-            self.initial_peers()
+            (1usize << depth) >= registered,
+            "tree depth {depth} cannot hold {registered} peers (initial plus scheduled joins)"
         );
     }
 }
@@ -561,6 +568,20 @@ mod tests {
             action: ChurnAction::Join { peers: 600 },
         });
         assert!((1 << with_joins.effective_tree_depth()) >= 2200);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot hold")]
+    fn joins_beyond_tree_capacity_rejected() {
+        // 12 initial peers fit a depth-4 tree (16 leaves); 8 joins do not
+        let mut spec = ScenarioSpec::baseline(12, 3);
+        spec.tree_depth = 4;
+        spec.churn.push(ChurnEvent {
+            at_ms: 12_000,
+            action: ChurnAction::Join { peers: 8 },
+        });
+        spec.drain_ms = 60_000;
+        spec.validate();
     }
 
     #[test]

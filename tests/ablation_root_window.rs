@@ -20,11 +20,11 @@ use waku_rln::core::{
 };
 use waku_rln::crypto::field::Fr;
 use waku_rln::gossipsub::ValidationResult;
-use waku_rln::rln::{create_signal, Identity, RlnGroup};
+use waku_rln::rln::{create_signal, Identity, SharedGroup};
 use waku_rln::zksnark::{ProvingKey, RlnCircuit, SimSnark, VerifyingKey};
 
 struct Churn {
-    group: RlnGroup,
+    group: SharedGroup,
     id: Identity,
     pk: ProvingKey,
     vk: VerifyingKey,
@@ -36,9 +36,9 @@ fn setup() -> Churn {
     let mut rng = StdRng::seed_from_u64(101);
     let depth = 10;
     let (pk, vk) = SimSnark::setup(RlnCircuit::new(depth), &mut rng);
-    let mut group = RlnGroup::new(depth).unwrap();
+    let mut group = SharedGroup::new(depth).unwrap();
     let id = Identity::random(&mut rng);
-    group.register(id.commitment()).unwrap();
+    group.register_batch(&[id.commitment()]).unwrap();
     Churn {
         group,
         id,
@@ -66,7 +66,7 @@ fn in_flight_message(c: &mut Churn, epoch_ms: u64, churn_registrations: usize) -
     .unwrap();
     for _ in 0..churn_registrations {
         let newcomer = Identity::random(&mut c.rng);
-        c.group.register(newcomer.commitment()).unwrap();
+        c.group.register_batch(&[newcomer.commitment()]).unwrap();
     }
     decode_signal(&encode_signal(epoch, &signal)).unwrap()
 }

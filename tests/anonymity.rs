@@ -8,11 +8,11 @@ use rand::SeedableRng;
 use waku_rln::core::{decode_signal, encode_signal};
 use waku_rln::crypto::field::Fr;
 use waku_rln::crypto::shamir;
-use waku_rln::rln::{create_signal, Identity, RlnGroup, Signal};
+use waku_rln::rln::{create_signal, Identity, SharedGroup, Signal};
 use waku_rln::zksnark::{ProvingKey, RlnCircuit, SimSnark};
 
 struct World {
-    group: RlnGroup,
+    group: SharedGroup,
     ids: Vec<Identity>,
     pk: ProvingKey,
     rng: StdRng,
@@ -22,11 +22,11 @@ fn world(members: usize) -> World {
     let mut rng = StdRng::seed_from_u64(55);
     let depth = 10;
     let (pk, _vk) = SimSnark::setup(RlnCircuit::new(depth), &mut rng);
-    let mut group = RlnGroup::new(depth).unwrap();
+    let mut group = SharedGroup::new(depth).unwrap();
     let ids: Vec<Identity> = (0..members)
         .map(|_| {
             let id = Identity::random(&mut rng);
-            group.register(id.commitment()).unwrap();
+            group.register_batch(&[id.commitment()]).unwrap();
             id
         })
         .collect();

@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use waku_rln::crypto::field::Fr;
 use waku_rln::crypto::merkle::{zero_hashes, FullMerkleTree, MemberView, EMPTY_LEAF};
-use waku_rln::rln::{create_signal, verify_signal, Identity, RlnGroup, SignalValidity};
+use waku_rln::rln::{create_signal, verify_signal, Identity, SharedGroup, SignalValidity};
 use waku_rln::zksnark::{RlnCircuit, SimSnark};
 
 #[test]
@@ -59,9 +59,9 @@ fn proof_against_stale_root_rejected_after_sync() {
     let depth = 10;
     let mut rng = StdRng::seed_from_u64(3);
     let (pk, vk) = SimSnark::setup(RlnCircuit::new(depth), &mut rng);
-    let mut group = RlnGroup::new(depth).unwrap();
+    let mut group = SharedGroup::new(depth).unwrap();
     let id = Identity::random(&mut rng);
-    let index = group.register(id.commitment()).unwrap();
+    let index = group.register_batch(&[id.commitment()]).unwrap().0.start;
 
     let stale_root = group.root();
     let stale_proof = group.membership_proof(index).unwrap();
@@ -69,7 +69,7 @@ fn proof_against_stale_root_rejected_after_sync() {
     // group evolves past the router's root window
     for _ in 0..3 {
         group
-            .register(Identity::random(&mut rng).commitment())
+            .register_batch(&[Identity::random(&mut rng).commitment()])
             .unwrap();
     }
 
@@ -100,7 +100,7 @@ fn empty_group_roots_match_across_representations() {
     for depth in [4usize, 10, 20] {
         let full = FullMerkleTree::new(depth).unwrap();
         let view = MemberView::new(depth).unwrap();
-        let group = RlnGroup::new(depth).unwrap();
+        let group = SharedGroup::new(depth).unwrap();
         assert_eq!(full.root(), zero_hashes()[depth]);
         assert_eq!(view.root(), full.root());
         assert_eq!(group.root(), full.root());
@@ -110,15 +110,15 @@ fn empty_group_roots_match_across_representations() {
 #[test]
 fn slashed_member_cannot_rejoin_with_same_commitment_history() {
     let depth = 8;
-    let mut group = RlnGroup::new(depth).unwrap();
+    let mut group = SharedGroup::new(depth).unwrap();
     let id = Identity::from_secret(Fr::from_u64(1234));
-    group.register(id.commitment()).unwrap();
-    group.remove_by_secret(id.secret()).unwrap();
+    let index = group.register_batch(&[id.commitment()]).unwrap().0.start;
+    group.remove(index).unwrap();
     // the contract-level registry would accept a re-registration with a
     // *new stake*; the local group view does too, at a fresh index —
     // economic deterrence, not a permanent ban (matches the paper: Sybil
     // resistance comes from the stake, not identity blacklists)
-    let new_index = group.register(id.commitment()).unwrap();
+    let new_index = group.register_batch(&[id.commitment()]).unwrap().0.start;
     assert_eq!(new_index, 1);
     assert_eq!(group.member_count(), 1);
 }

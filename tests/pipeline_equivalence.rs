@@ -24,7 +24,7 @@ use waku_rln::core::{
 use waku_rln::crypto::field::Fr;
 use waku_rln::gossipsub::{SubmitOutcome, Topic, ValidationResult, Validator};
 use waku_rln::relay::WakuMessage;
-use waku_rln::rln::{create_signal, Identity, RlnGroup};
+use waku_rln::rln::{create_signal, Identity, SharedGroup};
 use waku_rln::zksnark::{ProvingKey, RlnCircuit, SimSnark, VerifyingKey};
 
 const DEPTH: usize = 10;
@@ -36,7 +36,7 @@ fn scheme() -> EpochScheme {
 /// Shared fixture: a group of members with proving material, plus a pool
 /// of helpers to mint (possibly tampered) wire signals.
 struct Fixture {
-    group: RlnGroup,
+    group: SharedGroup,
     members: Vec<(Identity, u64)>,
     pk: ProvingKey,
     vk: VerifyingKey,
@@ -47,11 +47,11 @@ impl Fixture {
     fn new(members: usize, seed: u64) -> Fixture {
         let mut rng = StdRng::seed_from_u64(seed);
         let (pk, vk) = SimSnark::setup(RlnCircuit::new(DEPTH), &mut rng);
-        let mut group = RlnGroup::new(DEPTH).unwrap();
+        let mut group = SharedGroup::new(DEPTH).unwrap();
         let members = (0..members)
             .map(|_| {
                 let id = Identity::random(&mut rng);
-                let index = group.register(id.commitment()).unwrap();
+                let index = group.register_batch(&[id.commitment()]).unwrap().0.start;
                 (id, index)
             })
             .collect();
