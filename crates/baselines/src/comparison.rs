@@ -182,13 +182,12 @@ pub struct PowScenario {
 
 impl Default for PowScenario {
     fn default() -> PowScenario {
+        let [_, phone, _, gpu_rig] = pow::DEVICES;
         PowScenario {
             scenario: Scenario::default(),
             difficulty_bits: 22,
-            // lint:allow(panic-path, reason = "pow::DEVICES is a fixed static table; index 3 (gpu-rig) exists by construction")
-            attacker_device: pow::DEVICES[3], // gpu-rig
-            // lint:allow(panic-path, reason = "pow::DEVICES is a fixed static table; index 1 (phone) exists by construction")
-            honest_device: pow::DEVICES[1], // phone
+            attacker_device: gpu_rig,
+            honest_device: phone,
             epoch_secs: 10,
         }
     }

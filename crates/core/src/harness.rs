@@ -156,7 +156,8 @@ impl Testbed {
     ///
     /// # Panics
     ///
-    /// Panics when `adjacency.len() != config.n_peers`.
+    /// Panics when `adjacency.len() != config.n_peers`, or when
+    /// `config.tree_depth` is outside `1..=merkle::MAX_DEPTH`.
     pub fn build_custom(
         config: TestbedConfig,
         adjacency: Vec<Vec<NodeId>>,
@@ -183,7 +184,7 @@ impl Testbed {
                 ..ChainConfig::default()
             }),
             config,
-            // lint:allow(panic-path, reason = "testbed config is validated at construction; the depth is in the supported range")
+            // lint:allow(panic-path, reason = "Chain::new just above took the same depth and panics outside 1..=merkle::MAX_DEPTH, the range SharedGroup::new accepts")
             mirror: SharedGroup::new(config.tree_depth).expect("valid depth"),
             event_cursor: 0,
             addresses: Vec::with_capacity(config.n_peers),
@@ -597,7 +598,7 @@ impl Testbed {
                     debug_assert_eq!(removed, commitment, "slash event/commitment mismatch");
                     self.replay_log.push(ReplayEvent::Slashed { delta });
                 }
-                ChainEvent::TreeRootUpdated { .. } | ChainEvent::MessagePosted { .. } => {}
+                ChainEvent::TreeRootUpdated { .. } => {}
             }
         }
         self.log_registration_burst(&mut burst);

@@ -58,5 +58,6 @@ pub use harness::{PhaseTimings, Testbed, TestbedConfig};
 pub use node::{PublishError, RlnRelayNode};
 pub use pipeline::{PipelineConfig, PipelineStats};
 pub use validator::{CostModel, RlnValidator, SpamDetection, ValidationStats};
+pub use wakurln_crypto::merkle::MAX_DEPTH as MAX_TREE_DEPTH;
 pub use wakurln_model::{EpochScheme, NullifierMap, NullifierOutcome};
 pub use wakurln_relay::{WakuMessage, DEFAULT_PUBSUB_TOPIC};

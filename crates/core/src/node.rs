@@ -84,6 +84,10 @@ impl RlnRelayNode {
     /// Creates a peer. `proving_key`/validator must come from the same
     /// trusted setup across the network. Peer scoring runs at
     /// [`ScoringConfig::default`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `tree_depth` is outside `1..=merkle::MAX_DEPTH`.
     pub fn new(
         known_peers: Vec<NodeId>,
         validator: RlnValidator,
@@ -99,7 +103,7 @@ impl RlnRelayNode {
         RlnRelayNode {
             gossipsub,
             topic,
-            // lint:allow(panic-path, reason = "depth comes from NodeConfig, validated against the supported tree range at config construction")
+            // lint:allow(panic-path, reason = "documented under # Panics; the testbed passes the depth its Chain::new already checked against 1..=merkle::MAX_DEPTH")
             view: MemberView::new(tree_depth).expect("valid depth"),
             identity: None,
             proving_key,

@@ -63,9 +63,6 @@ const R3: [u64; 4] = compute_two_pow_mod(768);
 /// Number of bits needed to represent the modulus.
 pub const MODULUS_BITS: u32 = 254;
 
-/// Number of bytes in the canonical serialization of a field element.
-pub const SERIALIZED_BYTES: usize = 32;
-
 // ---------------------------------------------------------------------------
 // const-fn helpers used to derive the Montgomery constants at compile time
 // ---------------------------------------------------------------------------
@@ -277,12 +274,6 @@ impl Fr {
     /// `true` iff this is the multiplicative identity.
     pub fn is_one(&self) -> bool {
         self.0 == R
-    }
-
-    /// `true` iff the canonical representation is an odd integer.
-    pub fn is_odd(&self) -> bool {
-        // lint:allow(panic-path, reason = "to_repr returns [u64; 4]; index 0 is always in range")
-        self.to_repr()[0] & 1 == 1
     }
 
     /// Doubles the element.

@@ -198,14 +198,13 @@ enum PartialLayer {
 /// sparse partial-round factorization.
 ///
 /// Built once per width from the reference [`PoseidonParams`] and cached;
-/// [`permute`] and the fixed-arity hash helpers run on this
+/// [`permute_fast`] and the fixed-arity hash helpers run on this
 /// representation. Equivalence with the reference [`permute_with`] is
 /// guaranteed by construction (the factorization is an exact operator
 /// identity) and enforced by property tests.
 #[derive(Clone, Debug)]
 pub struct FastPoseidonParams {
     t: usize,
-    rounds_p: usize,
     /// Constants for the 8 full rounds, flat row-major (`8 × t`); the
     /// post-partial rounds' constants absorb the adjustments pushed out of
     /// the partial rounds.
@@ -305,7 +304,6 @@ impl FastPoseidonParams {
 
         FastPoseidonParams {
             t,
-            rounds_p,
             full_rc: full_rc.into_boxed_slice(),
             partial_rc0: partial_rc0.into_boxed_slice(),
             partial_layers: partial_layers.into_boxed_slice(),
@@ -316,11 +314,6 @@ impl FastPoseidonParams {
     /// State width.
     pub fn width(&self) -> usize {
         self.t
-    }
-
-    /// Number of partial rounds in the schedule.
-    pub fn partial_rounds(&self) -> usize {
-        self.rounds_p
     }
 
     /// How many partial rounds run on the sparse path (diagnostics; the
@@ -511,26 +504,6 @@ pub fn sbox(x: Fr) -> Fr {
     x4 * x
 }
 
-/// Applies the Poseidon permutation in place (fast path).
-///
-/// # Panics
-///
-/// Panics if `state.len()` is not a supported width.
-pub fn permute(state: &mut [Fr]) {
-    match state.len() {
-        // lint:allow(panic-path, reason = "len checked: this arm only runs when state.len() == 2")
-        2 => permute_fast::<2>(fast_params_cache(2), state.try_into().expect("len checked")),
-        // lint:allow(panic-path, reason = "len checked: this arm only runs when state.len() == 3")
-        3 => permute_fast::<3>(fast_params_cache(3), state.try_into().expect("len checked")),
-        // lint:allow(panic-path, reason = "len checked: this arm only runs when state.len() == 4")
-        4 => permute_fast::<4>(fast_params_cache(4), state.try_into().expect("len checked")),
-        // lint:allow(panic-path, reason = "len checked: this arm only runs when state.len() == 5")
-        5 => permute_fast::<5>(fast_params_cache(5), state.try_into().expect("len checked")),
-        // lint:allow(panic-path, reason = "parameters only exist for widths 2..=5; an unsupported width is a caller bug worth a loud stop")
-        t => panic!("unsupported poseidon width {t}"),
-    }
-}
-
 /// Applies the permutation using explicit parameters — the reference
 /// implementation (used by the circuit gadget so that the in-circuit and
 /// native computations share one source of truth, and as the ground truth
@@ -583,33 +556,6 @@ pub fn hash1(a: Fr) -> Fr {
 pub fn hash2(a: Fr, b: Fr) -> Fr {
     let mut state = [Fr::ZERO, a, b];
     permute_fast::<3>(fast_params_cache(3), &mut state);
-    state[0]
-}
-
-/// Variable-length sponge hash with rate 2 (width 3), padded with the
-/// length to prevent extension ambiguity.
-///
-/// ```
-/// use wakurln_crypto::{field::Fr, poseidon};
-///
-/// let a = poseidon::hash_many(&[Fr::from_u64(1)]);
-/// let b = poseidon::hash_many(&[Fr::from_u64(1), Fr::ZERO]);
-/// assert_ne!(a, b, "length is domain-separated");
-/// ```
-pub fn hash_many(inputs: &[Fr]) -> Fr {
-    let fp = fast_params_cache(3);
-    let mut state = [Fr::from_u64(inputs.len() as u64), Fr::ZERO, Fr::ZERO];
-    for chunk in inputs.chunks(2) {
-        // lint:allow(panic-path, reason = "chunks(2) yields non-empty chunks; index 0 always exists")
-        state[1] += chunk[0];
-        if let Some(second) = chunk.get(1) {
-            state[2] += *second;
-        }
-        permute_fast::<3>(fp, &mut state);
-    }
-    if inputs.is_empty() {
-        permute_fast::<3>(fp, &mut state);
-    }
     state[0]
 }
 
@@ -671,7 +617,7 @@ mod tests {
     #[test]
     fn permutation_is_not_identity() {
         let mut state = [Fr::ZERO, Fr::ZERO, Fr::ZERO];
-        permute(&mut state);
+        permute_fast::<3>(fast_params(3), &mut state);
         assert_ne!(state, [Fr::ZERO, Fr::ZERO, Fr::ZERO]);
     }
 
@@ -696,19 +642,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_many_empty_and_singleton_differ() {
-        assert_ne!(hash_many(&[]), hash_many(&[Fr::ZERO]));
-    }
-
-    #[test]
-    fn hash_many_matches_manual_absorption_length_tag() {
-        // two different-length inputs with identical absorbed data differ
-        let one = hash_many(&[Fr::from_u64(9)]);
-        let padded = hash_many(&[Fr::from_u64(9), Fr::ZERO]);
-        assert_ne!(one, padded);
-    }
-
-    #[test]
     fn hash_bytes_to_field_differs_per_input() {
         assert_ne!(hash_bytes_to_field(b"hello"), hash_bytes_to_field(b"hellp"));
         assert_ne!(hash_bytes_to_field(b""), hash_bytes_to_field(b"\0"));
@@ -724,7 +657,7 @@ mod tests {
     #[should_panic(expected = "unsupported poseidon width")]
     fn unsupported_width_panics_on_permute() {
         let mut state = [Fr::ZERO; 7];
-        permute(&mut state);
+        permute_fast::<7>(fast_params(7), &mut state);
     }
 
     #[test]
@@ -738,14 +671,30 @@ mod tests {
         }
     }
 
+    /// The fast permutation of the first `T` lanes, for tests that run
+    /// every width.
+    fn fast_prefix<const T: usize>(lanes: &[Fr]) -> Vec<Fr> {
+        let mut state: [Fr; T] = std::array::from_fn(|i| lanes[i]);
+        permute_fast::<T>(fast_params(T), &mut state);
+        state.to_vec()
+    }
+
+    /// [`fast_prefix`] at every supported width, narrowest first.
+    fn fast_every_width(lanes: &[Fr]) -> [Vec<Fr>; MAX_WIDTH - MIN_WIDTH + 1] {
+        [
+            fast_prefix::<2>(lanes),
+            fast_prefix::<3>(lanes),
+            fast_prefix::<4>(lanes),
+            fast_prefix::<5>(lanes),
+        ]
+    }
+
     #[test]
     fn fast_matches_reference_on_fixed_states() {
-        for t in MIN_WIDTH..=MAX_WIDTH {
-            let params = params(t);
-            let mut reference: Vec<Fr> = (0..t as u64).map(Fr::from_u64).collect();
-            let mut fast = reference.clone();
-            permute_with(params, &mut reference);
-            permute(&mut fast);
+        let lanes: Vec<Fr> = (0..MAX_WIDTH as u64).map(Fr::from_u64).collect();
+        for (t, fast) in (MIN_WIDTH..=MAX_WIDTH).zip(fast_every_width(&lanes)) {
+            let mut reference = lanes[..t].to_vec();
+            permute_with(params(t), &mut reference);
             assert_eq!(reference, fast, "width {t}");
         }
     }
@@ -755,7 +704,7 @@ mod tests {
         let before = permutation_count();
         hash1(Fr::ONE);
         hash2(Fr::ONE, Fr::ZERO);
-        permute(&mut [Fr::ZERO, Fr::ONE, Fr::ZERO, Fr::ONE]);
+        permute_fast::<4>(fast_params(4), &mut [Fr::ZERO, Fr::ONE, Fr::ZERO, Fr::ONE]);
         let mut state = [Fr::ZERO; 3];
         permute_with(params(3), &mut state);
         assert_eq!(permutation_count() - before, 4);
@@ -782,8 +731,8 @@ mod tests {
             // distinct states map to distinct outputs (injectivity sample)
             let mut s1 = [Fr::ZERO, Fr::from_u64(a), Fr::from_u64(b)];
             let mut s2 = [Fr::ONE, Fr::from_u64(a), Fr::from_u64(b)];
-            permute(&mut s1);
-            permute(&mut s2);
+            permute_fast::<3>(fast_params(3), &mut s1);
+            permute_fast::<3>(fast_params(3), &mut s2);
             prop_assert_ne!(s1, s2);
         }
 
@@ -794,11 +743,9 @@ mod tests {
             seeds in proptest::collection::vec(any::<[u8; 64]>(), MAX_WIDTH..MAX_WIDTH + 1)
         ) {
             let lanes: Vec<Fr> = seeds.iter().map(Fr::from_uniform_bytes).collect();
-            for t in MIN_WIDTH..=MAX_WIDTH {
+            for (t, fast) in (MIN_WIDTH..=MAX_WIDTH).zip(fast_every_width(&lanes)) {
                 let mut reference = lanes[..t].to_vec();
-                let mut fast = reference.clone();
                 permute_with(params(t), &mut reference);
-                permute(&mut fast);
                 prop_assert_eq!(&reference, &fast, "width {}", t);
             }
         }

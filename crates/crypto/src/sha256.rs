@@ -225,9 +225,8 @@ fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
 /// the SHA extensions and the oracle the kernel is tested against.
 fn compress_soft(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 64];
-    for (i, chunk) in block.chunks_exact(4).enumerate() {
-        // lint:allow(panic-path, reason = "chunks_exact(4) yields exactly four bytes per chunk")
-        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    for (slot, word) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+        *slot = u32::from_be_bytes(*word);
     }
     for i in 16..64 {
         let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);

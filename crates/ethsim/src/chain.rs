@@ -1,7 +1,7 @@
 //! The simulated blockchain: block production, transaction execution,
 //! balances and the event log peers subscribe to.
 
-use crate::contracts::{BalanceEnv, MembershipContract, OnChainTreeContract, SignalBoardContract};
+use crate::contracts::{BalanceEnv, MembershipContract, OnChainTreeContract};
 use crate::gas::{self, GasMeter};
 use crate::types::{Address, Block, CallData, LoggedEvent, Receipt, Transaction, TxStatus, Wei};
 use std::collections::HashMap;
@@ -10,7 +10,7 @@ use std::collections::HashMap;
 #[derive(Clone, Copy, Debug)]
 pub struct ChainConfig {
     /// Seconds between blocks (Ethereum mainnet ≈ 12 s on the paper's
-    /// timeline — this drives the E5 on-chain-messaging latency).
+    /// timeline).
     pub block_interval: u64,
     /// Stake required by the membership contract, in wei.
     pub stake_amount: Wei,
@@ -107,7 +107,6 @@ pub struct Chain {
     balances: Balances,
     membership: MembershipContract,
     tree_baseline: OnChainTreeContract,
-    board: SignalBoardContract,
     events: Vec<LoggedEvent>,
     /// Fault injection: until this timestamp (seconds), `Register` calls
     /// revert at mining time — modelling a registration-service outage
@@ -116,11 +115,12 @@ pub struct Chain {
 }
 
 impl Chain {
-    /// Creates a chain at time 0 with the three contracts deployed.
+    /// Creates a chain at time 0 with the two contracts deployed.
     ///
     /// # Panics
     ///
-    /// Panics if `config.tree_depth` is invalid or `block_interval` is 0.
+    /// Panics if `config.tree_depth` is outside `1..=merkle::MAX_DEPTH` or
+    /// `block_interval` is 0.
     pub fn new(config: ChainConfig) -> Chain {
         assert!(config.block_interval > 0, "block interval must be positive");
         Chain {
@@ -135,9 +135,8 @@ impl Chain {
             },
             membership: MembershipContract::new(config.stake_amount, config.burn_percent),
             tree_baseline: OnChainTreeContract::new(config.stake_amount, config.tree_depth)
-                // lint:allow(panic-path, reason = "ChainConfig depth is validated when the config is built; the contract mirrors it")
+                // lint:allow(panic-path, reason = "documented under # Panics: a depth outside 1..=merkle::MAX_DEPTH is a caller bug, and ScenarioSpec::validate rejects one before any testbed builds a chain")
                 .expect("valid tree depth"),
-            board: SignalBoardContract::new(),
             events: Vec::new(),
             registration_closed_until: 0,
         }
@@ -191,11 +190,6 @@ impl Chain {
     /// Read access to the baseline on-chain tree contract.
     pub fn tree_baseline(&self) -> &OnChainTreeContract {
         &self.tree_baseline
-    }
-
-    /// Read access to the on-chain messaging board.
-    pub fn board(&self) -> &SignalBoardContract {
-        &self.board
     }
 
     /// Submits a transaction to the pool; it executes when the next block
@@ -268,7 +262,7 @@ impl Chain {
             let mut meter = GasMeter::new();
             meter.charge(gas::TX_BASE);
             let mut events = Vec::new();
-            let outcome: Result<(), String> = match tx.call.clone() {
+            let outcome: Result<(), String> = match tx.call {
                 CallData::Register { .. } if timestamp < self.registration_closed_until => {
                     Err("registration contract outage".to_string())
                 }
@@ -283,14 +277,6 @@ impl Chain {
                 CallData::TreeRegister { commitment } => self
                     .tree_baseline
                     .register(tx.from, tx.value, commitment, &mut meter, &mut events)
-                    .map(|_| ()),
-                CallData::TreeRemove { index, secret } => {
-                    self.tree_baseline
-                        .remove(tx.from, index, secret, &mut meter, &mut events)
-                }
-                CallData::Post { payload } => self
-                    .board
-                    .post(tx.from, payload, &mut meter, &mut events)
                     .map(|_| ()),
             };
             let status = match outcome {
@@ -534,27 +520,5 @@ mod tests {
             tree_gas as f64 / registry_gas as f64 >= 10.0,
             "registry {registry_gas} vs tree {tree_gas}"
         );
-    }
-
-    #[test]
-    fn board_messages_visible_only_after_mining() {
-        let (mut chain, user) = funded_chain();
-        chain
-            .submit(
-                user,
-                0,
-                CallData::Post {
-                    payload: b"hello".to_vec(),
-                },
-            )
-            .unwrap();
-        assert_eq!(chain.board().message_count(), 0);
-        chain.advance_to(12);
-        assert_eq!(chain.board().message_count(), 1);
-        let (events, _) = chain.events_since(0);
-        assert!(matches!(
-            events[0].event,
-            ChainEvent::MessagePosted { id: 0, .. }
-        ));
     }
 }

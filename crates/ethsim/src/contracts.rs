@@ -1,11 +1,9 @@
-//! The three contracts of the evaluation:
+//! The two contracts of the evaluation:
 //!
 //! * [`MembershipContract`] — the paper's design (§III): an ordered list
 //!   of commitments plus staking and slashing; O(1) gas per operation.
 //! * [`OnChainTreeContract`] — the original RLN proposal's design: the
 //!   Merkle tree maintained in contract storage; O(depth) gas per update.
-//! * [`SignalBoardContract`] — the "signals on chain" messaging baseline
-//!   whose propagation latency E5 compares against gossip.
 
 use crate::gas::GasMeter;
 use crate::types::{Address, ChainEvent, Wei};
@@ -178,7 +176,6 @@ pub struct OnChainTreeContract {
     stake_amount: Wei,
     depth: usize,
     tree: IncrementalMerkleTree,
-    commitments: Vec<Fr>,
 }
 
 impl OnChainTreeContract {
@@ -192,7 +189,6 @@ impl OnChainTreeContract {
             stake_amount,
             depth,
             tree: IncrementalMerkleTree::new(depth)?,
-            commitments: Vec::new(),
         })
     }
 
@@ -240,111 +236,11 @@ impl OnChainTreeContract {
             .tree
             .append(commitment)
             .map_err(|e| format!("tree-register: {e}"))?;
-        self.commitments.push(commitment);
         events.push(ChainEvent::MemberRegistered { index, commitment });
         events.push(ChainEvent::TreeRootUpdated {
             root: self.tree.root(),
         });
         Ok(index)
-    }
-
-    /// `remove(index, secret)` — baseline deletion: verify `H(secret)`
-    /// matches the leaf, then rewrite the branch.
-    ///
-    /// The incremental tree cannot literally clear interior leaves, so the
-    /// state mutation is modeled on the commitment list; gas is metered
-    /// exactly as the storage walk would cost, which is what E4 measures.
-    ///
-    /// # Errors
-    ///
-    /// Reverts when the index/secret pair is invalid.
-    pub fn remove(
-        &mut self,
-        _from: Address,
-        index: u64,
-        secret: Fr,
-        meter: &mut GasMeter,
-        events: &mut Vec<ChainEvent>,
-    ) -> Result<(), String> {
-        meter.calldata(40);
-        meter.poseidon();
-        let commitment = poseidon::hash1(secret);
-        meter.sload();
-        let stored = self
-            .commitments
-            .get(index as usize)
-            .copied()
-            .ok_or_else(|| "tree-remove: no such leaf".to_string())?;
-        if stored != commitment {
-            return Err("tree-remove: secret does not match leaf".into());
-        }
-        for _ in 0..self.depth {
-            meter.sload();
-            meter.poseidon();
-            meter.sstore_update();
-        }
-        meter.sstore_update(); // clear the leaf
-        meter.log(3, 72);
-        events.push(ChainEvent::MemberSlashed {
-            index,
-            commitment,
-            slasher: Address::BURN,
-            burned: 0,
-            rewarded: 0,
-        });
-        Ok(())
-    }
-}
-
-/// The on-chain messaging baseline: every signal is a transaction, visible
-/// only once mined (E5 compares its latency against gossip propagation;
-/// §III: "we achieve higher message propagation speed as opposed to the
-/// on-chain case where messages should be mined before being visible").
-#[derive(Clone, Debug, Default)]
-pub struct SignalBoardContract {
-    messages: Vec<(Address, Vec<u8>)>,
-}
-
-impl SignalBoardContract {
-    /// Deploys an empty board.
-    pub fn new() -> SignalBoardContract {
-        SignalBoardContract::default()
-    }
-
-    /// Number of posted messages.
-    pub fn message_count(&self) -> u64 {
-        self.messages.len() as u64
-    }
-
-    /// `post(payload)` — store a message on-chain.
-    ///
-    /// # Errors
-    ///
-    /// Reverts on empty payloads.
-    pub fn post(
-        &mut self,
-        from: Address,
-        payload: Vec<u8>,
-        meter: &mut GasMeter,
-        events: &mut Vec<ChainEvent>,
-    ) -> Result<u64, String> {
-        if payload.is_empty() {
-            return Err("post: empty payload".into());
-        }
-        meter.calldata(payload.len());
-        // one storage word per 32 payload bytes
-        for _ in 0..payload.len().div_ceil(32) {
-            meter.sstore_set();
-        }
-        meter.log(1, payload.len());
-        let id = self.messages.len() as u64;
-        self.messages.push((from, payload.clone()));
-        events.push(ChainEvent::MessagePosted {
-            id,
-            sender: from,
-            payload,
-        });
-        Ok(id)
     }
 }
 
@@ -512,42 +408,5 @@ mod tests {
         assert!(c
             .slash(Address::BURN, sk, &mut meter, &mut events, &mut env)
             .is_err());
-    }
-
-    #[test]
-    fn tree_remove_checks_secret() {
-        let mut tree = OnChainTreeContract::new(10, 8).unwrap();
-        let mut ev = Vec::new();
-        let mut m = GasMeter::new();
-        let sk = fr(5);
-        tree.register(Address::BURN, 10, poseidon::hash1(sk), &mut m, &mut ev)
-            .unwrap();
-        assert!(tree
-            .remove(Address::BURN, 0, fr(6), &mut m, &mut ev)
-            .is_err());
-        assert!(tree.remove(Address::BURN, 0, sk, &mut m, &mut ev).is_ok());
-    }
-
-    #[test]
-    fn board_post_costs_scale_with_payload() {
-        let mut board = SignalBoardContract::new();
-        let mut ev = Vec::new();
-        let (mut m1, mut m2) = (GasMeter::new(), GasMeter::new());
-        board
-            .post(Address::BURN, vec![1u8; 32], &mut m1, &mut ev)
-            .unwrap();
-        board
-            .post(Address::BURN, vec![1u8; 320], &mut m2, &mut ev)
-            .unwrap();
-        assert!(m2.used() > m1.used() * 5);
-        assert_eq!(board.message_count(), 2);
-    }
-
-    #[test]
-    fn board_rejects_empty() {
-        let mut board = SignalBoardContract::new();
-        let mut ev = Vec::new();
-        let mut m = GasMeter::new();
-        assert!(board.post(Address::BURN, vec![], &mut m, &mut ev).is_err());
     }
 }

@@ -9,9 +9,8 @@
 //!
 //! * [`gas`] — gas schedule and metering,
 //! * [`types`] — addresses, transactions, receipts, events,
-//! * [`contracts`] — the membership registry (paper design), the on-chain
-//!   tree (original-RLN baseline) and the on-chain message board
-//!   (propagation baseline),
+//! * [`contracts`] — the membership registry (paper design) and the
+//!   on-chain tree (original-RLN baseline),
 //! * [`chain`] — block production, execution, event subscriptions.
 
 #![forbid(unsafe_code)]
@@ -23,4 +22,4 @@ pub mod gas;
 pub mod types;
 
 pub use chain::{Chain, ChainConfig, ChainError};
-pub use contracts::{MembershipContract, OnChainTreeContract, SignalBoardContract};
+pub use contracts::{MembershipContract, OnChainTreeContract};

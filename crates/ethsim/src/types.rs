@@ -64,20 +64,6 @@ pub enum CallData {
         /// The identity commitment.
         commitment: Fr,
     },
-    /// `OnChainTreeContract::remove(index, secret)` — baseline deletion.
-    TreeRemove {
-        /// Leaf index to clear.
-        index: u64,
-        /// The revealed secret key.
-        secret: Fr,
-    },
-    /// `SignalBoardContract::post(payload)` — the *baseline* messaging
-    /// design where signals live on-chain (compared in E5 against p2p
-    /// gossip propagation).
-    Post {
-        /// Raw message payload.
-        payload: Vec<u8>,
-    },
 }
 
 /// A transaction waiting in the pool or included in a block.
@@ -142,15 +128,6 @@ pub enum ChainEvent {
     TreeRootUpdated {
         /// New root value.
         root: Fr,
-    },
-    /// A message was posted to the on-chain signal board (baseline).
-    MessagePosted {
-        /// Sequential message id.
-        id: u64,
-        /// Poster.
-        sender: Address,
-        /// Payload bytes.
-        payload: Vec<u8>,
     },
 }
 

@@ -224,22 +224,13 @@ impl<V: Validator> GossipsubNode<V> {
         }
     }
 
-    /// Subscribes to a topic (call before the simulation starts, or use
-    /// [`GossipsubNode::subscribe_live`] from an invoke context).
+    /// Subscribes to a topic (call before the simulation starts).
     pub fn subscribe(&mut self, topic: Topic) {
         let t = self.topics.entry(&topic);
         t.subscribed = true;
         // the bootstrap set answers our announcement: size for it once
         let missing = self.known_peers.len().saturating_sub(t.subscribers.len());
         t.subscribers.reserve_exact(missing);
-    }
-
-    /// Subscribes at runtime, announcing to all known peers.
-    pub fn subscribe_live(&mut self, ctx: &mut Context<Rpc>, topic: Topic) {
-        self.subscribe(topic.clone());
-        for &peer in &self.known_peers {
-            ctx.send(peer, Rpc::Subscribe(topic.clone()));
-        }
     }
 
     /// Publishes a message to a topic: eager-push to the mesh (or to known
@@ -726,12 +717,6 @@ impl<V: Validator> Node for GossipsubNode<V> {
                 if newly_learned && t.subscribed {
                     ctx.send(from, Rpc::Subscribe(topic));
                 }
-            }
-            Rpc::Unsubscribe(topic) => {
-                if let Some(t) = self.topics.get_mut(&topic) {
-                    topics::remove(&mut t.subscribers, from);
-                }
-                self.handle_prune(from, &topic);
             }
             Rpc::Forward(raw) => {
                 if self.observer {

@@ -126,8 +126,6 @@ impl RawMessage {
 pub enum Rpc {
     /// Announce subscription to a topic.
     Subscribe(Topic),
-    /// Announce unsubscription.
-    Unsubscribe(Topic),
     /// Full message forward (eager push along the mesh).
     Forward(RawMessage),
     /// Lazy gossip: "I have these messages" (heartbeat).
@@ -159,7 +157,7 @@ pub enum Rpc {
 impl Payload for Rpc {
     fn size_bytes(&self) -> usize {
         match self {
-            Rpc::Subscribe(t) | Rpc::Unsubscribe(t) => 2 + t.as_str().len(),
+            Rpc::Subscribe(t) => 2 + t.as_str().len(),
             Rpc::Forward(m) => 2 + m.topic().as_str().len() + m.data().len(),
             Rpc::IHave { topic, ids } => 2 + topic.as_str().len() + 32 * ids.len(),
             Rpc::IWant { ids } => 2 + 32 * ids.len(),

@@ -69,13 +69,6 @@ impl EpochScheme {
     pub fn within_window(&self, local: u64, message: u64) -> bool {
         local.abs_diff(message) <= self.threshold()
     }
-
-    /// Simulated milliseconds remaining until the next epoch boundary.
-    pub fn ms_to_next_epoch(&self, now_ms: u64) -> u64 {
-        let period = self.epoch_secs * 1000;
-        let abs_ms = self.unix_base_secs * 1000 + now_ms;
-        period - (abs_ms % period)
-    }
 }
 
 #[cfg(test)]
@@ -114,15 +107,6 @@ mod tests {
     fn field_encoding_is_injective_on_epochs() {
         let s = EpochScheme::default();
         assert_ne!(s.to_field(1), s.to_field(2));
-    }
-
-    #[test]
-    fn ms_to_next_epoch_counts_down() {
-        let s = EpochScheme::new(10, 0);
-        // unix_base is a multiple of 10 in the default, so boundaries align
-        let tti = s.ms_to_next_epoch(0);
-        assert!(tti <= 10_000 && tti > 0);
-        assert_eq!(s.ms_to_next_epoch(tti), 10_000);
     }
 
     #[test]

@@ -834,7 +834,6 @@ fn build_adjacency(spec: &ScenarioSpec, n_hs: usize, attackers: usize) -> Vec<Ve
             topology::random_regular(n_hs, degree.min(n_hs.saturating_sub(1)), spec.seed)
         }
         TopologySpec::Ring => topology::ring(n_hs),
-        TopologySpec::FullMesh => topology::full_mesh(n_hs),
     };
     if let Some(EclipseSpec { attackers: k }) = spec.eclipse {
         debug_assert_eq!(attackers, k);

@@ -8,7 +8,7 @@
 //! resulting [`ScenarioReport`](crate::report::ScenarioReport) is
 //! byte-identical.
 
-use waku_rln_relay::{EpochScheme, PipelineConfig};
+use waku_rln_relay::{EpochScheme, PipelineConfig, MAX_TREE_DEPTH};
 
 /// Bootstrap-topology family (the shapes used in p2p evaluations; the
 /// GossipSub paper evaluates on random regular-ish graphs).
@@ -22,8 +22,6 @@ pub enum TopologySpec {
     },
     /// A ring — worst-case diameter, used for propagation stress.
     Ring,
-    /// Every peer knows every other peer (small networks only).
-    FullMesh,
 }
 
 /// Link latency family (mirrors `wakurln_netsim::latency`).
@@ -232,34 +230,20 @@ impl FaultPlan {
     ///
     /// Panics on an impossible plan.
     pub fn validate(&self) {
-        // lint:allow(panic-path, reason = "windows(2) yields exactly-two-element slices")
-        let sorted = |starts: &[u64]| starts.windows(2).all(|w| w[0] <= w[1]);
         assert!(
-            sorted(&self.restarts.iter().map(|r| r.at_ms).collect::<Vec<_>>()),
+            self.restarts.is_sorted_by_key(|r| r.at_ms),
             "restart schedule must be sorted by time"
         );
         assert!(
-            sorted(&self.partitions.iter().map(|p| p.at_ms).collect::<Vec<_>>()),
+            self.partitions.is_sorted_by_key(|p| p.at_ms),
             "partition schedule must be sorted by time"
         );
         assert!(
-            sorted(
-                &self
-                    .degradations
-                    .iter()
-                    .map(|d| d.at_ms)
-                    .collect::<Vec<_>>()
-            ),
+            self.degradations.is_sorted_by_key(|d| d.at_ms),
             "degradation schedule must be sorted by time"
         );
         assert!(
-            sorted(
-                &self
-                    .contract_outages
-                    .iter()
-                    .map(|o| o.at_ms)
-                    .collect::<Vec<_>>()
-            ),
+            self.contract_outages.is_sorted_by_key(|o| o.at_ms),
             "contract-outage schedule must be sorted by time"
         );
         for r in &self.restarts {
@@ -342,7 +326,8 @@ pub struct ScenarioSpec {
     /// Determinism seed: topology, latencies, identity material, traffic
     /// draws and churn draws all derive from it.
     pub seed: u64,
-    /// Membership tree depth; `0` = auto-size from the peer count.
+    /// Membership tree depth; `0` = auto-size from the peer count. At
+    /// most [`MAX_TREE_DEPTH`].
     pub tree_depth: usize,
     /// Bootstrap topology for the honest population.
     pub topology: TopologySpec,
@@ -498,14 +483,14 @@ impl ScenarioSpec {
     ///
     /// Panics on an impossible spec (no peers, unsorted churn, loss out
     /// of range, zero slice, eclipse without enough honest peers, a tree
-    /// too shallow for the initial peers plus scheduled joins).
+    /// deeper than [`MAX_TREE_DEPTH`] or too shallow for the initial peers
+    /// plus scheduled joins).
     pub fn validate(&self) {
         assert!(self.honest >= 2, "need at least two honest peers");
         assert!((0.0..=1.0).contains(&self.loss), "loss out of range");
         assert!(self.slice_ms > 0, "slice must be positive");
         assert!(
-            // lint:allow(panic-path, reason = "windows(2) yields exactly-two-element slices")
-            self.churn.windows(2).all(|w| w[0].at_ms <= w[1].at_ms),
+            self.churn.is_sorted_by_key(|e| e.at_ms),
             "churn schedule must be sorted by time"
         );
         self.faults.validate();
@@ -537,6 +522,10 @@ impl ScenarioSpec {
             );
         }
         let depth = self.effective_tree_depth();
+        assert!(
+            depth <= MAX_TREE_DEPTH,
+            "tree depth {depth} is above the supported maximum {MAX_TREE_DEPTH}"
+        );
         let registered = self.registered_peers();
         assert!(
             (1usize << depth) >= registered,
@@ -582,6 +571,26 @@ mod tests {
         });
         spec.drain_ms = 60_000;
         spec.validate();
+    }
+
+    #[test]
+    fn depths_above_the_merkle_maximum_rejected() {
+        // 33 is one past merkle::MAX_DEPTH; 64 would overflow the
+        // capacity check's `1usize << depth` were it to run first
+        for depth in [33, 64] {
+            let mut spec = ScenarioSpec::baseline(8, 1);
+            spec.tree_depth = depth;
+            let err = std::panic::catch_unwind(|| spec.validate())
+                .expect_err("an unsupported depth must not validate");
+            let msg = err
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .unwrap_or_default();
+            assert!(
+                msg.contains("above the supported maximum"),
+                "depth {depth}: {msg}"
+            );
+        }
     }
 
     #[test]
