@@ -14,7 +14,6 @@ use crate::scheduler::{stream_seed, NodeStore, LINK_STREAM};
 use crate::wheel::EventWheel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Ordering;
 
 /// Identifier of a simulated peer (index into the network's node table).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -88,23 +87,29 @@ pub(crate) struct QueuedEvent<M> {
     pub(crate) kind: EventKind<M>,
 }
 
-impl<M> PartialEq for QueuedEvent<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+/// The reference pop order of the wheel-vs-heap equivalence tests: a
+/// `BinaryHeap` of these is the order the timing wheel must reproduce
+/// (max-heap: inverted so the earliest `(at, seq)` pops first).
+#[cfg(test)]
+mod heap_order {
+    use super::QueuedEvent;
+    use std::cmp::Ordering;
+
+    impl<M> PartialEq for QueuedEvent<M> {
+        fn eq(&self, other: &Self) -> bool {
+            self.at == other.at && self.seq == other.seq
+        }
     }
-}
-impl<M> Eq for QueuedEvent<M> {}
-impl<M> PartialOrd for QueuedEvent<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+    impl<M> Eq for QueuedEvent<M> {}
+    impl<M> PartialOrd for QueuedEvent<M> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
     }
-}
-impl<M> Ord for QueuedEvent<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Retained for the wheel-vs-heap equivalence property tests: a
-        // `BinaryHeap` of these is the reference pop order the timing
-        // wheel must reproduce (max-heap: invert so earliest pops first).
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+    impl<M> Ord for QueuedEvent<M> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            (other.at, other.seq).cmp(&(self.at, self.seq))
+        }
     }
 }
 
@@ -313,9 +318,9 @@ pub struct Network<N: Node> {
     /// Per-node state (protocol machine + private RNG stream + liveness
     /// flag).
     pub(crate) nodes: NodeStore<N>,
-    /// The global event queue: a hierarchical timing wheel with
-    /// slab-allocated events (see [`crate::wheel`]), pop-order-identical
-    /// to the `BinaryHeap` it replaced.
+    /// The global event queue: a hierarchical timing wheel that stores
+    /// events inline in chunked slots (see [`crate::wheel`]),
+    /// pop-order-identical to the `BinaryHeap` it replaced.
     pub(crate) queue: EventWheel<N::Message>,
     pub(crate) latency: UniformLatency,
     pub(crate) loss_probability: f64,

@@ -12,17 +12,19 @@
 //!   resolves single milliseconds inside the current 64 ms window.
 //! * **Occupancy bitmasks** (one `u64` per level) make "earliest
 //!   non-empty slot" a `trailing_zeros` instruction.
-//! * **Slab-indexed events**: slots store `u32` handles into a slab
-//!   `Vec` with an intrusive free list, so cascading a slot to lower
-//!   levels moves 4-byte handles, never message payloads, and handles
-//!   are reused. Each occupied entry is a `Box`ed event — one allocation
-//!   per queued event, freed when it pops — so that a slab entry stays
-//!   16 bytes: the slab only ever grows to the high-water mark of
-//!   in-flight events, and inline entries of event size would pin peak
-//!   RSS there for the rest of the run (measured on the benchmark's
-//!   `mesh_10k`: un-boxed entries cut `run_s` 9 % and raise peak RSS
-//!   5 %). The level-0 slot `Vec`s, drained once per round, do keep
-//!   their capacity.
+//! * **Chunked inline slots**: each slot holds its events by value, in
+//!   push order, as a list of chunks of at most `CHUNK` (256) events.
+//!   A push appends to the slot's last chunk or opens a new one; a
+//!   level-0 pop moves the slot's chunks into the caller's batch; a
+//!   cascade drains them into lower levels. An emptied chunk goes back
+//!   to the allocator, so the queue holds about as much memory as it has
+//!   events in flight. A chunk of the relay's events is ≈ 18 KB, far
+//!   below glibc's 128 KiB mmap threshold, so no chunk is ever mmapped
+//!   and freeing one never slides that threshold (PERF.md). One
+//!   unchunked `Vec` per slot does not have that property: a publish
+//!   wave's level-1 slot grows to a ≈ 1.4 MB mmapped buffer, and on the
+//!   benchmark's `mesh_10k` it raised peak RSS 9.5 % when freed and
+//!   23 % when kept.
 //!
 //! # Determinism contract
 //!
@@ -30,7 +32,8 @@
 //! replaces (the contract the in-order round scheduler depends on). The argument:
 //!
 //! 1. Sequence numbers are globally monotonic and events are pushed in
-//!    sequence order, so every slot `Vec` is seq-ordered as pushed.
+//!    sequence order, so every slot's chunk list is seq-ordered as
+//!    pushed.
 //! 2. A 64 ms window's events cascade to level 0 *in one operation*,
 //!    exactly when the wheel's time first enters that window — before
 //!    any new push inside the window can occur (pushes always carry
@@ -50,45 +53,29 @@ const SLOTS: usize = 1 << SLOT_BITS;
 const SLOT_MASK: u64 = (SLOTS - 1) as u64;
 /// ⌈64 / 6⌉ levels cover the full u64 timestamp range.
 const LEVELS: usize = 11;
-const NO_FREE: u32 = u32::MAX;
+/// Events per chunk (see the module docs for why it stays small).
+const CHUNK: usize = 256;
 
-#[derive(Clone)]
-enum SlabEntry<M> {
-    Occupied(Box<QueuedEvent<M>>),
-    /// Free-list link to the next vacant slab index (`NO_FREE` ends it).
-    Vacant(u32),
-}
+/// A slot's events in push order, split into chunks that are allocated
+/// with capacity `CHUNK` and never grown.
+type Slot<M> = Vec<Vec<QueuedEvent<M>>>;
 
 /// The event queue: see the module docs for structure and invariants.
 ///
 /// Key invariant maintained throughout: `cur` only advances by entering
 /// the window of the globally earliest event, and entering a window
-/// cascades that window's slot entirely — so every stored handle's
+/// cascades that window's slot entirely — so every stored event's
 /// (level, slot) position remains consistent with `cur` at all times,
 /// and the earliest event is always in the first occupied slot of the
 /// lowest non-empty level.
+#[derive(Clone)]
 pub(crate) struct EventWheel<M> {
-    levels: Vec<[Vec<u32>; SLOTS]>,
+    levels: Vec<[Slot<M>; SLOTS]>,
     occupied: [u64; LEVELS],
-    slab: Vec<SlabEntry<M>>,
-    free_head: u32,
     /// The wheel's reference time: the timestamp of the last popped
     /// batch. All queued events satisfy `at ≥ cur`.
     cur: u64,
     len: usize,
-}
-
-impl<M: Clone> Clone for EventWheel<M> {
-    fn clone(&self) -> EventWheel<M> {
-        EventWheel {
-            levels: self.levels.clone(),
-            occupied: self.occupied,
-            slab: self.slab.clone(),
-            free_head: self.free_head,
-            cur: self.cur,
-            len: self.len,
-        }
-    }
 }
 
 impl<M> EventWheel<M> {
@@ -98,8 +85,6 @@ impl<M> EventWheel<M> {
                 .map(|_| std::array::from_fn(|_| Vec::new()))
                 .collect(),
             occupied: [0; LEVELS],
-            slab: Vec::new(),
-            free_head: NO_FREE,
             cur: 0,
             len: 0,
         }
@@ -123,51 +108,46 @@ impl<M> EventWheel<M> {
         (level, slot)
     }
 
-    fn insert_handle(&mut self, handle: u32, at: u64) {
-        let (level, slot) = self.level_slot(at);
-        self.levels[level][slot].push(handle);
+    /// Appends `ev` to its slot, opening a new chunk when the last one is
+    /// full (a cloned chunk is full at any length: its capacity is its
+    /// length).
+    fn insert(&mut self, ev: QueuedEvent<M>) {
+        let (level, slot) = self.level_slot(ev.at);
+        let chunks = &mut self.levels[level][slot];
+        debug_assert!(
+            chunks
+                .last()
+                .and_then(|c| c.last())
+                .is_none_or(|last| last.seq < ev.seq),
+            "slot pushed out of seq order"
+        );
+        match chunks.last_mut() {
+            Some(chunk) if chunk.len() < chunk.capacity() => chunk.push(ev),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK);
+                chunk.push(ev);
+                chunks.push(chunk);
+            }
+        }
         self.occupied[level] |= 1 << slot;
     }
 
-    fn event_at(&self, handle: u32) -> u64 {
-        match &self.slab[handle as usize] {
-            SlabEntry::Occupied(ev) => ev.at,
-            SlabEntry::Vacant(_) => unreachable!("queued handle points at a vacant slab entry"),
-        }
+    /// Level and slot of the first occupied slot of the lowest non-empty
+    /// level, or `None` when the wheel is empty.
+    fn first_occupied(&self) -> Option<(usize, usize)> {
+        let level = self.occupied.iter().position(|&bits| bits != 0)?;
+        Some((level, self.occupied[level].trailing_zeros() as usize))
     }
 
     /// Enqueues an event (`ev.at` must be ≥ the last popped timestamp).
     pub(crate) fn push(&mut self, ev: QueuedEvent<M>) {
-        let at = ev.at;
-        let handle = if self.free_head != NO_FREE {
-            let handle = self.free_head;
-            match std::mem::replace(
-                &mut self.slab[handle as usize],
-                SlabEntry::Occupied(Box::new(ev)),
-            ) {
-                SlabEntry::Vacant(next) => self.free_head = next,
-                SlabEntry::Occupied(_) => unreachable!("free list points at an occupied entry"),
-            }
-            handle
-        } else {
-            assert!(self.slab.len() < u32::MAX as usize, "event slab full");
-            self.slab.push(SlabEntry::Occupied(Box::new(ev)));
-            (self.slab.len() - 1) as u32
-        };
-        self.insert_handle(handle, at);
+        self.insert(ev);
         self.len += 1;
     }
 
     /// Timestamp of the earliest queued event, without popping.
     pub(crate) fn next_event_at(&self) -> Option<u64> {
-        if self.len == 0 {
-            return None;
-        }
-        let level = (0..LEVELS)
-            .find(|&l| self.occupied[l] != 0)
-            // lint:allow(panic-path, reason = "occupancy invariant: len > 0 means some level has a set bit")
-            .expect("len > 0 but no occupied slot");
-        let slot = self.occupied[level].trailing_zeros() as usize;
+        let (level, slot) = self.first_occupied()?;
         if level == 0 {
             // a level-0 slot is a single millisecond in the current window
             Some((self.cur & !SLOT_MASK) | slot as u64)
@@ -175,7 +155,8 @@ impl<M> EventWheel<M> {
             // a coarser slot spans many timestamps: scan it for the min
             self.levels[level][slot]
                 .iter()
-                .map(|&h| self.event_at(h))
+                .flatten()
+                .map(|ev| ev.at)
                 .min()
         }
     }
@@ -199,44 +180,25 @@ impl<M> EventWheel<M> {
         // position stays consistent (see struct docs).
         self.cur = at;
         loop {
-            let level = (0..LEVELS)
-                .find(|&l| self.occupied[l] != 0)
-                // lint:allow(panic-path, reason = "occupancy invariant: a recorded minimum implies a set bit at some level")
-                .expect("min exists but no occupied slot");
-            let slot = self.occupied[level].trailing_zeros() as usize;
+            let (level, slot) = self.first_occupied()?;
+            self.occupied[level] &= !(1 << slot);
             if level == 0 {
                 debug_assert_eq!(slot as u64, at & SLOT_MASK, "min not in the current window");
-                // lint:allow(panic-path, reason = "level 0 always exists and slot comes from a SLOT_MASK-masked index")
-                let mut handles = std::mem::take(&mut self.levels[0][slot]);
-                self.occupied[0] &= !(1 << slot);
-                self.len -= handles.len();
-                out.reserve(handles.len());
-                for handle in handles.drain(..) {
-                    let entry = std::mem::replace(
-                        &mut self.slab[handle as usize],
-                        SlabEntry::Vacant(self.free_head),
-                    );
-                    self.free_head = handle;
-                    match entry {
-                        SlabEntry::Occupied(ev) => {
-                            debug_assert_eq!(ev.at, at);
-                            out.push(*ev);
-                        }
-                        SlabEntry::Vacant(_) => unreachable!("popped handle was vacant"),
-                    }
+                let chunks = &mut self.levels[level][slot];
+                out.reserve(chunks.iter().map(Vec::len).sum());
+                for mut chunk in chunks.drain(..) {
+                    debug_assert!(chunk.iter().all(|ev| ev.at == at));
+                    self.len -= chunk.len();
+                    out.append(&mut chunk);
                 }
-                // hand the emptied Vec back: the slot comes round again
-                // every 64 ms and refills without reallocating
-                self.levels[level][slot] = handles;
                 return Some(at);
             }
             // cascade: redistribute the slot to lower levels relative to
             // the new `cur`, preserving (seq) order
-            let handles = std::mem::take(&mut self.levels[level][slot]);
-            self.occupied[level] &= !(1 << slot);
-            for handle in handles {
-                let at_h = self.event_at(handle);
-                self.insert_handle(handle, at_h);
+            for chunk in std::mem::take(&mut self.levels[level][slot]) {
+                for ev in chunk {
+                    self.insert(ev);
+                }
             }
         }
     }
@@ -361,20 +323,45 @@ mod tests {
         assert_eq!(popped, want);
     }
 
+    /// Every chunk of every slot, with its level.
+    fn chunks(
+        wheel: &EventWheel<Vec<u8>>,
+    ) -> impl Iterator<Item = (usize, &Vec<QueuedEvent<Vec<u8>>>)> {
+        wheel
+            .levels
+            .iter()
+            .enumerate()
+            .flat_map(|(level, slots)| slots.iter().flatten().map(move |chunk| (level, chunk)))
+    }
+
     #[test]
-    fn slab_reuses_freed_entries() {
+    fn chunks_stay_bounded_and_drained_slots_release_them() {
         let mut wheel = EventWheel::new();
-        let mut batch = Vec::new();
-        for round in 0..100u64 {
-            for k in 0..8u64 {
-                wheel.push(ev(round * 10, round * 8 + k + 1));
+        let mut seq = 0u64;
+        // three chunks at one level-0 instant, and three in one level-5
+        // slot spanning 7 ms, which cascades down level by level
+        for (at, spread) in [(5u64, 1), (1 << 30, 7)] {
+            for k in 0..3 * CHUNK as u64 {
+                seq += 1;
+                wheel.push(ev(at + k % spread, seq));
             }
-            batch.clear();
-            wheel.pop_next_batch(u64::MAX, &mut batch);
-            assert_eq!(batch.len(), 8);
         }
-        // the slab never grew past one round's worth of live events
-        assert!(wheel.slab.len() <= 8, "slab grew to {}", wheel.slab.len());
+        // a clone's chunks are exactly full, so a push opens a seventh
+        let mut wheel = wheel.clone();
+        seq += 1;
+        wheel.push(ev(1 << 30, seq));
+        assert_eq!(chunks(&wheel).count(), 7);
+        assert!(chunks(&wheel).all(|(_, chunk)| chunk.capacity() <= CHUNK));
+        let mut batch = Vec::new();
+        while wheel.pop_next_batch(u64::MAX, &mut batch).is_some() {
+            assert!(chunks(&wheel).all(|(_, chunk)| chunk.capacity() <= CHUNK));
+        }
+        assert_eq!(batch.len() as u64, seq);
+        assert_eq!(wheel.len(), 0);
+        assert!(
+            chunks(&wheel).all(|(level, _)| level == 0),
+            "a drained wheel kept a chunk above level 0"
+        );
     }
 
     proptest! {
@@ -429,6 +416,43 @@ mod tests {
                     seq += 1;
                     wheel.push(ev(at, seq));
                     heap.push(ev(at, seq));
+                }
+            }
+            assert_matches_heap(wheel, heap);
+        }
+
+        /// Same-timestamp bursts and coarse windows of up to three chunks:
+        /// each round pushes `burst` events spread over `spread`
+        /// consecutive milliseconds `gap` ms past the last popped batch,
+        /// so slots fill past `CHUNK` at level 0 and cascade several
+        /// chunks at once from the levels above.
+        #[test]
+        fn multi_chunk_slots_match_binary_heap(
+            rounds in proptest::collection::vec(
+                (0u64..300_000, 1usize..3 * CHUNK, 1u64..300, 0usize..3),
+                1..12,
+            )
+        ) {
+            let mut wheel = EventWheel::new();
+            let mut heap: BinaryHeap<QueuedEvent<Vec<u8>>> = BinaryHeap::new();
+            let mut seq = 0u64;
+            let mut base = 0u64;
+            for (gap, burst, spread, pops) in rounds {
+                let at = base + gap;
+                for k in 0..burst as u64 {
+                    seq += 1;
+                    wheel.push(ev(at + k % spread, seq));
+                    heap.push(ev(at + k % spread, seq));
+                }
+                for _ in 0..pops {
+                    let mut batch = Vec::new();
+                    if let Some(t) = wheel.pop_next_batch(u64::MAX, &mut batch) {
+                        base = t;
+                        for got in &batch {
+                            let want = heap.pop().unwrap();
+                            prop_assert_eq!((got.at, got.seq), (want.at, want.seq));
+                        }
+                    }
                 }
             }
             assert_matches_heap(wheel, heap);

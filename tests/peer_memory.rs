@@ -60,11 +60,12 @@ fn freed_by<T>(value: T) -> usize {
 }
 
 /// Heap bytes per peer held by the finished testbed of `metropolis` @
-/// 2 000, seed 1: 5 % above the measured 4 936 B (gossipsub 1 628,
-/// validator 575, rest 2 731). Before the per-message state was
-/// right-sized the same run held 5 981 B (2 168 / 1 024 / 2 789), and
-/// with per-peer hash and B-tree tables 7 748 B (3 016 / 1 568 / 3 163).
-const CEILING_BYTES_PER_PEER: usize = 5_182;
+/// 2 000, seed 1: 5 % above the measured 4 698 B (gossipsub 1 628,
+/// validator 575, rest 2 494). With a `Box` per queued event the same
+/// run held 4 936 B (rest 2 731); before the per-message state was
+/// right-sized 5 981 B (2 168 / 1 024 / 2 789), and with per-peer hash
+/// and B-tree tables 7 748 B (3 016 / 1 568 / 3 163).
+const CEILING_BYTES_PER_PEER: usize = 4_933;
 
 /// Traffic rounds of the second run: three times the built-in's two, so
 /// its two publishers send eight more messages.
