@@ -179,12 +179,9 @@ impl Testbed {
                 },
                 config.seed,
             ),
-            chain: Chain::new(ChainConfig {
-                tree_depth: config.tree_depth,
-                ..ChainConfig::default()
-            }),
+            chain: Chain::new(ChainConfig::default()),
             config,
-            // lint:allow(panic-path, reason = "Chain::new just above took the same depth and panics outside 1..=merkle::MAX_DEPTH, the range SharedGroup::new accepts")
+            // lint:allow(panic-path, reason = "documented under # Panics: a depth outside 1..=merkle::MAX_DEPTH is a caller bug, and ScenarioSpec::validate rejects one before the engine builds a testbed")
             mirror: SharedGroup::new(config.tree_depth).expect("valid depth"),
             event_cursor: 0,
             addresses: Vec::with_capacity(config.n_peers),
@@ -598,7 +595,6 @@ impl Testbed {
                     debug_assert_eq!(removed, commitment, "slash event/commitment mismatch");
                     self.replay_log.push(ReplayEvent::Slashed { delta });
                 }
-                ChainEvent::TreeRootUpdated { .. } => {}
             }
         }
         self.log_registration_burst(&mut burst);

@@ -103,7 +103,7 @@ impl RlnRelayNode {
         RlnRelayNode {
             gossipsub,
             topic,
-            // lint:allow(panic-path, reason = "documented under # Panics; the testbed passes the depth its Chain::new already checked against 1..=merkle::MAX_DEPTH")
+            // lint:allow(panic-path, reason = "documented under # Panics; the testbed passes the depth its mirror SharedGroup::new already checked against 1..=merkle::MAX_DEPTH")
             view: MemberView::new(tree_depth).expect("valid depth"),
             identity: None,
             proving_key,

@@ -57,8 +57,7 @@ pub struct AppendDelta {
 impl AppendDelta {
     /// The appended leaves (level-0 span).
     pub fn leaves(&self) -> &[Fr] {
-        // lint:allow(panic-path, reason = "spans always holds depth+1 levels; level 0 (the appended leaves) exists for any valid delta")
-        &self.spans[0]
+        self.spans.first().map_or(&[], Vec::as_slice)
     }
 
     /// Total field elements carried (bandwidth accounting).

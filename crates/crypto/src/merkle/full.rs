@@ -1,17 +1,18 @@
-//! Fully materialized Merkle tree.
+//! Full Merkle tree stored up to its frontier.
 
 use super::{node_hash, validate_depth, zero_hashes, MerkleError, MerkleProof};
 use crate::field::Fr;
 
-/// A fixed-depth Merkle tree with every node materialized.
+/// A fixed-depth Merkle tree that proves any leaf, storing every node at
+/// or left of the frontier and nothing to its right.
 ///
-/// Memory is `O(2^depth)` — this is the representation whose cost the paper
-/// quotes as "a membership tree with depth 20 requires 67 MB storage", and
-/// what a full relay node or slasher (which must produce membership proofs
-/// for arbitrary members) keeps.
-///
-/// Levels are stored densely: `levels[0]` is the leaf layer
-/// (`2^depth` entries), `levels[depth]` is the single root.
+/// This is what a full relay node or slasher (which must produce
+/// membership proofs for arbitrary members) keeps. Level `l` stores
+/// ⌈`next_index` / 2^l⌉ nodes, so memory is `O(members + depth)`
+/// whatever the depth: every node past the frontier is the root of an
+/// empty subtree, read as [`zero_hashes`]`()[l]`. The paper's "a
+/// membership tree with depth 20 requires 67 MB storage" is the cost of
+/// storing all 2^(depth+1) − 1 nodes instead.
 ///
 /// # Examples
 ///
@@ -28,8 +29,10 @@ use crate::field::Fr;
 #[derive(Clone, Debug)]
 pub struct FullMerkleTree {
     depth: usize,
+    /// `levels[l]` holds the level-`l` nodes at or left of the frontier
+    /// (level 0 = leaves, `levels[depth]` = the root once non-empty).
     levels: Vec<Vec<Fr>>,
-    /// Number of leaves ever assigned via [`FullMerkleTree::append`].
+    /// One past the highest leaf index ever written.
     next_index: u64,
 }
 
@@ -40,17 +43,11 @@ impl FullMerkleTree {
     ///
     /// Returns [`MerkleError::UnsupportedDepth`] if `depth` is 0 or exceeds
     /// [`super::MAX_DEPTH`].
-    #[allow(clippy::needless_range_loop)]
     pub fn new(depth: usize) -> Result<FullMerkleTree, MerkleError> {
         validate_depth(depth)?;
-        let zeros = zero_hashes();
-        let mut levels = Vec::with_capacity(depth + 1);
-        for l in 0..=depth {
-            levels.push(vec![zeros[l]; 1usize << (depth - l)]);
-        }
         Ok(FullMerkleTree {
             depth,
-            levels,
+            levels: vec![Vec::new(); depth + 1],
             next_index: 0,
         })
     }
@@ -72,8 +69,7 @@ impl FullMerkleTree {
 
     /// The current root.
     pub fn root(&self) -> Fr {
-        // lint:allow(panic-path, reason = "levels holds depth+1 non-empty rows; the root row holds exactly one node")
-        self.levels[self.depth][0]
+        self.node(self.depth, 0)
     }
 
     /// Returns the leaf at `index`.
@@ -83,30 +79,18 @@ impl FullMerkleTree {
     /// Returns [`MerkleError::IndexOutOfRange`] for indices beyond capacity.
     pub fn leaf(&self, index: u64) -> Result<Fr, MerkleError> {
         self.check_index(index)?;
-        // lint:allow(panic-path, reason = "check_index ran the line above; levels[0] holds 2^depth leaves")
-        Ok(self.levels[0][index as usize])
+        Ok(self.node(0, index))
     }
 
-    /// Sets the leaf at `index`, updating all ancestors.
+    /// Sets the leaf at `index`, updating all ancestors. An index past
+    /// the frontier moves the frontier to it.
     ///
     /// # Errors
     ///
     /// Returns [`MerkleError::IndexOutOfRange`] for indices beyond capacity.
     pub fn set(&mut self, index: u64, leaf: Fr) -> Result<(), MerkleError> {
         self.check_index(index)?;
-        // lint:allow(panic-path, reason = "check_index ran the line above; levels[0] holds 2^depth leaves")
-        self.levels[0][index as usize] = leaf;
-        let mut idx = index as usize;
-        for l in 0..self.depth {
-            let parent = idx >> 1;
-            let left = self.levels[l][parent << 1];
-            let right = self.levels[l][(parent << 1) | 1];
-            self.levels[l + 1][parent] = node_hash(left, right);
-            idx = parent;
-        }
-        if index >= self.next_index {
-            self.next_index = index + 1;
-        }
+        self.write(index, &[leaf]);
         Ok(())
     }
 
@@ -116,12 +100,7 @@ impl FullMerkleTree {
     ///
     /// Returns [`MerkleError::TreeFull`] when all slots are used.
     pub fn append(&mut self, leaf: Fr) -> Result<u64, MerkleError> {
-        if self.next_index >= self.capacity() {
-            return Err(MerkleError::TreeFull);
-        }
-        let index = self.next_index;
-        self.set(index, leaf)?;
-        Ok(index)
+        self.append_batch(&[leaf])
     }
 
     /// Appends a batch of leaves starting at the next free index,
@@ -152,28 +131,10 @@ impl FullMerkleTree {
     /// ```
     pub fn append_batch(&mut self, leaves: &[Fr]) -> Result<u64, MerkleError> {
         let start = self.next_index;
-        if leaves.is_empty() {
-            return Ok(start);
-        }
         if leaves.len() as u64 > self.capacity() - start {
             return Err(MerkleError::TreeFull);
         }
-        let s = start as usize;
-        // lint:allow(panic-path, reason = "the caller validated start + leaves.len() <= capacity before entering this hot loop")
-        self.levels[0][s..s + leaves.len()].copy_from_slice(leaves);
-        // recompute each level once over the span the batch dirtied
-        let mut lo = s;
-        let mut hi = s + leaves.len() - 1;
-        for l in 0..self.depth {
-            lo >>= 1;
-            hi >>= 1;
-            for parent in lo..=hi {
-                let left = self.levels[l][parent << 1];
-                let right = self.levels[l][(parent << 1) | 1];
-                self.levels[l + 1][parent] = node_hash(left, right);
-            }
-        }
-        self.next_index = start + leaves.len() as u64;
+        self.write(start, leaves);
         Ok(start)
     }
 
@@ -184,30 +145,58 @@ impl FullMerkleTree {
     /// Returns [`MerkleError::IndexOutOfRange`] for indices beyond capacity.
     pub fn proof(&self, index: u64) -> Result<MerkleProof, MerkleError> {
         self.check_index(index)?;
-        let mut siblings = Vec::with_capacity(self.depth);
-        let mut idx = index as usize;
-        for l in 0..self.depth {
-            siblings.push(self.levels[l][idx ^ 1]);
-            idx >>= 1;
-        }
+        let siblings = (0..self.depth)
+            .map(|level| self.node(level, (index >> level) ^ 1))
+            .collect();
         Ok(MerkleProof { index, siblings })
     }
 
-    /// Node value at `pos` within `level` (level 0 = leaves). Used by
-    /// the delta capture to read recomputed spans and frontiers.
+    /// Node value at `pos` within `level` (level 0 = leaves): the stored
+    /// node, or the empty-subtree hash past the frontier.
     pub(crate) fn node(&self, level: usize, pos: u64) -> Fr {
-        self.levels[level][pos as usize]
+        self.levels
+            .get(level)
+            .and_then(|row| row.get(pos as usize))
+            .copied()
+            .unwrap_or(zero_hashes()[level])
     }
 
-    /// Total number of stored node hashes (used by the E3 storage
-    /// experiment; each node is one 32-byte field element).
-    pub fn stored_nodes(&self) -> usize {
-        self.levels.iter().map(Vec::len).sum()
-    }
-
-    /// Estimated resident bytes of the hash storage.
+    /// Estimated resident bytes of the hash storage: one 32-byte field
+    /// element per stored node, `O(members + depth)`.
     pub fn storage_bytes(&self) -> usize {
-        self.stored_nodes() * 32
+        self.levels.iter().map(Vec::len).sum::<usize>() * 32
+    }
+
+    /// Writes `leaves` from index `start` on (in capacity, checked by the
+    /// caller), grows every level to the new frontier, and rehashes each
+    /// level once over the span the write dirtied.
+    fn write(&mut self, start: u64, leaves: &[Fr]) {
+        let Some(last) = (leaves.len() as u64).checked_sub(1) else {
+            return;
+        };
+        let end = start + last;
+        self.next_index = self.next_index.max(end + 1);
+        let zeros = zero_hashes();
+        for (level, row) in self.levels.iter_mut().enumerate() {
+            // nodes that become stored here lie wholly right of the old
+            // frontier, so each is still the empty subtree of its level
+            row.resize(((self.next_index - 1) >> level) as usize + 1, zeros[level]);
+        }
+        if let Some(row) = self.levels.first_mut() {
+            row[start as usize..=end as usize].copy_from_slice(leaves);
+        }
+        let (mut lo, mut hi) = (start, end);
+        for level in 0..self.depth {
+            lo >>= 1;
+            hi >>= 1;
+            for parent in lo..=hi {
+                let hash = node_hash(
+                    self.node(level, parent << 1),
+                    self.node(level, (parent << 1) | 1),
+                );
+                self.levels[level + 1][parent as usize] = hash;
+            }
+        }
     }
 
     fn check_index(&self, index: u64) -> Result<(), MerkleError> {
@@ -226,6 +215,7 @@ impl FullMerkleTree {
 mod tests {
     use super::*;
     use crate::merkle::{zero_hashes, EMPTY_LEAF};
+    use proptest::prelude::*;
 
     #[test]
     fn set_and_get_roundtrip() {
@@ -287,16 +277,95 @@ mod tests {
     }
 
     #[test]
-    fn storage_accounting_depth_20_matches_paper_order() {
-        // The paper: depth-20 full tree ≈ 67 MB. 2^21 - 1 nodes ≈ 2M × 32 B ≈ 64 MiB.
-        let t = FullMerkleTree::new(20).unwrap();
-        let mb = t.storage_bytes() as f64 / (1024.0 * 1024.0);
-        assert!(mb > 60.0 && mb < 70.0, "got {mb} MB");
+    fn storage_is_bounded_by_members_not_depth() {
+        // the paper's depth-20 figure (67 MB) stores all 2^21 - 1 nodes;
+        // this tree stores Σ_l ⌈n / 2^l⌉ ≤ 2n + depth + 1 of them
+        let mut t = FullMerkleTree::new(20).unwrap();
+        assert_eq!(t.storage_bytes(), 0);
+        for members in [1u64, 2, 3, 1000, 1001] {
+            let burst: Vec<Fr> = (t.next_index()..members).map(Fr::from_u64).collect();
+            t.append_batch(&burst).unwrap();
+            let bound = (2 * members as usize + 20 + 1) * 32;
+            assert!(
+                t.storage_bytes() <= bound,
+                "{} > {bound}",
+                t.storage_bytes()
+            );
+        }
     }
 
     #[test]
     fn empty_root_is_zero_hash() {
         let t = FullMerkleTree::new(8).unwrap();
         assert_eq!(t.root(), zero_hashes()[8]);
+    }
+
+    /// Every level of the tree over a complete `2^depth` leaf vector,
+    /// hashed node by node: the dense reference the prefix tree must
+    /// match.
+    fn dense_levels(leaves: &[Fr]) -> Vec<Vec<Fr>> {
+        let mut levels = vec![leaves.to_vec()];
+        while let Some(below) = levels.last().filter(|row| row.len() > 1) {
+            let above = below.chunks(2).map(|p| node_hash(p[0], p[1])).collect();
+            levels.push(above);
+        }
+        levels
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random interleavings of `append`, `append_batch` and `set`
+        /// (inside and past the frontier, removals included) keep the
+        /// root, `next_index`, every leaf and every proof equal to a
+        /// dense tree's at depths 1–6.
+        #[test]
+        fn prop_matches_dense_reference(
+            depth in 1usize..7,
+            ops in proptest::collection::vec((0u8..4, any::<u64>(), 1usize..6), 1..24)
+        ) {
+            let capacity = 1u64 << depth;
+            let mut tree = FullMerkleTree::new(depth).unwrap();
+            let mut leaves = vec![EMPTY_LEAF; capacity as usize];
+            let mut next_index = 0u64;
+            for (step, (kind, draw, len)) in ops.into_iter().enumerate() {
+                let value = Fr::from_u64(step as u64 + 1);
+                let room = capacity - next_index;
+                match kind {
+                    0 if room > 0 => {
+                        prop_assert_eq!(tree.append(value).unwrap(), next_index);
+                        leaves[next_index as usize] = value;
+                        next_index += 1;
+                    }
+                    1 if room > 0 => {
+                        let batch: Vec<Fr> = (0..(len as u64).min(room))
+                            .map(|i| Fr::from_u64(draw.wrapping_add(i)))
+                            .collect();
+                        prop_assert_eq!(tree.append_batch(&batch).unwrap(), next_index);
+                        let start = next_index as usize;
+                        leaves[start..start + batch.len()].copy_from_slice(&batch);
+                        next_index += batch.len() as u64;
+                    }
+                    _ => {
+                        // a removal (kind 2) or a write, anywhere in capacity
+                        let index = draw % capacity;
+                        let leaf = if kind == 2 { EMPTY_LEAF } else { value };
+                        tree.set(index, leaf).unwrap();
+                        leaves[index as usize] = leaf;
+                        next_index = next_index.max(index + 1);
+                    }
+                }
+                let dense = dense_levels(&leaves);
+                prop_assert_eq!(tree.root(), dense[depth][0]);
+                prop_assert_eq!(tree.next_index(), next_index);
+                for index in 0..capacity {
+                    prop_assert_eq!(tree.leaf(index).unwrap(), leaves[index as usize]);
+                    let proof = tree.proof(index).unwrap();
+                    for (level, sibling) in proof.siblings.iter().enumerate() {
+                        prop_assert_eq!(*sibling, dense[level][((index >> level) ^ 1) as usize]);
+                    }
+                }
+            }
+        }
     }
 }

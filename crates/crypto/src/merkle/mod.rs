@@ -9,10 +9,12 @@
 //!
 //! Two trees and one light view, one semantics:
 //!
-//! * [`FullMerkleTree`] — every node materialized; O(2^depth) memory,
+//! * [`FullMerkleTree`] — every node at or left of the frontier stored,
+//!   the zero subtrees right of it implied; O(members + depth) memory,
 //!   supports arbitrary updates and proofs for any leaf. This is what a
 //!   full relay node or a slasher runs, and the canonical tree whose
-//!   changes are broadcast as deltas.
+//!   changes are broadcast as deltas. The paper's 67 MB is this tree
+//!   with all 2^(depth+1) − 1 nodes stored.
 //! * [`IncrementalMerkleTree`] — append-only frontier; O(depth) memory,
 //!   computes the running root only. This is what the *contract-side* root
 //!   tracking of the original RLN design would cost.

@@ -1,7 +1,7 @@
 //! The simulated blockchain: block production, transaction execution,
 //! balances and the event log peers subscribe to.
 
-use crate::contracts::{BalanceEnv, MembershipContract, OnChainTreeContract};
+use crate::contracts::{BalanceEnv, MembershipContract};
 use crate::gas::{self, GasMeter};
 use crate::types::{Address, Block, CallData, LoggedEvent, Receipt, Transaction, TxStatus, Wei};
 use std::collections::HashMap;
@@ -17,7 +17,10 @@ pub struct ChainConfig {
     /// Percentage of a slashed stake that is burnt (rest rewards the
     /// slasher).
     pub burn_percent: u8,
-    /// Depth of the baseline on-chain tree contract.
+    /// Unused: the chain deploys only the membership registry and reads
+    /// nothing from this. Kept only because the out-of-workspace
+    /// `benchmark/` package still sets it; goes once that package stops
+    /// doing so.
     pub tree_depth: usize,
 }
 
@@ -106,7 +109,6 @@ pub struct Chain {
     blocks: Vec<Block>,
     balances: Balances,
     membership: MembershipContract,
-    tree_baseline: OnChainTreeContract,
     events: Vec<LoggedEvent>,
     /// Fault injection: until this timestamp (seconds), `Register` calls
     /// revert at mining time — modelling a registration-service outage
@@ -115,12 +117,11 @@ pub struct Chain {
 }
 
 impl Chain {
-    /// Creates a chain at time 0 with the two contracts deployed.
+    /// Creates a chain at time 0 with the membership contract deployed.
     ///
     /// # Panics
     ///
-    /// Panics if `config.tree_depth` is outside `1..=merkle::MAX_DEPTH` or
-    /// `block_interval` is 0.
+    /// Panics if `block_interval` is 0.
     pub fn new(config: ChainConfig) -> Chain {
         assert!(config.block_interval > 0, "block interval must be positive");
         Chain {
@@ -134,9 +135,6 @@ impl Chain {
                 accounts: HashMap::new(),
             },
             membership: MembershipContract::new(config.stake_amount, config.burn_percent),
-            tree_baseline: OnChainTreeContract::new(config.stake_amount, config.tree_depth)
-                // lint:allow(panic-path, reason = "documented under # Panics: a depth outside 1..=merkle::MAX_DEPTH is a caller bug, and ScenarioSpec::validate rejects one before any testbed builds a chain")
-                .expect("valid tree depth"),
             events: Vec::new(),
             registration_closed_until: 0,
         }
@@ -185,11 +183,6 @@ impl Chain {
     /// Read access to the membership registry contract.
     pub fn membership(&self) -> &MembershipContract {
         &self.membership
-    }
-
-    /// Read access to the baseline on-chain tree contract.
-    pub fn tree_baseline(&self) -> &OnChainTreeContract {
-        &self.tree_baseline
     }
 
     /// Submits a transaction to the pool; it executes when the next block
@@ -273,10 +266,6 @@ impl Chain {
                 CallData::Slash { secret } => self
                     .membership
                     .slash(tx.from, secret, &mut meter, &mut events, &mut self.balances)
-                    .map(|_| ()),
-                CallData::TreeRegister { commitment } => self
-                    .tree_baseline
-                    .register(tx.from, tx.value, commitment, &mut meter, &mut events)
                     .map(|_| ()),
             };
             let status = match outcome {
@@ -490,35 +479,5 @@ mod tests {
         assert_eq!(batch1.len(), 3);
         let (batch2, _) = chain.events_since(cursor);
         assert!(batch2.is_empty());
-    }
-
-    #[test]
-    fn gas_comparison_registry_vs_tree() {
-        let (mut chain, user) = funded_chain();
-        chain
-            .submit(
-                user,
-                ETHER,
-                CallData::Register {
-                    commitment: Fr::from_u64(1),
-                },
-            )
-            .unwrap();
-        chain
-            .submit(
-                user,
-                ETHER,
-                CallData::TreeRegister {
-                    commitment: Fr::from_u64(1),
-                },
-            )
-            .unwrap();
-        let receipts = chain.advance_to(12);
-        let registry_gas = receipts[0].gas_used;
-        let tree_gas = receipts[1].gas_used;
-        assert!(
-            tree_gas as f64 / registry_gas as f64 >= 10.0,
-            "registry {registry_gas} vs tree {tree_gas}"
-        );
     }
 }

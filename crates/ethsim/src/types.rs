@@ -57,13 +57,6 @@ pub enum CallData {
         /// The revealed secret key.
         secret: Fr,
     },
-    /// `OnChainTreeContract::register(commitment)` — the *baseline* design
-    /// (original RLN proposal): the contract maintains the Merkle tree in
-    /// storage, paying O(depth) hashing and storage per update.
-    TreeRegister {
-        /// The identity commitment.
-        commitment: Fr,
-    },
 }
 
 /// A transaction waiting in the pool or included in a block.
@@ -123,11 +116,6 @@ pub enum ChainEvent {
         burned: Wei,
         /// Wei rewarded to the slasher.
         rewarded: Wei,
-    },
-    /// The baseline on-chain tree's root changed.
-    TreeRootUpdated {
-        /// New root value.
-        root: Fr,
     },
 }
 

@@ -229,7 +229,7 @@ mod tests {
     use crate::identity::Identity;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use wakurln_crypto::merkle::MemberView;
+    use wakurln_crypto::merkle::{IncrementalMerkleTree, MemberView};
 
     fn commitments(n: usize, seed: u64) -> Vec<Fr> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -377,5 +377,71 @@ mod tests {
         assert_eq!(g.root(), snapshot.root());
         assert_eq!(g.member_count(), 3);
         assert!(g.ptr_eq(&snapshot), "a rejected write must not copy");
+    }
+
+    #[test]
+    fn depth_32_group_stores_o_members_and_agrees_with_the_light_oracles() {
+        // a fully stored depth-32 tree is 2^33 - 1 nodes (256 GiB); this
+        // one holds the group in O(members), checked against the two
+        // O(depth) structures
+        const DEPTH: usize = 32;
+        let mut g = SharedGroup::new(DEPTH).unwrap();
+        let mut appended = IncrementalMerkleTree::new(DEPTH).unwrap();
+        let cs = commitments(1000, 5);
+        let mut history: Vec<AppendDelta> = Vec::new();
+        // delta-fed views of members in the first, a middle and the last burst
+        let mut views: Vec<(MemberView, u64)> = Vec::new();
+        let mut start = 0;
+        for burst_len in [1usize, 7, 64, 128, 300, 500] {
+            let burst = &cs[start..start + burst_len];
+            let (range, delta) = g.register_batch(burst).unwrap();
+            for leaf in burst {
+                appended.append(*leaf).unwrap();
+            }
+            assert_eq!(g.root(), appended.root());
+            for (view, _) in views.iter_mut() {
+                view.apply_append(&delta, None).unwrap();
+            }
+            history.push(delta);
+            for own in [0u64, 40, 499, 999] {
+                if !range.contains(&own) {
+                    continue;
+                }
+                let mut view = MemberView::new(DEPTH).unwrap();
+                for (k, d) in history.iter().enumerate() {
+                    let own_offset = (k + 1 == history.len()).then_some(own - range.start);
+                    view.apply_append(d, own_offset).unwrap();
+                }
+                views.push((view, own));
+            }
+            start += burst_len;
+        }
+        assert_eq!(views.len(), 4);
+        for index in (0..1000u64).step_by(20) {
+            let (removed, delta) = g.remove(index).unwrap();
+            assert_eq!(removed, cs[index as usize]);
+            for (view, _) in views.iter_mut() {
+                view.apply_update(&delta).unwrap();
+            }
+        }
+        assert_eq!(g.member_count(), 950);
+        for (view, own) in &views {
+            assert_eq!(view.root(), g.root());
+            match view.own_proof() {
+                Some(proof) => {
+                    assert_eq!(proof, g.membership_proof(*own).unwrap());
+                    assert!(proof.verify(g.root(), cs[*own as usize]));
+                }
+                None => assert_eq!(own % 20, 0, "only removed members lose their path"),
+            }
+        }
+        for index in [1u64, 21, 501, 998] {
+            let proof = g.membership_proof(index).unwrap();
+            assert!(proof.verify(g.root(), cs[index as usize]));
+        }
+        let registered = g.next_index() as usize;
+        let bound = (2 * registered + DEPTH + 1) * 32;
+        let stored = g.inner.tree.storage_bytes();
+        assert!(stored <= bound, "{stored} B > {bound} B");
     }
 }

@@ -69,3 +69,21 @@ fn epoch_boundary_race_is_absorbed_by_the_thr_window() {
         report.valid_total
     );
 }
+
+#[test]
+fn spam_burst_runs_at_the_maximum_tree_depth() {
+    // every depth that validates must run: the full node's tree stores
+    // O(members) nodes, not the 2^33 - 1 of a fully stored depth-32 tree
+    let mut spec = builtin("spam_burst", 16, 1).unwrap();
+    spec.tree_depth = 32;
+    spec.validate();
+    let report = run_scenario(&spec);
+    assert_eq!(report.tree_depth, 32);
+    assert!(report.spammers >= 1);
+    assert_eq!(report.spammers_slashed, report.spammers);
+    assert!(
+        report.delivery_rate > 0.9,
+        "delivery at depth 32: {}",
+        report.delivery_rate
+    );
+}
