@@ -480,4 +480,40 @@ mod tests {
         let (batch2, _) = chain.events_since(cursor);
         assert!(batch2.is_empty());
     }
+
+    #[test]
+    fn gas_comparison_registry_vs_tree() {
+        let (mut chain, user) = funded_chain();
+        chain
+            .submit(
+                user,
+                ETHER,
+                CallData::Register {
+                    commitment: Fr::from_u64(1),
+                },
+            )
+            .unwrap();
+        let registry_gas = chain.advance_to(12)[0].gas_used;
+        // the baseline design: the same registration against a contract
+        // that keeps the tree in storage, at the config's depth
+        let config = ChainConfig::default();
+        let mut tree =
+            crate::contracts::OnChainTreeContract::new(config.stake_amount, config.tree_depth)
+                .unwrap();
+        let mut meter = GasMeter::new();
+        meter.charge(gas::TX_BASE);
+        tree.register(
+            user,
+            config.stake_amount,
+            Fr::from_u64(1),
+            &mut meter,
+            &mut Vec::new(),
+        )
+        .unwrap();
+        let tree_gas = meter.used();
+        assert!(
+            tree_gas as f64 / registry_gas as f64 >= 10.0,
+            "registry {registry_gas} vs tree {tree_gas}"
+        );
+    }
 }

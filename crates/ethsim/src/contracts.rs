@@ -245,8 +245,6 @@ impl OnChainTreeContract {
 mod tests {
     use super::*;
     use crate::gas;
-    use crate::types::CallData;
-    use crate::{Chain, ChainConfig};
     use std::collections::HashMap;
 
     #[derive(Default)]
@@ -316,17 +314,6 @@ mod tests {
             .unwrap();
         let factor = m2.used() as f64 / m1.used() as f64;
         assert!(factor >= 10.0, "expected ≥10×, got {factor:.1}×");
-        // a mined registry transaction costs exactly this: TX_BASE plus
-        // the contract's metered gas
-        let mut chain = Chain::new(ChainConfig {
-            stake_amount: 10,
-            ..ChainConfig::default()
-        });
-        chain.fund(Address::BURN, 10);
-        chain
-            .submit(Address::BURN, 10, CallData::Register { commitment: fr(1) })
-            .unwrap();
-        assert_eq!(chain.advance_to(12)[0].gas_used, m1.used());
     }
 
     #[test]
