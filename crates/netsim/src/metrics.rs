@@ -13,8 +13,8 @@ use std::collections::BTreeMap;
 ///
 /// Writing allocates nothing once a key has been seen: global counter
 /// keys are `&'static str` (every caller passes a literal) and are stored
-/// as such, so the several updates replayed per simulated event are a map
-/// lookup and an add. Names are compared only by content, so the read API
+/// as such, so each of the several updates a simulated event makes is a
+/// map lookup and an add. Names are compared only by content, so the read API
 /// takes any `&str`.
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {

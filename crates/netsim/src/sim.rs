@@ -5,12 +5,12 @@
 //! model and the run's [`Metrics`]. Execution is fully deterministic for a
 //! given seed: events sharing a timestamp are executed as a batch in
 //! sequence order (see [`crate::scheduler`]), each node draws randomness
-//! from its own seed-derived stream, and every emitted effect is applied
-//! before the next event runs.
+//! from its own seed-derived stream, and a step's [`Context`] applies each
+//! send, timer and metric update to the network as it is emitted.
 
 use crate::latency::UniformLatency;
 use crate::metrics::Metrics;
-use crate::scheduler::{stream_seed, NodeStore, LINK_STREAM};
+use crate::scheduler::{stream_seed, LINK_STREAM};
 use crate::wheel::EventWheel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -53,10 +53,10 @@ impl Payload for Vec<u8> {
 
 /// A protocol state machine driven by the simulator.
 ///
-/// Callbacks receive an exclusive `&mut self` plus a [`Context`] that
-/// **collects** effects (sends, timers, metric updates) instead of
-/// applying them — the scheduler applies every step's collected output
-/// to the global queue as soon as the step returns.
+/// Callbacks receive an exclusive `&mut self` plus a [`Context`] through
+/// which every send, timer and metric update goes straight into the
+/// network. Steps run one at a time in event order, so what a callback
+/// emits is applied in the order it was emitted.
 pub trait Node {
     /// The message type exchanged between peers.
     type Message: Payload;
@@ -113,81 +113,125 @@ mod heap_order {
     }
 }
 
-pub(crate) enum Effect<M> {
-    Send {
-        to: NodeId,
-        msg: M,
-        /// Sender-side hold-back added on top of the sampled link
-        /// latency (see [`Context::send_delayed`]). 0 for plain sends.
-        hold_ms: u64,
-    },
-    Timer {
-        delay_ms: u64,
-        token: u64,
-    },
+/// One node's slot: the protocol machine plus its private RNG stream.
+#[derive(Clone)]
+pub(crate) struct Slot<N> {
+    pub(crate) node: N,
+    pub(crate) rng: StdRng,
 }
 
-/// One buffered metrics update, replayed into [`Metrics`] when a step's
-/// output is applied. Keys are `&'static str` so buffering allocates
-/// nothing beyond the op list itself.
-pub(crate) enum MetricOp {
-    Count(&'static str, u64),
-    /// `(node, micros)`: simulated CPU charged to one node.
-    CpuMicros(u64, u64),
+/// The half of a [`Network`] every step writes into: the event queue,
+/// liveness, the link model and its RNG stream, the clock, the sequence
+/// counter and the metrics. A [`Context`] borrows it for one step.
+#[derive(Clone)]
+pub(crate) struct Shared<M> {
+    /// The global event queue: a hierarchical timing wheel that stores
+    /// events inline in chunked slots (see [`crate::wheel`]),
+    /// pop-order-identical to the `BinaryHeap` it replaced.
+    pub(crate) queue: EventWheel<M>,
+    /// Liveness by node index, one flag per node ever added.
+    pub(crate) active: Vec<bool>,
+    pub(crate) latency: UniformLatency,
+    pub(crate) loss_probability: f64,
+    /// Partition-group assignment by node index; empty = no partition.
+    /// Sends between different groups are dropped *before* any link-stream
+    /// draw, so cutting/healing a partition is a pure function of this
+    /// table and cannot shift the link RNG relative to an unpartitioned
+    /// run's surviving sends — the fault layer's half of the determinism
+    /// contract. Nodes beyond the table (late joins) are unrestricted.
+    pub(crate) partition: Vec<u32>,
+    /// Extra i.i.d. loss applied on top of the base loss model while a
+    /// link-degradation burst is active (0.0 = off). Drawn from the link
+    /// stream *after* the base loss draw, in event order.
+    pub(crate) degraded_extra_loss: f64,
+    /// Extra per-hop latency (ms) while a degradation burst is active.
+    pub(crate) degraded_extra_latency_ms: u64,
+    /// The link stream: latency and loss draws. Consumed only by
+    /// [`Shared::send`], in event order, never by node callbacks.
+    pub(crate) link_rng: StdRng,
+    pub(crate) now: u64,
+    pub(crate) seq: u64,
+    pub(crate) metrics: Metrics,
 }
 
-pub(crate) fn apply_metric_op(metrics: &mut Metrics, op: MetricOp) {
-    match op {
-        MetricOp::Count(key, n) => metrics.count(key, n),
-        MetricOp::CpuMicros(node, micros) => metrics.add_node_cpu_micros(node, micros),
+impl<M: Payload> Shared<M> {
+    pub(crate) fn is_active(&self, index: usize) -> bool {
+        self.active.get(index).copied().unwrap_or(false)
+    }
+
+    /// Queues `kind` for `node` at `at` under the next sequence number.
+    pub(crate) fn push(&mut self, at: u64, node: NodeId, kind: EventKind<M>) {
+        self.seq += 1;
+        self.queue.push(QueuedEvent {
+            at,
+            seq: self.seq,
+            node,
+            kind,
+        });
+    }
+
+    /// The one path every simulated send takes: drops it at an unknown,
+    /// dead or cut-off peer, else counts it, samples loss and latency from
+    /// the link stream and queues the delivery at `now + hold_ms +
+    /// latency`. Called in event order, which keeps the link stream — and
+    /// therefore the whole simulation — a function of the seed alone.
+    pub(crate) fn send(&mut self, origin: NodeId, to: NodeId, msg: M, hold_ms: u64) {
+        if to.index() >= self.active.len() {
+            self.metrics.count("messages_to_unknown_peer", 1);
+            return;
+        }
+        if !self.is_active(to.index()) {
+            // dead peers take no traffic (connection torn down)
+            self.metrics.count("messages_to_removed_peer", 1);
+            return;
+        }
+        // partition cut: decided purely from the group table, before any
+        // link-stream draw (see `partition` docs)
+        if let (Some(a), Some(b)) = (
+            self.partition.get(origin.index()),
+            self.partition.get(to.index()),
+        ) {
+            if a != b {
+                self.metrics.count("messages_lost_partition", 1);
+                return;
+            }
+        }
+        self.metrics.count("messages_sent", 1);
+        let size = msg.size_bytes() as u64;
+        self.metrics.count("bytes_sent", size);
+        self.metrics.add_node_bytes_sent(origin.as_u64(), size);
+        if self.loss_probability > 0.0 && self.link_rng.gen_bool(self.loss_probability) {
+            self.metrics.count("messages_lost", 1);
+            return;
+        }
+        if self.degraded_extra_loss > 0.0 && self.link_rng.gen_bool(self.degraded_extra_loss) {
+            self.metrics.count("messages_lost_degraded", 1);
+            return;
+        }
+        let latency = self.latency.sample(&mut self.link_rng) + self.degraded_extra_latency_ms;
+        self.push(
+            self.now + hold_ms + latency,
+            to,
+            EventKind::Deliver { from: origin, msg },
+        );
     }
 }
 
 /// The per-callback execution context handed to protocol code.
 ///
-/// A context is a pure **step-output collector**: it owns the node's RNG
-/// stream for the duration of the step and buffers every side effect
-/// (sends, timers, metric updates) the callback emits. It borrows nothing
-/// from the [`Network`]; the scheduler applies the collected output once
-/// the callback returns.
-pub struct Context<M> {
-    now: u64,
+/// A context lends one step its node's RNG stream and the network's
+/// shared half: every send, timer and metric update is applied the moment
+/// the callback emits it.
+pub struct Context<'a, M> {
     node: NodeId,
-    rng: StdRng,
-    effects: Vec<Effect<M>>,
-    ops: Vec<MetricOp>,
+    rng: &'a mut StdRng,
+    net: &'a mut Shared<M>,
 }
 
-impl<M: Payload> Context<M> {
-    /// `effects` and `ops` are the (empty) buffers the step collects
-    /// into: the scheduler hands the same two back in for every event it
-    /// runs, so a step allocates only when it outgrows them.
-    pub(crate) fn new(
-        now: u64,
-        node: NodeId,
-        rng: StdRng,
-        effects: Vec<Effect<M>>,
-        ops: Vec<MetricOp>,
-    ) -> Context<M> {
-        debug_assert!(effects.is_empty() && ops.is_empty());
-        Context {
-            now,
-            node,
-            rng,
-            effects,
-            ops,
-        }
-    }
-
-    /// Tears the context down into the RNG (handed back to the node's
-    /// slot) and the collected step output.
-    pub(crate) fn finish(self) -> (StdRng, Vec<Effect<M>>, Vec<MetricOp>) {
-        (self.rng, self.effects, self.ops)
-    }
-
+impl<M: Payload> Context<'_, M> {
     /// Current simulated time in milliseconds.
     pub fn now(&self) -> u64 {
-        self.now
+        self.net.now
     }
 
     /// The node this callback runs on.
@@ -198,11 +242,7 @@ impl<M: Payload> Context<M> {
     /// Sends `msg` to `to`; it arrives after a sampled link latency
     /// (unless dropped by the loss model).
     pub fn send(&mut self, to: NodeId, msg: M) {
-        self.effects.push(Effect::Send {
-            to,
-            msg,
-            hold_ms: 0,
-        });
+        self.net.send(self.node, to, msg, 0);
     }
 
     /// Sends `msg` to `to` after holding it locally for `hold_ms` before
@@ -212,12 +252,13 @@ impl<M: Payload> Context<M> {
     /// latency are still sampled from the link stream in event order and
     /// determinism is unaffected.
     pub fn send_delayed(&mut self, to: NodeId, msg: M, hold_ms: u64) {
-        self.effects.push(Effect::Send { to, msg, hold_ms });
+        self.net.send(self.node, to, msg, hold_ms);
     }
 
     /// Schedules [`Node::on_timer`] with `token` after `delay_ms`.
     pub fn set_timer(&mut self, delay_ms: u64, token: u64) {
-        self.effects.push(Effect::Timer { delay_ms, token });
+        let at = self.net.now + delay_ms;
+        self.net.push(at, self.node, EventKind::Timer { token });
     }
 
     /// Deterministic RNG for protocol decisions — this node's private
@@ -225,19 +266,20 @@ impl<M: Payload> Context<M> {
     /// [`crate::scheduler::stream_seed`]), so draws are independent of
     /// other nodes' activity.
     pub fn rng(&mut self) -> &mut StdRng {
-        &mut self.rng
+        self.rng
     }
 
     /// Adds to a global counter.
     pub fn count(&mut self, key: &'static str, n: u64) {
-        self.ops.push(MetricOp::Count(key, n));
+        self.net.metrics.count(key, n);
     }
 
     /// Charges simulated CPU time (microseconds) to this node — the
     /// resource-restricted-device accounting used by E6/E9.
     pub fn charge_cpu(&mut self, micros: u64) {
-        self.ops
-            .push(MetricOp::CpuMicros(self.node.as_u64(), micros));
+        self.net
+            .metrics
+            .add_node_cpu_micros(self.node.as_u64(), micros);
     }
 }
 
@@ -315,36 +357,11 @@ impl QuiescenceOutcome {
 /// checkpoint/restore primitive).
 #[derive(Clone)]
 pub struct Network<N: Node> {
-    /// Per-node state (protocol machine + private RNG stream + liveness
-    /// flag).
-    pub(crate) nodes: NodeStore<N>,
-    /// The global event queue: a hierarchical timing wheel that stores
-    /// events inline in chunked slots (see [`crate::wheel`]),
-    /// pop-order-identical to the `BinaryHeap` it replaced.
-    pub(crate) queue: EventWheel<N::Message>,
-    pub(crate) latency: UniformLatency,
-    pub(crate) loss_probability: f64,
-    /// Partition-group assignment by node index; empty = no partition.
-    /// Sends between different groups are dropped *before* any link-stream
-    /// draw, so cutting/healing a partition is a pure function of this
-    /// table and cannot shift the link RNG relative to an unpartitioned
-    /// run's surviving sends — the fault layer's half of the determinism
-    /// contract. Nodes beyond the table (late joins) are unrestricted.
-    pub(crate) partition: Vec<u32>,
-    /// Extra i.i.d. loss applied on top of the base loss model while a
-    /// link-degradation burst is active (0.0 = off). Drawn from the link
-    /// stream *after* the base loss draw, in event order.
-    pub(crate) degraded_extra_loss: f64,
-    /// Extra per-hop latency (ms) while a degradation burst is active.
-    pub(crate) degraded_extra_latency_ms: u64,
-    /// The link stream: latency and loss draws. Consumed only while
-    /// applying step outputs (event order), never by node callbacks.
-    pub(crate) link_rng: StdRng,
+    /// One slot per node ever added, indexed by [`NodeId`].
+    pub(crate) nodes: Vec<Slot<N>>,
+    pub(crate) shared: Shared<N::Message>,
     pub(crate) seed: u64,
-    pub(crate) now: u64,
-    pub(crate) seq: u64,
     pub(crate) started: bool,
-    pub(crate) metrics: Metrics,
     pub(crate) dispatched: u64,
 }
 
@@ -352,19 +369,22 @@ impl<N: Node> Network<N> {
     /// Creates a network with the given link latency and RNG seed.
     pub fn new(latency: UniformLatency, seed: u64) -> Network<N> {
         Network {
-            nodes: NodeStore::new(),
-            queue: EventWheel::new(),
-            latency,
-            loss_probability: 0.0,
-            partition: Vec::new(),
-            degraded_extra_loss: 0.0,
-            degraded_extra_latency_ms: 0,
-            link_rng: StdRng::seed_from_u64(stream_seed(seed, LINK_STREAM)),
+            nodes: Vec::new(),
+            shared: Shared {
+                queue: EventWheel::new(),
+                active: Vec::new(),
+                latency,
+                loss_probability: 0.0,
+                partition: Vec::new(),
+                degraded_extra_loss: 0.0,
+                degraded_extra_latency_ms: 0,
+                link_rng: StdRng::seed_from_u64(stream_seed(seed, LINK_STREAM)),
+                now: 0,
+                seq: 0,
+                metrics: Metrics::new(),
+            },
             seed,
-            now: 0,
-            seq: 0,
             started: false,
-            metrics: Metrics::new(),
             dispatched: 0,
         }
     }
@@ -372,7 +392,7 @@ impl<N: Node> Network<N> {
     /// Sets an i.i.d. packet-loss probability applied to every send.
     pub fn set_loss_probability(&mut self, p: f64) {
         assert!((0.0..=1.0).contains(&p), "probability out of range");
-        self.loss_probability = p;
+        self.shared.loss_probability = p;
     }
 
     /// Installs a network partition: `groups[i]` is node `i`'s side of
@@ -382,12 +402,12 @@ impl<N: Node> Network<N> {
     /// The drop decision is made before any link-stream draw, so the cut
     /// never shifts latency/loss sampling for the traffic that survives.
     pub fn set_partition(&mut self, groups: Vec<u32>) {
-        self.partition = groups;
+        self.shared.partition = groups;
     }
 
     /// Heals any active partition (all links restored).
     pub fn clear_partition(&mut self) {
-        self.partition.clear();
+        self.shared.partition.clear();
     }
 
     /// Starts a link-degradation burst: every send suffers `extra_loss`
@@ -398,14 +418,14 @@ impl<N: Node> Network<N> {
             (0.0..=1.0).contains(&extra_loss),
             "probability out of range"
         );
-        self.degraded_extra_loss = extra_loss;
-        self.degraded_extra_latency_ms = extra_latency_ms;
+        self.shared.degraded_extra_loss = extra_loss;
+        self.shared.degraded_extra_latency_ms = extra_latency_ms;
     }
 
     /// Ends a link-degradation burst.
     pub fn clear_degradation(&mut self) {
-        self.degraded_extra_loss = 0.0;
-        self.degraded_extra_latency_ms = 0;
+        self.shared.degraded_extra_loss = 0.0;
+        self.shared.degraded_extra_latency_ms = 0;
     }
 
     /// Adds a node, returning its id. The node receives its own RNG
@@ -413,17 +433,12 @@ impl<N: Node> Network<N> {
     /// Nodes added after the run started get their `on_start`
     /// immediately (churn support).
     pub fn add_node(&mut self, node: N) -> NodeId {
-        let index = self.nodes.len();
-        let rng = StdRng::seed_from_u64(stream_seed(self.seed, index as u64));
-        let id = NodeId(self.nodes.push(node, rng));
+        let id = NodeId(self.nodes.len());
+        let rng = StdRng::seed_from_u64(stream_seed(self.seed, id.as_u64()));
+        self.nodes.push(Slot { node, rng });
+        self.shared.active.push(true);
         if self.started {
-            let seq = self.next_seq();
-            self.push(QueuedEvent {
-                at: self.now,
-                seq,
-                node: id,
-                kind: EventKind::Start,
-            });
+            self.shared.push(self.shared.now, id, EventKind::Start);
         }
         id
     }
@@ -443,9 +458,9 @@ impl<N: Node> Network<N> {
     ///
     /// Returns `false` when the node was already removed (idempotent).
     pub fn remove_node(&mut self, id: NodeId) -> bool {
-        let was_active = self.nodes.deactivate(id.index());
+        let was_active = std::mem::replace(&mut self.shared.active[id.index()], false);
         if was_active {
-            self.metrics.count("nodes_removed", 1);
+            self.shared.metrics.count("nodes_removed", 1);
         }
         was_active
     }
@@ -464,17 +479,11 @@ impl<N: Node> Network<N> {
     /// Returns `false` when the node was already active (idempotent —
     /// no duplicate `on_start` is scheduled).
     pub fn restore_node(&mut self, id: NodeId) -> bool {
-        let was_dead = self.nodes.reactivate(id.index());
+        let was_dead = !std::mem::replace(&mut self.shared.active[id.index()], true);
         if was_dead {
-            self.metrics.count("nodes_restored", 1);
+            self.shared.metrics.count("nodes_restored", 1);
             if self.started {
-                let seq = self.next_seq();
-                self.push(QueuedEvent {
-                    at: self.now,
-                    seq,
-                    node: id,
-                    kind: EventKind::Start,
-                });
+                self.shared.push(self.shared.now, id, EventKind::Start);
             }
         }
         was_dead
@@ -482,12 +491,12 @@ impl<N: Node> Network<N> {
 
     /// Whether a node is still live (added and not removed).
     pub fn is_active(&self, id: NodeId) -> bool {
-        self.nodes.is_active(id.index())
+        self.shared.is_active(id.index())
     }
 
     /// Number of live nodes (added minus removed).
     pub fn active_len(&self) -> usize {
-        self.nodes.active_len()
+        self.shared.active.iter().filter(|a| **a).count()
     }
 
     /// Number of nodes ever added (including removed ones).
@@ -497,34 +506,34 @@ impl<N: Node> Network<N> {
 
     /// `true` when no nodes were added.
     pub fn is_empty(&self) -> bool {
-        self.nodes.len() == 0
+        self.nodes.is_empty()
     }
 
     /// Immutable access to a node's protocol state.
     pub fn node(&self, id: NodeId) -> &N {
-        self.nodes.node(id.index())
+        &self.nodes[id.index()].node
     }
 
     /// Mutable access to a node's protocol state (for external inspection
-    /// or reconfiguration between runs — effects are not collected here;
-    /// use [`Network::invoke`] for actions that need a context).
+    /// or reconfiguration between runs — no context is lent here; use
+    /// [`Network::invoke`] for actions that send or set timers).
     pub fn node_mut(&mut self, id: NodeId) -> &mut N {
-        self.nodes.node_mut(id.index())
+        &mut self.nodes[id.index()].node
     }
 
     /// Current simulated time in milliseconds.
     pub fn now(&self) -> u64 {
-        self.now
+        self.shared.now
     }
 
     /// Collected metrics.
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.shared.metrics
     }
 
     /// Mutable metrics (experiment harnesses may record their own series).
     pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
+        &mut self.shared.metrics
     }
 
     /// Events dispatched to node callbacks so far (includes events
@@ -535,10 +544,10 @@ impl<N: Node> Network<N> {
 
     /// Events still waiting in the queue.
     pub fn pending_events(&self) -> u64 {
-        self.queue.len() as u64
+        self.shared.queue.len() as u64
     }
 
-    /// Runs an external action against one node *now*, with a full effect
+    /// Runs an external action against one node *now*, with a full
     /// context (e.g. "publish a message at t=5000").
     pub fn invoke<R>(
         &mut self,
@@ -547,23 +556,30 @@ impl<N: Node> Network<N> {
     ) -> R {
         assert!(self.is_active(id), "invoke on removed node {id}");
         self.ensure_started();
-        let slot = self.nodes.slot_mut(id.index());
-        let mut ctx = Context::new(self.now, id, slot.rng.clone(), Vec::new(), Vec::new());
-        let out = f(&mut slot.node, &mut ctx);
-        let (rng, mut effects, ops) = ctx.finish();
-        slot.rng = rng;
-        for op in ops {
-            apply_metric_op(&mut self.metrics, op);
-        }
-        self.apply_effects(id, &mut effects);
-        out
+        self.step(id, f)
+    }
+
+    /// Runs `f` against node `id` with a context lent from its slot and
+    /// the shared half — the one way a step, scheduled or external, runs.
+    pub(crate) fn step<R>(
+        &mut self,
+        id: NodeId,
+        f: impl FnOnce(&mut N, &mut Context<N::Message>) -> R,
+    ) -> R {
+        let slot = &mut self.nodes[id.index()];
+        let mut ctx = Context {
+            node: id,
+            rng: &mut slot.rng,
+            net: &mut self.shared,
+        };
+        f(&mut slot.node, &mut ctx)
     }
 
     /// Processes events until simulated time `t` (inclusive). Events
     /// scheduled beyond `t` stay queued; the clock ends at `t`.
     pub fn run_until(&mut self, t: u64) {
         self.run_batched(t);
-        self.now = self.now.max(t);
+        self.shared.now = self.shared.now.max(t);
     }
 
     /// Runs until the event queue is empty (or `hard_stop` is reached),
@@ -572,11 +588,13 @@ impl<N: Node> Network<N> {
     /// re-arm forever) or a stall worth surfacing.
     pub fn run_to_quiescence(&mut self, hard_stop: u64) -> QuiescenceOutcome {
         self.run_batched(hard_stop);
-        match self.queue.next_event_at() {
-            None => QuiescenceOutcome::Quiescent { at_ms: self.now },
+        match self.shared.queue.next_event_at() {
+            None => QuiescenceOutcome::Quiescent {
+                at_ms: self.shared.now,
+            },
             Some(next_at) => QuiescenceOutcome::HardStop {
                 hard_stop_ms: hard_stop,
-                pending_events: self.queue.len() as u64,
+                pending_events: self.pending_events(),
                 next_event_at_ms: next_at,
             },
         }
@@ -585,95 +603,9 @@ impl<N: Node> Network<N> {
     pub(crate) fn ensure_started(&mut self) {
         if !self.started {
             self.started = true;
+            let now = self.shared.now;
             for i in 0..self.nodes.len() {
-                let ev = QueuedEvent {
-                    at: self.now,
-                    seq: self.next_seq(),
-                    node: NodeId(i),
-                    kind: EventKind::Start,
-                };
-                self.push(ev);
-            }
-        }
-    }
-
-    pub(crate) fn next_seq(&mut self) -> u64 {
-        self.seq += 1;
-        self.seq
-    }
-
-    fn push(&mut self, ev: QueuedEvent<N::Message>) {
-        self.queue.push(ev);
-    }
-
-    /// Applies one step's collected effects (draining `effects`, whose
-    /// capacity the caller may reuse): sends sample the link stream
-    /// (loss, latency) and enqueue deliveries; timers re-enqueue on the
-    /// origin. Always called in event order, right after the step that
-    /// emitted them, which is what keeps the link stream — and therefore
-    /// the whole simulation — a function of the seed alone.
-    pub(crate) fn apply_effects(&mut self, origin: NodeId, effects: &mut Vec<Effect<N::Message>>) {
-        for effect in effects.drain(..) {
-            match effect {
-                Effect::Send { to, msg, hold_ms } => {
-                    if to.index() >= self.nodes.len() {
-                        self.metrics.count("messages_to_unknown_peer", 1);
-                        continue;
-                    }
-                    if !self.nodes.is_active(to.index()) {
-                        // dead peers take no traffic (connection torn down)
-                        self.metrics.count("messages_to_removed_peer", 1);
-                        continue;
-                    }
-                    // partition cut: decided purely from the group table,
-                    // before any link-stream draw (see `partition` docs)
-                    if !self.partition.is_empty() {
-                        let cut = match (
-                            self.partition.get(origin.index()),
-                            self.partition.get(to.index()),
-                        ) {
-                            (Some(a), Some(b)) => a != b,
-                            _ => false,
-                        };
-                        if cut {
-                            self.metrics.count("messages_lost_partition", 1);
-                            continue;
-                        }
-                    }
-                    self.metrics.count("messages_sent", 1);
-                    let size = msg.size_bytes() as u64;
-                    self.metrics.count("bytes_sent", size);
-                    self.metrics.add_node_bytes_sent(origin.as_u64(), size);
-                    if self.loss_probability > 0.0 && self.link_rng.gen_bool(self.loss_probability)
-                    {
-                        self.metrics.count("messages_lost", 1);
-                        continue;
-                    }
-                    if self.degraded_extra_loss > 0.0
-                        && self.link_rng.gen_bool(self.degraded_extra_loss)
-                    {
-                        self.metrics.count("messages_lost_degraded", 1);
-                        continue;
-                    }
-                    let latency =
-                        self.latency.sample(&mut self.link_rng) + self.degraded_extra_latency_ms;
-                    let ev = QueuedEvent {
-                        at: self.now + hold_ms + latency,
-                        seq: self.next_seq(),
-                        node: to,
-                        kind: EventKind::Deliver { from: origin, msg },
-                    };
-                    self.push(ev);
-                }
-                Effect::Timer { delay_ms, token } => {
-                    let ev = QueuedEvent {
-                        at: self.now + delay_ms,
-                        seq: self.next_seq(),
-                        node: origin,
-                        kind: EventKind::Timer { token },
-                    };
-                    self.push(ev);
-                }
+                self.shared.push(now, NodeId(i), EventKind::Start);
             }
         }
     }

@@ -94,22 +94,18 @@ pub fn is_connected(adjacency: &[Vec<NodeId>]) -> bool {
     if adjacency.is_empty() {
         return true;
     }
-    let n = adjacency.len();
-    let mut seen = vec![false; n];
+    let mut seen = vec![false; adjacency.len()];
+    // a node is marked when popped, so node 0 needs no special case
     let mut stack = vec![0usize];
-    // lint:allow(panic-path, reason = "guarded: the empty adjacency returned early, so index 0 exists")
-    seen[0] = true;
-    let mut visited = 1;
+    let mut visited = 0;
     while let Some(i) = stack.pop() {
-        for peer in &adjacency[i] {
-            if !seen[peer.0] {
-                seen[peer.0] = true;
-                visited += 1;
-                stack.push(peer.0);
-            }
+        if std::mem::replace(&mut seen[i], true) {
+            continue;
         }
+        visited += 1;
+        stack.extend(adjacency[i].iter().map(|p| p.0));
     }
-    visited == n
+    visited == adjacency.len()
 }
 
 #[cfg(test)]

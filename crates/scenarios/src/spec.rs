@@ -441,17 +441,18 @@ impl ScenarioSpec {
     }
 
     /// The tree depth actually used: explicit, or auto-sized to hold the
-    /// initial population plus scheduled joins with headroom.
+    /// initial population plus scheduled joins with headroom, clamped to
+    /// `[10, MAX_TREE_DEPTH]`.
     pub fn effective_tree_depth(&self) -> usize {
         if self.tree_depth != 0 {
             return self.tree_depth;
         }
         let capacity_needed = self.registered_peers() * 2;
         let mut depth = 10;
-        while (1usize << depth) < capacity_needed {
+        while depth < MAX_TREE_DEPTH && (1usize << depth) < capacity_needed {
             depth += 1;
         }
-        depth.min(20)
+        depth
     }
 
     /// Number of colluding observers the surveillance adversary controls:
@@ -557,6 +558,13 @@ mod tests {
             action: ChurnAction::Join { peers: 600 },
         });
         assert!((1 << with_joins.effective_tree_depth()) >= 2200);
+    }
+
+    #[test]
+    fn auto_depth_grows_past_20_for_large_populations() {
+        let spec = ScenarioSpec::baseline(600_000, 1);
+        spec.validate();
+        assert_eq!(spec.effective_tree_depth(), 21);
     }
 
     #[test]

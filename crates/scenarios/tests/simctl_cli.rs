@@ -34,9 +34,10 @@ fn usage_errors_exit_2_and_print_no_report() {
         &["soak", "--sim-hours", "0"],
         // 2^57 + 1 hours: as milliseconds this wraps u64 to exactly one hour
         &["soak", "--sim-hours", "144115188075855873", "--nodes", "10"],
-        // 1 000 000 initial peers plus 50 000 joins overflow the capped
-        // depth-20 tree: rejected before the testbed is built
-        &["run", "mass_churn", "--nodes", "1000000"],
+        // 5 000 000 000 initial peers plus 250 000 000 joins overflow a
+        // tree of the maximum depth 32: rejected before the testbed is
+        // built
+        &["run", "mass_churn", "--nodes", "5000000000"],
     ];
     for &args in cases {
         let out = simctl(args);
