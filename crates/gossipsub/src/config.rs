@@ -147,6 +147,55 @@ impl Default for ScoringConfig {
     }
 }
 
+impl ScoringConfig {
+    /// Validates the v1.1 sign rules: positive behaviour (time in mesh,
+    /// first deliveries) never lowers a score, invalid messages never
+    /// raise it, and the thresholds sit at or below zero in the order
+    /// graylist ≤ publish ≤ gossip. A node relies on these: only a peer
+    /// with invalid messages on record can score below zero, so while no
+    /// peer has one the node skips its eviction scan and every threshold
+    /// check. The weights must be finite, or a zero counter times an
+    /// infinite weight would make a score NaN.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a P1/P2 weight or cap is negative, a weight is not
+    /// finite, `invalid_weight` or `mesh_eviction_threshold` is
+    /// positive, the thresholds are out of order or positive, or `decay`
+    /// is outside (0, 1].
+    pub fn assert_valid(&self) {
+        assert!(
+            self.time_in_mesh_weight >= 0.0 && self.time_in_mesh_cap >= 0.0,
+            "time-in-mesh weight and cap must be >= 0"
+        );
+        assert!(
+            self.first_delivery_weight >= 0.0 && self.first_delivery_cap >= 0.0,
+            "first-delivery weight and cap must be >= 0"
+        );
+        assert!(self.invalid_weight <= 0.0, "invalid_weight must be <= 0");
+        assert!(
+            self.time_in_mesh_weight.is_finite()
+                && self.first_delivery_weight.is_finite()
+                && self.invalid_weight.is_finite(),
+            "score weights must be finite"
+        );
+        assert!(
+            self.mesh_eviction_threshold <= 0.0,
+            "mesh eviction threshold must be <= 0"
+        );
+        assert!(
+            self.graylist_threshold <= self.publish_threshold
+                && self.publish_threshold <= self.gossip_threshold
+                && self.gossip_threshold <= 0.0,
+            "thresholds must satisfy graylist <= publish <= gossip <= 0"
+        );
+        assert!(
+            self.decay > 0.0 && self.decay <= 1.0,
+            "decay must lie in (0, 1]"
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,6 +254,33 @@ mod tests {
             }
             .assert_valid();
         }
+    }
+
+    #[test]
+    fn default_scoring_is_valid() {
+        ScoringConfig::default().assert_valid();
+    }
+
+    #[test]
+    #[should_panic(expected = "mesh eviction threshold must be <= 0")]
+    fn a_positive_eviction_threshold_panics() {
+        // every fresh peer (score 0) would be evicted from every mesh
+        ScoringConfig {
+            mesh_eviction_threshold: 1.0,
+            ..Default::default()
+        }
+        .assert_valid();
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid_weight must be <= 0")]
+    fn a_positive_invalid_weight_panics() {
+        // invalid messages would raise the sender's score
+        ScoringConfig {
+            invalid_weight: 10.0,
+            ..Default::default()
+        }
+        .assert_valid();
     }
 
     #[test]

@@ -18,6 +18,15 @@ const TIMER_HEARTBEAT: u64 = 0;
 /// reports a [`Validator::flush_interval_ms`]).
 const TIMER_FLUSH: u64 = 1;
 
+#[cfg(test)]
+thread_local! {
+    /// Full liveness sweeps [`GossipsubNode::heartbeat`] ran on this
+    /// thread.
+    static LIVENESS_SWEEPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Mesh eviction scans [`GossipsubNode::heartbeat`] ran on this thread.
+    static EVICTION_SCANS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Application verdict on an incoming message, produced by a [`Validator`].
 ///
 /// WAKU-RLN-RELAY plugs its proof/epoch/nullifier checks in through this
@@ -210,6 +219,7 @@ impl<V: Validator> GossipsubNode<V> {
         validator: V,
     ) -> GossipsubNode<V> {
         config.assert_valid();
+        scoring.assert_valid();
         GossipsubNode {
             mcache: MessageCache::new(config.history_length),
             config,
@@ -528,6 +538,7 @@ impl<V: Validator> GossipsubNode<V> {
             if topics::contains(&t.mesh, from) || t.mesh.len() < self.config.mesh_n_high {
                 topics::insert(&mut t.mesh, from);
                 self.neighbours.set_in_mesh(from, true);
+                self.neighbours.joined(ctx.now());
                 return;
             }
             ctx.count("graft_rejected_mesh_full", 1);
@@ -552,6 +563,13 @@ impl<V: Validator> GossipsubNode<V> {
             return;
         }
         let now = ctx.now();
+        // nobody has been quiet for half the timeout yet: there is no one
+        // to ping or time out
+        if !self.neighbours.liveness_due(now, timeout / 2) {
+            return;
+        }
+        #[cfg(test)]
+        LIVENESS_SWEEPS.with(|sweeps| sweeps.set(sweeps.get() + 1));
         // everyone we currently track, ascending: mesh members plus known
         // topic peers
         let mut tracked: Vec<NodeId> = self
@@ -563,16 +581,21 @@ impl<V: Validator> GossipsubNode<V> {
         tracked.sort_unstable();
         tracked.dedup();
         let mut dead: Vec<NodeId> = Vec::new();
+        let mut floor = u64::MAX;
         for peer in tracked {
             let last = self.neighbours.clock(peer, now);
             let quiet_ms = now.saturating_sub(last);
             if quiet_ms >= timeout {
                 dead.push(peer);
-            } else if quiet_ms >= timeout / 2 {
+                continue;
+            }
+            floor = floor.min(last);
+            if quiet_ms >= timeout / 2 {
                 ctx.send(peer, Rpc::Ping);
                 ctx.count("pings_sent", 1);
             }
         }
+        self.neighbours.set_heard_floor(floor);
         for peer in dead {
             for t in self.topics.iter_mut() {
                 topics::remove(&mut t.mesh, peer);
@@ -581,6 +604,18 @@ impl<V: Validator> GossipsubNode<V> {
             self.neighbours.presume_dead(peer);
             ctx.count("peers_presumed_dead", 1);
         }
+    }
+
+    /// Asserts the neighbour table's invariants against the peers this
+    /// node tracks.
+    #[cfg(test)]
+    fn check_invariants(&self) {
+        let tracked = self
+            .topics
+            .iter()
+            .flat_map(|t| t.mesh.iter().chain(&t.subscribers))
+            .copied();
+        self.neighbours.check_invariants(tracked);
     }
 
     fn heartbeat(&mut self, ctx: &mut Context<Rpc>) {
@@ -593,18 +628,23 @@ impl<V: Validator> GossipsubNode<V> {
         self.topics.sweep_backoffs(now);
 
         for t in self.topics.iter_mut().filter(|t| t.subscribed) {
-            // evict misbehaving peers
-            let evict: Vec<NodeId> = t
-                .mesh
-                .iter()
-                .copied()
-                .filter(|p| self.neighbours.score().should_evict(*p))
-                .collect();
-            for peer in evict {
-                topics::remove(&mut t.mesh, peer);
-                ctx.send(peer, Rpc::Prune(t.topic.clone()));
-                self.neighbours.set_in_mesh(peer, false);
-                ctx.count("mesh_evictions", 1);
+            // evict misbehaving peers (only a peer with invalid messages
+            // on record can score low enough)
+            if self.neighbours.any_invalid() {
+                #[cfg(test)]
+                EVICTION_SCANS.with(|scans| scans.set(scans.get() + 1));
+                let evict: Vec<NodeId> = t
+                    .mesh
+                    .iter()
+                    .copied()
+                    .filter(|p| self.neighbours.score().should_evict(*p))
+                    .collect();
+                for peer in evict {
+                    topics::remove(&mut t.mesh, peer);
+                    ctx.send(peer, Rpc::Prune(t.topic.clone()));
+                    self.neighbours.set_in_mesh(peer, false);
+                    ctx.count("mesh_evictions", 1);
+                }
             }
 
             // graft up to D when below D_lo
@@ -633,6 +673,7 @@ impl<V: Validator> GossipsubNode<V> {
                 candidates.shuffle(ctx.rng());
                 for peer in candidates.into_iter().take(need) {
                     topics::insert(&mut t.mesh, peer);
+                    // a subscriber, so already under the liveness floor
                     self.neighbours.set_in_mesh(peer, true);
                     ctx.send(peer, Rpc::Graft(t.topic.clone()));
                 }
@@ -710,6 +751,9 @@ impl<V: Validator> Node for GossipsubNode<V> {
             Rpc::Subscribe(topic) => {
                 let t = self.topics.entry(&topic);
                 let newly_learned = topics::insert(&mut t.subscribers, from);
+                if newly_learned {
+                    self.neighbours.joined(ctx.now());
+                }
                 // Subscription exchange (as on libp2p connection setup):
                 // announce our own interest back to a newly seen peer so
                 // late joiners discover established subscribers. The
@@ -781,6 +825,14 @@ mod tests {
 
     type Net = Network<GossipsubNode<AcceptAll>>;
 
+    /// Asserts every node's neighbour-table invariants (removed nodes
+    /// included: their tables froze when they crashed).
+    fn check_invariants<V: Validator>(net: &Network<GossipsubNode<V>>) {
+        for i in 0..net.len() {
+            net.node(NodeId(i)).check_invariants();
+        }
+    }
+
     /// A fixed 10 ms link delay.
     const TEN_MS: UniformLatency = UniformLatency {
         min_ms: 10,
@@ -827,6 +879,7 @@ mod tests {
                 "node {i} oversized"
             );
         }
+        check_invariants(&net);
     }
 
     #[test]
@@ -853,6 +906,7 @@ mod tests {
             received >= 38,
             "only {received}/39 subscribers got the message"
         );
+        check_invariants(&net);
     }
 
     #[test]
@@ -874,6 +928,7 @@ mod tests {
             })
             .count();
         assert!(received >= 27, "only {received}/29 after gossip recovery");
+        check_invariants(&net);
     }
 
     #[test]
@@ -895,6 +950,7 @@ mod tests {
                 .count();
             assert!(count <= 1, "node {i} delivered the message {count} times");
         }
+        check_invariants(&net);
     }
 
     /// A validator that rejects every payload starting with `0xBA`.
@@ -942,6 +998,7 @@ mod tests {
             .filter(|i| net.node(NodeId(*i)).peer_score().score(NodeId(0)) < 0.0)
             .count();
         assert!(punished >= 1, "no peer punished the spammer");
+        check_invariants(&net);
     }
 
     #[test]
@@ -995,6 +1052,7 @@ mod tests {
             "only {received}/{} survivors reached after repair",
             survivors.len()
         );
+        check_invariants(&net);
     }
 
     #[test]
@@ -1009,6 +1067,34 @@ mod tests {
         for i in 0..10 {
             assert!(!net.node(NodeId(i)).mesh_peers(&topic).is_empty());
         }
+        check_invariants(&net);
+    }
+
+    /// The heartbeat does only the work that is due: in a quiet 10-node
+    /// mesh the full liveness sweep runs only at heartbeats where some
+    /// tracked peer can have been quiet for half the timeout, and with no
+    /// invalid message on record no heartbeat scans its mesh for
+    /// evictions. A walk per heartbeat would run both at every one of the
+    /// ≥ 1 180 heartbeats, so the pinned counts fail if it comes back.
+    #[test]
+    fn a_quiet_mesh_sweeps_only_when_a_peer_can_be_due() {
+        let count = |counter: &'static std::thread::LocalKey<std::cell::Cell<usize>>| {
+            counter.with(std::cell::Cell::get)
+        };
+        let (sweeps_before, scans_before) = (count(&LIVENESS_SWEEPS), count(&EVICTION_SCANS));
+        let mut net = build_network(10, 12);
+        let timeout = GossipsubConfig::default().peer_timeout_ms;
+        net.run_until(4 * timeout);
+        let sweeps = count(&LIVENESS_SWEEPS) - sweeps_before;
+        let scans = count(&EVICTION_SCANS) - scans_before;
+        // each node's first heartbeat fires within 2 s, then one a second
+        let heartbeats = 10 * (4 * timeout / 1_000 - 2);
+        assert_eq!(scans, 0, "eviction scans without an invalid message");
+        assert_eq!(sweeps, 161, "liveness sweeps in a quiet mesh");
+        assert!(sweeps * 4 < heartbeats as usize);
+        assert!(net.metrics().counter("pings_sent") > 0);
+        assert_eq!(net.metrics().counter("peers_presumed_dead"), 0);
+        check_invariants(&net);
     }
 
     #[test]
@@ -1020,6 +1106,7 @@ mod tests {
                 node.publish(ctx, Topic::new("test"), b"det".to_vec())
             });
             net.run_until(20_000);
+            check_invariants(&net);
             (1..15)
                 .map(|i| {
                     net.node(NodeId(i))
@@ -1086,6 +1173,7 @@ mod tests {
             net.metrics().counter("iwant_served_capped"),
             (200 - cap) as u64
         );
+        check_invariants(&net);
     }
 
     #[test]
@@ -1106,6 +1194,7 @@ mod tests {
         assert_eq!(net.metrics().counter("messages_sent"), cap as u64);
         // the receiver deduplicates: one delivery, the rest are dupes
         assert_eq!(net.node(NodeId(1)).delivered().len(), 1);
+        check_invariants(&net);
     }
 
     #[test]
@@ -1131,6 +1220,7 @@ mod tests {
             net.metrics().counter("graft_rejected_mesh_full"),
             (30 - cfg.mesh_n_high) as u64
         );
+        check_invariants(&net);
     }
 
     #[test]
@@ -1150,6 +1240,7 @@ mod tests {
             node.on_message(ctx, NodeId(9), Rpc::Graft(Topic::new("test")));
         });
         assert!(net.node(NodeId(0)).mesh_peers(&topic).contains(&NodeId(9)));
+        check_invariants(&net);
     }
 
     /// A (node 0) sits at `D_hi` — its mesh is packed with 12 phantom
@@ -1201,6 +1292,7 @@ mod tests {
             net.metrics().counter("graft_suppressed_backoff") >= 10,
             "backoff never suppressed a retry"
         );
+        check_invariants(&net);
     }
 
     #[test]
@@ -1214,6 +1306,7 @@ mod tests {
             (3..=8).contains(&rejected),
             "expected periodic post-backoff retries, saw {rejected}"
         );
+        check_invariants(&net);
     }
 
     #[test]
@@ -1239,6 +1332,7 @@ mod tests {
             net.node(NodeId(0)).mesh_peers(&topic).contains(&NodeId(1)),
             "graft still rejected after the subscription was re-announced"
         );
+        check_invariants(&net);
     }
 
     #[test]
@@ -1281,6 +1375,7 @@ mod tests {
             "own-message IWANT serve was not held back (arrived at {} ms)",
             delivery.at_ms
         );
+        check_invariants(&net);
     }
 
     #[test]
@@ -1316,6 +1411,7 @@ mod tests {
             )
         });
         assert_eq!(net.metrics().counter("iwant_sent"), 1);
+        check_invariants(&net);
     }
 
     #[test]
@@ -1340,6 +1436,7 @@ mod tests {
                 assert!(net.node(NodeId(i)).observations().is_empty());
             }
         }
+        check_invariants(&net);
     }
 
     #[test]
@@ -1380,6 +1477,7 @@ mod tests {
         let distinct: std::collections::BTreeSet<u64> = arrivals.iter().copied().collect();
         assert!(distinct.len() > 1, "all arrivals identical despite jitter");
         assert!(arrivals.iter().all(|at| *at >= 8_010));
+        check_invariants(&net);
     }
 
     /// Phantom peers that subscribe, graft and advertise once and then go
@@ -1416,23 +1514,23 @@ mod tests {
         net.run_until(5_000 + 2 * timeout);
 
         let node = net.node(NodeId(0));
-        let rows = node.neighbours.rows();
+        let rows: Vec<_> = node.neighbours.rows().collect();
         assert!(
-            rows.iter().all(|r| r.is_heard() || r.scored),
+            rows.iter().all(|(_, r)| r.is_heard() || r.is_scored()),
             "a row with neither a liveness clock nor a score entry survived"
         );
         for p in &phantoms {
-            let row = rows
+            let (_, row) = rows
                 .iter()
-                .find(|r| r.peer() == *p)
+                .find(|(peer, _)| peer == p)
                 .expect("a presumed-dead peer keeps its score entry");
             assert!(!row.is_heard(), "silent phantom {p} still has a clock");
-            assert!(row.scored);
+            assert!(row.is_scored());
         }
         let live: Vec<NodeId> = rows
             .iter()
-            .filter(|r| r.is_heard())
-            .map(|r| r.peer())
+            .filter(|(_, r)| r.is_heard())
+            .map(|(peer, _)| *peer)
             .collect();
         assert!(
             known.iter().all(|k| live.contains(k)),
@@ -1451,6 +1549,7 @@ mod tests {
         // clocks and 304 score entries after the same run
         assert_eq!(live.len(), 8);
         assert_eq!(node.peer_score().tracked_len(), 304);
+        check_invariants(&net);
     }
 
     #[test]
@@ -1471,5 +1570,6 @@ mod tests {
             })
             .count();
         assert!(received >= 8, "early publish reached only {received}/9");
+        check_invariants(&net);
     }
 }

@@ -7,14 +7,19 @@
 //! network, and fresh Sybil identities start with a clean slate. The
 //! implementation here is both part of the routing substrate and the
 //! baseline that E6 compares WAKU-RLN-RELAY against.
+//!
+//! The counters live in the node's neighbour table, one group per row.
+//! Their heartbeat accrual and decay are applied to a row when it is next
+//! touched (and to a copy when a score is only read), with the same
+//! floating-point steps a per-heartbeat walk would take.
 
 use crate::config::ScoringConfig;
-use crate::neighbours::{self, Neighbour};
+use crate::neighbours::Neighbours;
 use wakurln_netsim::NodeId;
 
 /// Per-peer scoring counters (one column group of the node's neighbour
 /// table, beside the row's `in_mesh` flag).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct PeerCounters {
     /// Heartbeats spent in any of our meshes (P1 input).
     heartbeats_in_mesh: f64,
@@ -25,7 +30,7 @@ pub(crate) struct PeerCounters {
 }
 
 impl PeerCounters {
-    fn score(&self, config: &ScoringConfig) -> f64 {
+    pub(crate) fn score(&self, config: &ScoringConfig) -> f64 {
         let p1 = self
             .heartbeats_in_mesh
             .min(config.time_in_mesh_cap / config.time_in_mesh_weight.max(f64::MIN_POSITIVE))
@@ -52,74 +57,87 @@ impl PeerCounters {
             self.invalid_messages = 0.0;
         }
     }
+
+    /// `n` heartbeats at once, bit for bit [`PeerCounters::heartbeat`]
+    /// run `n` times: the steps run one by one while a decaying counter
+    /// is non-zero (a zero counter stays zero under decay and the snap),
+    /// and the rest only accrue time in mesh, whose whole-number sum one
+    /// addition reaches exactly (it stays far below 2^53).
+    pub(crate) fn heartbeats(&mut self, n: u32, in_mesh: bool, config: &ScoringConfig) {
+        let mut left = n;
+        while left > 0 && (self.first_deliveries != 0.0 || self.invalid_messages != 0.0) {
+            self.heartbeat(in_mesh, config);
+            left -= 1;
+        }
+        if in_mesh {
+            self.heartbeats_in_mesh += f64::from(left);
+        }
+    }
 }
 
 /// The local peer-score table: a read-only view of the score entries in
 /// a node's neighbour table.
 #[derive(Clone, Copy, Debug)]
 pub struct PeerScore<'a> {
-    config: &'a ScoringConfig,
-    /// Neighbour rows sorted by peer id; a row without `scored` has no
-    /// score entry.
-    rows: &'a [Neighbour],
+    table: &'a Neighbours,
 }
 
 impl<'a> PeerScore<'a> {
-    pub(crate) fn new(config: &'a ScoringConfig, rows: &'a [Neighbour]) -> PeerScore<'a> {
-        PeerScore { config, rows }
+    pub(crate) fn new(table: &'a Neighbours) -> PeerScore<'a> {
+        PeerScore { table }
     }
 
     /// The scoring parameters in use.
     pub fn config(&self) -> &'a ScoringConfig {
-        self.config
-    }
-
-    fn entries(&self) -> impl Iterator<Item = (NodeId, &'a PeerCounters)> + 'a {
-        self.rows
-            .iter()
-            .filter(|r| r.scored)
-            .map(|r| (r.peer(), &r.counters))
+        self.table.scoring()
     }
 
     /// Number of peers with score-tracking state. The table must track
     /// the peer set, not message volume — the soak harness holds it to
     /// that bound over simulated days.
     pub fn tracked_len(&self) -> usize {
-        self.entries().count()
+        self.table.scored_peers().count()
     }
 
     /// The tracked peers in ascending id order (diagnostics: score
     /// extremes, table-boundedness checks).
     pub fn tracked_peers(&self) -> impl Iterator<Item = NodeId> + 'a {
-        self.entries().map(|(peer, _)| peer)
+        self.table.scored_peers()
     }
 
     /// Computes a peer's current score.
     pub fn score(&self, peer: NodeId) -> f64 {
-        match neighbours::find(self.rows, peer) {
-            Some(row) if row.scored => row.counters.score(self.config),
-            _ => 0.0,
-        }
+        self.table
+            .counters(peer)
+            .map_or(0.0, |counters| counters.score(self.config()))
     }
 
     /// Whether we accept gossip (IHAVE/IWANT) from this peer.
     pub fn accepts_gossip(&self, peer: NodeId) -> bool {
-        self.score(peer) >= self.config.gossip_threshold
+        !self.may_be_negative() || self.score(peer) >= self.config().gossip_threshold
     }
 
     /// Whether we forward/publish to this peer.
     pub fn accepts_publish(&self, peer: NodeId) -> bool {
-        self.score(peer) >= self.config.publish_threshold
+        !self.may_be_negative() || self.score(peer) >= self.config().publish_threshold
     }
 
     /// Whether the peer is graylisted (all RPC ignored).
     pub fn graylisted(&self, peer: NodeId) -> bool {
-        self.score(peer) < self.config.graylist_threshold
+        self.may_be_negative() && self.score(peer) < self.config().graylist_threshold
     }
 
     /// Whether the peer should be evicted from meshes.
     pub fn should_evict(&self, peer: NodeId) -> bool {
-        self.score(peer) < self.config.mesh_eviction_threshold
+        self.may_be_negative() && self.score(peer) < self.config().mesh_eviction_threshold
+    }
+
+    /// Whether any score can be negative. Every threshold is at most
+    /// zero and only a peer with invalid messages on record can score
+    /// below zero ([`ScoringConfig::assert_valid`]), so while no row
+    /// holds one every threshold check passes without computing a score.
+    fn may_be_negative(&self) -> bool {
+        self.table.any_invalid()
     }
 }
 
