@@ -300,7 +300,7 @@ mod tests {
     use crate::codec::encode_signal;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use wakurln_crypto::poseidon;
+    use wakurln_crypto::work::{self, Unit};
     use wakurln_rln::{create_signal, Identity, SharedGroup};
     use wakurln_zksnark::{ProvingKey, RlnCircuit, SimSnark};
 
@@ -448,15 +448,15 @@ mod tests {
             .collect();
         let mut at = 1_000;
         let mut doubles = Vec::new();
-        let reconstructions = wakurln_rln::reconstruction_count();
+        let reconstructions = work::count(Unit::Reconstruction);
         for (i, wire) in signals.iter().enumerate() {
             for copy in 0..6 {
                 let mut envelope =
                     WakuMessage::new("/waku/2/test", encode_signal(wire.epoch, &wire.signal));
                 envelope.timestamp = Some(at);
-                let before = poseidon::permutation_count();
+                let before = work::count(Unit::PoseidonPermutation);
                 let verdict = Validator::validate(&mut f.validator, at, &topic, &envelope.encode());
-                let permutations = poseidon::permutation_count() - before;
+                let permutations = work::count(Unit::PoseidonPermutation) - before;
                 let expected = match (i, copy) {
                     (0, 0) => ValidationResult::Accept,
                     (0, _) => ValidationResult::Ignore,
@@ -485,7 +485,7 @@ mod tests {
         );
         assert!(doubles[0] > 0, "the first double-signal builds evidence");
         assert_eq!(doubles[1..].iter().sum::<u64>(), 0, "{doubles:?}");
-        assert_eq!(wakurln_rln::reconstruction_count() - reconstructions, 1);
+        assert_eq!(work::count(Unit::Reconstruction) - reconstructions, 1);
 
         // a cold restart forgets the mark: the next violation is caught
         // and queued again
@@ -495,7 +495,7 @@ mod tests {
             f.validator.validate_wire(at, wire);
         }
         assert_eq!(f.validator.detections().len(), 1);
-        assert_eq!(wakurln_rln::reconstruction_count() - reconstructions, 2);
+        assert_eq!(work::count(Unit::Reconstruction) - reconstructions, 2);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! * [`digest_hash`] — the table hasher for keys that are SHA-256 digests,
 //! * [`shamir`] — Shamir secret sharing (the RLN slashing mechanism),
 //! * [`merkle`] — membership Merkle trees: full, append-only frontier, and
-//!   the reference-\[9\] light-member tree with O(depth) storage.
+//!   the reference-\[9\] light-member tree with O(depth) storage,
+//! * [`work`] — exact per-thread counts of the work above.
 //!
 //! # Quick tour
 //!
@@ -48,5 +49,6 @@ pub mod merkle;
 pub mod poseidon;
 pub mod sha256;
 pub mod shamir;
+pub mod work;
 
 pub use field::Fr;

@@ -164,6 +164,7 @@ pub(crate) fn validate_depth(depth: usize) -> Result<u64, MerkleError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::work::{self, Unit};
     use proptest::prelude::*;
 
     #[test]
@@ -220,16 +221,16 @@ mod tests {
         let leaves: Vec<Fr> = (0..1024u64).map(Fr::from_u64).collect();
 
         let mut sequential = FullMerkleTree::new(20).unwrap();
-        let before = crate::poseidon::permutation_count();
+        let before = work::count(Unit::PoseidonPermutation);
         for leaf in &leaves {
             sequential.append(*leaf).unwrap();
         }
-        let sequential_hashes = crate::poseidon::permutation_count() - before;
+        let sequential_hashes = work::count(Unit::PoseidonPermutation) - before;
 
         let mut batched = FullMerkleTree::new(20).unwrap();
-        let before = crate::poseidon::permutation_count();
+        let before = work::count(Unit::PoseidonPermutation);
         batched.append_batch(&leaves).unwrap();
-        let batched_hashes = crate::poseidon::permutation_count() - before;
+        let batched_hashes = work::count(Unit::PoseidonPermutation) - before;
 
         assert_eq!(batched.root(), sequential.root());
         assert!(

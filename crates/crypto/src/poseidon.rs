@@ -30,18 +30,12 @@
 
 use crate::field::Fr;
 use crate::sha256::Sha256;
-use std::cell::Cell;
+use crate::work::{self, Unit};
 use std::sync::OnceLock;
 
-thread_local! {
-    /// Number of Poseidon permutations executed on this thread — the unit
-    /// the batched-Merkle experiments count ("hash invocations").
-    static PERMUTATION_COUNT: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Permutations executed on this thread since process start (monotonic).
-///
-/// Diff two readings around a workload to count its hash invocations:
+/// This thread's [`Unit::PoseidonPermutation`] count. Kept only because
+/// the out-of-workspace `benchmark/` package still calls it; goes once
+/// that package reads [`work`] instead.
 ///
 /// ```
 /// use wakurln_crypto::{field::Fr, poseidon};
@@ -51,12 +45,7 @@ thread_local! {
 /// assert_eq!(poseidon::permutation_count() - before, 1);
 /// ```
 pub fn permutation_count() -> u64 {
-    PERMUTATION_COUNT.with(|c| c.get())
-}
-
-#[inline]
-fn count_permutation() {
-    PERMUTATION_COUNT.with(|c| c.set(c.get() + 1));
+    work::count(Unit::PoseidonPermutation)
 }
 
 /// Number of full rounds (half applied before, half after the partial rounds).
@@ -445,7 +434,7 @@ fn invert_matrix(m: &[Fr], n: usize) -> Option<Vec<Fr>> {
 #[inline]
 pub fn permute_fast<const T: usize>(fp: &FastPoseidonParams, state: &mut [Fr; T]) {
     assert_eq!(T, fp.t, "state width mismatch");
-    count_permutation();
+    work::add(Unit::PoseidonPermutation, 1);
     let half = FULL_ROUNDS / 2;
 
     // first half of the full rounds
@@ -510,7 +499,7 @@ pub fn sbox(x: Fr) -> Fr {
 /// the fast path is property-tested against).
 pub fn permute_with(params: &PoseidonParams, state: &mut [Fr]) {
     assert_eq!(state.len(), params.t, "state width mismatch");
-    count_permutation();
+    work::add(Unit::PoseidonPermutation, 1);
     let t = params.t;
     let half_full = FULL_ROUNDS / 2;
     let total = params.total_rounds();
@@ -701,13 +690,13 @@ mod tests {
 
     #[test]
     fn permutation_counter_increments() {
-        let before = permutation_count();
+        let before = work::count(Unit::PoseidonPermutation);
         hash1(Fr::ONE);
         hash2(Fr::ONE, Fr::ZERO);
         permute_fast::<4>(fast_params(4), &mut [Fr::ZERO, Fr::ONE, Fr::ZERO, Fr::ONE]);
         let mut state = [Fr::ZERO; 3];
         permute_with(params(3), &mut state);
-        assert_eq!(permutation_count() - before, 4);
+        assert_eq!(work::count(Unit::PoseidonPermutation) - before, 4);
     }
 
     proptest! {

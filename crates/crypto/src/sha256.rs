@@ -36,34 +36,7 @@
 //! }
 //! ```
 
-use std::cell::Cell;
-
-thread_local! {
-    /// Number of 64-byte blocks compressed on this thread — the exact,
-    /// host-independent unit of SHA-256 work ("how often was a frame
-    /// hashed"), next to [`crate::poseidon::permutation_count`].
-    static COMPRESSION_COUNT: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Blocks compressed on this thread since process start (monotonic).
-///
-/// Diff two readings around a workload to count its hashing. Padding
-/// adds 9 bytes, so a 55-byte input fits one block and a 56-byte input
-/// needs two:
-///
-/// ```
-/// use wakurln_crypto::sha256::{compression_count, Sha256};
-///
-/// let start = compression_count();
-/// Sha256::digest(&[0u8; 55]);
-/// let short = compression_count() - start;
-/// Sha256::digest(&[0u8; 56]);
-/// let long = compression_count() - start - short;
-/// assert_eq!((short, long), (1, 2));
-/// ```
-pub fn compression_count() -> u64 {
-    COMPRESSION_COUNT.with(|c| c.get())
-}
+use crate::work::{self, Unit};
 
 /// Whether this host compresses on the CPU's SHA extensions (x86-64
 /// SHA-NI with SSSE3 and SSE4.1) rather than on the portable compress.
@@ -204,9 +177,9 @@ impl Sha256 {
 }
 
 /// Compresses one block into `state` on the fastest implementation this
-/// CPU has, counting it in [`compression_count`].
+/// CPU has, counting it as a [`Unit::Sha256Block`].
 fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
-    COMPRESSION_COUNT.with(|c| c.set(c.get() + 1));
+    work::add(Unit::Sha256Block, 1);
     #[cfg(target_arch = "x86_64")]
     if accelerated() {
         #[allow(unsafe_code)]
@@ -499,9 +472,9 @@ mod tests {
             let len: usize = len.parse().unwrap();
             let data: Vec<u8> = (0..len).map(|i| i as u8).collect();
             assert_eq!(digest_both(&data), hex, "len={len}");
-            let start = compression_count();
+            let start = work::count(Unit::Sha256Block);
             Sha256::digest(&data);
-            let blocks = compression_count() - start;
+            let blocks = work::count(Unit::Sha256Block) - start;
             assert_eq!(blocks, (len as u64 + 9).div_ceil(64), "len={len}");
         }
         let backend = if accelerated() { "SHA-NI" } else { "portable" };

@@ -9,6 +9,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::HashMap;
 use std::rc::Rc;
+use wakurln_crypto::work::{self, Unit};
 use wakurln_netsim::{Bytes, Context, Node, NodeId};
 
 /// Heartbeat timer token.
@@ -17,15 +18,6 @@ const TIMER_HEARTBEAT: u64 = 0;
 /// Batch-validation flush timer token (armed only when the validator
 /// reports a [`Validator::flush_interval_ms`]).
 const TIMER_FLUSH: u64 = 1;
-
-#[cfg(test)]
-thread_local! {
-    /// Full liveness sweeps [`GossipsubNode::heartbeat`] ran on this
-    /// thread.
-    static LIVENESS_SWEEPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-    /// Mesh eviction scans [`GossipsubNode::heartbeat`] ran on this thread.
-    static EVICTION_SCANS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
 
 /// Application verdict on an incoming message, produced by a [`Validator`].
 ///
@@ -568,8 +560,7 @@ impl<V: Validator> GossipsubNode<V> {
         if !self.neighbours.liveness_due(now, timeout / 2) {
             return;
         }
-        #[cfg(test)]
-        LIVENESS_SWEEPS.with(|sweeps| sweeps.set(sweeps.get() + 1));
+        work::add(Unit::LivenessSweep, 1);
         // everyone we currently track, ascending: mesh members plus known
         // topic peers
         let mut tracked: Vec<NodeId> = self
@@ -631,8 +622,7 @@ impl<V: Validator> GossipsubNode<V> {
             // evict misbehaving peers (only a peer with invalid messages
             // on record can score low enough)
             if self.neighbours.any_invalid() {
-                #[cfg(test)]
-                EVICTION_SCANS.with(|scans| scans.set(scans.get() + 1));
+                work::add(Unit::EvictionScan, 1);
                 let evict: Vec<NodeId> = t
                     .mesh
                     .iter()
@@ -1078,20 +1068,20 @@ mod tests {
     /// ≥ 1 180 heartbeats, so the pinned counts fail if it comes back.
     #[test]
     fn a_quiet_mesh_sweeps_only_when_a_peer_can_be_due() {
-        let count = |counter: &'static std::thread::LocalKey<std::cell::Cell<usize>>| {
-            counter.with(std::cell::Cell::get)
-        };
-        let (sweeps_before, scans_before) = (count(&LIVENESS_SWEEPS), count(&EVICTION_SCANS));
+        let before = work::profile();
         let mut net = build_network(10, 12);
         let timeout = GossipsubConfig::default().peer_timeout_ms;
         net.run_until(4 * timeout);
-        let sweeps = count(&LIVENESS_SWEEPS) - sweeps_before;
-        let scans = count(&EVICTION_SCANS) - scans_before;
+        let spent = work::profile() - before;
+        let (sweeps, scans) = (
+            spent.get(Unit::LivenessSweep),
+            spent.get(Unit::EvictionScan),
+        );
         // each node's first heartbeat fires within 2 s, then one a second
         let heartbeats = 10 * (4 * timeout / 1_000 - 2);
         assert_eq!(scans, 0, "eviction scans without an invalid message");
         assert_eq!(sweeps, 161, "liveness sweeps in a quiet mesh");
-        assert!(sweeps * 4 < heartbeats as usize);
+        assert!(sweeps * 4 < heartbeats);
         assert!(net.metrics().counter("pings_sent") > 0);
         assert_eq!(net.metrics().counter("peers_presumed_dead"), 0);
         check_invariants(&net);

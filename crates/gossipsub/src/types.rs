@@ -4,6 +4,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 use wakurln_crypto::digest_hash::DigestState;
+use wakurln_crypto::work::{self, Unit};
 use wakurln_netsim::{Bytes, Payload};
 
 /// A pub/sub topic (peers congregate around topics, §I).
@@ -247,12 +248,6 @@ pub struct MessageCache {
     oldest_seen: u64,
 }
 
-#[cfg(test)]
-thread_local! {
-    /// Full-table sweeps [`MessageCache::expire_seen`] ran on this thread.
-    static SWEEPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
 impl MessageCache {
     /// Creates a cache with `history_length` windows.
     pub fn new(history_length: usize) -> MessageCache {
@@ -373,8 +368,7 @@ impl MessageCache {
         if now.saturating_sub(self.oldest_seen) < ttl_ms {
             return;
         }
-        #[cfg(test)]
-        SWEEPS.with(|sweeps| sweeps.set(sweeps.get() + 1));
+        work::add(Unit::SeenSweep, 1);
         let (mut seen, mut own, mut oldest) = (self.seen, self.own, NOT_SEEN);
         // lint:allow(map-iteration, reason = "order-independent: per-entry TTL prune; entries are judged in isolation and the bound is a min")
         self.table.retain(|_, e| {
@@ -682,8 +676,8 @@ mod tests {
             c.shift();
             c.expire_seen(now, TTL);
         };
-        let start = SWEEPS.with(std::cell::Cell::get);
-        let sweeps = || SWEEPS.with(std::cell::Cell::get) - start;
+        let start = work::count(Unit::SeenSweep);
+        let sweeps = || work::count(Unit::SeenSweep) - start;
         // heartbeats before the oldest entry reaches the TTL do not sweep
         for now in (1_000..TTL).step_by(1_000) {
             heartbeat(&mut c, now);

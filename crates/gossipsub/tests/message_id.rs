@@ -4,7 +4,7 @@
 //! reach, no other crate can.
 
 use proptest::prelude::*;
-use wakurln_crypto::sha256::compression_count;
+use wakurln_crypto::work::{self, Unit};
 use wakurln_gossipsub::{
     AcceptAll, GossipsubConfig, GossipsubNode, MessageCache, MessageId, RawMessage, ScoringConfig,
     Topic,
@@ -50,7 +50,7 @@ fn publish_phase(observers: bool) -> (u64, u64, usize) {
     }
     net.run_until(10_000); // mesh formation
 
-    let blocks_before = compression_count();
+    let blocks_before = work::count(Unit::Sha256Block);
     let delivered_before = net.metrics().counter("messages_delivered");
     for k in 0..FRAMES {
         let mut frame = vec![0xab; FRAME_BYTES];
@@ -72,7 +72,7 @@ fn publish_phase(observers: bool) -> (u64, u64, usize) {
         .map(|i| net.node(NodeId(i)).observations().len())
         .sum();
     (
-        compression_count() - blocks_before,
+        work::count(Unit::Sha256Block) - blocks_before,
         net.metrics().counter("messages_delivered") - delivered_before,
         observations,
     )

@@ -55,6 +55,6 @@ pub use identity::Identity;
 pub use shared::{GroupError, SharedGroup};
 pub use signal::{create_signal, verify_signal, Signal, SignalValidity};
 pub use slashing::{
-    analyze_double_signal, analyze_share_pair, build_evidence, reconstruction_count,
-    DoubleSignalOutcome, SlashingEvidence,
+    analyze_double_signal, analyze_share_pair, build_evidence, DoubleSignalOutcome,
+    SlashingEvidence,
 };

@@ -11,6 +11,7 @@ use crate::signal::Signal;
 use std::cell::Cell;
 use wakurln_crypto::field::Fr;
 use wakurln_crypto::shamir::{self, Share};
+use wakurln_crypto::work::{self, Unit};
 
 /// Sets in [`DERIVATIONS`] (`1 << DERIVATION_SET_BITS`), of two
 /// entries each.
@@ -28,9 +29,6 @@ struct Derivation {
 }
 
 thread_local! {
-    /// Secrets recovered by [`analyze_share_pair`] on this thread.
-    static RECONSTRUCTION_COUNT: Cell<u64> = const { Cell::new(0) };
-
     /// Memo of [`build_evidence`]'s derivations on this thread. Every
     /// routing peer that catches one double signal recovers the same `sk`
     /// for the same `ε`; the first pays the three Poseidon permutations
@@ -75,27 +73,6 @@ fn derive(sk: Fr, external_nullifier: Fr) -> Derivation {
         older.set(newest.replace(Some(derived)));
         derived
     })
-}
-
-/// Secrets recovered on this thread since process start (monotonic): one
-/// per [`DoubleSignalOutcome::SecretRecovered`].
-///
-/// Diff two readings around a run to count its reconstructions, beside
-/// `poseidon::permutation_count` and `sha256::compression_count`:
-///
-/// ```
-/// use wakurln_crypto::field::Fr;
-/// use wakurln_crypto::shamir::Share;
-/// use wakurln_rln::{analyze_share_pair, reconstruction_count};
-///
-/// let share = |x: u64, y: u64| Share { x: Fr::from_u64(x), y: Fr::from_u64(y) };
-/// let before = reconstruction_count();
-/// analyze_share_pair(&share(1, 5), &share(1, 5)); // a duplicate
-/// analyze_share_pair(&share(1, 5), &share(2, 7)); // a double signal
-/// assert_eq!(reconstruction_count() - before, 1);
-/// ```
-pub fn reconstruction_count() -> u64 {
-    RECONSTRUCTION_COUNT.with(|c| c.get())
 }
 
 /// The result of comparing two signals that share an internal nullifier.
@@ -143,13 +120,29 @@ pub fn analyze_double_signal(a: &Signal, b: &Signal) -> DoubleSignalOutcome {
 /// [`analyze_double_signal`] on the two shares alone, for a caller that
 /// already knows both came with the same `(external, internal)`
 /// nullifiers — a nullifier-map hit, which keys on exactly that pair.
+///
+/// Each [`DoubleSignalOutcome::SecretRecovered`] counts one
+/// [`Unit::Reconstruction`]:
+///
+/// ```
+/// use wakurln_crypto::field::Fr;
+/// use wakurln_crypto::shamir::Share;
+/// use wakurln_crypto::work::{self, Unit};
+/// use wakurln_rln::analyze_share_pair;
+///
+/// let share = |x: u64, y: u64| Share { x: Fr::from_u64(x), y: Fr::from_u64(y) };
+/// let before = work::count(Unit::Reconstruction);
+/// analyze_share_pair(&share(1, 5), &share(1, 5)); // a duplicate
+/// analyze_share_pair(&share(1, 5), &share(2, 7)); // a double signal
+/// assert_eq!(work::count(Unit::Reconstruction) - before, 1);
+/// ```
 pub fn analyze_share_pair(a: &Share, b: &Share) -> DoubleSignalOutcome {
     if a == b {
         return DoubleSignalOutcome::Duplicate;
     }
     match shamir::recover_line_secret(a, b) {
         Some(sk) => {
-            RECONSTRUCTION_COUNT.with(|c| c.set(c.get() + 1));
+            work::add(Unit::Reconstruction, 1);
             DoubleSignalOutcome::SecretRecovered(sk)
         }
         None => DoubleSignalOutcome::InconsistentShares,
@@ -186,7 +179,6 @@ mod tests {
     use crate::signal::create_signal;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use wakurln_crypto::poseidon;
     use wakurln_zksnark::{RlnCircuit, SimSnark};
 
     fn two_signals(same_message: bool) -> (Signal, Signal, Identity) {
@@ -368,13 +360,13 @@ mod tests {
             let signal = with_nullifiers(&s1, external, phi);
             (sk, signal, uncached_evidence(sk, external))
         });
-        let before = poseidon::permutation_count();
+        let before = work::count(Unit::PoseidonPermutation);
         for _ in 0..3 {
             for (sk, signal, expected) in &cases {
                 assert_eq!(build_evidence(*sk, signal), Some(*expected));
             }
         }
-        assert_eq!(poseidon::permutation_count() - before, 2 * 3);
+        assert_eq!(work::count(Unit::PoseidonPermutation) - before, 2 * 3);
     }
 
     #[test]
@@ -385,11 +377,11 @@ mod tests {
         let external = Fr::from_u64(3);
         let phi = Identity::from_secret(sk).internal_nullifier_for(external);
         let signal = with_nullifiers(&s1, external, phi);
-        let before = poseidon::permutation_count();
+        let before = work::count(Unit::PoseidonPermutation);
         assert!(build_evidence(sk, &signal).is_some());
-        let cold = poseidon::permutation_count() - before;
+        let cold = work::count(Unit::PoseidonPermutation) - before;
         assert!(build_evidence(sk, &signal).is_some());
-        let warm = poseidon::permutation_count() - before - cold;
+        let warm = work::count(Unit::PoseidonPermutation) - before - cold;
         assert_eq!((cold, warm), (3, 0));
     }
 

@@ -489,6 +489,9 @@ impl ScenarioSpec {
     pub fn validate(&self) {
         assert!(self.honest >= 2, "need at least two honest peers");
         assert!((0.0..=1.0).contains(&self.loss), "loss out of range");
+        if let LatencySpec::Uniform { min_ms, max_ms } = self.latency {
+            assert!(min_ms <= max_ms, "latency range is empty");
+        }
         assert!(self.slice_ms > 0, "slice must be positive");
         assert!(
             self.churn.is_sorted_by_key(|e| e.at_ms),
@@ -515,6 +518,10 @@ impl ScenarioSpec {
                 "surveillance needs observers plus honest publishers"
             );
         }
+        assert!(
+            self.devices.is_empty() || self.devices.iter().any(|d| d.share > 0),
+            "device shares must not all be zero"
+        );
         if let Some(p) = self.pipeline {
             assert!(p.max_batch >= 1, "pipeline batch must hold a message");
             assert!(
@@ -599,6 +606,29 @@ mod tests {
                 "depth {depth}: {msg}"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "latency range is empty")]
+    fn inverted_latency_range_rejected() {
+        let mut spec = ScenarioSpec::baseline(8, 1);
+        spec.latency = LatencySpec::Uniform {
+            min_ms: 80,
+            max_ms: 10,
+        };
+        spec.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "device shares must not all be zero")]
+    fn all_zero_device_shares_rejected() {
+        let mut spec = ScenarioSpec::baseline(8, 1);
+        spec.devices = vec![DeviceClassSpec {
+            name: "idle",
+            verify_proof_micros: 1_000,
+            share: 0,
+        }];
+        spec.validate();
     }
 
     #[test]

@@ -23,21 +23,37 @@
 //! ring one from the commit before it and held across that swap, and the
 //! `fault_storm` one from the commit before the scheduler's worker pool
 //! was deleted.
+//!
+//! `tests/work_golden.txt` pins each built-in's work profile the same
+//! way: the exact Poseidon permutations, SHA-256 blocks, reconstructions
+//! and gossipsub table walks of its run. A change that does more or less
+//! of any of them fails here even when its reports and its wall-clock
+//! look the same; a *declared* change of work replaces that file with
+//! the fresh table this test prints.
 
 use waku_rln::crypto::sha256::{to_hex, Sha256};
+use waku_rln::crypto::work::{self, Profile};
 use waku_rln::scenarios::{
     builtin, run_scenario, ScenarioReport, ScenarioSpec, TopologySpec, BUILTIN_NAMES,
 };
 
 /// Two full runs of the spec must serialize to the same bytes, and the
-/// next seed must not. Returns the first run's report.
-fn assert_deterministic(mut spec: ScenarioSpec) -> ScenarioReport {
+/// next seed must not. Returns the first run's report and the second's
+/// work profile: that run has a fresh thread, so no per-thread cache
+/// carries over into it, and comes after the first, which has warmed
+/// the process-wide ones.
+fn assert_deterministic(mut spec: ScenarioSpec) -> (ScenarioReport, Profile) {
     // thin the traffic: the point is byte-identity, not load
     spec.traffic.publishers = spec.traffic.publishers.min(3);
     spec.traffic.rounds = spec.traffic.rounds.min(3);
     let report = run_scenario(&spec);
     let first = report.to_json();
-    let second = run_scenario(&spec).to_json();
+    let (second, work) = std::thread::scope(|s| {
+        s.spawn(|| (run_scenario(&spec), work::profile()))
+            .join()
+            .expect("the second run panicked")
+    });
+    let second = second.to_json();
     assert_eq!(
         first, second,
         "scenario {} not deterministic for seed {}",
@@ -53,39 +69,53 @@ fn assert_deterministic(mut spec: ScenarioSpec) -> ScenarioReport {
         "{}: seed {} had no effect",
         spec.name, spec.seed
     );
-    report
+    (report, work)
 }
 
-/// [`assert_deterministic`], then the SHA-256 (hex) of the report's JSON
-/// bytes — the cross-commit pin.
-fn pinned_sha256(spec: ScenarioSpec) -> String {
-    let report = assert_deterministic(spec);
+/// The SHA-256 (hex) of the report's JSON bytes — the cross-commit pin.
+fn report_sha256(report: &ScenarioReport) -> String {
     to_hex(&Sha256::digest(report.to_json().as_bytes()))
+}
+
+/// [`assert_deterministic`], then [`report_sha256`].
+fn pinned_sha256(spec: ScenarioSpec) -> String {
+    report_sha256(&assert_deterministic(spec).0)
+}
+
+/// The names of `fresh`'s lines that `golden` lacks, or every name when
+/// the two differ in length.
+fn moved<'a>(golden: &str, fresh: &'a str) -> Vec<&'a str> {
+    let golden: Vec<&str> = golden.lines().collect();
+    fresh
+        .lines()
+        .filter(|line| golden.len() != BUILTIN_NAMES.len() || !golden.contains(line))
+        .filter_map(|line| line.split(' ').next())
+        .collect()
 }
 
 /// Every built-in on its own topology, at small sizes: 14 peers, and 20
 /// for `mass_churn` so its crash draws still leave a mesh. Each report's
-/// hash must match its line in `tests/golden.txt`; a declared report
-/// change replaces that file with the fresh table this test prints.
+/// hash must match its line in `tests/golden.txt`, and each run's work
+/// its line in `tests/work_golden.txt`; a declared change replaces the
+/// file with the fresh table this test prints.
 #[test]
 fn every_builtin_is_deterministic() {
-    let golden: Vec<(&str, &str)> = include_str!("golden.txt")
-        .lines()
-        .filter_map(|line| line.split_once(' '))
-        .collect();
-    let mut fresh = String::new();
-    let mut moved = Vec::new();
+    let (mut reports, mut works) = (String::new(), String::new());
     for name in BUILTIN_NAMES {
         let nodes = if name == "mass_churn" { 20 } else { 14 };
-        let sha = pinned_sha256(builtin(name, nodes, 11).expect("known builtin"));
-        if !golden.contains(&(name, sha.as_str())) {
-            moved.push(name);
-        }
-        fresh.push_str(&format!("{name} {sha}\n"));
+        let (report, work) = assert_deterministic(builtin(name, nodes, 11).expect("known builtin"));
+        reports.push_str(&format!("{name} {}\n", report_sha256(&report)));
+        works.push_str(&format!("{name} {work}\n"));
     }
+    let moved_reports = moved(include_str!("golden.txt"), &reports);
     assert!(
-        moved.is_empty() && golden.len() == BUILTIN_NAMES.len(),
-        "reports moved against tests/golden.txt: {moved:?}; fresh table:\n{fresh}"
+        moved_reports.is_empty(),
+        "reports moved against tests/golden.txt: {moved_reports:?}; fresh table:\n{reports}"
+    );
+    let moved_work = moved(include_str!("work_golden.txt"), &works);
+    assert!(
+        moved_work.is_empty(),
+        "work moved against tests/work_golden.txt: {moved_work:?}; fresh table:\n{works}"
     );
 }
 
@@ -96,7 +126,7 @@ fn every_builtin_is_deterministic() {
 fn jittered_deanonymization_sweep_is_deterministic() {
     let mut spec = builtin("deanonymization_sweep", 40, 11).expect("known builtin");
     spec.publish_jitter_ms = 150;
-    let report = assert_deterministic(spec);
+    let (report, _) = assert_deterministic(spec);
     assert!(report.anonymity_observers.unwrap() >= 1);
     assert!(report.anonymity_observations.unwrap() > 0);
     assert!(
