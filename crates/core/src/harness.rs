@@ -19,7 +19,7 @@ use wakurln_crypto::field::Fr;
 use wakurln_crypto::merkle::{zero_hashes, AppendDelta, UpdateDelta};
 use wakurln_ethsim::types::{Address, CallData, ChainEvent};
 use wakurln_ethsim::{Chain, ChainConfig};
-use wakurln_gossipsub::{GossipsubConfig, MessageId};
+use wakurln_gossipsub::{GossipsubConfig, MessageId, Rpc};
 use wakurln_netsim::{topology, Network, NodeId, QuiescenceOutcome, UniformLatency};
 use wakurln_rln::{Identity, SharedGroup};
 use wakurln_zksnark::{ProvingKey, RlnCircuit, SimSnark, VerifyingKey};
@@ -29,13 +29,18 @@ use wakurln_zksnark::{ProvingKey, RlnCircuit, SimSnark, VerifyingKey};
 /// light view — live peers, late joiners and restarted peers all catch up
 /// from their cursor through [`Testbed::catch_up`] — so every peer applies
 /// the same deltas in the same order and ends with the same root and
-/// accepted-roots window. Registrations are stored one burst per sync
-/// slice, the granularity at which roots enter that window.
+/// accepted-roots window. Registrations are stored one burst per tick
+/// (see [`TICK_MS`]), the granularity at which roots enter that window.
 #[derive(Clone, Debug)]
 enum ReplayEvent {
     RegisteredBurst { delta: AppendDelta },
     Slashed { delta: UpdateDelta },
 }
+
+/// The world's clock resolution: the harness ticks (chain, membership
+/// sync, resyncs, slashing) at every whole second of simulated time, the
+/// resolution of the chain's seconds clock.
+pub const TICK_MS: u64 = 1_000;
 
 /// Wall-clock time the harness spent in each phase — **host** time, not
 /// simulated time. Diagnostic only: these feed the benchmark reports'
@@ -121,7 +126,7 @@ pub struct Testbed {
     /// The membership log: every processed contract event, in order.
     replay_log: Vec<ReplayEvent>,
     /// Per-peer sync position: how many `replay_log` entries the peer
-    /// has applied. Live peers reach the log head after every sync slice;
+    /// has applied. Live peers reach the log head at every tick;
     /// a crashed peer's cursor freezes, and a cold-restarted peer's
     /// rewinds to zero.
     replay_cursor: Vec<usize>,
@@ -339,8 +344,9 @@ impl Testbed {
     ///
     /// Either way the peer is flagged `awaiting_resync`: it stays behind
     /// the log head and submits no slashes until its backlog is replayed
-    /// — which is tried immediately, and retried each run slice while the
-    /// registration contract is unreachable (counted as `resync_retries`).
+    /// — which is tried immediately, and retried at each tick (see
+    /// [`TICK_MS`]) while the registration contract is unreachable
+    /// (counted as `resync_retries`).
     ///
     /// Returns `false` (and does nothing) when the peer was not down.
     pub fn restart_peer(&mut self, peer: usize, warm: bool) -> bool {
@@ -359,11 +365,11 @@ impl Testbed {
 
     /// The per-peer half of §III group sync: catches every live peer up
     /// with the membership log. Runs after `build`'s first sync, after
-    /// each event-sync slice of [`Testbed::run`] and from
+    /// each tick of [`Testbed::advance_to`] and from
     /// [`Testbed::restart_peer`]. A restarted peer still awaiting resync
     /// needs the registration contract as its sync source: while that is
     /// in outage it counts one `resync_retries` and stays flagged (and
-    /// behind) for the next slice — the bounded-retry loop the fault
+    /// behind) for the next tick — the bounded-retry loop the fault
     /// scenarios measure; otherwise it replays its backlog, counts one
     /// `peer_resyncs` and clears the flag.
     fn attempt_resyncs(&mut self) {
@@ -437,21 +443,34 @@ impl Testbed {
         self.net.node_mut(NodeId(peer)).set_censor(censor);
     }
 
-    /// Advances the whole world (network, chain, event sync, slashing
-    /// submission) by `dt_ms`, in lock-step slices of `slice_ms`.
-    pub fn run(&mut self, dt_ms: u64, slice_ms: u64) {
-        assert!(slice_ms > 0, "slice must be positive");
-        let target = self.net.now() + dt_ms;
-        while self.net.now() < target {
-            let next = (self.net.now() + slice_ms).min(target);
+    /// Advances the whole world by `dt_ms` (see [`Testbed::advance_to`]).
+    pub fn run(&mut self, dt_ms: u64) {
+        self.advance_to(self.net.now() + dt_ms, &mut |_| {});
+    }
+
+    /// Advances the whole world to simulated time `t_ms`. At every
+    /// multiple of [`TICK_MS`] in `(now, t_ms]` the network runs there,
+    /// the chain advances to that second, the membership log syncs,
+    /// restarted peers retry their resync and detected double-signals are
+    /// submitted as slashes; `on_tick` then sees the world. After the
+    /// last tick the network runs on to `t_ms`, so a run cut at any
+    /// instant continues exactly as an uncut one.
+    pub fn advance_to(&mut self, t_ms: u64, on_tick: &mut dyn FnMut(&Testbed)) {
+        let mut tick = (self.net.now() / TICK_MS + 1) * TICK_MS;
+        loop {
             // lint:allow(host-time, reason = "phase timing: wall-clock duration lands in phase_timings (bench diagnostics), not in the simulation")
             let dispatch_start = Instant::now();
-            self.net.run_until(next);
+            self.net.run_until(tick.min(t_ms));
             self.timings.dispatch_ns += dispatch_start.elapsed().as_nanos() as u64;
-            self.chain.advance_to(next / 1000);
+            if tick > t_ms {
+                return;
+            }
+            self.chain.advance_to(tick / 1000);
             self.sync_chain_events();
             self.attempt_resyncs();
             self.submit_detected_slashes();
+            on_tick(self);
+            tick += TICK_MS;
         }
     }
 
@@ -460,24 +479,40 @@ impl Testbed {
         self.timings
     }
 
-    /// Advances the world like [`Testbed::run`], then reports whether the
-    /// network actually settled by `hard_stop` — the scheduler's
-    /// [`QuiescenceOutcome`] instead of silently swallowing leftover
-    /// events. With live gossip nodes the outcome is normally `HardStop`
-    /// (heartbeat timers re-arm forever); the pending-event count still
-    /// distinguishes a healthy idle mesh from a queue that is growing.
-    pub fn run_to_quiescence(&mut self, hard_stop: u64, slice_ms: u64) -> QuiescenceOutcome {
-        let now = self.net.now();
-        if hard_stop > now {
-            self.run(hard_stop - now, slice_ms);
-        }
-        // everything ≤ hard_stop has been processed by the sliced run;
-        // this only classifies what is left in the queue
+    /// Advances the world to `hard_stop` like [`Testbed::advance_to`],
+    /// then reports whether the network actually settled by then — the
+    /// scheduler's [`QuiescenceOutcome`] instead of silently swallowing
+    /// leftover events. With live gossip nodes the outcome is normally
+    /// `HardStop` (heartbeat timers re-arm forever); see
+    /// [`Testbed::frames_in_flight`] for telling an idle mesh from one
+    /// cut off mid-propagation.
+    pub fn run_to_quiescence(&mut self, hard_stop: u64) -> QuiescenceOutcome {
+        self.advance_to(hard_stop, &mut |_| {});
+        // everything ≤ hard_stop has been processed; this only
+        // classifies what is left in the queue
         // lint:allow(host-time, reason = "phase timing: wall-clock duration lands in phase_timings (bench diagnostics), not in the simulation")
         let drain_start = Instant::now();
         let outcome = self.net.run_to_quiescence(hard_stop);
         self.timings.drain_ns += drain_start.elapsed().as_nanos() as u64;
         outcome
+    }
+
+    /// Application frames not yet delivered: `Forward`s queued for a live
+    /// peer plus frames a live relay holds for a deferred verdict. A
+    /// network that has settled holds none; heartbeat timers and control
+    /// RPCs (subscriptions, gossip, grafts, liveness pings) never count.
+    pub fn frames_in_flight(&self) -> usize {
+        let queued = self
+            .net
+            .queued_messages()
+            .filter(|(to, msg)| self.net.is_active(*to) && matches!(msg, Rpc::Forward(_)))
+            .count();
+        let held: usize = (0..self.net.len())
+            .map(NodeId)
+            .filter(|id| self.net.is_active(*id))
+            .map(|id| self.net.node(id).gossipsub().pending_validation_len())
+            .sum();
+        queued + held
     }
 
     /// Publishes through a peer's honest pipeline (rate-limited).
@@ -662,16 +697,16 @@ mod tests {
     #[test]
     fn honest_publish_reaches_network() {
         let mut tb = small();
-        tb.run(8_000, 1_000); // mesh formation
+        tb.run(8_000); // mesh formation
         tb.publish(0, b"hello rln").unwrap();
-        tb.run(15_000, 1_000);
+        tb.run(15_000);
         assert!(tb.delivery_count(b"hello rln", 0) >= 6);
     }
 
     #[test]
     fn local_rate_limiter_blocks_second_message_same_epoch() {
         let mut tb = small();
-        tb.run(8_000, 1_000);
+        tb.run(8_000);
         tb.publish(0, b"one").unwrap();
         let err = tb.publish(0, b"two").unwrap_err();
         assert!(matches!(err, PublishError::RateLimited { .. }));
@@ -680,12 +715,12 @@ mod tests {
     #[test]
     fn double_signal_is_detected_and_spammer_slashed_on_chain() {
         let mut tb = small();
-        tb.run(8_000, 1_000);
+        tb.run(8_000);
         let spammer = 3;
         tb.publish_spam(spammer, b"spam-a").unwrap();
         tb.publish_spam(spammer, b"spam-b").unwrap();
         // run long enough for gossip + detection + a chain block + sync
-        tb.run(30_000, 1_000);
+        tb.run(30_000);
         assert!(tb.total_spam_detections() >= 1, "no detection");
         assert_eq!(tb.active_members(), 7, "spammer not slashed");
         assert!(!tb.is_member(spammer), "spammer still has membership");
@@ -694,17 +729,47 @@ mod tests {
         assert!(rewarded, "no slasher reward paid");
     }
 
+    /// A run cut off the tick grid continues exactly as an uncut one: the
+    /// cut dispatches the network only, and the next tick still syncs,
+    /// resyncs and submits slashes at the whole second.
+    #[test]
+    fn a_run_split_off_the_tick_grid_matches_one_run() {
+        let [mut whole, mut split] = [small(), small()];
+        for tb in [&mut whole, &mut split] {
+            tb.run(8_000);
+            tb.publish_spam(3, b"split-a").unwrap();
+            tb.publish_spam(3, b"split-b").unwrap();
+        }
+        whole.run(30_000);
+        split.run(12_345);
+        split.run(30_000 - 12_345);
+        assert_eq!(split.net.now(), whole.net.now());
+        assert!(!whole.is_member(3), "spammer not slashed");
+        assert_eq!(split.chain.height(), whole.chain.height());
+        for peer in 0..8 {
+            assert_eq!(
+                split.net.node(NodeId(peer)).membership_root(),
+                whole.net.node(NodeId(peer)).membership_root(),
+                "peer {peer} root"
+            );
+        }
+        assert_eq!(
+            format!("{:?}", split.net.metrics()),
+            format!("{:?}", whole.net.metrics())
+        );
+    }
+
     #[test]
     fn honest_peers_unaffected_by_slashing_of_spammer() {
         let mut tb = small();
-        tb.run(8_000, 1_000);
+        tb.run(8_000);
         tb.publish_spam(2, b"s1").unwrap();
         tb.publish_spam(2, b"s2").unwrap();
-        tb.run(30_000, 1_000);
+        tb.run(30_000);
         assert!(!tb.is_member(2));
         // an honest peer can still publish and be heard
         tb.publish(5, b"life goes on").unwrap();
-        tb.run(15_000, 1_000);
+        tb.run(15_000);
         assert!(tb.delivery_count(b"life goes on", 5) >= 6);
     }
 }
@@ -722,7 +787,7 @@ mod churn_tests {
             seed: 41,
             ..Default::default()
         });
-        tb.run(8_000, 1_000);
+        tb.run(8_000);
         assert!(tb.crash_peer(3));
         assert!(!tb.crash_peer(3), "second crash must be a no-op");
         assert!(!tb.is_live(3));
@@ -731,7 +796,7 @@ mod churn_tests {
         assert_eq!(tb.active_members(), 8);
 
         tb.publish(0, b"post-crash").unwrap();
-        tb.run(40_000, 1_000);
+        tb.run(40_000);
         // survivors converge (mesh repaired around the hole)...
         assert!(tb.delivery_count(b"post-crash", 0) >= 6);
         // ...and the dead peer took nothing
@@ -753,13 +818,13 @@ mod churn_tests {
             seed: 42,
             ..Default::default()
         });
-        tb.run(8_000, 1_000);
+        tb.run(8_000);
         tb.crash_peer(1);
         tb.crash_peer(8);
-        tb.run(5_000, 1_000);
+        tb.run(5_000);
         tb.publish_spam(4, b"cs-a").unwrap();
         tb.publish_spam(4, b"cs-b").unwrap();
-        tb.run(40_000, 1_000);
+        tb.run(40_000);
         assert!(!tb.is_member(4), "spammer survived network churn");
         assert_eq!(tb.active_members(), 9);
     }
@@ -782,7 +847,7 @@ mod recovery_tests {
     #[test]
     fn restart_of_a_running_peer_is_a_no_op() {
         let mut tb = testbed(51);
-        tb.run(5_000, 1_000);
+        tb.run(5_000);
         assert!(!tb.restart_peer(2, true));
         assert_eq!(tb.awaiting_resync_count(), 0);
         assert_eq!(tb.net.metrics().counter("peer_restarts"), 0);
@@ -791,16 +856,16 @@ mod recovery_tests {
     #[test]
     fn warm_restart_replays_only_the_missed_events() {
         let mut tb = testbed(52);
-        tb.run(8_000, 1_000);
+        tb.run(8_000);
         assert!(tb.crash_peer(3));
         // history moves on while 3 is down: a spammer gets slashed and a
         // late joiner registers — both land in the replay log
         tb.publish_spam(5, b"down-a").unwrap();
         tb.publish_spam(5, b"down-b").unwrap();
-        tb.run(30_000, 1_000);
+        tb.run(30_000);
         assert!(!tb.is_member(5), "spammer not slashed while 3 was down");
         let newbie = tb.add_peer(&[0, 1, 2]);
-        tb.run(10_000, 1_000);
+        tb.run(10_000);
 
         assert!(tb.restart_peer(3, true));
         assert!(!tb.restart_peer(3, true), "double restart must be no-op");
@@ -814,9 +879,9 @@ mod recovery_tests {
         assert!(tb.is_member(3), "warm restart lost own membership");
 
         // the mesh re-forms and the peer hears new traffic
-        tb.run(20_000, 1_000);
+        tb.run(20_000);
         tb.publish(newbie, b"after the storm").unwrap();
-        tb.run(20_000, 1_000);
+        tb.run(20_000);
         let got = tb
             .net
             .node(NodeId(3))
@@ -831,9 +896,9 @@ mod recovery_tests {
     #[test]
     fn cold_restart_rebuilds_membership_from_genesis() {
         let mut tb = testbed(53);
-        tb.run(8_000, 1_000);
+        tb.run(8_000);
         assert!(tb.crash_peer(4));
-        tb.run(5_000, 1_000);
+        tb.run(5_000);
         assert!(tb.restart_peer(4, false));
         assert_eq!(tb.awaiting_resync_count(), 0);
         // the wiped tree replayed the full history, including its own
@@ -847,9 +912,9 @@ mod recovery_tests {
         assert_eq!(tb.net.node(NodeId(4)).validator().nullifier_map_bytes(), 0);
         // and the peer can publish again (rate-limiter memory is durable,
         // so wait out the epoch it may have published in)
-        tb.run(15_000, 1_000);
+        tb.run(15_000);
         tb.publish(4, b"back from the dead").unwrap();
-        tb.run(20_000, 1_000);
+        tb.run(20_000);
         assert!(tb.delivery_count(b"back from the dead", 4) >= 6);
     }
 
@@ -863,7 +928,7 @@ mod recovery_tests {
             pipeline: Some(crate::pipeline::PipelineConfig::default()),
             ..Default::default()
         });
-        tb.run(8_000, 1_000);
+        tb.run(8_000);
         tb.publish(0, b"in the batch").unwrap();
         let pending = |tb: &Testbed, peer: usize| {
             tb.net
@@ -873,7 +938,7 @@ mod recovery_tests {
         };
         // step until a relay holds the frame in its unflushed batch
         let holder = loop {
-            tb.run(5, 5);
+            tb.run(5);
             if let Some(peer) = (1..8).find(|&p| pending(&tb, p) > 0) {
                 break peer;
             }
@@ -888,19 +953,19 @@ mod recovery_tests {
     #[test]
     fn resync_retries_under_contract_outage_then_completes() {
         let mut tb = testbed(54);
-        tb.run(8_000, 1_000);
+        tb.run(8_000);
         assert!(tb.crash_peer(2));
         // registration contract goes dark until t = 20 s
         tb.chain.set_registration_outage(20);
         assert!(tb.restart_peer(2, false));
-        // the immediate attempt and each subsequent slice count retries
+        // the immediate attempt and each subsequent tick count retries
         assert_eq!(tb.awaiting_resync_count(), 1);
-        tb.run(5_000, 1_000);
+        tb.run(5_000);
         assert_eq!(tb.awaiting_resync_count(), 1, "resync landed mid-outage");
         let retries = tb.net.metrics().counter("resync_retries");
         assert!(retries >= 2, "expected repeated retries, saw {retries}");
-        // outage lifts; the next slice completes the resync
-        tb.run(10_000, 1_000);
+        // outage lifts; the next tick completes the resync
+        tb.run(10_000);
         assert_eq!(tb.awaiting_resync_count(), 0);
         assert!(tb.is_member(2));
         assert_eq!(
@@ -912,7 +977,7 @@ mod recovery_tests {
     #[test]
     fn peer_mid_resync_is_skipped_by_live_fanout_without_losing_events() {
         let mut tb = testbed(55);
-        tb.run(8_000, 1_000);
+        tb.run(8_000);
         assert!(tb.crash_peer(6));
         tb.chain.set_registration_outage(40);
         assert!(tb.restart_peer(6, true));
@@ -921,10 +986,10 @@ mod recovery_tests {
         // behind the log until the outage lifts, then replays the event
         tb.publish_spam(1, b"mid-a").unwrap();
         tb.publish_spam(1, b"mid-b").unwrap();
-        tb.run(20_000, 1_000);
+        tb.run(20_000);
         assert!(!tb.is_member(1), "spammer not slashed mid-outage");
         assert_eq!(tb.awaiting_resync_count(), 1);
-        tb.run(20_000, 1_000); // outage lifts at t = 40 s
+        tb.run(20_000); // outage lifts at t = 40 s
         assert_eq!(tb.awaiting_resync_count(), 0);
         assert_eq!(
             tb.net.node(NodeId(6)).membership_root(),
@@ -936,15 +1001,15 @@ mod recovery_tests {
     #[test]
     fn every_sync_path_lands_on_the_same_membership_state() {
         let mut tb = testbed(57);
-        tb.run(8_000, 1_000);
+        tb.run(8_000);
         // 3 is down while a spammer is slashed and a newcomer joins
         assert!(tb.crash_peer(3));
         tb.publish_spam(5, b"paths-a").unwrap();
         tb.publish_spam(5, b"paths-b").unwrap();
-        tb.run(30_000, 1_000);
+        tb.run(30_000);
         assert!(!tb.is_member(5), "spammer not slashed");
         let newbie = tb.add_peer(&[0, 1, 2]);
-        tb.run(10_000, 1_000);
+        tb.run(10_000);
         assert!(tb.is_member(newbie), "newcomer not registered");
         // the slashed spammer loses its disk and replays from genesis
         assert!(tb.crash_peer(5));
@@ -955,7 +1020,7 @@ mod recovery_tests {
         assert!(tb.restart_peer(6, false));
         assert!(tb.restart_peer(3, true));
         assert_eq!(tb.awaiting_resync_count(), 2);
-        tb.run(20_000, 1_000);
+        tb.run(20_000);
         assert_eq!(tb.awaiting_resync_count(), 0);
 
         let accepted = |tb: &Testbed, peer: usize| {
@@ -995,19 +1060,19 @@ mod late_join_tests {
             seed: 31,
             ..Default::default()
         });
-        tb.run(8_000, 1_000);
+        tb.run(8_000);
 
         // a spammer is slashed before the newcomer arrives — history the
         // newcomer must replay correctly
         tb.publish_spam(2, b"pre-a").unwrap();
         tb.publish_spam(2, b"pre-b").unwrap();
-        tb.run(30_000, 1_000);
+        tb.run(30_000);
         assert_eq!(tb.active_members(), 5);
 
         let newbie = tb.add_peer(&[0, 1, 3]);
         assert_eq!(newbie, 6);
         // registration mines, syncs, meshes form
-        tb.run(20_000, 1_000);
+        tb.run(20_000);
         assert!(tb.is_member(newbie), "late joiner not registered");
         assert_eq!(tb.active_members(), 6);
         // its root agrees with an old peer's
@@ -1018,13 +1083,13 @@ mod late_join_tests {
 
         // it can publish and be heard...
         tb.publish(newbie, b"hello from the late joiner").unwrap();
-        tb.run(15_000, 1_000);
+        tb.run(15_000);
         assert!(tb.delivery_count(b"hello from the late joiner", newbie) >= 4);
 
         // ...and it receives others' messages
-        tb.run(11_000, 1_000); // next epoch for peer 0
+        tb.run(11_000); // next epoch for peer 0
         tb.publish(0, b"welcome aboard").unwrap();
-        tb.run(15_000, 1_000);
+        tb.run(15_000);
         let got = tb
             .net
             .node(NodeId(newbie))
@@ -1043,14 +1108,14 @@ mod late_join_tests {
             seed: 32,
             ..Default::default()
         });
-        tb.run(8_000, 1_000);
+        tb.run(8_000);
         let newbie = tb.add_peer(&[0, 1, 2]);
-        tb.run(20_000, 1_000);
+        tb.run(20_000);
         assert!(tb.is_member(newbie));
 
         tb.publish_spam(newbie, b"late-spam-1").unwrap();
         tb.publish_spam(newbie, b"late-spam-2").unwrap();
-        tb.run(40_000, 1_000);
+        tb.run(40_000);
         assert!(!tb.is_member(newbie), "late-joining spammer survived");
         assert_eq!(tb.active_members(), 6);
     }

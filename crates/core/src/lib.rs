@@ -38,9 +38,9 @@
 //!     degree: 3,
 //!     ..Default::default()
 //! });
-//! testbed.run(8_000, 1_000);                 // let gossip meshes form
+//! testbed.run(8_000); // let gossip meshes form
 //! testbed.publish(0, b"anonymous hello").unwrap();
-//! testbed.run(15_000, 1_000);
+//! testbed.run(15_000);
 //! assert!(testbed.delivery_count(b"anonymous hello", 0) >= 4);
 //! ```
 
@@ -54,7 +54,7 @@ pub mod pipeline;
 pub mod validator;
 
 pub use codec::{decode_signal, encode_signal, SignalCodecError, WireSignal};
-pub use harness::{PhaseTimings, Testbed, TestbedConfig};
+pub use harness::{PhaseTimings, Testbed, TestbedConfig, TICK_MS};
 pub use node::{PublishError, RlnRelayNode};
 pub use pipeline::{PipelineConfig, PipelineStats};
 pub use validator::{CostModel, RlnValidator, SpamDetection, ValidationStats};

@@ -547,6 +547,16 @@ impl<N: Node> Network<N> {
         self.shared.queue.len() as u64
     }
 
+    /// Messages still queued for delivery, with their receivers, in no
+    /// particular order (a message to a crashed node stays queued until
+    /// its delivery time drops it).
+    pub fn queued_messages(&self) -> impl Iterator<Item = (NodeId, &N::Message)> {
+        self.shared.queue.iter().filter_map(|ev| match &ev.kind {
+            EventKind::Deliver { msg, .. } => Some((ev.node, msg)),
+            EventKind::Timer { .. } | EventKind::Start => None,
+        })
+    }
+
     /// Runs an external action against one node *now*, with a full
     /// context (e.g. "publish a message at t=5000").
     pub fn invoke<R>(
@@ -1052,6 +1062,8 @@ mod tests {
             }
             QuiescenceOutcome::Quiescent { .. } => panic!("should have pending work"),
         }
+        let queued: Vec<_> = net.queued_messages().collect();
+        assert_eq!(queued, [(NodeId(3), &b"late".to_vec())]);
     }
 
     #[test]

@@ -95,6 +95,11 @@ impl<M> EventWheel<M> {
         self.len
     }
 
+    /// Every queued event, in no particular order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &QueuedEvent<M>> {
+        self.levels.iter().flatten().flatten().flatten()
+    }
+
     /// Level and slot for `at`, relative to the wheel's current time.
     fn level_slot(&self, at: u64) -> (usize, usize) {
         debug_assert!(at >= self.cur, "event scheduled in the past");

@@ -36,15 +36,16 @@
 //! live run). Exits nonzero when a boundedness invariant or a checkpoint
 //! replay fails.
 //!
-//! When a run's drain hard-stops with more events queued than the
-//! steady-state timer load of a live mesh, `simctl` prints a warning and
-//! exits nonzero (after emitting the report): the network did not
+//! When a run's drain hard-stops with application frames still in
+//! flight (see `Testbed::frames_in_flight`), `simctl` prints a warning
+//! and exits nonzero (after emitting the report): the network did not
 //! settle, so downstream consumers should not trust the tail metrics.
+//! Heartbeat timers and control traffic left queued do not count.
 
+use waku_rln_relay::Testbed;
 use wakurln_scenarios::{
-    builtin, run_scenario, run_scenario_with_progress, run_soak, ChurnAction, ChurnEvent, Progress,
-    ScenarioReport, ScenarioSpec, SoakBounds, SoakConfig, SpamSpec, SurveillanceSpec,
-    BUILTIN_NAMES,
+    builtin, run_scenario_observed, run_soak, ChurnAction, ChurnEvent, Progress, ScenarioReport,
+    ScenarioSpec, SoakBounds, SoakConfig, SpamSpec, SurveillanceSpec, BUILTIN_NAMES,
 };
 
 fn usage() -> ! {
@@ -134,18 +135,8 @@ fn build_spec(
             });
         }
     }
-    // an impossible flag combination (e.g. --nodes 1) is a usage error,
-    // not a crash: map the spec validation panic to the exit-2 contract
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {})); // keep the backtrace banner out of stderr
-    let check = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| spec.validate()));
-    std::panic::set_hook(default_hook);
-    if let Err(panic) = check {
-        let reason = panic
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| panic.downcast_ref::<&str>().copied())
-            .unwrap_or("invalid scenario parameters");
+    // an impossible flag combination (e.g. --nodes 1) is a usage error
+    if let Err(reason) = spec.check() {
         eprintln!("invalid parameters for {name}: {reason}");
         std::process::exit(2);
     }
@@ -185,43 +176,29 @@ fn emit(json: &str, out_path: Option<&str>) {
     }
 }
 
-/// How many events may legitimately sit in the queue when the drain's
-/// hard stop fires: a live mesh keeps one armed heartbeat per peer (two
-/// with the pipeline's flush timer) forever, plus headroom for timers
-/// caught mid-rearm. Pending events beyond this mean the network was cut
-/// off while real work — not steady-state timers — was still queued.
-fn hard_stop_allowance(report: &ScenarioReport, spec: &ScenarioSpec) -> u64 {
-    let live = report.peers_final_live;
-    let timers_per_peer = if spec.pipeline.is_some() { 2 } else { 1 };
-    live * timers_per_peer + live / 10 + 16
-}
-
-/// Warns on stderr when the drain hard-stopped with more than the
-/// steady-state timer load still queued. Returns whether it did.
-fn warn_on_hard_stop(report: &ScenarioReport, spec: &ScenarioSpec) -> bool {
-    let allowance = hard_stop_allowance(report, spec);
-    if report.drain_quiescent || report.drain_pending_events <= allowance {
+/// Warns on stderr when the drain's hard stop cut the network off with
+/// application frames still undelivered. Returns whether it did.
+fn warn_on_hard_stop(report: &ScenarioReport, tb: &Testbed) -> bool {
+    let frames = tb.frames_in_flight();
+    if frames == 0 {
         return false;
     }
     eprintln!(
-        "warning: {} drain hard-stopped with {} events still queued \
-         (steady-state allowance {} for {} live peers) — the network did not settle",
-        report.scenario, report.drain_pending_events, allowance, report.peers_final_live,
+        "warning: {} drain hard-stopped with {frames} application frames still in flight \
+         ({} events queued) — the network did not settle",
+        report.scenario, report.drain_pending_events,
     );
     true
 }
 
 /// Runs one spec, optionally streaming a per-simulated-second progress
 /// line to stderr (throttled to roughly one line per wall-second).
-fn execute(spec: &ScenarioSpec, progress: bool) -> wakurln_scenarios::ScenarioReport {
-    if !progress {
-        return run_scenario(spec);
-    }
+fn execute(spec: &ScenarioSpec, progress: bool) -> (ScenarioReport, Testbed) {
     let mut last_print_wall = 0u64;
     let mut last = (0u64, 0u64); // (sim_ms, events) at the last line
-    run_scenario_with_progress(spec, |p: &Progress| {
+    run_scenario_observed(spec, |p: &Progress| {
         let due = p.wall_ms.saturating_sub(last_print_wall) >= 1_000 || p.sim_ms >= p.total_ms;
-        if !due {
+        if !progress || !due {
             return;
         }
         let dsim = p.sim_ms - last.0;
@@ -348,10 +325,10 @@ fn main() {
             spec.seed,
             spec.duration_ms()
         );
-        let report = execute(&spec, progress);
+        let (report, tb) = execute(&spec, progress);
         eprintln!("{}", report.summary_line());
         emit(&report.to_json(), out_path.as_deref());
-        if warn_on_hard_stop(&report, &spec) {
+        if warn_on_hard_stop(&report, &tb) {
             std::process::exit(1);
         }
         return;
@@ -377,9 +354,9 @@ fn main() {
                     total,
                     spec.initial_peers(),
                 );
-                let report = execute(&spec, progress);
+                let (report, tb) = execute(&spec, progress);
                 eprintln!("  {}", report.summary_line());
-                hard_stopped |= warn_on_hard_stop(&report, &spec);
+                hard_stopped |= warn_on_hard_stop(&report, &tb);
                 reports.push(report);
             }
         }

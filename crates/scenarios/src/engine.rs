@@ -23,7 +23,7 @@ use rand::SeedableRng;
 use std::collections::HashMap;
 // lint:allow(host-time, reason = "wall-clock progress/elapsed reporting only; the simulation reads ctx.now() exclusively")
 use std::time::Instant;
-use waku_rln_relay::{CostModel, Testbed, TestbedConfig};
+use waku_rln_relay::{CostModel, Testbed, TestbedConfig, TICK_MS};
 use wakurln_gossipsub::{GossipsubConfig, MessageId};
 use wakurln_netsim::{topology, NodeId, QuiescenceOutcome};
 
@@ -73,8 +73,8 @@ enum EventKind {
 /// deliberately below `mesh_n_low`: prune-backoff windows keep
 /// individual peers under the heartbeat's target degree for up to a
 /// minute even in steady state, and the metric measures reconnection,
-/// not full degree repair.) Sampling reads per-node state at lock-step
-/// slice boundaries only, so it never influences the simulation.
+/// not full degree repair.) Sampling reads per-node state at ticks
+/// only, so it never influences the simulation.
 /// Re-arming resets the measurement; the report carries the last
 /// completed one.
 #[derive(Clone)]
@@ -103,10 +103,10 @@ impl RemeshProbe {
     }
 }
 
-/// A progress snapshot emitted while a scenario advances (one per
-/// lock-step slice). Consumers decide the printing cadence; emitting a
-/// snapshot never influences the simulation, so progress-observed runs
-/// stay byte-identical to silent ones.
+/// A progress snapshot emitted while a scenario advances (one per tick,
+/// every whole simulated second). Consumers decide the printing cadence;
+/// emitting a snapshot never influences the simulation, so
+/// progress-observed runs stay byte-identical to silent ones.
 #[derive(Clone, Copy, Debug)]
 pub struct Progress {
     /// Simulated time reached, milliseconds.
@@ -130,25 +130,39 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioReport {
 }
 
 /// [`run_scenario`] with a progress observer: `observe` fires once per
-/// lock-step slice (see [`Progress`]) — the hook behind `simctl run
-/// --progress`, so hour-long 10k-node runs are not silent.
+/// tick (see [`Progress`]) — the hook behind `simctl run --progress`, so
+/// hour-long 10k-node runs are not silent.
 pub fn run_scenario_with_progress(
     spec: &ScenarioSpec,
-    mut observe: impl FnMut(&Progress),
+    observe: impl FnMut(&Progress),
 ) -> ScenarioReport {
+    run_scenario_observed(spec, observe).0
+}
+
+/// [`run_scenario_with_progress`], additionally handing back the
+/// finished [`Testbed`] (`simctl` reads what its drain left in flight).
+pub fn run_scenario_observed(
+    spec: &ScenarioSpec,
+    mut observe: impl FnMut(&Progress),
+) -> (ScenarioReport, Testbed) {
     let mut run = ScenarioRun::new(spec);
     let total_ms = run.end_ms;
     // lint:allow(host-time, reason = "wall-clock elapsed printed as console progress; never enters simulation state or reports")
     let started_wall = Instant::now();
-    run.advance_to(total_ms, &mut |tb| {
+    let mut snapshot = |tb: &Testbed| {
         observe(&Progress {
             sim_ms: tb.net.now(),
             total_ms,
             events_dispatched: tb.net.events_dispatched(),
             wall_ms: started_wall.elapsed().as_millis() as u64,
         })
-    });
-    run.finish().0
+    };
+    run.advance_to(total_ms, &mut snapshot);
+    // an end off the whole-second grid gets a last snapshot of its own
+    if !total_ms.is_multiple_of(TICK_MS) {
+        snapshot(run.testbed());
+    }
+    run.finish()
 }
 
 /// [`run_scenario`], additionally handing back the finished [`Testbed`]
@@ -175,9 +189,6 @@ pub(crate) struct ScenarioRun {
     /// has not fired yet.
     timeline: Vec<(u64, EventKind)>,
     next_event: usize,
-    /// The last lock-step boundary the world was synced at (the network
-    /// may have dispatched past it, see [`ScenarioRun::advance_to`]).
-    synced_ms: u64,
     end_ms: u64,
     /// The surveillance adversary's colluding observers, ascending.
     observers: Vec<usize>,
@@ -306,7 +317,6 @@ impl ScenarioRun {
         timeline.sort();
 
         ScenarioRun {
-            synced_ms: tb.net.now(),
             end_ms: spec.duration_ms(),
             spec: spec.clone(),
             tb,
@@ -343,43 +353,33 @@ impl ScenarioRun {
         (self.publishes.len() as u64 + failed, failed)
     }
 
-    /// Replays every timeline event at or before `to_ms` (clamped to the
-    /// run's end) in timeline order, then slices the world up to `to_ms`.
-    /// `observe` sees the world at every lock-step boundary reached.
-    ///
-    /// Slice boundaries are the ones an uninterrupted run takes:
-    /// `slice_ms` steps from the last event, cut short by the next event
-    /// or the end. A `to_ms` between two boundaries dispatches the
-    /// network up to it and leaves that slice's chain sync to the call
-    /// that reaches the boundary, so cutting a run into any number of
-    /// `advance_to` calls never moves a report byte.
+    /// Advances the world to `to_ms` (clamped to the run's end), firing
+    /// every timeline event at or before it at its own time; an event on
+    /// a tick fires after that tick's sync. `observe` sees the world at
+    /// every tick reached. Where a run is cut into `advance_to` calls
+    /// never moves a report byte.
     pub(crate) fn advance_to(&mut self, to_ms: u64, observe: &mut dyn FnMut(&Testbed)) {
         let to_ms = to_ms.min(self.end_ms);
         loop {
             while let Some(&(at_ms, kind)) = self.timeline.get(self.next_event) {
-                if at_ms > self.synced_ms {
+                if at_ms > self.tb.net.now() {
                     break;
                 }
                 self.next_event += 1;
                 self.fire(at_ms, kind);
             }
-            if self.synced_ms >= to_ms {
+            if self.tb.net.now() >= to_ms {
                 return;
             }
             let stop = self
                 .timeline
                 .get(self.next_event)
-                .map_or(self.end_ms, |&(at_ms, _)| at_ms);
-            let boundary = (self.synced_ms + self.spec.slice_ms).min(stop);
-            if boundary > to_ms {
-                self.tb.net.run_until(to_ms);
-                return;
-            }
-            self.tb
-                .run(boundary - self.tb.net.now(), self.spec.slice_ms);
-            self.synced_ms = boundary;
-            self.remesh.sample(&self.tb);
-            observe(&self.tb);
+                .map_or(to_ms, |&(at_ms, _)| at_ms.min(to_ms));
+            let remesh = &mut self.remesh;
+            self.tb.advance_to(stop, &mut |tb| {
+                remesh.sample(tb);
+                observe(tb);
+            });
         }
     }
 
@@ -396,7 +396,7 @@ impl ScenarioRun {
     }
 
     /// Applies one timeline event at its time `at_ms` (the world stands
-    /// at that lock-step boundary).
+    /// at that instant).
     fn fire(&mut self, at_ms: u64, kind: EventKind) {
         let spec = &self.spec;
         match kind {
@@ -520,7 +520,7 @@ impl ScenarioRun {
         // hard stop cut it off with work still queued? (Live meshes keep
         // heartbeat timers armed forever, so pending > 0 is the norm — the
         // report records it instead of swallowing it.)
-        let drain = self.tb.run_to_quiescence(self.end_ms, self.spec.slice_ms);
+        let drain = self.tb.run_to_quiescence(self.end_ms);
         (self.distill(drain), self.tb)
     }
 
@@ -1086,16 +1086,18 @@ mod tests {
         assert!(rate > 0.9, "rate {rate}");
     }
 
-    /// Cutting a run at times that are neither timeline events nor
-    /// lock-step boundaries moves no report byte.
+    /// Cutting a run anywhere moves no report byte: between ticks, on a
+    /// tick, and at, just before and just after `epoch_boundary_race`'s
+    /// off-grid first round (29.7 s).
     #[test]
     fn a_run_advanced_in_segments_reports_the_same_bytes() {
         for spec in [
             crate::library::fault_storm(12, 5),
             crate::library::high_throughput(12, 5),
+            crate::library::epoch_boundary_race(12, 5),
         ] {
             let mut run = ScenarioRun::new(&spec);
-            for t in [12_345, 33_333, 50_500] {
+            for t in [12_345, 29_699, 29_700, 29_701, 33_000, 33_333, 50_500] {
                 run.advance_to(t, &mut |_| {});
                 assert_eq!(run.testbed().net.now(), t);
             }
@@ -1114,7 +1116,7 @@ mod tests {
     fn restored_checkpoint_replays_byte_identical_to_uninterrupted_run() {
         let spec = crate::library::fault_storm(12, 99);
         let mut live = ScenarioRun::new(&spec);
-        // the warm wave is down from 25 s to 35 s; stop mid-slice
+        // the warm wave is down from 25 s to 35 s; stop between ticks
         live.advance_to(30_500, &mut |_| {});
         let checkpoint = live.clone();
         let uninterrupted = live.finish().0;

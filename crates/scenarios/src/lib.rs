@@ -58,7 +58,10 @@ pub mod soak;
 pub mod spec;
 
 pub use attribution::{attribute, MessageAttribution, PooledObservation};
-pub use engine::{run_scenario, run_scenario_detailed, run_scenario_with_progress, Progress};
+pub use engine::{
+    run_scenario, run_scenario_detailed, run_scenario_observed, run_scenario_with_progress,
+    Progress,
+};
 pub use library::{builtin, BUILTIN_NAMES};
 pub use report::ScenarioReport;
 pub use soak::{run_soak, SoakBounds, SoakConfig, SoakDelta, SoakOutcome};

@@ -49,10 +49,6 @@ pub struct SoakConfig {
     pub spec: ScenarioSpec,
     /// Streaming-report segment length, milliseconds. Deltas, bounds
     /// checks and delivery-tape drains happen at segment boundaries.
-    ///
-    /// A boundary off the engine's slice grid (`spec.slice_ms` steps from
-    /// the last timeline event) is measured before that slice's chain
-    /// sync, resync and slash submission, which land in the next segment.
     pub segment_ms: u64,
     /// Checkpoint/restore cadence in segments (`0` disables the
     /// byte-identity replay check).

@@ -8,7 +8,16 @@
 //! resulting [`ScenarioReport`](crate::report::ScenarioReport) is
 //! byte-identical.
 
-use waku_rln_relay::{EpochScheme, PipelineConfig, MAX_TREE_DEPTH};
+use waku_rln_relay::{EpochScheme, PipelineConfig, MAX_TREE_DEPTH, TICK_MS};
+
+/// Returns `Err` with the formatted message when `cond` does not hold.
+macro_rules! ensure {
+    ($cond:expr, $($why:tt)+) => {
+        if !$cond {
+            return Err(format!($($why)+));
+        }
+    };
+}
 
 /// Bootstrap-topology family (the shapes used in p2p evaluations; the
 /// GossipSub paper evaluates on random regular-ish graphs).
@@ -156,9 +165,9 @@ pub struct DegradationEvent {
 
 /// A registration-contract outage: from `at_ms` for `duration_ms`, every
 /// `Register` transaction reverts (stake refunded) and restarted peers
-/// cannot complete their group resync — each retries once per lock-step
-/// slice (counted as `resync_retries`) until the outage lifts. Slashing
-/// is unaffected.
+/// cannot complete their group resync — each retries once per tick, every
+/// whole second (counted as `resync_retries`), until the outage lifts.
+/// Slashing is unaffected.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ContractOutageEvent {
     /// Outage start, milliseconds.
@@ -226,47 +235,48 @@ impl FaultPlan {
     /// Checks internal consistency (each schedule sorted by start time,
     /// all parameters in range).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on an impossible plan.
-    pub fn validate(&self) {
-        assert!(
+    /// Describes the first inconsistency of an impossible plan.
+    pub fn check(&self) -> Result<(), String> {
+        ensure!(
             self.restarts.is_sorted_by_key(|r| r.at_ms),
             "restart schedule must be sorted by time"
         );
-        assert!(
+        ensure!(
             self.partitions.is_sorted_by_key(|p| p.at_ms),
             "partition schedule must be sorted by time"
         );
-        assert!(
+        ensure!(
             self.degradations.is_sorted_by_key(|d| d.at_ms),
             "degradation schedule must be sorted by time"
         );
-        assert!(
+        ensure!(
             self.contract_outages.is_sorted_by_key(|o| o.at_ms),
             "contract-outage schedule must be sorted by time"
         );
         for r in &self.restarts {
-            assert!(r.peers >= 1, "a restart event needs at least one peer");
-            assert!(r.downtime_ms >= 1, "downtime must be positive");
+            ensure!(r.peers >= 1, "a restart event needs at least one peer");
+            ensure!(r.downtime_ms >= 1, "downtime must be positive");
         }
         for p in &self.partitions {
-            assert!(p.heal_after_ms >= 1, "partition must last some time");
-            assert!(
+            ensure!(p.heal_after_ms >= 1, "partition must last some time");
+            ensure!(
                 p.minority_fraction > 0.0 && p.minority_fraction <= 0.5,
                 "minority fraction must be in (0, 0.5]"
             );
         }
         for d in &self.degradations {
-            assert!(d.duration_ms >= 1, "degradation must last some time");
-            assert!(
+            ensure!(d.duration_ms >= 1, "degradation must last some time");
+            ensure!(
                 (0.0..=1.0).contains(&d.extra_loss),
                 "extra loss out of range"
             );
         }
         for o in &self.contract_outages {
-            assert!(o.duration_ms >= 1, "outage must last some time");
+            ensure!(o.duration_ms >= 1, "outage must last some time");
         }
+        Ok(())
     }
 }
 
@@ -375,8 +385,10 @@ pub struct ScenarioSpec {
     /// Cool-down after the last scheduled event, milliseconds — time for
     /// gossip recovery, detection, slashing and sync to play out.
     pub drain_ms: u64,
-    /// Lock-step slice for world advancement, milliseconds (network ↔
-    /// chain synchronization granularity).
+    /// Must equal [`TICK_MS`]: the world ticks on whole seconds, and
+    /// [`ScenarioSpec::check`] rejects any other value. Kept only because
+    /// the out-of-workspace `benchmark/` package still reads it; goes once
+    /// that package stops doing so.
     pub slice_ms: u64,
 }
 
@@ -414,7 +426,7 @@ impl ScenarioSpec {
             pipeline: None,
             threads: 1,
             drain_ms: 40_000,
-            slice_ms: 1_000,
+            slice_ms: TICK_MS,
         }
     }
 
@@ -480,65 +492,81 @@ impl ScenarioSpec {
 
     /// Checks internal consistency.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on an impossible spec (no peers, unsorted churn, loss out
-    /// of range, zero slice, eclipse without enough honest peers, a tree
-    /// deeper than [`MAX_TREE_DEPTH`] or too shallow for the initial peers
-    /// plus scheduled joins).
-    pub fn validate(&self) {
-        assert!(self.honest >= 2, "need at least two honest peers");
-        assert!((0.0..=1.0).contains(&self.loss), "loss out of range");
+    /// Describes the first inconsistency of an impossible spec (no peers,
+    /// unsorted churn, loss out of range, a zero-length epoch, a slice
+    /// other than [`TICK_MS`], eclipse without enough honest peers, a
+    /// tree deeper than [`MAX_TREE_DEPTH`] or too shallow for the initial
+    /// peers plus scheduled joins).
+    pub fn check(&self) -> Result<(), String> {
+        ensure!(self.honest >= 2, "need at least two honest peers");
+        ensure!((0.0..=1.0).contains(&self.loss), "loss out of range");
         if let LatencySpec::Uniform { min_ms, max_ms } = self.latency {
-            assert!(min_ms <= max_ms, "latency range is empty");
+            ensure!(min_ms <= max_ms, "latency range is empty");
         }
-        assert!(self.slice_ms > 0, "slice must be positive");
-        assert!(
+        ensure!(self.epoch.epoch_secs >= 1, "epoch length must be positive");
+        ensure!(
+            self.slice_ms == TICK_MS,
+            "slice_ms must be {TICK_MS}: the world ticks on whole seconds"
+        );
+        ensure!(
             self.churn.is_sorted_by_key(|e| e.at_ms),
             "churn schedule must be sorted by time"
         );
-        self.faults.validate();
+        self.faults.check()?;
         if let Some(e) = self.eclipse {
-            assert!(e.attackers >= 1, "eclipse needs at least one attacker");
-            assert!(
+            ensure!(e.attackers >= 1, "eclipse needs at least one attacker");
+            ensure!(
                 self.honest >= 3,
                 "eclipse needs a victim plus honest bystanders"
             );
         }
         if let Some(s) = self.spam {
-            assert!(s.spammers >= 1 && s.burst >= 2, "spam needs a real burst");
+            ensure!(s.spammers >= 1 && s.burst >= 2, "spam needs a real burst");
         }
         if let Some(s) = self.surveillance {
-            assert!(
+            ensure!(
                 s.observer_fraction > 0.0 && s.observer_fraction <= 1.0,
                 "observer fraction out of range"
             );
-            assert!(
+            ensure!(
                 self.honest >= 4,
                 "surveillance needs observers plus honest publishers"
             );
         }
-        assert!(
+        ensure!(
             self.devices.is_empty() || self.devices.iter().any(|d| d.share > 0),
             "device shares must not all be zero"
         );
         if let Some(p) = self.pipeline {
-            assert!(p.max_batch >= 1, "pipeline batch must hold a message");
-            assert!(
+            ensure!(p.max_batch >= 1, "pipeline batch must hold a message");
+            ensure!(
                 p.flush_interval_ms >= 1,
                 "pipeline flush interval must be positive"
             );
         }
         let depth = self.effective_tree_depth();
-        assert!(
+        ensure!(
             depth <= MAX_TREE_DEPTH,
             "tree depth {depth} is above the supported maximum {MAX_TREE_DEPTH}"
         );
         let registered = self.registered_peers();
-        assert!(
+        ensure!(
             (1usize << depth) >= registered,
             "tree depth {depth} cannot hold {registered} peers (initial plus scheduled joins)"
         );
+        Ok(())
+    }
+
+    /// [`ScenarioSpec::check`] as a panic.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `check`'s message on an impossible spec.
+    pub fn validate(&self) {
+        // lint:allow(panic-path, reason = "documented under # Panics: the panicking form of check for callers that treat a bad spec as a bug")
+        self.check().unwrap_or_else(|why| panic!("{why}"));
     }
 }
 
@@ -632,6 +660,24 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "epoch length must be positive")]
+    fn zero_length_epoch_rejected() {
+        let mut spec = ScenarioSpec::baseline(8, 1);
+        spec.epoch.epoch_secs = 0;
+        spec.validate();
+    }
+
+    #[test]
+    fn a_slice_other_than_the_tick_is_rejected() {
+        let mut spec = ScenarioSpec::baseline(8, 1);
+        spec.slice_ms = 500;
+        assert_eq!(
+            spec.check(),
+            Err("slice_ms must be 1000: the world ticks on whole seconds".to_string())
+        );
+    }
+
+    #[test]
     fn duration_covers_last_event_plus_drain() {
         let mut spec = ScenarioSpec::baseline(8, 1);
         spec.traffic = TrafficSpec {
@@ -709,7 +755,7 @@ mod tests {
     #[test]
     fn fault_plan_windows_and_duration_fold_into_the_spec() {
         let plan = small_fault_plan();
-        plan.validate();
+        assert_eq!(plan.check(), Ok(()));
         assert!(!plan.is_empty());
         assert_eq!(plan.windows().len(), 4);
         assert_eq!(plan.last_end_ms(), 100_000);
@@ -731,7 +777,7 @@ mod tests {
     fn majority_partition_rejected() {
         let mut plan = small_fault_plan();
         plan.partitions[0].minority_fraction = 0.6;
-        plan.validate();
+        plan.check().unwrap();
     }
 
     #[test]
@@ -744,7 +790,7 @@ mod tests {
             downtime_ms: 1_000,
             warm: false,
         });
-        plan.validate();
+        plan.check().unwrap();
     }
 
     #[test]
@@ -752,7 +798,7 @@ mod tests {
     fn degradation_loss_out_of_range_rejected() {
         let mut plan = small_fault_plan();
         plan.degradations[0].extra_loss = 1.5;
-        plan.validate();
+        plan.check().unwrap();
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The `simctl` command-line contract: what `list` prints, which inputs
-//! are usage errors (exit 2), and that `run` is deterministic per seed.
+//! are usage errors (exit 2), that `run` is deterministic per seed, and
+//! that a drain cut off mid-propagation exits 1.
 
 use std::process::{Command, Output};
 use wakurln_scenarios::{ScenarioReport, BUILTIN_NAMES};
@@ -67,4 +68,37 @@ fn populations_below_the_bootstrap_degree_run() {
     let json = String::from_utf8(out.stdout).expect("utf-8 stdout");
     let report = ScenarioReport::from_json(&json).expect("stdout is one ScenarioReport");
     assert_eq!(report.peers_initial, 5);
+}
+
+/// `epoch_boundary_race`'s drain ends amid a wave of liveness pings over
+/// 0.2–4 s links: control traffic, not a network that failed to settle.
+#[test]
+fn a_drain_ending_amid_control_traffic_exits_0() {
+    let out = simctl(&["run", "epoch_boundary_race", "--nodes", "40", "--seed", "7"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+}
+
+/// First-hop copies held back up to 100 s outlast `baseline`'s 40 s
+/// drain, so the hard stop cuts those publishes off mid-propagation.
+#[test]
+fn a_drain_cut_mid_propagation_exits_1_after_the_report() {
+    let out = simctl(&[
+        "run",
+        "baseline",
+        "--nodes",
+        "40",
+        "--seed",
+        "7",
+        "--publish-jitter",
+        "100000",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let json = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    ScenarioReport::from_json(&json).expect("the report is still emitted");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("application frames still in flight"),
+        "{stderr}"
+    );
 }

@@ -34,7 +34,7 @@ fn main() {
     );
 
     // 2. Let GossipSub meshes form.
-    testbed.run(8_000, 1_000);
+    testbed.run(8_000);
 
     // 3. Publish anonymously through the RLN pipeline: proof generation,
     //    epoch-bound nullifier, Shamir share — all attached automatically.
@@ -49,7 +49,7 @@ fn main() {
     }
 
     // 5. ...and the message propagates to everyone else.
-    testbed.run(15_000, 1_000);
+    testbed.run(15_000);
     let received = testbed.delivery_count(payload, 3);
     println!("peers that received the message: {received}/9");
     assert!(received >= 7, "propagation failed");

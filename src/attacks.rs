@@ -16,7 +16,7 @@ mod tests {
             seed: 5,
             ..Default::default()
         });
-        tb.run(8_000, 1_000); // mesh formation
+        tb.run(8_000); // mesh formation
         tb
     }
 
@@ -32,7 +32,7 @@ mod tests {
                 .expect("attacker is still a member while bursting");
         }
         // let gossip, detection, slashing and sync play out
-        tb.run(40_000, 1_000);
+        tb.run(40_000);
         let half = tb.config().n_peers / 2;
         let delivered_majority = payloads
             .iter()
@@ -57,7 +57,7 @@ mod tests {
             let payload = format!("replay-{offset}").into_bytes();
             tb.publish_with_epoch_offset(1, &payload, offset)
                 .expect("attacker can always send");
-            tb.run(15_000, 1_000);
+            tb.run(15_000);
             delivered.insert(offset, tb.delivery_count(&payload, 1) >= half);
         }
         assert!(!delivered[&-10], "deep replay delivered");

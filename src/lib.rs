@@ -30,9 +30,9 @@
 //!     degree: 3,
 //!     ..Default::default()
 //! });
-//! testbed.run(8_000, 1_000);
+//! testbed.run(8_000);
 //! testbed.publish(0, b"hi").unwrap();
-//! testbed.run(15_000, 1_000);
+//! testbed.run(15_000);
 //! assert!(testbed.delivery_count(b"hi", 0) >= 3);
 //! ```
 

@@ -18,7 +18,7 @@ fn build(n: usize, seed: u64) -> Testbed {
         epoch: EpochScheme::new(10, 20_000),
         ..Default::default()
     });
-    tb.run(8_000, 1_000);
+    tb.run(8_000);
     tb
 }
 
@@ -33,7 +33,7 @@ fn epoch_replay_attack(tb: &mut Testbed, attacker: usize, offsets: &[i64]) -> Ve
             let payload = format!("replay-{offset}").into_bytes();
             tb.publish_with_epoch_offset(attacker, &payload, offset)
                 .expect("attacker can always send");
-            tb.run(15_000, 1_000);
+            tb.run(15_000);
             (offset, tb.delivery_count(&payload, attacker) >= half)
         })
         .collect()
@@ -78,7 +78,7 @@ fn garbage_frames_are_rejected_and_penalized() {
         let msg = WakuMessage::new("/junk", b"not an rln signal".to_vec());
         node.inject_raw(ctx, &msg)
     });
-    tb.run(15_000, 1_000);
+    tb.run(15_000);
     // nobody delivered it: no peer's delivery tape holds its id
     for i in 0..6 {
         let tape = tb.net.node(NodeId(i)).gossipsub().delivered();
@@ -103,7 +103,7 @@ fn packet_loss_does_not_break_protection() {
     // spammer still gets caught
     tb.publish_spam(4, b"ls1").unwrap();
     tb.publish_spam(4, b"ls2").unwrap();
-    tb.run(60_000, 1_000);
+    tb.run(60_000);
     assert!(tb.delivery_count(b"lossy but honest", 0) >= 7);
     assert!(!tb.is_member(4), "spammer survived packet loss");
 }

@@ -15,7 +15,7 @@ fn build(n: usize, seed: u64) -> Testbed {
         seed,
         ..Default::default()
     });
-    tb.run(8_000, 1_000);
+    tb.run(8_000);
     tb
 }
 
@@ -25,7 +25,7 @@ fn full_lifecycle_register_publish_deliver() {
     assert_eq!(tb.active_members(), 12);
 
     tb.publish(0, b"lifecycle message").unwrap();
-    tb.run(15_000, 1_000);
+    tb.run(15_000);
     assert!(tb.delivery_count(b"lifecycle message", 0) >= 10);
 
     // every relayer that validated it counted it as valid, nobody as spam
@@ -43,7 +43,7 @@ fn all_peers_can_publish_in_their_own_epochs() {
         let payload = format!("from-{peer}").into_bytes();
         tb.publish(peer, &payload).unwrap();
     }
-    tb.run(20_000, 1_000);
+    tb.run(20_000);
     for peer in 0..8 {
         let payload = format!("from-{peer}").into_bytes();
         assert!(
@@ -62,7 +62,7 @@ fn spam_to_slash_to_reward_roundtrip() {
 
     tb.publish_spam(spammer, b"payload-a").unwrap();
     tb.publish_spam(spammer, b"payload-b").unwrap();
-    tb.run(40_000, 1_000);
+    tb.run(40_000);
 
     // detection happened
     assert!(tb.total_spam_detections() >= 1);
@@ -88,13 +88,13 @@ fn network_keeps_working_after_slashing() {
     let mut tb = build(10, 4);
     tb.publish_spam(2, b"s1").unwrap();
     tb.publish_spam(2, b"s2").unwrap();
-    tb.run(40_000, 1_000);
+    tb.run(40_000);
     assert!(!tb.is_member(2));
 
     // remaining peers' proofs are against the *new* root (the light trees
     // applied the deletion witness) and still verify
     tb.publish(7, b"post-slash message").unwrap();
-    tb.run(15_000, 1_000);
+    tb.run(15_000);
     assert!(tb.delivery_count(b"post-slash message", 7) >= 8);
 }
 
@@ -107,9 +107,9 @@ fn rate_limit_resets_at_epoch_boundary() {
         Err(PublishError::RateLimited { .. })
     ));
     // epoch length is 10 s; advance past the boundary
-    tb.run(11_000, 1_000);
+    tb.run(11_000);
     tb.publish(1, b"epoch-n-plus-1").unwrap();
-    tb.run(15_000, 1_000);
+    tb.run(15_000);
     assert!(tb.delivery_count(b"epoch-n", 1) >= 4);
     assert!(tb.delivery_count(b"epoch-n-plus-1", 1) >= 4);
 }
@@ -121,7 +121,7 @@ fn deterministic_end_to_end() {
         tb.publish(0, b"det").unwrap();
         tb.publish_spam(3, b"x1").unwrap();
         tb.publish_spam(3, b"x2").unwrap();
-        tb.run(40_000, 1_000);
+        tb.run(40_000);
         (
             tb.delivery_count(b"det", 0),
             tb.active_members(),

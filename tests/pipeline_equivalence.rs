@@ -346,15 +346,15 @@ fn pipelined_testbed_still_delivers_and_slashes() {
         pipeline: Some(PipelineConfig::default()),
         ..Default::default()
     });
-    tb.run(8_000, 1_000);
+    tb.run(8_000);
     tb.publish(0, b"batched hello").unwrap();
-    tb.run(15_000, 1_000);
+    tb.run(15_000);
     // forwarding completes through flush timers; everyone still converges
     assert!(tb.delivery_count(b"batched hello", 0) >= 6);
 
     tb.publish_spam(3, b"spam-a").unwrap();
     tb.publish_spam(3, b"spam-b").unwrap();
-    tb.run(30_000, 1_000);
+    tb.run(30_000);
     assert!(
         tb.total_spam_detections() >= 1,
         "no detection under batching"

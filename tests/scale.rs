@@ -122,7 +122,7 @@ fn thirty_peers_three_epochs_two_spammers_churn_and_late_joiners() {
     let mut tb = tb;
     tb.publish(joiner, b"hello from the late joiner")
         .expect("joiner can publish");
-    tb.run(15_000, 1_000);
+    tb.run(15_000);
     assert!(
         tb.delivery_count(b"hello from the late joiner", joiner) >= 24,
         "late joiner's message under-delivered: {}",
